@@ -7,7 +7,9 @@ Scale knobs (environment variables):
   uses 95 000 — set that for a full-scale run, it takes tens of minutes).
 * ``REPRO_BENCH_SEED`` — workload/agent seed (default 0).
 * ``REPRO_BENCH_OUT`` — directory for rendered tables/CSV artifacts
-  (default ``benchmarks/results``).
+  (default: a fresh temporary directory for each pytest run, so tests
+  leave the tree clean; ``REPRO_BENCH_OUT=benchmarks/results``
+  refreshes the committed copies).
 
 Benchmarks print the paper-style tables to stdout (run pytest with ``-s``
 to see them) and always write them to the output directory.
@@ -15,6 +17,7 @@ to see them) and always write them to the output directory.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -22,7 +25,7 @@ import pytest
 
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "3000"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
-OUT_DIR = Path(os.environ.get("REPRO_BENCH_OUT", Path(__file__).parent / "results"))
+OUT_ENV = os.environ.get("REPRO_BENCH_OUT")
 
 
 @pytest.fixture(scope="session")
@@ -36,9 +39,12 @@ def bench_seed() -> int:
 
 
 @pytest.fixture(scope="session")
-def out_dir() -> Path:
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
-    return OUT_DIR
+def out_dir(tmp_path_factory) -> Path:
+    if not OUT_ENV:
+        return tmp_path_factory.mktemp("bench-results")
+    path = Path(OUT_ENV)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def save_artifact(out_dir: Path, name: str, text: str) -> None:
@@ -47,3 +53,16 @@ def save_artifact(out_dir: Path, name: str, text: str) -> None:
     path.write_text(text + "\n")
     print(f"\n===== {name} =====")
     print(text)
+
+
+def merge_hotpath(out_dir: Path, payload: dict) -> None:
+    """Merge ``payload``'s top-level keys into ``<out_dir>/BENCH_hotpath.json``.
+
+    The perf trajectory file collects the keys of several benches.
+    """
+    try:
+        merged = json.loads((out_dir / "BENCH_hotpath.json").read_text())
+    except (OSError, ValueError):
+        merged = {}
+    merged.update(payload)
+    save_artifact(out_dir, "BENCH_hotpath.json", json.dumps(merged, indent=2))

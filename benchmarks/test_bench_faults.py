@@ -16,7 +16,8 @@ This bench measures three configurations of the same workload on a
 * **storm** — failure-storm-like parameters (crashes, 5% job failures,
   5% stragglers, retry backoff).
 
-Results merge into ``BENCH_hotpath.json`` under the ``faults`` key.
+Results merge into ``BENCH_hotpath.json`` in the bench output directory
+under the ``faults`` key.
 The acceptance gates assert bare/inert bit-identity and bound the inert
 hook overhead; ``REPRO_BENCH_FAULT_OVERHEAD`` relaxes the latter for
 noisy shared runners.
@@ -29,9 +30,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
-from benchmarks.conftest import save_artifact
+from benchmarks.conftest import merge_hotpath, save_artifact
 from repro.core.baselines import AlwaysOnPolicy, RoundRobinBroker
 from repro.faults.inject import install_faults
 from repro.faults.plan import build_site_plan
@@ -41,7 +41,6 @@ from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
 
 FAULT_JOBS = int(os.environ.get("REPRO_BENCH_FAULT_JOBS", "2000"))
 MAX_INERT_OVERHEAD = float(os.environ.get("REPRO_BENCH_FAULT_OVERHEAD", "0.25"))
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 NUM_SERVERS = 20
 
@@ -159,14 +158,7 @@ def test_bench_fault_overhead(out_dir, bench_seed):
         },
     }
 
-    out_path = REPO_ROOT / "BENCH_hotpath.json"
-    try:
-        merged = json.loads(out_path.read_text())
-    except (OSError, ValueError):
-        merged = {}
-    merged["faults"] = payload
-    text = json.dumps(merged, indent=2)
-    out_path.write_text(text + "\n")
+    merge_hotpath(out_dir, {"faults": payload})
     save_artifact(out_dir, "BENCH_faults.json", json.dumps(payload, indent=2))
 
     assert inert_overhead <= MAX_INERT_OVERHEAD, (

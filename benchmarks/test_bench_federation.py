@@ -11,8 +11,9 @@ bench pins down what that costs:
   (home / least-loaded / price-greedy), same total fleet, same offered
   load, measured as wall-clock per completed job.
 
-Results merge into ``BENCH_hotpath.json`` (the perf trajectory file)
-under the ``"federation"`` key, alongside the decision-epoch numbers.
+Results merge into ``BENCH_hotpath.json`` (the perf trajectory file) in
+the bench output directory under the ``"federation"`` key, alongside the
+decision-epoch numbers.
 The acceptance gate bounds the *home-routed* federation's per-job
 overhead over the single cluster — pure engine tax, no broker — at
 ``REPRO_BENCH_FED_MAX_OVERHEAD`` (default 1.6x; policy brokers are
@@ -33,11 +34,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import save_artifact
+from benchmarks.conftest import merge_hotpath, save_artifact
 from repro.core.baselines import AlwaysOnPolicy, RoundRobinBroker
 from repro.core.federation import make_federation_broker
 from repro.obs import telemetry as obs
@@ -49,7 +49,6 @@ from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
 
 FED_JOBS = int(os.environ.get("REPRO_BENCH_FED_JOBS", "1500"))
 MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_FED_MAX_OVERHEAD", "1.6"))
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 M, SITES = 30, 3
 PER_SITE = M // SITES
@@ -179,14 +178,7 @@ def test_bench_federation_dispatch(traces, out_dir):
             for policy in ("home", "least-loaded", "price-greedy", "drl")
         },
     }
-    out_path = REPO_ROOT / "BENCH_hotpath.json"
-    try:
-        merged = json.loads(out_path.read_text())
-    except (OSError, ValueError):
-        merged = {}
-    merged["federation"] = payload
-    text = json.dumps(merged, indent=2)
-    out_path.write_text(text + "\n")
+    merge_hotpath(out_dir, {"federation": payload})
     save_artifact(out_dir, "BENCH_federation.json", json.dumps(payload, indent=2))
 
     assert overhead <= MAX_OVERHEAD, (

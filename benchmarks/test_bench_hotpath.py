@@ -14,8 +14,8 @@ ring-buffer replay), and records:
 * train-step latency (replay sample + target build + SGD step);
 * end-to-end DRL simulation throughput in jobs/sec.
 
-Results go to ``BENCH_hotpath.json`` at the repo root (the perf
-trajectory file, committed per PR) and to the bench output directory.
+Results merge into ``BENCH_hotpath.json`` (the perf trajectory file) in
+the bench output directory.
 The acceptance gate asserts the decision-epoch speedup at M=30 / K=3;
 ``REPRO_BENCH_MIN_SPEEDUP`` relaxes it for noisy shared runners.
 
@@ -26,15 +26,13 @@ default 1500).
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import save_artifact
+from benchmarks.conftest import merge_hotpath
 from repro.core.baselines import AlwaysOnPolicy, ImmediateSleepPolicy, RoundRobinBroker
 from repro.core.config import ExperimentConfig, GlobalTierConfig
 from repro.core.global_tier import DRLGlobalBroker
@@ -47,7 +45,6 @@ from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
 ITERS = int(os.environ.get("REPRO_BENCH_HOTPATH_ITERS", "2000"))
 E2E_JOBS = int(os.environ.get("REPRO_BENCH_HOTPATH_JOBS", "1500"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 M, K = 30, 3
 BATCH = 32
@@ -301,15 +298,7 @@ def test_bench_hotpath(rig, out_dir, bench_seed):
     }
     # Merge over the existing trajectory file: other benches (e.g. the
     # federation-dispatch bench) contribute their own top-level keys.
-    out_path = REPO_ROOT / "BENCH_hotpath.json"
-    try:
-        merged = json.loads(out_path.read_text())
-    except (OSError, ValueError):
-        merged = {}
-    merged.update(payload)
-    text = json.dumps(merged, indent=2)
-    out_path.write_text(text + "\n")
-    save_artifact(out_dir, "BENCH_hotpath.json", text)
+    merge_hotpath(out_dir, payload)
 
     assert epoch_speedup >= MIN_SPEEDUP, (
         f"decision-epoch speedup {epoch_speedup:.2f}x below the "

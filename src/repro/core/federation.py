@@ -231,8 +231,6 @@ class DRLFederationBroker(FederationBroker):
         Optionally a pre-built / warm-started network (checkpoints).
     """
 
-    obs_spans = True  # opens fed.state_view + qnet.train_step spans
-
     def __init__(
         self,
         num_sites: int,

@@ -54,8 +54,6 @@ class DRLGlobalBroker(Broker):
         offline experience-collection mode of Algorithm 1 lines 1–3.
     """
 
-    obs_spans = True  # opens qnet.train_step spans while learning
-
     def __init__(
         self,
         encoder: StateEncoder,

@@ -1,4 +1,4 @@
-"""Engine-side fault runtime: crashes, failures, stragglers, routing.
+"""Engine-side fault runtime: crashes, failures, stragglers, guarding.
 
 :func:`install_faults` threads a resolved set of
 :class:`~repro.faults.plan.SiteFaultPlan`\\ s into a running
@@ -10,14 +10,17 @@
 * crash events kill running jobs and drain the queue — victims
   re-enqueue through a retry budget with exponential backoff, and the
   crashed server's capacity drops to zero until recovery;
-* arrivals and retries route around downed servers and dark sites, and
-  broker exceptions (a NaN'd DRL tier, an out-of-range decision) are
-  contained by a least-loaded heuristic fallback instead of aborting
-  the run.
+* the runtime becomes the engine's guard: the engine still places every
+  arrival and retry itself
+  (:meth:`~repro.sim.federation.FederationEngine.place`), and calls
+  the guard to steer around downed servers and dark sites and to
+  contain broker errors (an exception, or an out-of-range pick, at
+  either tier or in a finish hook) with a least-loaded fallback instead
+  of aborting the run.
 
 Discipline inherited from the telemetry work: when no faults are
-configured the runtime is never installed and the engine's fast path is
-untouched; when installed with *null* specs it schedules the identical
+configured the runtime is never installed and the engine never calls a
+guard; when installed with *null* specs it schedules the identical
 finish events (same times, same kinds, same event order) and draws
 nothing from any random stream, so inert injection stays bit-identical
 — asserted by the zero-fault identity tests.
@@ -35,7 +38,7 @@ from repro.obs import telemetry as obs
 from repro.sim.server import PowerState, Server
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.federation import FederationEngine, Site
+    from repro.sim.federation import FederationEngine
     from repro.sim.job import Job
 
 _NULL_SPEC = FaultSpec()
@@ -170,8 +173,10 @@ class SiteFaultState:
 class FaultRuntime:
     """Fault orchestration across the whole federation.
 
-    Owns the per-site states, the retry ledger, and the degraded
-    routing path; installed onto the engine by :func:`install_faults`.
+    Owns the per-site states and the retry ledger, and is the engine's
+    guard (installed onto it by :func:`install_faults`): the engine
+    calls :meth:`contain`, :meth:`fallback_site` / :meth:`live_site` and
+    :meth:`fallback_server` / :meth:`live_server` while placing a job.
     """
 
     def __init__(
@@ -201,7 +206,6 @@ class FaultRuntime:
             state = self.states[index]
             for server in site.cluster.servers:
                 server.faults = state
-                server.on_finish = self._finish_handler(index)
             if state.plan is not None:
                 servers = site.cluster.servers
                 for event in state.plan.crashes:
@@ -214,89 +218,18 @@ class FaultRuntime:
                         kind=f"crash:{index}.{event.server_id}",
                     )
 
-    def _finish_handler(self, index: int):
-        """Completion hook twin of the engine's, with broker containment.
+    # -- the engine's guard ---------------------------------------------
 
-        Same effects as the engine's uninstrumented handler (ledger
-        sync, metrics, broker hooks); the broker callbacks alone are
-        wrapped so a diverged learner cannot abort the run.
-        """
-        engine = self.engine
-        site = engine.sites[index]
-
-        def handle(job: "Job", now: float) -> None:
-            site.cluster.sync(now)
-            site.metrics.on_completion(job, now, site.cluster.total_energy())
-            try:
-                site.broker.on_job_finish(job, site.cluster, now)
-            except Exception:
-                self._broker_fallback()
-            if engine.broker is not None:
-                try:
-                    engine.broker.on_job_finish(job, engine.sites, index, now)
-                except Exception:
-                    self._broker_fallback()
-
-        return handle
-
-    def _broker_fallback(self) -> None:
+    def contain(self) -> None:
+        """Count one broker error the engine contained instead of raising."""
         self.broker_fallbacks += 1
         _count("faults.broker_fallbacks")
 
-    # -- degraded routing -----------------------------------------------
+    def _reroute(self) -> None:
+        self.rerouted += 1
+        _count("faults.rerouted")
 
-    def handle_arrival(self, job: "Job", home: int, now: float) -> None:
-        self._route(job, home, now, arrival=True)
-
-    def _route(self, job: "Job", home: int, now: float, arrival: bool) -> None:
-        """Dispatch one job, degrading around brokers and downed capacity."""
-        engine = self.engine
-        sites = engine.sites
-        target: int | None
-        if engine.broker is not None:
-            try:
-                target = engine.broker.select_site(job, sites, home, now)
-            except Exception:
-                target = None
-            if target is not None and not 0 <= target < len(sites):
-                target = None
-            if target is None:
-                self._broker_fallback()
-                target = self._fallback_site(home)
-        else:
-            target = home
-        state = self.states[target]
-        if len(state.down) >= len(sites[target].cluster) and len(sites) > 1:
-            # Dark site: steer to the least-loaded site with live servers
-            # (if every site is dark, queue at the target anyway — work
-            # starts once recovery restores capacity).
-            rerouted_to = self._fallback_site(target)
-            if rerouted_to != target:
-                self.rerouted += 1
-                _count("faults.rerouted")
-                target = rerouted_to
-                state = self.states[target]
-        site = sites[target]
-        if arrival:
-            site.metrics.on_arrival(job, now)
-        site.cluster.sync(now)
-        index: int | None
-        try:
-            index = site.broker.select_server(job, site.cluster, now)
-        except Exception:
-            index = None
-        if index is not None and not 0 <= index < len(site.cluster):
-            index = None
-        if index is None:
-            self._broker_fallback()
-            index = self._fallback_server(site, state)
-        elif index in state.down:
-            self.rerouted += 1
-            _count("faults.rerouted")
-            index = self._fallback_server(site, state)
-        site.cluster[index].assign(job, now)
-
-    def _fallback_site(self, home: int) -> int:
+    def fallback_site(self, home: int) -> int:
         """Least-loaded site with at least one live server (else home)."""
         best: int | None = None
         best_load = 0.0
@@ -308,17 +241,40 @@ class FaultRuntime:
                 best, best_load = i, load
         return home if best is None else best
 
-    def _fallback_server(self, site: "Site", state: SiteFaultState) -> int:
+    def live_site(self, target: int) -> int:
+        """``target``, or the least-loaded live site if ``target`` is dark.
+
+        When every site is dark the job queues at ``target`` anyway:
+        work starts once recovery restores capacity.
+        """
+        sites = self.engine.sites
+        dark = len(self.states[target].down) >= len(sites[target].cluster)
+        if dark and len(sites) > 1:
+            rerouted_to = self.fallback_site(target)
+            if rerouted_to != target:
+                self._reroute()
+                return rerouted_to
+        return target
+
+    def fallback_server(self, site_index: int) -> int:
         """Least-loaded live server (lowest id wins ties; 0 if all down)."""
+        down = self.states[site_index].down
         best: int | None = None
         best_load = 0
-        for server in site.cluster.servers:
-            if server.server_id in state.down:
+        for server in self.engine.sites[site_index].cluster.servers:
+            if server.server_id in down:
                 continue
             load = server.jobs_in_system
             if best is None or load < best_load:
                 best, best_load = server.server_id, load
         return 0 if best is None else best
+
+    def live_server(self, site_index: int, index: int) -> int:
+        """``index``, or the least-loaded live server if ``index`` is down."""
+        if index in self.states[site_index].down:
+            self._reroute()
+            return self.fallback_server(site_index)
+        return index
 
     # -- retry ledger ---------------------------------------------------
 
@@ -338,8 +294,8 @@ class FaultRuntime:
         delay = spec.retry_backoff_s * (2.0 ** (n - 1))
         self.engine.events.schedule(
             now + delay,
-            lambda t, job=job, home=site_index: self._route(
-                job, home, t, arrival=False
+            lambda t, job=job, home=site_index: self.engine.place(
+                job, home, t, fresh=False
             ),
             kind=f"retry:{job.job_id}",
         )

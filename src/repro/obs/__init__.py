@@ -4,7 +4,8 @@ The observability layer the scaling work measures itself with:
 
 * :mod:`repro.obs.telemetry` — near-zero-overhead-when-disabled spans /
   counters / gauges / rolling rates, aggregated per run and mergeable
-  across sweep cells. Hot loops branch on :func:`active`; everything
+  across sweep cells. Hot loops read :func:`active` once per run and
+  time their phases with :class:`Phase` / :class:`MarkSink`; everything
   else may call :func:`get` unconditionally (disabled returns the
   :data:`NULL` no-op singleton).
 * :mod:`repro.obs.report` — the sorted self-time breakdown behind
@@ -34,7 +35,9 @@ from repro.obs.telemetry import (
     DEFAULT_RATE_WINDOW_S,
     TELEMETRY_SCHEMA,
     GaugeStat,
+    MarkSink,
     NullTelemetry,
+    Phase,
     SpanStat,
     Telemetry,
     active,
@@ -51,7 +54,9 @@ __all__ = [
     "NULL",
     "TELEMETRY_SCHEMA",
     "GaugeStat",
+    "MarkSink",
     "NullTelemetry",
+    "Phase",
     "SpanStat",
     "Telemetry",
     "active",

@@ -18,17 +18,22 @@ a :class:`Telemetry` instance aggregates
   (jobs/s, events/s): the groundwork for the streaming monitor's live
   throughput readout.
 
+Per-event hot loops time their phases with a reusable :class:`Phase`
+(``begin()`` / ``end()``, folded into the span table once per run) and
+feed marks through a :class:`MarkSink` with a clock reading they already
+took. A phase an exception leaves open is dropped when the enclosing
+span exits.
+
 Enabling is process-global and explicit: :func:`enable` installs an
 active :class:`Telemetry`, :func:`capture` scopes one around a block,
 and :func:`active` returns it (or ``None``). **The disabled path is a
 module-level no-op singleton** — :data:`NULL`, returned by :func:`get`
-when nothing is active — and the hot loops additionally branch on
-``active() is None`` so a disabled run executes the exact same
-instructions it did before this module existed. Telemetry never touches
-simulation state, so enabled and disabled runs produce bit-identical
-results (asserted by the parity tests); the only cost of enabling is
-wall-clock, bounded by the overhead guard test at <10% on the
-federation hot path.
+when nothing is active — and the hot loops read :func:`active` once per
+run and skip their phase calls when it is ``None``. Telemetry never
+touches simulation state, so enabled and disabled runs produce
+bit-identical results (asserted by the parity tests); the only cost of
+enabling is wall-clock, bounded by the overhead guard test at <10% on
+the federation hot path.
 
 All times come from :func:`time.perf_counter` (monotonic); a different
 clock may be injected for deterministic tests.
@@ -106,7 +111,7 @@ class GaugeStat:
 class _Span:
     """One live span on the stack; created by :meth:`Telemetry.span`."""
 
-    __slots__ = ("_tel", "_name", "_start", "_child_s")
+    __slots__ = ("_tel", "_name", "_start", "_child_s", "_depth")
 
     def __init__(self, tel: "Telemetry", name: str) -> None:
         self._tel = tel
@@ -114,14 +119,17 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         self._child_s = 0.0
-        self._tel._stack.append(self)
-        self._start = self._tel._clock()
+        stack = self._tel._stack
+        self._depth = len(stack)
+        stack.append(self)
+        self._start = self._tel.clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         tel = self._tel
-        elapsed = tel._clock() - self._start
-        tel._stack.pop()
+        elapsed = tel.clock() - self._start
+        # Drop this frame and any phase an exception left open above it.
+        del tel._stack[self._depth :]
         stat = tel.spans.get(self._name)
         if stat is None:
             stat = tel.spans[self._name] = SpanStat()
@@ -135,6 +143,84 @@ class _Span:
         return False
 
 
+class Phase:
+    """Reusable timer for one named phase of a hot loop.
+
+    :meth:`Telemetry.span` allocates a context manager per interval,
+    which costs as much as a cheap broker's whole event. A phase is
+    made once per run (``Phase(tel, name)``), timed around each
+    interval with :meth:`begin` / :meth:`end`, and merged into the span
+    table once with :meth:`fold`. It attributes exactly like a span:
+    while open it is the innermost stack frame, so spans opened inside
+    it (a DRL broker's ``qnet.train_step``) count as its children, and
+    :meth:`end` charges its duration to the enclosing frame.
+    """
+
+    __slots__ = ("name", "calls", "total_s", "max_s", "_child_s", "_start", "_tel")
+
+    def __init__(self, tel: "Telemetry", name: str) -> None:
+        self.name = name
+        self._tel = tel
+        self.calls = 0
+        self.total_s = self.max_s = self._child_s = 0.0
+
+    def begin(self) -> None:
+        """Open one interval (push this phase as the innermost frame)."""
+        tel = self._tel
+        tel._stack.append(self)
+        self._start = tel.clock()
+
+    def end(self) -> float:
+        """Close the interval opened by :meth:`begin`; returns its end time."""
+        tel = self._tel
+        now = tel.clock()
+        elapsed = now - self._start
+        stack = tel._stack
+        stack.pop()
+        if stack:
+            stack[-1]._child_s += elapsed
+        self.calls += 1
+        self.total_s += elapsed
+        if elapsed > self.max_s:
+            self.max_s = elapsed
+        return now
+
+    def add(self, elapsed_s: float, calls: int = 1) -> None:
+        """Account ``calls`` childless intervals timed in bulk elsewhere.
+
+        Charged to the enclosing frame like :meth:`end`; ``max_s`` is
+        left alone, since a bulk total says nothing about its longest
+        member.
+        """
+        stack = self._tel._stack
+        if stack:
+            stack[-1]._child_s += elapsed_s
+        self.calls += calls
+        self.total_s += elapsed_s
+
+    def fold(self) -> None:
+        """Merge the tallies into the collector's span table and reset."""
+        total = self.total_s
+        self._tel.fold(self.name, self.calls, total, total - self._child_s, self.max_s)
+        self.calls = 0
+        self.total_s = self.max_s = self._child_s = 0.0
+
+
+class MarkSink:
+    """Timestamps of one mark name: a bounded recent window and a count."""
+
+    __slots__ = ("times", "count")
+
+    def __init__(self) -> None:
+        self.times: deque = deque(maxlen=_MARK_CAPACITY)
+        self.count = 0
+
+    def add(self, t: float) -> None:
+        """Record one occurrence at clock reading ``t``."""
+        self.times.append(t)
+        self.count += 1
+
+
 class Telemetry:
     """Aggregating collector for one run (or one capture scope).
 
@@ -143,18 +229,19 @@ class Telemetry:
     clock:
         Monotonic time source; :func:`time.perf_counter` by default.
         Injectable so invariant tests can drive deterministic times.
+        Kept as the public :attr:`clock` attribute so hot loops can
+        take their own readings on the collector's timeline.
     """
 
     enabled = True
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
+        self.clock = clock
         self.spans: dict[str, SpanStat] = {}
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, GaugeStat] = {}
-        self._marks: dict[str, deque] = {}
-        self._mark_counts: dict[str, int] = {}
-        self._stack: list[_Span] = []
+        self._marks: dict[str, MarkSink] = {}
+        self._stack: list[_Span | Phase] = []
         self._t0 = clock()
 
     # -- spans ---------------------------------------------------------
@@ -194,12 +281,12 @@ class Telemetry:
     ) -> None:
         """Merge externally accumulated span aggregates in one step.
 
-        The batch counterpart of :meth:`record` for instrumented hot
-        loops that tally calls and durations in plain locals and flush
-        once per run — the per-event accounting cost collapses to a few
-        float adds. Unlike :meth:`record`, no parent child-time is
-        charged here: the caller already did that per call (or in bulk,
-        when every batched interval shares one parent span).
+        The batch counterpart of :meth:`record`, behind
+        :meth:`Phase.fold`: a hot loop tallies calls and durations per
+        interval and flushes once per run. Unlike :meth:`record`, no
+        parent child-time is charged here: the caller already did that
+        per call (or in bulk, when every batched interval shares one
+        parent span).
         """
         if calls <= 0:
             return
@@ -225,13 +312,16 @@ class Telemetry:
             stat = self.gauges[name] = GaugeStat()
         stat.sample(float(value))
 
+    def mark_sink(self, name: str) -> MarkSink:
+        """The :class:`MarkSink` behind mark ``name`` (created on first use)."""
+        sink = self._marks.get(name)
+        if sink is None:
+            sink = self._marks[name] = MarkSink()
+        return sink
+
     def mark(self, name: str) -> None:
         """Timestamp one occurrence for the rolling-rate estimators."""
-        d = self._marks.get(name)
-        if d is None:
-            d = self._marks[name] = deque(maxlen=_MARK_CAPACITY)
-        self._mark_counts[name] = self._mark_counts.get(name, 0) + 1
-        d.append(self._clock())
+        self.mark_sink(name).add(self.clock())
 
     def rate(self, name: str, window_s: float = DEFAULT_RATE_WINDOW_S) -> float:
         """Occurrences per second over the trailing ``window_s`` seconds.
@@ -242,31 +332,33 @@ class Telemetry:
         """
         if window_s <= 0.0:
             raise ValueError(f"window_s must be positive, got {window_s}")
-        d = self._marks.get(name)
-        if not d:
+        sink = self._marks.get(name)
+        if sink is None or not sink.times:
             return 0.0
-        now = self._clock()
+        now = self.clock()
         effective = min(window_s, now - self._t0)
         if effective <= 0.0:
             return 0.0
         cutoff = now - effective
-        recent = sum(1 for t in d if t >= cutoff)
+        recent = sum(1 for t in sink.times if t >= cutoff)
         return recent / effective
 
     # -- export --------------------------------------------------------
 
     def elapsed_s(self) -> float:
         """Seconds since this collector was created."""
-        return self._clock() - self._t0
+        return self.clock() - self._t0
 
     def snapshot(self, rate_window_s: float = DEFAULT_RATE_WINDOW_S) -> dict:
         """The JSON-able ``RunTelemetry`` payload (``telemetry.json``)."""
         elapsed = self.elapsed_s()
         rates = {}
-        for name, count in sorted(self._mark_counts.items()):
+        for name, sink in sorted(self._marks.items()):
+            if not sink.count:  # a sink made but never fed
+                continue
             rates[name] = {
-                "count": count,
-                "per_s": count / elapsed if elapsed > 0.0 else 0.0,
+                "count": sink.count,
+                "per_s": sink.count / elapsed if elapsed > 0.0 else 0.0,
                 "window_s": rate_window_s,
                 "window_per_s": self.rate(name, rate_window_s),
             }
@@ -304,8 +396,8 @@ class NullTelemetry:
 
     A single module-level instance (:data:`NULL`) stands in wherever
     code wants an unconditional ``get().span(...)`` call without
-    branching; hot loops that cannot afford even the no-op call branch
-    on :func:`active` instead.
+    branching; hot loops read :func:`active` once and skip their
+    :class:`Phase` calls when it is ``None``.
     """
 
     __slots__ = ()

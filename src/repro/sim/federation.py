@@ -21,7 +21,6 @@ same event order, same accounts — which is what makes the refactor safe
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -167,6 +166,13 @@ class FederationEngine:
     then by the chosen site's cluster broker (tier 1), while each
     server's power policy (tier 2) keeps managing sleep states.
 
+    Every job takes one path, with or without telemetry or faults:
+    :meth:`place` for arrivals and retries, one finish handler per site
+    for completions, and :meth:`_drain` for the event loop. Telemetry
+    only adds :class:`~repro.obs.telemetry.Phase` timing around the same
+    steps, and a fault runtime only adds a guard that contains broker
+    errors and steers around downed capacity.
+
     Parameters
     ----------
     sites:
@@ -178,6 +184,9 @@ class FederationEngine:
         baseline, and exactly what the single-cluster engine delegates
         with.
     """
+
+    #: Event-loop gauges are sampled every this many processed events.
+    GAUGE_EVERY = 64
 
     def __init__(
         self,
@@ -198,215 +207,118 @@ class FederationEngine:
         for index, site in enumerate(self.sites):
             for server in site.cluster.servers:
                 server.on_finish = self._finish_handler(index)
-        #: Set by :func:`repro.faults.inject.install_faults`; ``None``
-        #: (the default) keeps the fault-free fast path untouched.
+        #: Set by :func:`repro.faults.inject.install_faults`: the guard
+        #: that contains broker errors and steers around downed capacity.
+        #: ``None`` (the default) makes any broker error abort the run.
         self.faults = None
-        # Per-event tallies and span aggregates of the instrumented
-        # paths, flushed into the active collector once per run — a
-        # counter-dict or span-stat update per event would be a
-        # measurable fraction of a cheap broker's whole event. The
-        # ``_obs_*_acc`` lists accumulate ``[calls, total_s, child_s,
-        # max_s]`` (childless phases drop the ``child_s`` slot); the
-        # ``_obs_*_frame`` spans are reused stack frames so broker-
-        # internal spans still attribute as children without a per-event
-        # allocation. Parent child-time is still charged per call, so
-        # self-time accounting stays exact.
-        self._obs_arrived = 0
-        self._obs_completed = 0
-        self._obs_fed_decisions = 0
-        self._obs_fed_remote = 0
-        self._obs_cluster_decisions = 0
-        self._obs_route_acc = [0, 0.0, 0.0, 0.0]
-        self._obs_dispatch_acc = [0, 0.0, 0.0, 0.0]
-        self._obs_hooks_acc = [0, 0.0, 0.0, 0.0]
-        self._obs_settle_acc = [0, 0.0, 0.0]
-        self._obs_feed_acc = [0, 0.0, 0.0]
-        self._obs_route_frame = obs._Span(None, "fed.route")
-        self._obs_dispatch_frame = obs._Span(None, "site.dispatch")
-        self._obs_hooks_frame = obs._Span(None, "site.finish_hooks")
-        # Whether broker calls need parent span frames pushed around them
-        # (only brokers that open spans of their own — see
-        # ``Broker.obs_spans``); recomputed per run.
-        self._obs_use_frames = True
-        self._obs_gauge_names = [f"queue.{site.name}" for site in self.sites]
+        # The profiled run's collector and per-job phase timers; every
+        # timing step checks ``self._tel is None`` and is skipped then.
+        self._tel = None
+        self._route_phase = self._settle_phase = None
+        self._dispatch_phase = self._hooks_phase = None
+        self._job_marks = None
+        self._remote_routed = 0
+        self._gauge_names = [f"queue.{site.name}" for site in self.sites]
+
+    def _broker_error(self, exc: Exception) -> None:
+        """The one broker-error rule, for both tiers and their finish hooks.
+
+        A broker that raises, or picks an index out of range, aborts the
+        run — unless a fault runtime is installed, which counts the
+        error in ``broker_fallbacks`` and lets the caller fall back to
+        the least-loaded live site or server.
+        """
+        if self.faults is None:
+            raise exc
+        self.faults.contain()
 
     def _finish_handler(self, index: int):
         site = self.sites[index]
 
         def handle(job: Job, now: float) -> None:
-            tel = obs.active()
-            if tel is None:
-                site.cluster.sync(now)
-                site.metrics.on_completion(job, now, site.cluster.total_energy())
-                site.broker.on_job_finish(job, site.cluster, now)
-                if self.broker is not None:
-                    self.broker.on_job_finish(job, self.sites, index, now)
-                return
-            # Instrumented twin of the block above: the settle phase is
-            # the per-event accounting (ledger sync + metrics), the hook
-            # phase the brokers' finish callbacks. Hand-fused like
-            # :meth:`_drain_instrumented` — three clock reads cover both
-            # phases and the throughput mark, stats batch into the
-            # engine's accumulators; the arithmetic matches
-            # ``span("site.settle")`` + ``span("site.finish_hooks")``.
-            clock = tel._clock
-            stack = tel._stack
-            t0 = clock()
+            tel = self._tel
+            if tel is not None:
+                self._settle_phase.begin()
             site.cluster.sync(now)
             site.metrics.on_completion(job, now, site.cluster.total_energy())
-            t1 = clock()
-            dt = t1 - t0
-            acc = self._obs_settle_acc
-            acc[0] += 1
-            acc[1] += dt
-            if dt > acc[2]:
-                acc[2] = dt
-            self._obs_completed += 1
-            frames = self._obs_use_frames
-            if frames:
-                hooks = self._obs_hooks_frame
-                hooks._child_s = 0.0
-                stack.append(hooks)
+            if tel is not None:
+                self._settle_phase.end()
+                self._hooks_phase.begin()
             try:
                 site.broker.on_job_finish(job, site.cluster, now)
-                if self.broker is not None:
+            except Exception as exc:
+                self._broker_error(exc)
+            if self.broker is not None:
+                try:
                     self.broker.on_job_finish(job, self.sites, index, now)
-            finally:
-                t2 = clock()
-                dt = t2 - t1
-                acc = self._obs_hooks_acc
-                acc[0] += 1
-                acc[1] += dt
-                if frames:
-                    stack.pop()
-                    acc[2] += hooks._child_s
-                if dt > acc[3]:
-                    acc[3] = dt
-            marks = tel._marks.get("jobs")
-            if marks is None:
-                marks = tel._marks["jobs"] = deque(maxlen=obs._MARK_CAPACITY)
-            marks.append(t2)
+                except Exception as exc:
+                    self._broker_error(exc)
+            if tel is not None:
+                self._job_marks.add(self._hooks_phase.end())
 
         return handle
 
-    def _handle_arrival(self, job: Job, home: int, now: float) -> None:
-        if self.faults is not None:
-            # The fault runtime owns routing: it degrades around downed
-            # servers/sites and contains broker exceptions. Faulted runs
-            # keep loop-level telemetry but skip the per-arrival
-            # instrumented spans (route/settle/dispatch).
-            self.faults.handle_arrival(job, home, now)
-            return
-        tel = obs.active()
-        if tel is not None:
-            self._handle_arrival_instrumented(tel, job, home, now)
-            return
-        if self.broker is not None:
-            target = self.broker.select_site(job, self.sites, home, now)
-            if not 0 <= target < len(self.sites):
-                raise ValueError(
-                    f"federation broker chose site {target} outside "
-                    f"[0, {len(self.sites)})"
-                )
-        else:
-            target = home
-        site = self.sites[target]
-        site.metrics.on_arrival(job, now)
-        site.cluster.sync(now)
-        index = site.broker.select_server(job, site.cluster, now)
-        if not 0 <= index < len(site.cluster):
-            raise ValueError(
-                f"broker chose server {index} outside [0, {len(site.cluster)})"
-            )
-        site.cluster[index].assign(job, now)
+    def place(self, job: Job, home: int, now: float, fresh: bool = True) -> None:
+        """Route one job to a site and a server: route, guard, settle, dispatch.
 
-    def _handle_arrival_instrumented(
-        self, tel: "obs.Telemetry", job: Job, home: int, now: float
-    ) -> None:
-        """Span-annotated twin of :meth:`_handle_arrival`.
-
-        Identical control flow and side effects — telemetry only reads
-        the clock — so profiled and unprofiled runs stay bit-identical
-        (asserted by the parity tests). Phases: ``fed.route`` is the
-        federation broker's site decision, ``site.settle`` the chosen
-        site's arrival accounting + ledger sync, ``site.dispatch`` the
-        cluster broker's server decision plus the assignment.
-        Accounting is hand-fused
-        (see :meth:`_drain_instrumented`): settle's end doubles as
-        dispatch's start, counters and span stats batch on the engine,
-        and route/dispatch span frames are pushed only for brokers that
-        declare ``obs_spans`` (the DRL tiers), so their inner spans
-        (``qnet.train_step``) attribute as children without taxing the
-        span-free baselines.
+        ``fed.route`` is the federation broker's site decision (skipped
+        without one); the fault guard, when installed, then steers away
+        from a dark site; ``site.settle`` is the chosen site's arrival
+        accounting and ledger sync; ``site.dispatch`` the cluster
+        broker's server decision (steered off a downed server) plus the
+        assignment. Fresh arrivals and the fault runtime's retries share
+        this path; a retry (``fresh=False``) is not counted as a new
+        arrival.
         """
-        clock = tel._clock
-        stack = tel._stack
-        frames = self._obs_use_frames
-        self._obs_arrived += 1
-        if self.broker is not None:
-            if frames:
-                route = self._obs_route_frame
-                route._child_s = 0.0
-                stack.append(route)
-            t0 = clock()
-            try:
-                target = self.broker.select_site(job, self.sites, home, now)
-            finally:
-                t1 = clock()
-                dt = t1 - t0
-                acc = self._obs_route_acc
-                acc[0] += 1
-                acc[1] += dt
-                if frames:
-                    stack.pop()
-                    acc[2] += route._child_s
-                if dt > acc[3]:
-                    acc[3] = dt
-            self._obs_fed_decisions += 1
-            if target != home:
-                self._obs_fed_remote += 1
-            if not 0 <= target < len(self.sites):
-                raise ValueError(
-                    f"federation broker chose site {target} outside "
-                    f"[0, {len(self.sites)})"
-                )
-        else:
+        tel = self._tel
+        guard = self.faults
+        sites = self.sites
+        if self.broker is None:
             target = home
-            t1 = clock()
-        # The settle phase starts at the route decision's end (fused
-        # clock read) and covers the arrival accounting + ledger sync.
-        site = self.sites[target]
-        site.metrics.on_arrival(job, now)
-        site.cluster.sync(now)
-        t2 = clock()
-        dt = t2 - t1
-        acc = self._obs_settle_acc
-        acc[0] += 1
-        acc[1] += dt
-        if dt > acc[2]:
-            acc[2] = dt
-        if frames:
-            dispatch = self._obs_dispatch_frame
-            dispatch._child_s = 0.0
-            stack.append(dispatch)
+        else:
+            if tel is not None:
+                self._route_phase.begin()
+            try:
+                target = self.broker.select_site(job, sites, home, now)
+                if not 0 <= target < len(sites):
+                    raise ValueError(
+                        f"federation broker chose site {target} outside "
+                        f"[0, {len(sites)})"
+                    )
+            except Exception as exc:
+                self._broker_error(exc)
+                target = guard.fallback_site(home)
+            if tel is not None:
+                self._route_phase.end()
+                if target != home:
+                    self._remote_routed += 1
+        if guard is not None:
+            target = guard.live_site(target)
+        site = sites[target]
+        cluster = site.cluster
+        if tel is not None:
+            self._settle_phase.begin()
+        if fresh:
+            site.metrics.on_arrival(job, now)
+        cluster.sync(now)
+        if tel is not None:
+            self._settle_phase.end()
+            self._dispatch_phase.begin()
         try:
-            index = site.broker.select_server(job, site.cluster, now)
-            if not 0 <= index < len(site.cluster):
+            index = site.broker.select_server(job, cluster, now)
+            if not 0 <= index < len(cluster):
                 raise ValueError(
-                    f"broker chose server {index} outside [0, {len(site.cluster)})"
+                    f"broker chose server {index} outside [0, {len(cluster)})"
                 )
-            site.cluster[index].assign(job, now)
-        finally:
-            dt = clock() - t2
-            acc = self._obs_dispatch_acc
-            acc[0] += 1
-            acc[1] += dt
-            if frames:
-                stack.pop()
-                acc[2] += dispatch._child_s
-            if dt > acc[3]:
-                acc[3] = dt
-        self._obs_cluster_decisions += 1
+        except Exception as exc:
+            self._broker_error(exc)
+            index = guard.fallback_server(target)
+        else:
+            if guard is not None:
+                index = guard.live_server(target, index)
+        cluster[index].assign(job, now)
+        if tel is not None:
+            self._dispatch_phase.end()
 
     def _merged_feed(
         self, streams: Sequence[Iterable[Job]]
@@ -467,7 +379,16 @@ class FederationEngine:
             )
         feed = self._merged_feed(streams)
         fed = 0
-        tel = obs.active()
+        tel = self._tel = obs.active()
+        if tel is not None:
+            feed_phase = obs.Phase(tel, "run.feed")
+            self._route_phase = obs.Phase(tel, "fed.route")
+            self._settle_phase = obs.Phase(tel, "site.settle")
+            self._dispatch_phase = obs.Phase(tel, "site.dispatch")
+            self._hooks_phase = obs.Phase(tel, "site.finish_hooks")
+            self._job_marks = tel.mark_sink("jobs")
+            self._remote_routed = 0
+            arrived = sum(site.metrics.n_arrived for site in self.sites)
 
         def feed_next() -> None:
             nonlocal fed
@@ -476,19 +397,9 @@ class FederationEngine:
             if tel is None:
                 item = next(feed, None)
             else:
-                # Childless leaf, timed inline and batch-accumulated
-                # (one merge-heap step per arrival; a context manager
-                # would dwarf it).
-                clock = tel._clock
-                t0 = clock()
+                feed_phase.begin()
                 item = next(feed, None)
-                dt = clock() - t0
-                acc = self._obs_feed_acc
-                acc[0] += 1
-                acc[1] += dt
-                if dt > acc[2]:
-                    acc[2] = dt
-                tel._stack[-1]._child_s += dt
+                feed_phase.end()
             if item is None:
                 return
             arrival, home, job = item
@@ -500,78 +411,37 @@ class FederationEngine:
             )
 
         def on_arrival_event(job: Job, home: int, now: float) -> None:
-            self._handle_arrival(job, home, now)
+            self.place(job, home, now)
             feed_next()
 
-        if tel is None:
-            feed_next()
-            self.events.run_until_empty(max_events=max_events)
-            return self._finalize()
-        self._obs_use_frames = bool(
-            getattr(self.broker, "obs_spans", False)
-            or any(
-                getattr(site.broker, "obs_spans", False) for site in self.sites
-            )
-        )
-        self._obs_arrived = 0
-        self._obs_completed = 0
-        self._obs_fed_decisions = 0
-        self._obs_fed_remote = 0
-        self._obs_cluster_decisions = 0
-        for acc in (
-            self._obs_route_acc,
-            self._obs_dispatch_acc,
-            self._obs_hooks_acc,
-        ):
-            acc[0] = 0
-            acc[1] = acc[2] = acc[3] = 0.0
-        for acc in (self._obs_settle_acc, self._obs_feed_acc):
-            acc[0] = 0
-            acc[1] = acc[2] = 0.0
+        span = obs.get().span
         try:
-            with tel.span("run"):
+            with span("run"):
                 feed_next()
-                self._drain_instrumented(tel, max_events)
-                with tel.span("run.finalize"):
-                    result = self._finalize()
+                self._drain(max_events)
+                with span("run.finalize"):
+                    return self._finalize()
         finally:
-            self._flush_obs(tel)
-        return result
-
-    def _flush_obs(self, tel: "obs.Telemetry") -> None:
-        """Fold the run's batched tallies and span aggregates in.
-
-        The handler phases' parent (``loop.event``) was charged in bulk
-        from these same accumulators in :meth:`_drain_instrumented`'s
-        epilogue, so folding the stats afterwards keeps self-time
-        accounting exact; only the stat bookkeeping was deferred.
-        """
-        for name, n in (
-            ("jobs.arrived", self._obs_arrived),
-            ("jobs.completed", self._obs_completed),
-            ("fed.decisions", self._obs_fed_decisions),
-            ("fed.remote_routed", self._obs_fed_remote),
-            ("cluster.decisions", self._obs_cluster_decisions),
-        ):
-            if n:
-                tel.counter(name, n)
-        if self._obs_completed:
-            # One "jobs" mark was appended per completion (see the
-            # finish handler); settle their rolling-rate count in bulk.
-            tel._mark_counts["jobs"] = (
-                tel._mark_counts.get("jobs", 0) + self._obs_completed
-            )
-        for name, acc in (
-            ("fed.route", self._obs_route_acc),
-            ("site.dispatch", self._obs_dispatch_acc),
-            ("site.finish_hooks", self._obs_hooks_acc),
-        ):
-            tel.fold(name, acc[0], acc[1], acc[1] - acc[2], acc[3])
-        for name, acc in (
-            ("site.settle", self._obs_settle_acc),
-            ("run.feed", self._obs_feed_acc),
-        ):
-            tel.fold(name, acc[0], acc[1], acc[1], acc[2])
+            if tel is not None:
+                self._tel = None
+                arrived = sum(s.metrics.n_arrived for s in self.sites) - arrived
+                for name, n in (
+                    ("jobs.arrived", arrived),
+                    ("jobs.completed", self._hooks_phase.calls),
+                    ("fed.decisions", self._route_phase.calls),
+                    ("fed.remote_routed", self._remote_routed),
+                    ("cluster.decisions", self._dispatch_phase.calls),
+                ):
+                    if n:
+                        tel.counter(name, n)
+                for phase in (
+                    feed_phase,
+                    self._route_phase,
+                    self._settle_phase,
+                    self._dispatch_phase,
+                    self._hooks_phase,
+                ):
+                    phase.fold()
 
     def _finalize(self) -> FederationResult:
         """Close the accounts after the event queue drains."""
@@ -591,105 +461,56 @@ class FederationEngine:
             fleet_series=merge_site_series(self.sites),
         )
 
-    #: Event-loop gauges are sampled every this many processed events.
-    GAUGE_EVERY = 64
+    def _drain(self, max_events: int | None) -> None:
+        """Run events in time order until the queue is empty.
 
-    def _drain_instrumented(
-        self, tel: "obs.Telemetry", max_events: int | None
-    ) -> int:
-        """Profiled twin of :meth:`EventQueue.run_until_empty`.
-
-        Same drain semantics (time-ordered pops, ``max_events`` valve),
-        with the loop's phases timed: ``loop.event`` (the callback,
-        whose children are the route/dispatch/settle spans),
-        ``loop.gauges`` (the every-:data:`GAUGE_EVERY`-events queue
-        sampling), and ``loop.pop`` — the heap pops plus the loop's own
-        bookkeeping, computed as the *residual* of the drain's wall time
-        so it costs nothing per event (its ``max`` is therefore not
-        tracked and reports 0).
-
-        The accounting is hand-inlined — two clock reads per event (the
-        pop's end doubles as the callback span's start, whose end
-        doubles as the throughput mark), one reused ``_Span`` frame
-        instead of a per-event allocation, and stat updates written out
-        longhand. This is what keeps the enabled overhead inside the
-        guard test's budget on brokers whose per-event work is only a
-        few microseconds; the arithmetic is identical to
-        :meth:`Telemetry.record` + ``span("loop.event")``.
+        ``max_events`` is a safety valve on the events run. With
+        telemetry on, the loop's phases are timed: ``loop.event`` (the
+        callback, parent of the route/settle/dispatch/hook phases),
+        ``loop.gauges`` (queue sampling every :data:`GAUGE_EVERY`
+        events), and ``loop.pop`` — the heap pops plus the loop's own
+        bookkeeping, taken as the residual of the drain's wall time so it
+        costs nothing per event (its ``max`` is not tracked and reports
+        0).
         """
+        tel = self._tel
         events = self.events
-        sites = self.sites
-        clock = tel._clock
-        stack = tel._stack
-        parent = stack[-1]  # the enclosing "run" span, constant here
-        event_span = obs._Span(None, "loop.event")  # reused frame
-        marks = tel._marks.get("events")
-        if marks is None:
-            marks = tel._marks["events"] = deque(maxlen=obs._MARK_CAPACITY)
-        ev_calls = executed = empty_pop = samples = 0
-        ev_total = ev_child = ev_max = 0.0
-        sample_s = 0.0
-        t_start = clock()
+        executed = 0
+        drained = False
+        if tel is not None:
+            event_phase = obs.Phase(tel, "loop.event")
+            gauge_phase = obs.Phase(tel, "loop.gauges")
+            marks = tel.mark_sink("events")
+            t_start = tel.clock()
         try:
-            while True:
-                if max_events is not None and executed >= max_events:
-                    return executed
+            while max_events is None or executed < max_events:
                 event = events.pop()
-                t1 = clock()
                 if event is None:
-                    empty_pop = 1
-                    return executed
-                event_span._child_s = 0.0
-                stack.append(event_span)
-                try:
-                    event.callback(event.time)
-                finally:
-                    t2 = clock()
-                    dt = t2 - t1
-                    stack.pop()
-                    ev_calls += 1
-                    ev_total += dt
-                    ev_child += event_span._child_s
-                    if dt > ev_max:
-                        ev_max = dt
+                    drained = True
+                    break
                 executed += 1
-                marks.append(t2)
+                if tel is None:
+                    event.callback(event.time)
+                    continue
+                event_phase.begin()
+                event.callback(event.time)
+                marks.add(event_phase.end())
                 if executed % self.GAUGE_EVERY == 0:
+                    gauge_phase.begin()
                     tel.gauge("events.queue_depth", len(events))
-                    for site, gauge_name in zip(sites, self._obs_gauge_names):
-                        tel.gauge(
-                            gauge_name, float(site.cluster.ledger.queue.sum())
-                        )
-                    samples += 1
-                    sample_s += clock() - t2
+                    for site, name in zip(self.sites, self._gauge_names):
+                        tel.gauge(name, float(site.cluster.ledger.queue.sum()))
+                    gauge_phase.end()
         finally:
-            # Loop phases live directly under "run": one parent charge
-            # for the whole drain, and loop.pop as the wall-time
-            # residual — every instant of the drain lands in exactly
-            # one of the three phases, so self-times still partition.
-            # The handler phases (route/settle/dispatch/hooks) run only
-            # inside event callbacks, so their child-time charge against
-            # loop.event batches too: the accumulators' totals, added
-            # once here instead of five list-index writes per job.
-            loop_s = clock() - t_start
-            pop_total = loop_s - ev_total - sample_s
-            if pop_total < 0.0:  # clock granularity safety net
-                pop_total = 0.0
-            ev_child += (
-                self._obs_route_acc[1]
-                + self._obs_settle_acc[1]
-                + self._obs_dispatch_acc[1]
-                + self._obs_hooks_acc[1]
-            )
-            tel.fold("loop.pop", executed + empty_pop, pop_total, pop_total, 0.0)
-            tel.fold("loop.event", ev_calls, ev_total, ev_total - ev_child, ev_max)
-            if samples:
-                tel.fold("loop.gauges", samples, sample_s, sample_s, 0.0)
-            parent._child_s += loop_s
-            if executed:
-                tel._mark_counts["events"] = (
-                    tel._mark_counts.get("events", 0) + executed
-                )
+            if tel is not None:
+                # Every instant of the drain lands in exactly one of the
+                # three loop phases, so self-times still partition.
+                loop_s = tel.clock() - t_start
+                pop_s = loop_s - event_phase.total_s - gauge_phase.total_s
+                pop_phase = obs.Phase(tel, "loop.pop")
+                pop_phase.add(max(pop_s, 0.0), executed + drained)
+                for phase in (pop_phase, event_phase, gauge_phase):
+                    phase.fold()
 
 
 def build_federation(

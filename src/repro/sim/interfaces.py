@@ -29,13 +29,6 @@ class Broker:
     optional and default to no-ops.
     """
 
-    #: Set True on brokers that open telemetry spans internally (e.g. the
-    #: DRL tiers' ``qnet.train_step``). The federation engine then pushes
-    #: parent span frames around broker calls so those inner spans
-    #: attribute under ``site.dispatch`` / ``fed.route``; for the common
-    #: span-free broker it skips that bookkeeping on the hot path.
-    obs_spans: bool = False
-
     def select_server(self, job: "Job", cluster: "Cluster", now: float) -> int:
         """Return the index of the server that receives ``job``."""
         raise NotImplementedError
@@ -61,10 +54,6 @@ class FederationBroker:
     ``select_site`` is the only required method; the lifecycle hooks are
     optional and default to no-ops.
     """
-
-    #: See :attr:`Broker.obs_spans` — True on brokers whose decisions
-    #: open telemetry spans of their own.
-    obs_spans: bool = False
 
     def select_site(
         self, job: "Job", sites: Sequence["Site"], home: int, now: float

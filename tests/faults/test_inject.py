@@ -7,7 +7,7 @@ from repro.faults.inject import install_faults
 from repro.faults.plan import CrashEvent, SiteFaultPlan
 from repro.faults.spec import FaultSpec
 from repro.sim.federation import build_federation
-from repro.sim.interfaces import Broker
+from repro.sim.interfaces import Broker, FederationBroker
 from repro.sim.job import Job
 
 
@@ -62,6 +62,106 @@ class PickServer(Broker):
 
     def select_server(self, job, cluster, now):
         return self.target
+
+
+class FaultySiteBroker(FederationBroker):
+    """Raises on every site decision."""
+
+    def select_site(self, job, sites, home, now):
+        raise RuntimeError("diverged learner")
+
+
+class PickSite(FederationBroker):
+    """Always picks one fixed site index."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def select_site(self, job, sites, home, now):
+        return self.target
+
+
+class FinishRaisesBroker(RoundRobinBroker):
+    """Places jobs fine; its completion hook raises."""
+
+    def on_job_finish(self, job, cluster, now):
+        raise RuntimeError("diverged learner")
+
+
+class FinishRaisesSiteBroker(PickSite):
+    """Routes every job home; its completion hook raises."""
+
+    def __init__(self):
+        super().__init__(0)
+
+    def on_job_finish(self, job, sites, site_index, now):
+        raise RuntimeError("diverged learner")
+
+
+def two_sites(broker):
+    return build_federation(
+        [
+            dict(
+                name=name,
+                num_servers=2,
+                broker=RoundRobinBroker(),
+                policies=AlwaysOnPolicy(),
+                initially_on=True,
+            )
+            for name in ("a", "b")
+        ],
+        broker=broker,
+    )
+
+
+def tier_engine(tier, server_broker=None, site_broker=None):
+    """A run where ``tier``'s broker is the one under test."""
+    if tier == "server":
+        return one_site(broker=server_broker), [jobs_burst(6)]
+    return two_sites(site_broker), [jobs_burst(6), []]
+
+
+def assert_broker_error_rule(engine, streams, runtime, error, match):
+    """No runtime: the run raises. Inert runtime: one fallback per bad call."""
+    if runtime == "none":
+        with pytest.raises(error, match=match):
+            engine.run(streams)
+        return
+    faults = install_faults(engine, [plan(FaultSpec())] * len(engine.sites))
+    result = engine.run(streams)
+    assert result.n_completed == 6
+    assert faults.broker_fallbacks == 6  # every one of the 6 calls was bad
+
+
+class TestBrokerErrorRule:
+    """A raise and an out-of-range pick are both broker errors, on every tier.
+
+    Without a fault runtime the run raises; with one, each error takes
+    the least-loaded fallback and counts in ``broker_fallbacks``.
+    """
+
+    @pytest.mark.parametrize("runtime", ["none", "inert"])
+    @pytest.mark.parametrize("error", ["raises", "out-of-range"])
+    @pytest.mark.parametrize("tier", ["site", "server"])
+    def test_bad_decision(self, tier, error, runtime):
+        raises = error == "raises"
+        engine, streams = tier_engine(
+            tier,
+            server_broker=FaultyBroker() if raises else PickServer(99),
+            site_broker=FaultySiteBroker() if raises else PickSite(7),
+        )
+        expected = (RuntimeError, "diverged") if raises else (ValueError, "outside")
+        assert_broker_error_rule(engine, streams, runtime, *expected)
+
+    @pytest.mark.parametrize("runtime", ["none", "inert"])
+    @pytest.mark.parametrize("tier", ["site", "server"])
+    def test_finish_hook_raises(self, tier, runtime):
+        engine, streams = tier_engine(
+            tier,
+            server_broker=FinishRaisesBroker(),
+            site_broker=FinishRaisesSiteBroker(),
+        )
+        assert_broker_error_rule(engine, streams, runtime, RuntimeError, "diverged")
 
 
 class TestZeroFaultIdentity:

@@ -61,6 +61,30 @@ class TestParity:
         assert snapshot is not None
         assert profiled == plain
 
+    @pytest.mark.parametrize("scenario", ["failure-storm", "degraded-federation"])
+    def test_profiled_faulted_cell_is_bit_identical_and_phased(self, scenario):
+        plain = run_cell(scenario, "round-robin", n_jobs=120, seed=0)
+        profiled = run_cell(scenario, "round-robin", n_jobs=120, seed=0, profile=True)
+        snapshot = profiled.pop("telemetry")
+        assert profiled == plain
+        assert plain["retries"] > 0  # the faults really fired
+        # A faulted run reports the same per-job phases as a clean one.
+        spans, counters = snapshot["spans"], snapshot["counters"]
+        for name in ("site.settle", "site.dispatch", "site.finish_hooks"):
+            assert name in spans, f"missing span {name!r}"
+        for name in ("jobs.arrived", "jobs.completed", "cluster.decisions"):
+            assert counters.get(name, 0) > 0, f"missing counter {name!r}"
+        # Retries are decisions, not new arrivals.
+        assert counters["jobs.arrived"] == plain["n_jobs_offered"]
+        assert counters["jobs.completed"] == plain["n_jobs_completed"]
+        assert (
+            counters["cluster.decisions"] == plain["n_jobs_offered"] + plain["retries"]
+        )
+        assert phase_coverage(snapshot) >= 0.9
+        if scenario == "degraded-federation":
+            assert "fed.route" in spans
+            assert counters["fed.decisions"] > 0
+
     def test_unprofiled_cell_carries_no_telemetry(self):
         result = run_cell("paper-default", "round-robin", n_jobs=60, seed=0)
         assert "telemetry" not in result

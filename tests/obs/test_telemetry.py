@@ -105,6 +105,72 @@ class TestSpans:
         assert tel.spans["a"].max_s == 3.0
 
 
+class TestPhase:
+    def test_phase_attributes_like_a_span(self, tel, clock):
+        step = obs.Phase(tel, "step")
+        with tel.span("run"):
+            for _ in range(2):
+                step.begin()
+                clock.advance(1.0)
+                with tel.span("inner"):
+                    clock.advance(0.5)
+                assert step.end() == clock.t
+            clock.advance(0.25)
+        step.fold()
+        assert tel.spans["step"].as_dict() == {
+            "calls": 2,
+            "total_s": 3.0,
+            "self_s": 2.0,
+            "max_s": 1.5,
+        }
+        assert tel.spans["inner"].self_s == 1.0
+        assert tel.spans["run"].self_s == 0.25  # self-times still partition
+
+    def test_add_charges_parent_without_max(self, tel, clock):
+        residual = obs.Phase(tel, "residual")
+        with tel.span("run"):
+            clock.advance(2.0)
+            residual.add(1.5, calls=3)
+        residual.fold()
+        assert tel.spans["residual"].as_dict() == {
+            "calls": 3,
+            "total_s": 1.5,
+            "self_s": 1.5,
+            "max_s": 0.0,
+        }
+        assert tel.spans["run"].self_s == pytest.approx(0.5)
+
+    def test_fold_resets_and_skips_empty(self, tel, clock):
+        step = obs.Phase(tel, "step")
+        step.fold()
+        assert "step" not in tel.spans
+        step.begin()
+        clock.advance(1.0)
+        step.end()
+        step.fold()
+        step.fold()
+        assert tel.spans["step"].calls == 1
+
+    def test_enclosing_span_unwinds_a_phase_left_open(self, tel, clock):
+        step = obs.Phase(tel, "step")
+        with pytest.raises(RuntimeError):
+            with tel.span("run"):
+                step.begin()
+                clock.advance(1.0)
+                raise RuntimeError("broker error")
+        assert not tel._stack
+        assert tel.spans["run"].total_s == 1.0
+
+    def test_mark_sink_counts_past_its_window(self, tel, clock):
+        sink = tel.mark_sink("jobs")
+        assert tel.mark_sink("jobs") is sink
+        for _ in range(obs._MARK_CAPACITY + 5):
+            clock.advance(0.001)
+            sink.add(clock.t)
+        tel.mark("jobs")
+        assert tel.snapshot()["rates"]["jobs"]["count"] == obs._MARK_CAPACITY + 6
+
+
 class TestCountersGaugesRates:
     def test_counter_accumulates(self, tel):
         tel.counter("x")
