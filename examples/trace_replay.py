@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-from repro.harness.runner import make_scenario_system, run_system
 from repro.scenarios import registry
+from repro.scenarios.orchestrator import run_cell
 from repro.scenarios.specs import TraceReplaySpec
 from repro.sim.power import TariffModel
 
@@ -28,14 +28,8 @@ FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 TRACE = FIXTURE / "google_task_events_small.csv"
 
 
-def evaluate(spec, system_name: str, n_jobs: int = 80):
-    system, eval_jobs, events = make_scenario_system(
-        system_name, spec, n_jobs, seed=0
-    )
-    return run_system(
-        system, eval_jobs, record_every=50, capacity_events=events,
-        tariff=spec.tariff,
-    )
+def evaluate(spec, system_name: str, n_jobs: int = 80) -> dict:
+    return run_cell(spec, system_name, n_jobs=n_jobs, seed=0, record_every=50)
 
 
 def main() -> None:
@@ -55,9 +49,10 @@ def main() -> None:
           f"{len(spec.workload.replay.load_jobs())} usable jobs")
     for name in ("round-robin", "packing"):
         result = evaluate(spec, name)
-        print(f"  {name:12s} energy {result.energy_kwh:6.2f} kWh   "
-              f"cost ${result.cost_usd:5.2f}   CO2 {result.co2_kg:6.2f} kg   "
-              f"mean latency {result.mean_latency:7.1f} s")
+        print(f"  {name:12s} energy {result['energy_kwh']:6.2f} kWh   "
+              f"cost ${result['cost_usd']:5.2f}   "
+              f"CO2 {result['co2_kg']:6.2f} kg   "
+              f"mean latency {result['mean_latency_s']:7.1f} s")
 
     # 2. Same jobs, same joules — a grid carbon curve only re-weights
     #    *when* they were drawn. Write a curve, load it, re-bill.
@@ -69,8 +64,8 @@ def main() -> None:
     )
     green = replace(spec, tariff=TariffModel.from_csv(curve_csv))
     result = evaluate(green, "packing")
-    print(f"under the CSV carbon curve, packing emits {result.co2_kg:.2f} kg "
-          f"for the same {result.energy_kwh:.2f} kWh")
+    print(f"under the CSV carbon curve, packing emits {result['co2_kg']:.2f} kg "
+          f"for the same {result['energy_kwh']:.2f} kWh")
 
     # 3. Your own traces: globs work, shards of the real trace replay in
     #    lexical order, and time_compression packs a long recording into

@@ -168,7 +168,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         from dataclasses import replace as dc_replace
 
         from repro.scenarios.orchestrator import run_cell
-        from repro.scenarios.sharding import run_cell_sharded
+        from repro.scenarios.sharding import check_shardable, run_cell_sharded
 
         def _default(fn, param: str):
             return inspect.signature(fn).parameters[param].default
@@ -229,10 +229,12 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             print("error: --profile needs the unsharded path (one telemetry "
                   "capture per run); drop --shards", file=sys.stderr)
             return 2
-        if spec.sites and args.shards > 1:
-            print("error: --shards does not compose with federated "
-                  "scenarios yet", file=sys.stderr)
-            return 2
+        if args.shards > 1:
+            try:
+                check_shardable(spec)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         if spec.sites and len(spec.sites) > 1 and args.trace:
             print("error: --trace replays support a single site",
                   file=sys.stderr)

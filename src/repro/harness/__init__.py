@@ -24,7 +24,6 @@ from repro.harness.report import format_table
 from repro.harness.runner import (
     RunResult,
     clone_global_broker,
-    make_scenario_system,
     make_system,
     needs_global_tier,
     run_system,
@@ -46,7 +45,6 @@ __all__ = [
     "format_table",
     "RunResult",
     "clone_global_broker",
-    "make_scenario_system",
     "make_system",
     "needs_global_tier",
     "run_system",

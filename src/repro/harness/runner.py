@@ -14,8 +14,9 @@ into every DRL-based system, so differences between ``drl-only``,
 ``drl+fixed-T`` and ``hierarchical`` come from the local tier, not from
 global-training variance.
 
-Systems are addressed by name so benchmarks, tests and examples share one
-construction path:
+Systems are addressed by name so benchmarks, tests, examples and scenario
+cells (per site, through :func:`repro.scenarios.federation.build_cell`)
+share one construction path:
 
 =================  =====================================================
 ``round-robin``    RoundRobinBroker + always-on servers (paper baseline)
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -58,9 +58,6 @@ from repro.obs import telemetry as obs
 from repro.sim.churn import CapacityEvent
 from repro.sim.job import Job
 from repro.sim.power import TariffModel
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from repro.scenarios.specs import ScenarioSpec
 
 SYSTEM_NAMES = (
     "round-robin",
@@ -195,11 +192,11 @@ def needs_global_tier(name: str) -> bool:
 def derive_cell_seeds(seed: int) -> tuple[np.random.SeedSequence, int]:
     """The (trace seed-sequence, system seed) a scenario cell derives.
 
-    The single definition shared by cold construction
-    (:func:`make_scenario_system`) and checkpoint-backed warm starts
-    (:mod:`repro.scenarios.checkpoints`): both paths must see identical
-    traces and identical controller initialization or warm cells would
-    silently run a different experiment.
+    The single definition shared by cell construction
+    (:func:`repro.scenarios.federation.build_cell`) and checkpoint
+    training (:func:`repro.scenarios.checkpoints.train_policy`): both
+    must see identical traces and identical controller initialization or
+    warm cells would silently run a different experiment.
     """
     trace_ss, system_ss = np.random.SeedSequence(seed).spawn(2)
     return trace_ss, int(system_ss.generate_state(1)[0])
@@ -410,37 +407,6 @@ def make_system(
         for trace in train_traces:
             system.run([job.copy() for job in trace])
     return system
-
-
-def make_scenario_system(
-    name: str,
-    scenario: "ScenarioSpec | str",
-    n_jobs: int,
-    seed: int = 0,
-    **make_kwargs,
-) -> tuple[HierarchicalSystem, list[Job], tuple[CapacityEvent, ...]]:
-    """Build a named system from a scenario instead of ``default_config``.
-
-    Resolves the scenario (by name via the registry, or a spec
-    directly), generates its traces with independently spawned seed
-    streams, trains the system on the training segments, and returns
-    ``(system, eval_jobs, capacity_events)`` ready for
-    :func:`run_system`.
-    """
-    from repro.scenarios import registry
-
-    spec = registry.get(scenario) if isinstance(scenario, str) else scenario
-    trace_ss, system_seed = derive_cell_seeds(seed)
-    config = spec.experiment_config(seed=seed)
-    eval_jobs, train_traces = spec.build_traces(n_jobs, trace_ss)
-    system = make_system(
-        name,
-        config,
-        train_traces,
-        seed=system_seed,
-        **make_kwargs,
-    )
-    return system, eval_jobs, spec.capacity_events(spec.horizon_for(n_jobs))
 
 
 def standard_protocol(

@@ -10,11 +10,13 @@ package turns the reproduction into a *scenario machine*:
   :class:`ScenarioSpec`.
 * :mod:`repro.scenarios.registry` — named scenario lookup; import-safe
   registration of user scenarios alongside the builtins.
-* :mod:`repro.scenarios.builtin` — the twelve stock scenarios, from
+* :mod:`repro.scenarios.builtin` — the fourteen stock scenarios, from
   ``paper-default`` to Google-trace replay (``google-replay``),
   electricity-aware runs (``carbon-aware-diurnal``, ``tou-price-shift``),
-  a coincident-peak tenant fleet (``correlated-fleet``), and two
-  multi-site federations (``federated-correlated``, ``follow-the-sun``).
+  a coincident-peak tenant fleet (``correlated-fleet``), a faulted
+  cluster (``failure-storm``), and three multi-site federations
+  (``federated-correlated``, ``follow-the-sun``, and the faulted
+  ``degraded-federation``).
 * :mod:`repro.scenarios.store` — content-keyed JSON result cache under
   ``.repro-cache/`` so repeated sweeps return instantly.
 * :mod:`repro.scenarios.orchestrator` — fans a (scenario × system ×
@@ -25,25 +27,26 @@ package turns the reproduction into a *scenario machine*:
   large cell parallelizes too.
 * :mod:`repro.scenarios.checkpoints` — content-keyed policy weight
   blobs (train-once / evaluate-many): DRL cells sharing a training key
-  warm-start from one stored ``HierarchicalQNetwork`` + LSTM snapshot;
-  federated keys map to per-site snapshots plus the DRL federation
-  dispatcher's weights.
-* :mod:`repro.scenarios.federation` — federated cells: per-site
-  systems, the federation-tier dispatcher, and fleet simulations on one
-  event clock (``ScenarioSpec.sites``).
+  warm-start from one stored snapshot — per site, a
+  ``HierarchicalQNetwork`` + LSTM snapshot, plus the DRL federation
+  dispatcher's weights when the scenario uses it.
+* :mod:`repro.scenarios.federation` — every cell's construction: a
+  plain scenario is a federation of one implicit site
+  (``ScenarioSpec.site_specs``), so one path builds per-site systems,
+  the federation-tier dispatcher, and the fleet simulation on one event
+  clock.
 """
 
 from repro.scenarios.checkpoints import (
     CheckpointStore,
-    FederationPolicyCheckpoint,
     PolicyCheckpoint,
+    SitePolicy,
     ensure_checkpoint,
     needs_policy,
     train_policy,
     training_request,
-    warm_scenario_system,
 )
-from repro.scenarios.federation import run_federated_cell
+from repro.scenarios.federation import build_cell
 from repro.scenarios.orchestrator import (
     SweepCell,
     SweepReport,
@@ -99,11 +102,11 @@ __all__ = [
     "CapacityWindowSpec",
     "CheckpointStore",
     "FEDERATION_POLICIES",
-    "FederationPolicyCheckpoint",
     "FleetSpec",
     "FlashCrowdSpec",
     "JobClassSpec",
     "PolicyCheckpoint",
+    "SitePolicy",
     "ScenarioSpec",
     "ServerClassSpec",
     "SiteSpec",
@@ -112,8 +115,7 @@ __all__ = [
     "ResultStore",
     "ensure_checkpoint",
     "needs_policy",
-    "run_federated_cell",
+    "build_cell",
     "train_policy",
     "training_request",
-    "warm_scenario_system",
 ]

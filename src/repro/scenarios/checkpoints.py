@@ -12,14 +12,17 @@ LSTM predictor) inside every cell. This module factors the training out:
   *evaluated* share one training key.
 * :func:`train_policy` — reproduces exactly the training a cell would
   have done on its own (same :class:`~numpy.random.SeedSequence`
-  derivation as :func:`~repro.harness.runner.make_scenario_system`) and
-  captures the result as a :class:`PolicyCheckpoint`.
+  derivation as :func:`~repro.scenarios.federation.build_cell`) and
+  captures the result as a :class:`PolicyCheckpoint`: one
+  :class:`SitePolicy` per site (one for a plain scenario), plus the DRL
+  federation dispatcher's weights when the scenario uses it.
 * :class:`CheckpointStore` — content-keyed ``.npz`` blobs under
   ``.repro-cache/checkpoints/``, atomic like the result store, with a
   schema gate so stale blobs are ignored rather than half-loaded.
-* :func:`warm_scenario_system` — rebuilds a ready-to-evaluate system
-  from a checkpoint: the DRL broker is cloned from the stored Q-network
-  weights, the hierarchical predictor from the stored LSTM weights.
+* :func:`restore_prototype` / :func:`restore_predictor` — what
+  :func:`~repro.scenarios.federation.build_cell` warm-starts a site
+  from: the DRL broker is cloned from the stored Q-network weights, the
+  hierarchical predictor from the stored LSTM weights.
 
 The orchestrator composes these into train-once / evaluate-many: one
 training per group of cells sharing a key, fanned over the worker pool,
@@ -41,12 +44,12 @@ from repro.core.predictor import WorkloadPredictor
 from repro.harness.runner import (
     build_pretrained_predictor,
     derive_cell_seeds,
-    make_system,
     needs_global_tier,
     train_global_prototype,
 )
 from repro.nn.serialize import load_states, save_states
 from repro.obs import telemetry as obs
+from repro.scenarios.federation import build_cell, derive_site_seeds
 from repro.scenarios.specs import ScenarioSpec
 from repro.scenarios.store import ContentAddressedStore, content_key
 
@@ -54,7 +57,8 @@ logger = logging.getLogger(__name__)
 
 #: Bump when the blob layout or warm-start semantics change; a blob
 #: carrying any other version is ignored (treated as a miss) on read.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: Version 2 stores every scenario in the per-site layout.
+CHECKPOINT_SCHEMA_VERSION = 2
 
 DEFAULT_CHECKPOINT_ROOT = Path(".repro-cache") / "checkpoints"
 
@@ -96,18 +100,16 @@ def training_request(
 def needs_policy(spec: ScenarioSpec, system: str) -> bool:
     """Whether a (scenario, system) cell trains/loads any policy weights.
 
-    True for DRL cluster-tier systems (as before), and additionally for
-    any system on a federated scenario whose federation tier is the
-    learned DRL dispatcher.
+    True for DRL cluster-tier systems, and additionally for any system
+    on a federated scenario whose federation tier is the learned DRL
+    dispatcher (only federated specs may name a non-home policy).
     """
-    return needs_global_tier(system) or (
-        spec.is_federated and spec.federation == "drl"
-    )
+    return needs_global_tier(system) or spec.federation == "drl"
 
 
 @dataclass
-class PolicyCheckpoint:
-    """Serialized controller weights for one training key.
+class SitePolicy:
+    """One site's cluster-tier weights.
 
     Parameters
     ----------
@@ -127,8 +129,8 @@ class PolicyCheckpoint:
         Whether predictor training was attempted at all. A blob trained
         for a predictor-free group can be upgraded later by retraining
         with the predictor included.
-    meta:
-        Free-form metadata (architecture fingerprint, training request).
+    arch:
+        The Q-network's architecture fingerprint, when known.
     """
 
     qnet_state: dict[str, np.ndarray]
@@ -136,6 +138,23 @@ class PolicyCheckpoint:
     predictor_state: dict[str, np.ndarray] | None = None
     predictor_fitted: bool = False
     predictor_attempted: bool = False
+    arch: dict | None = None
+
+
+@dataclass
+class PolicyCheckpoint:
+    """Serialized controller weights for one training key.
+
+    One :class:`SitePolicy` per site of
+    :attr:`~repro.scenarios.specs.ScenarioSpec.site_specs` (one for a
+    plain scenario) plus, when the scenario's federation tier is the DRL
+    dispatcher, its Q-network weights and annealed ε. ``meta`` carries
+    the training request and the dispatcher's architecture fingerprint.
+    """
+
+    sites: tuple[SitePolicy, ...]
+    fed_qnet_state: dict[str, np.ndarray] | None = None
+    fed_epsilon: float = 0.0
     meta: dict = field(default_factory=dict)
 
 
@@ -150,139 +169,23 @@ def train_policy(
     """Train the shared controllers for one training key.
 
     Bit-for-bit the training a cell performs when it trains alone: the
-    shared seed derivation (:func:`~repro.harness.runner.derive_cell_seeds`),
-    the same traces, the same
-    :func:`~repro.harness.runner.train_global_prototype` call, and (when
-    ``with_predictor``) the exact predictor pre-training of
-    :func:`~repro.harness.runner.build_pretrained_predictor`.
+    same seed derivation (:func:`~repro.harness.runner.derive_cell_seeds`,
+    then :func:`~repro.scenarios.federation.derive_site_seeds`), the same
+    per-site training segments, the same
+    :func:`~repro.harness.runner.train_global_prototype` call per site,
+    and (when ``with_predictor``) the exact predictor pre-training of
+    :func:`~repro.harness.runner.build_pretrained_predictor`. When the
+    federation policy is ``"drl"``, the dispatcher is then trained over a
+    canonical fleet — per-site ``drl-only`` systems warm-started from the
+    just-trained prototypes (the federated analogue of Algorithm 1's
+    seed-policy experience collection) — and its weights captured too.
     """
-    trace_ss, system_seed = derive_cell_seeds(seed)
-    config = spec.experiment_config(seed=seed)
-    _, train_traces = spec.build_traces(n_jobs, trace_ss)
-    broker = train_global_prototype(
-        config,
-        train_traces,
-        pretrain=pretrain,
-        online_epochs=online_epochs,
-        seed=system_seed,
-    )
-    predictor_state = None
-    predictor_fitted = False
-    if with_predictor:
-        predictor = build_pretrained_predictor(config, train_traces, system_seed)
-        predictor_state = predictor.network.state_dict()
-        predictor_fitted = predictor.fitted
-    return PolicyCheckpoint(
-        qnet_state=broker.qnet.state_dict(),
-        epsilon=broker.epsilon,
-        predictor_state=predictor_state,
-        predictor_fitted=predictor_fitted,
-        predictor_attempted=with_predictor,
-        meta={
-            "arch": broker.qnet.describe(),
-            "request": training_request(spec, n_jobs, seed, pretrain, online_epochs),
-        },
-    )
-
-
-def restore_prototype(
-    checkpoint: PolicyCheckpoint,
-    config: ExperimentConfig,
-    seed: int,
-) -> DRLGlobalBroker:
-    """A prototype broker carrying the checkpoint's trained Q-network.
-
-    Raises
-    ------
-    ValueError
-        If the checkpoint's weights do not fit the configuration's
-        encoder geometry (the blob was trained for a different fleet).
-    """
-    broker = build_drl_only(config, seed=seed).broker
-    assert isinstance(broker, DRLGlobalBroker)
-    arch = checkpoint.meta.get("arch")
-    if arch is not None and arch != broker.qnet.describe():
-        raise ValueError(
-            "checkpoint geometry does not match the scenario: "
-            f"blob carries {arch}, scenario needs {broker.qnet.describe()}"
-        )
-    broker.qnet.load_state_dict(checkpoint.qnet_state)
-    broker.epsilon = checkpoint.epsilon
-    return broker
-
-
-def restore_predictor(
-    checkpoint: PolicyCheckpoint,
-    config: ExperimentConfig,
-    seed: int,
-) -> WorkloadPredictor:
-    """The warm LSTM predictor a hierarchical cell should start from.
-
-    Raises
-    ------
-    ValueError
-        If the checkpoint was trained without attempting the predictor.
-    """
-    if not checkpoint.predictor_attempted:
-        raise ValueError(
-            "checkpoint was trained without a predictor; retrain with "
-            "with_predictor=True to serve hierarchical cells"
-        )
-    predictor = WorkloadPredictor(
-        config.local_tier.predictor, rng=np.random.default_rng(seed)
-    )
-    if checkpoint.predictor_state is not None:
-        predictor.network.load_state_dict(checkpoint.predictor_state)
-        predictor.fitted = checkpoint.predictor_fitted
-    return predictor
-
-
-@dataclass
-class FederationPolicyCheckpoint:
-    """Serialized controller weights for one *federated* training key.
-
-    One :class:`PolicyCheckpoint` per site (its cluster-tier prototype
-    and predictor) plus, when the scenario's federation tier is the DRL
-    dispatcher, the federation Q-network weights and annealed ε.
-    """
-
-    site_checkpoints: tuple[PolicyCheckpoint, ...]
-    fed_qnet_state: dict[str, np.ndarray] | None = None
-    fed_epsilon: float = 0.0
-    meta: dict = field(default_factory=dict)
-
-
-def train_federation_policy(
-    spec: ScenarioSpec,
-    n_jobs: int = 600,
-    seed: int = 0,
-    pretrain: bool = True,
-    online_epochs: int = 1,
-    with_predictor: bool = True,
-) -> FederationPolicyCheckpoint:
-    """Train the shared controllers for one federated training key.
-
-    Per-site prototypes (and predictors) are trained exactly as the
-    cold federated cell trains them — same seed derivation
-    (:func:`~repro.scenarios.federation.derive_site_seeds`), same
-    per-site training segments. When the scenario's federation policy is
-    ``"drl"``, the dispatcher is then trained over a canonical fleet —
-    per-site ``drl-only`` systems cloned from the just-trained
-    prototypes (the federated analogue of Algorithm 1's seed-policy
-    experience collection) — and its weights captured alongside.
-    """
-    from repro.harness.runner import derive_cell_seeds
-    from repro.scenarios.federation import (
-        derive_site_seeds,
-        train_federation_broker,
-    )
-
     trace_ss, system_seed = derive_cell_seeds(seed)
     _, train_streams = spec.build_site_traces(n_jobs, trace_ss)
-    site_seeds, fed_seed = derive_site_seeds(system_seed, len(spec.sites))
+    site_seeds, _ = derive_site_seeds(system_seed, len(spec.site_specs))
 
-    site_checkpoints: list[PolicyCheckpoint] = []
-    for i in range(len(spec.sites)):
+    sites: list[SitePolicy] = []
+    for i, site_seed in enumerate(site_seeds):
         config = spec.site_experiment_config(i, seed=seed)
         site_train = [segment[i] for segment in train_streams]
         broker = train_global_prototype(
@@ -290,106 +193,96 @@ def train_federation_policy(
             site_train,
             pretrain=pretrain,
             online_epochs=online_epochs,
-            seed=site_seeds[i],
+            seed=site_seed,
         )
         predictor_state = None
         predictor_fitted = False
         if with_predictor:
-            predictor = build_pretrained_predictor(config, site_train, site_seeds[i])
+            predictor = build_pretrained_predictor(config, site_train, site_seed)
             predictor_state = predictor.network.state_dict()
             predictor_fitted = predictor.fitted
-        site_checkpoints.append(
-            PolicyCheckpoint(
+        sites.append(
+            SitePolicy(
                 qnet_state=broker.qnet.state_dict(),
                 epsilon=broker.epsilon,
                 predictor_state=predictor_state,
                 predictor_fitted=predictor_fitted,
                 predictor_attempted=with_predictor,
-                meta={"arch": broker.qnet.describe()},
+                arch=broker.qnet.describe(),
             )
         )
 
-    request = training_request(spec, n_jobs, seed, pretrain, online_epochs)
-    checkpoint = FederationPolicyCheckpoint(
-        site_checkpoints=tuple(site_checkpoints),
-        meta={"request": request},
+    checkpoint = PolicyCheckpoint(
+        sites=tuple(sites),
+        meta={
+            "request": training_request(spec, n_jobs, seed, pretrain, online_epochs)
+        },
     )
     if spec.federation == "drl":
-        # Canonical fed-training fleet: warm drl-only sites from the
-        # checkpoints above, then let the dispatcher learn over them.
-        from repro.core.federation import DRLFederationBroker, make_federation_broker
-        from repro.harness.runner import make_system
-
-        systems = []
-        for i in range(len(spec.sites)):
-            config = spec.site_experiment_config(i, seed=seed)
-            site_train = [segment[i] for segment in train_streams]
-            systems.append(
-                make_system(
-                    "drl-only",
-                    config,
-                    site_train,
-                    global_prototype=restore_prototype(
-                        site_checkpoints[i], config, site_seeds[i]
-                    ),
-                    seed=site_seeds[i],
-                )
-            )
-        broker = make_federation_broker(
-            spec.federation, len(spec.sites), rng=np.random.default_rng(fed_seed)
+        _, fed_broker, _ = build_cell(
+            "drl-only",
+            spec,
+            n_jobs,
+            seed=seed,
+            online_epochs=online_epochs,
+            checkpoint=checkpoint,
         )
-        assert isinstance(broker, DRLFederationBroker)
-        train_federation_broker(
-            spec, systems, broker, train_streams, online_epochs=online_epochs
-        )
-        checkpoint.fed_qnet_state = broker.qnet.state_dict()
-        checkpoint.fed_epsilon = broker.epsilon
-        checkpoint.meta["fed_arch"] = broker.qnet.describe()
+        checkpoint.fed_qnet_state = fed_broker.qnet.state_dict()
+        checkpoint.fed_epsilon = fed_broker.epsilon
+        checkpoint.meta["fed_arch"] = fed_broker.qnet.describe()
     return checkpoint
 
 
-def warm_scenario_system(
-    name: str,
-    spec: ScenarioSpec,
-    n_jobs: int,
-    checkpoint: PolicyCheckpoint,
-    seed: int = 0,
-    local_epochs: int = 1,
-    **make_kwargs,
-):
-    """Build a named DRL system warm-started from a checkpoint.
-
-    The counterpart of :func:`~repro.harness.runner.make_scenario_system`
-    for checkpoint-backed cells: traces and seeds are derived
-    identically, but the global tier is cloned from the stored weights
-    (and the hierarchical predictor restored) instead of being trained.
-    Returns ``(system, eval_jobs, capacity_events)``.
+def restore_prototype(
+    site: SitePolicy,
+    config: ExperimentConfig,
+    seed: int,
+) -> DRLGlobalBroker:
+    """A prototype broker carrying one site's trained Q-network.
 
     Raises
     ------
     ValueError
-        If ``name`` does not use the DRL global tier.
+        If the stored weights do not fit the configuration's encoder
+        geometry (the blob was trained for a different fleet).
     """
-    if not needs_global_tier(name):
-        raise ValueError(f"system {name!r} has no policy to warm-start")
-    trace_ss, system_seed = derive_cell_seeds(seed)
-    config = spec.experiment_config(seed=seed)
-    eval_jobs, train_traces = spec.build_traces(n_jobs, trace_ss)
-    prototype = restore_prototype(checkpoint, config, system_seed)
-    if name == "hierarchical":
-        make_kwargs.setdefault(
-            "predictor", restore_predictor(checkpoint, config, system_seed)
+    broker = build_drl_only(config, seed=seed).broker
+    assert isinstance(broker, DRLGlobalBroker)
+    if site.arch is not None and site.arch != broker.qnet.describe():
+        raise ValueError(
+            "checkpoint geometry does not match the scenario: "
+            f"blob carries {site.arch}, scenario needs {broker.qnet.describe()}"
         )
-    system = make_system(
-        name,
-        config,
-        train_traces,
-        global_prototype=prototype,
-        local_epochs=local_epochs,
-        seed=system_seed,
-        **make_kwargs,
+    broker.qnet.load_state_dict(site.qnet_state)
+    broker.epsilon = site.epsilon
+    return broker
+
+
+def restore_predictor(
+    site: SitePolicy,
+    config: ExperimentConfig,
+    seed: int,
+) -> WorkloadPredictor:
+    """The warm LSTM predictor a site's hierarchical system starts from.
+
+    Raises
+    ------
+    ValueError
+        If the site's weights were trained without attempting the
+        predictor.
+    """
+    if not site.predictor_attempted:
+        raise ValueError(
+            "checkpoint was trained without a predictor; retrain with "
+            "with_predictor=True to serve hierarchical cells"
+        )
+    predictor = WorkloadPredictor(
+        config.local_tier.predictor, rng=np.random.default_rng(seed)
     )
-    return system, eval_jobs, spec.capacity_events(spec.horizon_for(n_jobs))
+    if site.predictor_state is not None:
+        predictor.network.load_state_dict(site.predictor_state)
+        predictor.fitted = site.predictor_fitted
+    return predictor
 
 
 class CheckpointStore(ContentAddressedStore):
@@ -401,6 +294,10 @@ class CheckpointStore(ContentAddressedStore):
     blobs are deleted on read. Blobs whose schema version differs from
     :data:`CHECKPOINT_SCHEMA_VERSION` are *ignored* (left in place,
     reported as a miss) so a version bump simply retrains and overwrites.
+
+    One blob layout serves every scenario: per-site state dicts
+    ``site{i}_qnet`` / ``site{i}_predictor``, the optional ``fed_qnet``,
+    and a ``sites`` metadata list with one entry per site.
     """
 
     suffix = ".npz"
@@ -408,12 +305,19 @@ class CheckpointStore(ContentAddressedStore):
     def __init__(self, root: str | Path = DEFAULT_CHECKPOINT_ROOT) -> None:
         super().__init__(root)
 
-    def get(self, key: str, need_predictor: bool = False) -> PolicyCheckpoint | None:
+    def get(
+        self,
+        key: str,
+        need_predictor: bool = False,
+        need_fed_policy: bool = False,
+    ) -> PolicyCheckpoint | None:
         """Load a checkpoint, or None on miss.
 
-        ``need_predictor`` demands a blob whose training at least
-        *attempted* the LSTM predictor; blobs trained for predictor-free
-        groups miss (and get retrained with the predictor included).
+        ``need_predictor`` demands that every site's training at least
+        *attempted* the LSTM predictor, and ``need_fed_policy`` that the
+        blob carries the federation dispatcher's weights; blobs falling
+        short miss (and get retrained). So do blobs missing any site's
+        Q-network.
         """
         path = self.path_for(key)
         try:
@@ -427,63 +331,10 @@ class CheckpointStore(ContentAddressedStore):
             return None
         if meta.get("schema") != CHECKPOINT_SCHEMA_VERSION:
             return None
-        if "qnet" not in states:
-            return None
-        predictor_attempted = bool(meta.get("predictor_attempted", False))
-        if need_predictor and not predictor_attempted:
-            return None
-        return PolicyCheckpoint(
-            qnet_state=states["qnet"],
-            epsilon=float(meta.get("epsilon", 0.0)),
-            predictor_state=states.get("predictor"),
-            predictor_fitted=bool(meta.get("predictor_fitted", False)),
-            predictor_attempted=predictor_attempted,
-            meta={k: meta[k] for k in ("arch", "request") if k in meta},
-        )
-
-    def put(self, key: str, checkpoint: PolicyCheckpoint) -> Path:
-        """Atomically persist a checkpoint; returns its blob path."""
-        states: dict[str, dict[str, np.ndarray]] = {"qnet": checkpoint.qnet_state}
-        if checkpoint.predictor_state is not None:
-            states["predictor"] = checkpoint.predictor_state
-        meta = {
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "epsilon": checkpoint.epsilon,
-            "predictor_fitted": checkpoint.predictor_fitted,
-            "predictor_attempted": checkpoint.predictor_attempted,
-            **checkpoint.meta,
-        }
-        return save_states(self.path_for(key), states, meta)
-
-    def get_federation(
-        self,
-        key: str,
-        need_predictor: bool = False,
-        need_fed_policy: bool = False,
-    ) -> FederationPolicyCheckpoint | None:
-        """Load a federated checkpoint, or None on miss.
-
-        Single-cluster blobs under the same key space miss (``kind``
-        gate), as do blobs missing any site's Q-network, a requested
-        predictor, or — with ``need_fed_policy`` — the federation
-        dispatcher's weights.
-        """
-        path = self.path_for(key)
-        try:
-            states, meta = load_states(path)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            self._discard(path)
-            return None
-        if meta.get("schema") != CHECKPOINT_SCHEMA_VERSION:
-            return None
-        if meta.get("kind") != "federation":
-            return None
         site_meta = meta.get("sites")
         if not isinstance(site_meta, list) or not site_meta:
             return None
-        sites: list[PolicyCheckpoint] = []
+        sites: list[SitePolicy] = []
         for i, entry in enumerate(site_meta):
             qnet = states.get(f"site{i}_qnet")
             if qnet is None:
@@ -492,48 +343,45 @@ class CheckpointStore(ContentAddressedStore):
             if need_predictor and not predictor_attempted:
                 return None
             sites.append(
-                PolicyCheckpoint(
+                SitePolicy(
                     qnet_state=qnet,
                     epsilon=float(entry.get("epsilon", 0.0)),
                     predictor_state=states.get(f"site{i}_predictor"),
                     predictor_fitted=bool(entry.get("predictor_fitted", False)),
                     predictor_attempted=predictor_attempted,
-                    meta={k: entry[k] for k in ("arch",) if k in entry},
+                    arch=entry.get("arch"),
                 )
             )
         fed_state = states.get("fed_qnet")
         if need_fed_policy and fed_state is None:
             return None
-        return FederationPolicyCheckpoint(
-            site_checkpoints=tuple(sites),
+        return PolicyCheckpoint(
+            sites=tuple(sites),
             fed_qnet_state=fed_state,
             fed_epsilon=float(meta.get("fed_epsilon", 0.0)),
             meta={k: meta[k] for k in ("fed_arch", "request") if k in meta},
         )
 
-    def put_federation(
-        self, key: str, checkpoint: FederationPolicyCheckpoint
-    ) -> Path:
-        """Atomically persist a federated checkpoint; returns its path."""
+    def put(self, key: str, checkpoint: PolicyCheckpoint) -> Path:
+        """Atomically persist a checkpoint; returns its blob path."""
         states: dict[str, dict[str, np.ndarray]] = {}
         site_meta = []
-        for i, site in enumerate(checkpoint.site_checkpoints):
+        for i, site in enumerate(checkpoint.sites):
             states[f"site{i}_qnet"] = site.qnet_state
             if site.predictor_state is not None:
                 states[f"site{i}_predictor"] = site.predictor_state
-            site_meta.append(
-                {
-                    "epsilon": site.epsilon,
-                    "predictor_fitted": site.predictor_fitted,
-                    "predictor_attempted": site.predictor_attempted,
-                    **{k: site.meta[k] for k in ("arch",) if k in site.meta},
-                }
-            )
+            entry = {
+                "epsilon": site.epsilon,
+                "predictor_fitted": site.predictor_fitted,
+                "predictor_attempted": site.predictor_attempted,
+            }
+            if site.arch is not None:
+                entry["arch"] = site.arch
+            site_meta.append(entry)
         if checkpoint.fed_qnet_state is not None:
             states["fed_qnet"] = checkpoint.fed_qnet_state
         meta = {
             "schema": CHECKPOINT_SCHEMA_VERSION,
-            "kind": "federation",
             "sites": site_meta,
             "fed_epsilon": checkpoint.fed_epsilon,
             **checkpoint.meta,
@@ -541,45 +389,25 @@ class CheckpointStore(ContentAddressedStore):
         return save_states(self.path_for(key), states, meta)
 
 
-#: Either checkpoint flavor — what the dispatchers below traffic in.
-AnyCheckpoint = "PolicyCheckpoint | FederationPolicyCheckpoint"
-
-
-def train_policy_any(
-    spec: ScenarioSpec,
-    n_jobs: int = 600,
-    seed: int = 0,
-    pretrain: bool = True,
-    online_epochs: int = 1,
-    with_predictor: bool = True,
-):
-    """Train the right checkpoint flavor for ``spec`` (federated or not)."""
-    trainer = train_federation_policy if spec.is_federated else train_policy
-    return trainer(
-        spec,
-        n_jobs=n_jobs,
-        seed=seed,
-        pretrain=pretrain,
-        online_epochs=online_epochs,
-        with_predictor=with_predictor,
-    )
-
-
 def load_checkpoint(
     store: CheckpointStore,
     key: str,
     spec: ScenarioSpec,
     need_predictor: bool = False,
-):
-    """Fetch the checkpoint flavor ``spec`` needs, or None on miss."""
-    if spec.is_federated:
-        checkpoint = store.get_federation(
-            key,
-            need_predictor=need_predictor,
-            need_fed_policy=spec.federation == "drl",
-        )
-    else:
-        checkpoint = store.get(key, need_predictor=need_predictor)
+) -> PolicyCheckpoint | None:
+    """Fetch the checkpoint ``spec`` needs, or None on miss.
+
+    Besides the store's own gates, a blob whose site count differs from
+    the spec's misses, and a DRL federation needs the dispatcher's
+    weights.
+    """
+    checkpoint = store.get(
+        key,
+        need_predictor=need_predictor,
+        need_fed_policy=spec.federation == "drl",
+    )
+    if checkpoint is not None and len(checkpoint.sites) != len(spec.site_specs):
+        checkpoint = None
     if checkpoint is None:
         obs.get().counter("checkpoint.miss")
         logger.debug("checkpoint miss for key %s", key)
@@ -589,12 +417,12 @@ def load_checkpoint(
     return checkpoint
 
 
-def store_checkpoint(store: CheckpointStore, key: str, checkpoint) -> Path:
-    """Persist either checkpoint flavor under ``key``."""
+def store_checkpoint(
+    store: CheckpointStore, key: str, checkpoint: PolicyCheckpoint
+) -> Path:
+    """Persist a checkpoint under ``key``."""
     obs.get().counter("checkpoint.store")
     logger.debug("storing checkpoint under key %s", key)
-    if isinstance(checkpoint, FederationPolicyCheckpoint):
-        return store.put_federation(key, checkpoint)
     return store.put(key, checkpoint)
 
 
@@ -607,19 +435,14 @@ def ensure_checkpoint(
     online_epochs: int = 1,
     with_predictor: bool = True,
     force: bool = False,
-):
-    """Load the checkpoint for a training key, training (and storing) on miss.
-
-    Dispatches on the scenario flavor: federated scenarios load/train
-    :class:`FederationPolicyCheckpoint` blobs, single-cluster ones the
-    classic :class:`PolicyCheckpoint`.
-    """
+) -> PolicyCheckpoint:
+    """Load the checkpoint for a training key, training (and storing) on miss."""
     key = content_key(training_request(spec, n_jobs, seed, pretrain, online_epochs))
     if store is not None and not force:
         cached = load_checkpoint(store, key, spec, need_predictor=with_predictor)
         if cached is not None:
             return cached
-    checkpoint = train_policy_any(
+    checkpoint = train_policy(
         spec,
         n_jobs=n_jobs,
         seed=seed,
@@ -635,17 +458,14 @@ def ensure_checkpoint(
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "CheckpointStore",
-    "FederationPolicyCheckpoint",
     "PolicyCheckpoint",
+    "SitePolicy",
     "ensure_checkpoint",
     "load_checkpoint",
     "needs_policy",
     "restore_predictor",
     "restore_prototype",
     "store_checkpoint",
-    "train_federation_policy",
     "train_policy",
-    "train_policy_any",
     "training_request",
-    "warm_scenario_system",
 ]

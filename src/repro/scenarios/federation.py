@@ -1,63 +1,58 @@
-"""Federated scenario cells: build, train, warm-start, and run fleets.
+"""Scenario cells: build, train or warm-start, and wire one fleet.
 
-The counterpart of :func:`repro.harness.runner.make_scenario_system` /
-:func:`repro.scenarios.orchestrator.run_cell` for scenarios carrying a
-``sites`` tuple. One federated cell:
+Every scenario cell is a federation: a plain scenario is one implicit
+site (:attr:`~repro.scenarios.specs.ScenarioSpec.site_specs`), so one
+path builds every cell. :func:`build_cell`
 
-1. derives its seeds exactly like a single-cluster cell
-   (:func:`~repro.harness.runner.derive_cell_seeds`), then — only when
-   there are several sites — spawns one independent system seed per site
-   plus one for the federation tier, so a federation of one remains the
-   *identical* experiment (bit-identical metrics) to the single-cluster
-   path;
+1. derives its seeds with
+   :func:`~repro.harness.runner.derive_cell_seeds`, then one system
+   seed per site plus one for the federation tier
+   (:func:`derive_site_seeds`; a one-site fleet reuses the cell's
+   system seed);
 2. builds per-site home streams and training segments from the spec
    (:meth:`~repro.scenarios.specs.ScenarioSpec.build_site_traces` —
    correlated across sites);
 3. builds one named cluster-tier system per site (each trained on its
    own segments, or warm-started from a
-   :class:`~repro.scenarios.checkpoints.FederationPolicyCheckpoint`);
+   :class:`~repro.scenarios.checkpoints.PolicyCheckpoint`);
 4. builds the federation-tier dispatcher named by ``spec.federation``
-   (training the DRL dispatcher over the training streams when cold);
-5. simulates all sites on one event clock and flattens the result into
-   the sweep-cell dict shape, with per-site breakdowns under
-   ``"sites"``.
+   (training the DRL dispatcher over the training streams when cold).
+
+:func:`build_federation_engine` then puts every site on one event clock
+with the scenario's churn and faults, and
+:func:`repro.scenarios.orchestrator.run_cell` runs it and flattens the
+result.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.federation import DRLFederationBroker, make_federation_broker
 from repro.core.hierarchical import HierarchicalSystem
-from repro.harness.runner import (
-    derive_cell_seeds,
-    make_system,
-    needs_global_tier,
-)
+from repro.harness.runner import derive_cell_seeds, make_system, needs_global_tier
 from repro.scenarios.specs import ScenarioSpec
-from repro.sim.churn import schedule_capacity_events
+from repro.sim.churn import CapacityEvent, schedule_capacity_events
 from repro.sim.cluster import Cluster
 from repro.sim.events import EventQueue
-from repro.sim.federation import FederationEngine, FederationResult, Site
+from repro.sim.federation import FederationEngine, Site
 from repro.sim.interfaces import FederationBroker
 from repro.sim.job import Job
-from repro.sim.metrics import MetricsCollector, SeriesPoint
+from repro.sim.metrics import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids an import cycle
-    from repro.scenarios.checkpoints import FederationPolicyCheckpoint
-
-logger = logging.getLogger(__name__)
+    from repro.scenarios.checkpoints import PolicyCheckpoint
 
 
 def derive_site_seeds(system_seed: int, n_sites: int) -> tuple[list[int], int]:
     """Per-site system seeds plus the federation-tier seed.
 
     A federation of one reuses ``system_seed`` itself for its only site
-    — that is what makes a single-site federated cell the bit-identical
-    twin of the single-cluster cell; multi-site federations spawn one
+    — that keeps a one-site cell the bit-identical twin of the
+    single-cluster experiment (:func:`~repro.harness.runner.make_system`
+    seeded with the cell's system seed); multi-site federations spawn one
     independent child stream per site (adding a site never perturbs the
     others' controllers).
     """
@@ -80,6 +75,7 @@ def build_federation_engine(
     keep_jobs: bool = False,
     with_tariffs: bool = True,
     faults=None,
+    capacity_events: Sequence[CapacityEvent] = (),
 ) -> FederationEngine:
     """Fresh per-site clusters on one shared clock, wired to ``systems``.
 
@@ -88,13 +84,16 @@ def build_federation_engine(
     every call builds new clusters (simulations are single-use) around
     the systems' live controllers, so training passes and the evaluation
     run reuse the same learned state. ``with_tariffs=False`` builds the
-    tariff-blind engines training uses. ``faults`` is an optional
+    tariff-blind engines training uses. ``capacity_events`` is the
+    evaluation's churn schedule; the spec admits churn only on a one-site
+    fleet, so it targets the lone site. ``faults`` is an optional
     per-site plan list (:func:`repro.faults.plan.scenario_fault_plans`)
-    installing the fault runtime; training engines never carry one.
+    installing the fault runtime after the churn, the order the
+    single-cluster engine uses; training engines carry neither.
     """
     events = EventQueue()
     sites = []
-    for site_spec, system in zip(spec.sites, systems):
+    for site_spec, system in zip(spec.site_specs, systems):
         config = system.config
         cluster = Cluster(
             num_servers=config.num_servers,
@@ -117,6 +116,7 @@ def build_federation_engine(
                 tariff=tariff,
             )
         )
+    schedule_capacity_events(sites[0].cluster, capacity_events)
     engine = FederationEngine(sites, broker)
     if faults is not None:
         from repro.faults.inject import install_faults
@@ -150,7 +150,7 @@ def train_federation_broker(
             engine.run([[job.copy() for job in s] for s in segment_streams])
 
 
-def build_federated_cell(
+def build_cell(
     system: str,
     spec: ScenarioSpec,
     n_jobs: int,
@@ -158,20 +158,34 @@ def build_federated_cell(
     pretrain: bool = True,
     online_epochs: int = 1,
     local_epochs: int = 1,
-    checkpoint: "FederationPolicyCheckpoint | None" = None,
+    checkpoint: "PolicyCheckpoint | None" = None,
 ) -> tuple[list[HierarchicalSystem], FederationBroker | None, list[list[Job]]]:
-    """Build (and train or warm-start) everything one federated cell needs.
+    """Build (and train or warm-start) everything one scenario cell needs.
 
     Returns ``(site_systems, federation_broker, eval_streams)`` ready
     for :func:`build_federation_engine` + run. With a ``checkpoint``,
     per-site DRL prototypes/predictors and the DRL federation dispatcher
     are restored from the stored weights instead of trained in-cell.
-    """
-    from repro.scenarios.checkpoints import restore_predictor, restore_prototype
 
+    Raises
+    ------
+    ValueError
+        If a ``checkpoint`` is given for a cell that trains no policy.
+    """
+    from repro.scenarios.checkpoints import (
+        needs_policy,
+        restore_predictor,
+        restore_prototype,
+    )
+
+    if checkpoint is not None and not needs_policy(spec, system):
+        raise ValueError(
+            f"system {system!r} on scenario {spec.name!r} has no policy "
+            "to warm-start"
+        )
     trace_ss, system_seed = derive_cell_seeds(seed)
     eval_streams, train_streams = spec.build_site_traces(n_jobs, trace_ss)
-    n_sites = len(spec.sites)
+    n_sites = len(spec.site_specs)
     site_seeds, fed_seed = derive_site_seeds(system_seed, n_sites)
 
     systems: list[HierarchicalSystem] = []
@@ -180,13 +194,13 @@ def build_federated_cell(
         site_train = [segment[i] for segment in train_streams]
         make_kwargs: dict = {}
         if checkpoint is not None and needs_global_tier(system):
-            site_ckpt = checkpoint.site_checkpoints[i]
+            site_policy = checkpoint.sites[i]
             make_kwargs["global_prototype"] = restore_prototype(
-                site_ckpt, config, site_seeds[i]
+                site_policy, config, site_seeds[i]
             )
             if system == "hierarchical":
                 make_kwargs["predictor"] = restore_predictor(
-                    site_ckpt, config, site_seeds[i]
+                    site_policy, config, site_seeds[i]
                 )
         systems.append(
             make_system(
@@ -220,139 +234,3 @@ def build_federated_cell(
                 spec, systems, broker, train_streams, online_epochs=online_epochs
             )
     return systems, broker, eval_streams
-
-
-def _series_payload(series: Sequence[SeriesPoint]) -> dict[str, list]:
-    return {
-        "latency_series": [[int(p.n_completed), float(p.acc_latency)] for p in series],
-        "energy_series": [[int(p.n_completed), float(p.energy_kwh)] for p in series],
-        "cost_series": [[int(p.n_completed), float(p.cost_usd)] for p in series],
-        "co2_series": [[int(p.n_completed), float(p.co2_kg)] for p in series],
-    }
-
-
-def _site_payload(
-    result: FederationResult,
-    eval_streams: Sequence[list[Job]],
-    runtime=None,
-) -> list[dict]:
-    payload = []
-    for index, (site, stream) in enumerate(zip(result.sites, eval_streams)):
-        metrics = site.metrics
-        payload.append(
-            {
-                "site": site.name,
-                "num_servers": site.num_servers,
-                "n_jobs_home": len(stream),
-                "n_jobs_completed": metrics.n_completed,
-                "energy_kwh": metrics.total_energy_kwh(),
-                "acc_latency_s": metrics.acc_latency,
-                "mean_latency_s": metrics.mean_latency,
-                "average_power_w": metrics.average_power_watts(),
-                "cost_usd": metrics.total_cost_usd(),
-                "co2_kg": metrics.total_co2_kg(),
-                "failed_jobs": metrics.n_failed,
-                "retries": metrics.n_retries,
-                "goodput": metrics.goodput,
-                "availability": (
-                    runtime.site_availability(index, result.final_time)
-                    if runtime is not None
-                    else 1.0
-                ),
-                **_series_payload(metrics.series),
-            }
-        )
-    return payload
-
-
-def run_federated_cell(
-    spec: ScenarioSpec,
-    system: str,
-    n_jobs: int = 600,
-    seed: int = 0,
-    record_every: int = 200,
-    pretrain: bool = True,
-    online_epochs: int = 1,
-    local_epochs: int = 1,
-    checkpoint: "FederationPolicyCheckpoint | None" = None,
-) -> dict:
-    """Run one federated (scenario, system, seed) cell.
-
-    The federated counterpart of
-    :func:`repro.scenarios.orchestrator.run_cell` (which dispatches
-    here): same protocol knobs, same deterministic seed derivation, and
-    a result dict carrying the same fleet-level keys — aggregations and
-    sweep tables work unchanged — plus ``"federation"`` (the dispatch
-    policy) and ``"sites"`` (per-site totals and series, the schema-v4
-    breakdown).
-    """
-    systems, broker, eval_streams = build_federated_cell(
-        system,
-        spec,
-        n_jobs,
-        seed=seed,
-        pretrain=pretrain,
-        online_epochs=online_epochs,
-        local_epochs=local_epochs,
-        checkpoint=checkpoint,
-    )
-    from repro.faults.plan import scenario_fault_plans
-
-    plans = scenario_fault_plans(spec, n_jobs, seed)
-    engine = build_federation_engine(
-        spec, systems, broker, record_every=record_every, faults=plans
-    )
-    events = spec.capacity_events(spec.horizon_for(n_jobs))
-    if events:
-        # Only single-site federations can carry churn today (validated
-        # by the spec), and it targets the lone site's cluster.
-        schedule_capacity_events(engine.sites[0].cluster, events)
-    logger.debug(
-        "federated cell %s x %s seed %d: %d sites, %s dispatch",
-        spec.name,
-        system,
-        seed,
-        len(engine.sites),
-        spec.federation,
-    )
-    result = engine.run([[job.copy() for job in stream] for stream in eval_streams])
-    runtime = engine.faults
-    n_completed = result.n_completed
-    energy_kwh = result.total_energy_kwh
-    n_failed = sum(site.metrics.n_failed for site in result.sites)
-    n_retries = sum(site.metrics.n_retries for site in result.sites)
-    return {
-        "scenario": spec.name,
-        "system": system,
-        "seed": seed,
-        "n_jobs_offered": sum(len(stream) for stream in eval_streams),
-        "n_jobs_completed": n_completed,
-        "num_servers": spec.num_servers_total,
-        "energy_kwh": energy_kwh,
-        "acc_latency_s": result.accumulated_latency,
-        "mean_latency_s": result.mean_latency,
-        "average_power_w": result.average_power_watts,
-        "energy_per_job_wh": (
-            energy_kwh * 1000.0 / n_completed if n_completed else 0.0
-        ),
-        "final_time_s": result.final_time,
-        "capacity_events": len(events),
-        "cost_usd": result.total_cost_usd,
-        "co2_kg": result.total_co2_kg,
-        "failed_jobs": n_failed,
-        "retries": n_retries,
-        "goodput": (
-            n_completed / (n_completed + n_failed)
-            if (n_completed + n_failed)
-            else 1.0
-        ),
-        "availability": (
-            runtime.fleet_availability(result.final_time)
-            if runtime is not None
-            else 1.0
-        ),
-        "broker_fallbacks": (runtime.broker_fallbacks if runtime is not None else 0),
-        **_series_payload(result.fleet_series),
-        "federation": spec.federation,
-        "sites": _site_payload(result, eval_streams, runtime=runtime),
-    }

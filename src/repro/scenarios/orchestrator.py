@@ -32,6 +32,7 @@ import logging
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -40,11 +41,11 @@ from typing import Callable, Iterable, Sequence
 
 from repro.faults.plan import scenario_fault_plans
 from repro.harness.report import format_csv, format_table
-from repro.harness.runner import make_scenario_system, run_system
 from repro.obs import render_report, write_snapshot
 from repro.obs import telemetry as obs
 from repro.scenarios import checkpoints as ckpt
 from repro.scenarios import registry
+from repro.scenarios.federation import build_cell, build_federation_engine
 from repro.scenarios.specs import ScenarioSpec
 from repro.scenarios.store import (
     SCHEMA_VERSION,
@@ -52,6 +53,9 @@ from repro.scenarios.store import (
     append_quarantine,
     content_key,
 )
+from repro.sim.federation import FederationResult
+from repro.sim.job import Job
+from repro.sim.metrics import SeriesPoint
 
 logger = logging.getLogger(__name__)
 
@@ -117,6 +121,52 @@ def cell_request(cell: SweepCell, protocol: dict, warm_start: bool = False) -> d
     }
 
 
+def _series_payload(series: Sequence[SeriesPoint]) -> dict[str, list]:
+    # Fig-8-style panels: accumulated latency / energy / cost / CO₂ vs
+    # completed jobs. Lists (not tuples) so computed and JSON-reloaded
+    # results compare equal.
+    return {
+        "latency_series": [[int(p.n_completed), float(p.acc_latency)] for p in series],
+        "energy_series": [[int(p.n_completed), float(p.energy_kwh)] for p in series],
+        "cost_series": [[int(p.n_completed), float(p.cost_usd)] for p in series],
+        "co2_series": [[int(p.n_completed), float(p.co2_kg)] for p in series],
+    }
+
+
+def _site_payload(
+    result: FederationResult,
+    eval_streams: Sequence[list[Job]],
+    runtime=None,
+) -> list[dict]:
+    payload = []
+    for index, (site, stream) in enumerate(zip(result.sites, eval_streams)):
+        metrics = site.metrics
+        payload.append(
+            {
+                "site": site.name,
+                "num_servers": site.num_servers,
+                "n_jobs_home": len(stream),
+                "n_jobs_completed": metrics.n_completed,
+                "energy_kwh": metrics.total_energy_kwh(),
+                "acc_latency_s": metrics.acc_latency,
+                "mean_latency_s": metrics.mean_latency,
+                "average_power_w": metrics.average_power_watts(),
+                "cost_usd": metrics.total_cost_usd(),
+                "co2_kg": metrics.total_co2_kg(),
+                "failed_jobs": metrics.n_failed,
+                "retries": metrics.n_retries,
+                "goodput": metrics.goodput,
+                "availability": (
+                    runtime.site_availability(index, result.final_time)
+                    if runtime is not None
+                    else 1.0
+                ),
+                **_series_payload(metrics.series),
+            }
+        )
+    return payload
+
+
 def run_cell(
     scenario: str | ScenarioSpec,
     system: str,
@@ -126,7 +176,7 @@ def run_cell(
     pretrain: bool = True,
     online_epochs: int = 1,
     local_epochs: int = 1,
-    checkpoint: "ckpt.PolicyCheckpoint | ckpt.FederationPolicyCheckpoint | None" = None,
+    checkpoint: "ckpt.PolicyCheckpoint | None" = None,
     profile: bool = False,
 ) -> dict:
     """Run one (scenario, system, seed) cell and return JSON-able metrics.
@@ -136,14 +186,14 @@ def run_cell(
     trace generation and system construction, so no stream is shared
     with any other cell (or any other system at the same seed).
 
-    With a ``checkpoint``, the cell's DRL controllers are warm-started
-    from the stored weights instead of being trained in-cell
-    (train-once / evaluate-many; see
-    :func:`repro.scenarios.checkpoints.warm_scenario_system`).
-
-    Federated scenarios (a non-empty ``sites`` tuple) dispatch to
-    :func:`repro.scenarios.federation.run_federated_cell` — same
-    protocol knobs, same result keys, plus per-site breakdowns.
+    Every cell is a federation — a plain scenario is one implicit site —
+    built by :func:`repro.scenarios.federation.build_cell` and simulated
+    on one event clock. With a ``checkpoint``, the cell's DRL
+    controllers are warm-started from the stored weights instead of
+    being trained in-cell (train-once / evaluate-many). Federated
+    scenarios (a non-empty ``sites`` tuple) additionally report
+    ``"federation"`` (the dispatch policy) and ``"sites"`` (per-site
+    totals and series).
 
     With ``profile=True`` the whole cell (training, trace parsing, and
     the evaluation run) executes under a captured
@@ -167,79 +217,69 @@ def run_cell(
         result["telemetry"] = tel.snapshot()
         return result
     spec = registry.get(scenario) if isinstance(scenario, str) else scenario
-    if spec.is_federated:
-        from repro.scenarios.federation import run_federated_cell
-
-        return run_federated_cell(
-            spec,
-            system,
-            n_jobs=n_jobs,
-            seed=seed,
-            record_every=record_every,
-            pretrain=pretrain,
-            online_epochs=online_epochs,
-            local_epochs=local_epochs,
-            checkpoint=checkpoint,
-        )
-    if checkpoint is not None:
-        built, eval_jobs, events = ckpt.warm_scenario_system(
-            system,
-            spec,
-            n_jobs,
-            checkpoint,
-            seed=seed,
-            local_epochs=local_epochs,
-        )
-    else:
-        built, eval_jobs, events = make_scenario_system(
-            system,
-            spec,
-            n_jobs,
-            seed=seed,
-            pretrain=pretrain,
-            online_epochs=online_epochs,
-            local_epochs=local_epochs,
-        )
-    plans = scenario_fault_plans(spec, n_jobs, seed)
-    result = run_system(
-        built,
-        eval_jobs,
-        record_every=record_every,
-        capacity_events=events,
-        tariff=spec.tariff,
-        faults=plans[0] if plans else None,
+    systems, broker, eval_streams = build_cell(
+        system,
+        spec,
+        n_jobs,
+        seed=seed,
+        pretrain=pretrain,
+        online_epochs=online_epochs,
+        local_epochs=local_epochs,
+        checkpoint=checkpoint,
     )
-    return {
+    events = spec.capacity_events(spec.horizon_for(n_jobs))
+    engine = build_federation_engine(
+        spec,
+        systems,
+        broker,
+        record_every=record_every,
+        faults=scenario_fault_plans(spec, n_jobs, seed),
+        capacity_events=events,
+    )
+    result = engine.run([[job.copy() for job in stream] for stream in eval_streams])
+    runtime = engine.faults
+    n_completed = result.n_completed
+    energy_kwh = result.total_energy_kwh
+    n_failed = sum(site.metrics.n_failed for site in result.sites)
+    cell = {
         "scenario": spec.name,
         "system": system,
         "seed": seed,
-        "n_jobs_offered": len(eval_jobs),
-        "n_jobs_completed": result.n_jobs,
-        "num_servers": result.num_servers,
-        "energy_kwh": result.energy_kwh,
-        "acc_latency_s": result.acc_latency,
+        "n_jobs_offered": sum(len(stream) for stream in eval_streams),
+        "n_jobs_completed": n_completed,
+        "num_servers": spec.num_servers_total,
+        "energy_kwh": energy_kwh,
+        "acc_latency_s": result.accumulated_latency,
         "mean_latency_s": result.mean_latency,
-        "average_power_w": result.average_power,
-        "energy_per_job_wh": result.energy_per_job_wh,
+        "average_power_w": result.average_power_watts,
+        "energy_per_job_wh": (
+            energy_kwh * 1000.0 / n_completed if n_completed else 0.0
+        ),
         "final_time_s": result.final_time,
         "capacity_events": len(events),
         # Electricity account (zero without a scenario tariff).
-        "cost_usd": result.cost_usd,
-        "co2_kg": result.co2_kg,
+        "cost_usd": result.total_cost_usd,
+        "co2_kg": result.total_co2_kg,
         # Fault account (defaults without a scenario FaultSpec).
-        "failed_jobs": result.failed_jobs,
-        "retries": result.retries,
-        "goodput": result.goodput,
-        "availability": result.availability,
-        "broker_fallbacks": result.broker_fallbacks,
-        # Fig-8-style panels: accumulated latency / energy / cost / CO₂
-        # vs completed jobs. Lists (not tuples) so computed and
-        # JSON-reloaded results compare equal.
-        "latency_series": [[int(n), float(v)] for n, v in result.latency_series],
-        "energy_series": [[int(n), float(v)] for n, v in result.energy_series],
-        "cost_series": [[int(n), float(v)] for n, v in result.cost_series],
-        "co2_series": [[int(n), float(v)] for n, v in result.co2_series],
+        "failed_jobs": n_failed,
+        "retries": sum(site.metrics.n_retries for site in result.sites),
+        "goodput": (
+            n_completed / (n_completed + n_failed)
+            if (n_completed + n_failed)
+            else 1.0
+        ),
+        "availability": (
+            runtime.fleet_availability(result.final_time)
+            if runtime is not None
+            else 1.0
+        ),
+        "broker_fallbacks": (runtime.broker_fallbacks if runtime is not None else 0),
+        **_series_payload(result.fleet_series),
     }
+    if spec.is_federated:
+        cell["federation"] = spec.federation
+        cell["sites"] = _site_payload(result, eval_streams, runtime=runtime)
+    return cell
 
 
 def journal_cell_result(
@@ -337,7 +377,7 @@ def _execute_cell(args: tuple) -> dict:
 def _train_policy_task(args: tuple):
     """Process-pool entry point for one training group's policy."""
     spec, n_jobs, seed, pretrain, online_epochs, with_predictor = args
-    return ckpt.train_policy_any(
+    return ckpt.train_policy(
         spec,
         n_jobs=n_jobs,
         seed=seed,
@@ -437,10 +477,33 @@ def _pool_workers(workers: int | None, n_tasks: int) -> int:
     return max(MIN_WORKERS, min(limit, n_tasks))
 
 
-def _pool_context():
-    """The multiprocessing context pools share (fork where available)."""
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: exit once the parent process is gone.
+
+    A SIGKILLed sweep never shuts its pool down; without this watch its
+    workers would be re-parented and wait for work forever.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
+def _pool(n_workers: int) -> ProcessPoolExecutor:
+    """The process pool sweeps and sharded cells share.
+
+    Workers fork where available and exit when this process dies.
+    """
     methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
+    return ProcessPoolExecutor(
+        max_workers=n_workers,
+        mp_context=multiprocessing.get_context("fork" if "fork" in methods else None),
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    )
 
 
 def sweep(
@@ -841,9 +904,7 @@ def _run_pipelined(
     respawns = 0
     while ready and failure is None:
         broke = False
-        with ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=_pool_context()
-        ) as pool:
+        with _pool(n_workers) as pool:
             futures: dict = {}
 
             def submit(item: tuple[str, int]) -> None:

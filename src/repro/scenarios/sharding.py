@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import pickle
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 
 from repro.sim.churn import CapacityEvent
@@ -164,6 +163,25 @@ def combine_shard_metrics(shard_results: list[dict]) -> dict:
     }
 
 
+def check_shardable(spec) -> None:
+    """Raise ValueError if ``spec``'s cells cannot be trace-sharded.
+
+    Shards replay one cluster's trace without the scenario's fault plan
+    or a federation tier, so federated and fault-injecting scenarios
+    would silently run a different experiment.
+    """
+    if spec.is_federated:
+        raise ValueError(
+            f"scenario {spec.name!r} is federated; trace sharding does not "
+            "compose with multi-site runs yet"
+        )
+    if spec.faults is not None and not spec.faults.is_null():
+        raise ValueError(
+            f"scenario {spec.name!r} injects faults; trace sharding does "
+            "not compose with fault injection yet"
+        )
+
+
 def run_cell_sharded(
     scenario,
     system: str,
@@ -179,7 +197,8 @@ def run_cell_sharded(
 ) -> dict:
     """Run one (scenario, system, seed) cell with its trace sharded.
 
-    Builds and trains the system once (exactly like
+    Builds and trains the system once (through
+    :func:`~repro.scenarios.federation.build_cell`, exactly like
     :func:`~repro.scenarios.orchestrator.run_cell`), then fans the
     evaluation shards over a process pool — each worker evaluating an
     identical warm copy of the trained system — and recombines metrics
@@ -195,39 +214,32 @@ def run_cell_sharded(
     composes warm starting with sharding: the in-parent training step is
     replaced by restoring the stored policy weights, so a big DRL cell
     pays neither training nor serial evaluation.
+
+    Raises
+    ------
+    ValueError
+        On a non-positive ``shards``, or a scenario
+        :func:`check_shardable` rejects.
     """
-    from repro.harness.runner import make_scenario_system
     from repro.scenarios import registry
-    from repro.scenarios.checkpoints import warm_scenario_system
-    from repro.scenarios.orchestrator import _pool_workers, _pool_context
+    from repro.scenarios.federation import build_cell
+    from repro.scenarios.orchestrator import _pool, _pool_workers
 
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
     spec = registry.get(scenario) if isinstance(scenario, str) else scenario
-    if spec.is_federated:
-        raise ValueError(
-            f"scenario {spec.name!r} is federated; trace sharding does not "
-            "compose with multi-site runs yet"
-        )
-    if checkpoint is not None:
-        built, eval_jobs, events = warm_scenario_system(
-            system,
-            spec,
-            n_jobs,
-            checkpoint,
-            seed=seed,
-            local_epochs=local_epochs,
-        )
-    else:
-        built, eval_jobs, events = make_scenario_system(
-            system,
-            spec,
-            n_jobs,
-            seed=seed,
-            pretrain=pretrain,
-            online_epochs=online_epochs,
-            local_epochs=local_epochs,
-        )
+    check_shardable(spec)
+    (built,), _, (eval_jobs,) = build_cell(
+        system,
+        spec,
+        n_jobs,
+        seed=seed,
+        pretrain=pretrain,
+        online_epochs=online_epochs,
+        local_epochs=local_epochs,
+        checkpoint=checkpoint,
+    )
+    events = spec.capacity_events(spec.horizon_for(n_jobs))
     built.freeze()  # the warm handoff ships one fixed controller snapshot
     segments, starts = shard_trace(eval_jobs, shards)
     shard_events = shard_capacity_events(events, starts)
@@ -252,9 +264,7 @@ def run_cell_sharded(
         except Exception:
             parallel_ok = False
     if parallel_ok:
-        with ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=_pool_context()
-        ) as pool:
+        with _pool(n_workers) as pool:
             shard_results = list(pool.map(_run_shard, tasks))
     else:
         # Serial fallback: deepcopy preserves the every-shard-starts-warm

@@ -806,10 +806,10 @@ class ScenarioSpec:
     the simulation runs a fleet of sites (each with its own fleet,
     tariff, and home workload share) on one event clock, with the
     ``federation`` policy dispatching arrivals across sites before each
-    site's own broker places them on servers. A single-entry ``sites``
-    tuple is exactly the single-cluster experiment (bit-identical
-    metrics); an empty one (the default) keeps the classic
-    single-cluster path.
+    site's own broker places them on servers. An empty ``sites`` tuple
+    (the default) is one implicit site carrying the scenario's fleet and
+    tariff (:attr:`site_specs`); a single-entry tuple is the same
+    experiment (bit-identical metrics).
     """
 
     name: str
@@ -885,11 +885,19 @@ class ScenarioSpec:
         return bool(self.sites)
 
     @property
+    def site_specs(self) -> tuple[SiteSpec, ...]:
+        """The sites a cell simulates: ``sites``, or one implicit site.
+
+        A plain scenario is a federation of one: its site carries the
+        scenario's fleet and tariff under the name ``cluster``, the name
+        the single-cluster engine has always given its site.
+        """
+        return self.sites or (SiteSpec("cluster", self.fleet, self.tariff),)
+
+    @property
     def num_servers_total(self) -> int:
         """Servers fleet-wide: across all sites, or the single cluster."""
-        if self.sites:
-            return sum(site.fleet.num_servers for site in self.sites)
-        return self.fleet.num_servers
+        return sum(site.fleet.num_servers for site in self.site_specs)
 
     def _fleet_config(self, fleet: FleetSpec, seed: int) -> ExperimentConfig:
         return ExperimentConfig(
@@ -906,8 +914,8 @@ class ScenarioSpec:
         return self._fleet_config(self.fleet, seed)
 
     def site_experiment_config(self, index: int, seed: int = 0) -> ExperimentConfig:
-        """Configuration for one member site of a federated scenario."""
-        return self._fleet_config(self.sites[index].fleet, seed)
+        """Configuration for one site of :attr:`site_specs`."""
+        return self._fleet_config(self.site_specs[index].fleet, seed)
 
     def build_traces(
         self, n_jobs: int, seed: int | np.random.SeedSequence
@@ -938,16 +946,13 @@ class ScenarioSpec:
         over one shared horizon, generated *correlated* — one shared
         diurnal phase and, to ``workload.burst_coupling`` (default 0),
         one shared burst timeline — so cross-site load peaks coincide
-        the way real fleets' do. A federation of one delegates to the
-        single-cluster :meth:`WorkloadSpec.build` and is therefore the
-        identical experiment.
+        the way real fleets' do. A federation of one, explicit or
+        implicit, delegates to the single-cluster
+        :meth:`WorkloadSpec.build` and is therefore the identical
+        experiment.
         """
-        if not self.sites:
-            raise ValueError(
-                f"scenario {self.name!r} has no sites; use build_traces"
-            )
         workload = self.workload
-        if len(self.sites) == 1:
+        if len(self.sites) <= 1:
             eval_jobs, segments = workload.build(
                 n_jobs, self.num_servers_total, seed
             )

@@ -137,12 +137,13 @@ class TestRunAndProtocol:
 
 
 class TestScenarioConstruction:
-    def test_make_scenario_system_from_name(self):
-        from repro.harness.runner import make_scenario_system
+    def test_build_cell_from_registered_scenario(self):
+        from repro.scenarios import registry
+        from repro.scenarios.federation import build_cell
 
-        system, eval_jobs, events = make_scenario_system(
-            "packing", "maintenance-churn", n_jobs=60, seed=1
-        )
+        spec = registry.get("maintenance-churn")
+        (system,), _, (eval_jobs,) = build_cell("packing", spec, 60, seed=1)
+        events = spec.capacity_events(spec.horizon_for(60))
         assert system.name == "packing"
         assert system.config.num_servers == 30
         assert len(eval_jobs) == 60

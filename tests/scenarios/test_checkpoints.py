@@ -10,13 +10,14 @@ from repro.scenarios.checkpoints import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointStore,
     PolicyCheckpoint,
+    SitePolicy,
     ensure_checkpoint,
     restore_predictor,
     restore_prototype,
     train_policy,
     training_request,
-    warm_scenario_system,
 )
+from repro.scenarios.federation import build_cell
 from repro.scenarios.specs import (
     FleetSpec,
     ScenarioSpec,
@@ -66,10 +67,12 @@ class TestStoreRoundTrip:
         store.put("k" * 64, policy)
         loaded = store.get("k" * 64)
         assert loaded is not None
-        assert loaded.epsilon == policy.epsilon
-        assert set(loaded.qnet_state) == set(policy.qnet_state)
-        for key, value in policy.qnet_state.items():
-            assert np.array_equal(loaded.qnet_state[key], value)
+        (site,) = policy.sites
+        (loaded_site,) = loaded.sites
+        assert loaded_site.epsilon == site.epsilon
+        assert set(loaded_site.qnet_state) == set(site.qnet_state)
+        for key, value in site.qnet_state.items():
+            assert np.array_equal(loaded_site.qnet_state[key], value)
         assert len(store) == 1
 
     def test_lstm_weights_bit_identical(self, tmp_path):
@@ -80,7 +83,7 @@ class TestStoreRoundTrip:
             PredictorConfig(lookback=5, epochs=2), rng=np.random.default_rng(0)
         )
         predictor.fit(np.random.default_rng(1).uniform(5.0, 500.0, size=30))
-        policy = PolicyCheckpoint(
+        site = SitePolicy(
             qnet_state={"0:w": np.arange(3.0)},
             epsilon=0.05,
             predictor_state=predictor.network.state_dict(),
@@ -88,12 +91,13 @@ class TestStoreRoundTrip:
             predictor_attempted=True,
         )
         store = CheckpointStore(tmp_path / "ckpt")
-        store.put("a" * 64, policy)
+        store.put("a" * 64, PolicyCheckpoint(sites=(site,)))
         loaded = store.get("a" * 64, need_predictor=True)
         assert loaded is not None
-        assert loaded.predictor_fitted
-        for key, value in policy.predictor_state.items():
-            assert np.array_equal(loaded.predictor_state[key], value)
+        (loaded_site,) = loaded.sites
+        assert loaded_site.predictor_fitted
+        for key, value in site.predictor_state.items():
+            assert np.array_equal(loaded_site.predictor_state[key], value)
 
     def test_stale_schema_blob_is_ignored(self, tmp_path, policy):
         store = CheckpointStore(tmp_path / "ckpt")
@@ -102,8 +106,8 @@ class TestStoreRoundTrip:
         # Rewrite the blob claiming a different schema version.
         save_states(
             store.path_for(key),
-            {"qnet": policy.qnet_state},
-            {"schema": CHECKPOINT_SCHEMA_VERSION + 1, "epsilon": 0.1},
+            {"site0_qnet": policy.sites[0].qnet_state},
+            {"schema": CHECKPOINT_SCHEMA_VERSION + 1, "sites": [{"epsilon": 0.1}]},
         )
         assert store.get(key) is None
         assert store.path_for(key).exists()  # ignored, not deleted
@@ -136,10 +140,11 @@ class TestStoreRoundTrip:
 class TestWarmSystems:
     def test_restored_prototype_matches_trained_weights(self, policy):
         config = TINY.experiment_config(seed=0)
-        broker = restore_prototype(policy, config, seed=123)
+        (site,) = policy.sites
+        broker = restore_prototype(site, config, seed=123)
         for key, value in broker.qnet.state_dict().items():
-            assert np.array_equal(policy.qnet_state[key], value)
-        assert broker.epsilon == policy.epsilon
+            assert np.array_equal(site.qnet_state[key], value)
+        assert broker.epsilon == site.epsilon
 
     def test_geometry_mismatch_raises(self, policy):
         other = ScenarioSpec(
@@ -148,19 +153,21 @@ class TestWarmSystems:
             fleet=FleetSpec(classes=(ServerClassSpec("standard", 8),)),
         )
         with pytest.raises(ValueError, match="geometry"):
-            restore_prototype(policy, other.experiment_config(seed=0), seed=0)
+            restore_prototype(
+                policy.sites[0], other.experiment_config(seed=0), seed=0
+            )
 
     def test_predictor_required_but_absent_raises(self, policy):
         config = TINY.experiment_config(seed=0)
         with pytest.raises(ValueError, match="predictor"):
-            restore_predictor(policy, config, seed=0)
+            restore_predictor(policy.sites[0], config, seed=0)
 
     def test_warm_system_is_deterministic(self, policy):
-        a, jobs_a, _ = warm_scenario_system(
-            "drl-only", TINY, 60, policy, seed=0, local_epochs=0
+        (a,), _, (jobs_a,) = build_cell(
+            "drl-only", TINY, 60, seed=0, local_epochs=0, checkpoint=policy
         )
-        b, jobs_b, _ = warm_scenario_system(
-            "drl-only", TINY, 60, policy, seed=0, local_epochs=0
+        (b,), _, (jobs_b,) = build_cell(
+            "drl-only", TINY, 60, seed=0, local_epochs=0, checkpoint=policy
         )
         assert [j.arrival_time for j in jobs_a] == [
             j.arrival_time for j in jobs_b
@@ -171,7 +178,7 @@ class TestWarmSystems:
 
     def test_non_drl_system_rejected(self, policy):
         with pytest.raises(ValueError):
-            warm_scenario_system("round-robin", TINY, 60, policy, seed=0)
+            build_cell("round-robin", TINY, 60, seed=0, checkpoint=policy)
 
 
 class TestShardedWarmStart:
@@ -203,8 +210,8 @@ class TestEnsureCheckpoint:
         second = ensure_checkpoint(store, TINY, with_predictor=False, **FAST)
         assert len(calls) == 1
         assert len(store) == 1
-        for key, value in first.qnet_state.items():
-            assert np.array_equal(second.qnet_state[key], value)
+        for key, value in first.sites[0].qnet_state.items():
+            assert np.array_equal(second.sites[0].qnet_state[key], value)
 
 
 class TestWorkloadKindKeys:

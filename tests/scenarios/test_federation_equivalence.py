@@ -5,13 +5,20 @@ to the single-cluster cell — bit-identical metrics, not approximately
 equal — across builtin scenarios (synthetic, tariffed, and trace-replay
 workloads) and across systems including the DRL global tier. This is
 what licenses routing everything through the federation engine.
+
+Plain cells run as one-site federations too, so the last test pins them
+to an oracle: the single-cluster path (``make_system`` + ``run_system``
+on ``spec.build_traces``) assembled here, outside the cell pipeline.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from repro.faults.plan import scenario_fault_plans
+from repro.harness.runner import derive_cell_seeds, make_system, run_system
 from repro.scenarios import registry
+from repro.scenarios.builtin import BUILTIN_SCENARIOS
 from repro.scenarios.orchestrator import run_cell
 from repro.scenarios.specs import SiteSpec
 
@@ -103,3 +110,67 @@ def test_warm_started_single_site_federation_stays_identical(tmp_path):
     federated = run_cell(fed, "drl-only", checkpoint=fed_ckpt, **kwargs)
     for key in EXACT_KEYS:
         assert single[key] == federated[key], key
+
+
+def single_cluster_reference(spec, system, n_jobs, seed, pretrain, online_epochs):
+    """The cell as the single-cluster harness runs it: one engine, no sites."""
+    trace_ss, system_seed = derive_cell_seeds(seed)
+    eval_jobs, train_traces = spec.build_traces(n_jobs, trace_ss)
+    built = make_system(
+        system,
+        spec.experiment_config(seed=seed),
+        train_traces,
+        seed=system_seed,
+        pretrain=pretrain,
+        online_epochs=online_epochs,
+        local_epochs=1,
+    )
+    plans = scenario_fault_plans(spec, n_jobs, seed)
+    return run_system(
+        built,
+        eval_jobs,
+        capacity_events=spec.capacity_events(spec.horizon_for(n_jobs)),
+        tariff=spec.tariff,
+        faults=plans[0] if plans else None,
+    )
+
+
+#: Every plain builtin under each system, plus one cell carrying churn
+#: and faults together (the engine schedules churn before faults).
+PLAIN_CELLS = [
+    pytest.param(spec, system, id=f"{spec.name}-{system}")
+    for spec in BUILTIN_SCENARIOS
+    if not spec.sites
+    for system in SYSTEMS
+] + [
+    pytest.param(
+        replace(
+            registry.get("failure-storm"),
+            name="failure-storm-churned",
+            capacity_windows=registry.get("maintenance-churn").capacity_windows,
+        ),
+        "drl-only",
+        id="failure-storm-churned-drl-only",
+    )
+]
+
+
+@pytest.mark.parametrize("spec, system", PLAIN_CELLS)
+def test_plain_cell_matches_the_single_cluster_path(spec, system):
+    kwargs = dict(n_jobs=120, seed=3, pretrain=False, online_epochs=0)
+    cell = run_cell(spec, system, **kwargs)
+    ref = single_cluster_reference(spec, system, **kwargs)
+    assert cell["n_jobs_completed"] == ref.n_jobs
+    assert cell["energy_kwh"] == ref.energy_kwh
+    assert cell["acc_latency_s"] == ref.acc_latency
+    assert cell["mean_latency_s"] == ref.mean_latency
+    assert cell["average_power_w"] == ref.average_power
+    assert cell["final_time_s"] == ref.final_time
+    assert cell["cost_usd"] == ref.cost_usd
+    assert cell["co2_kg"] == ref.co2_kg
+    assert cell["failed_jobs"] == ref.failed_jobs
+    assert cell["retries"] == ref.retries
+    assert cell["availability"] == ref.availability
+    assert cell["latency_series"] == [[n, v] for n, v in ref.latency_series]
+    assert cell["energy_series"] == [[n, v] for n, v in ref.energy_series]
+    assert "sites" not in cell

@@ -9,7 +9,7 @@ import pytest
 from repro.scenarios import registry
 from repro.scenarios.checkpoints import (
     CheckpointStore,
-    FederationPolicyCheckpoint,
+    PolicyCheckpoint,
     ensure_checkpoint,
     load_checkpoint,
     needs_policy,
@@ -266,15 +266,15 @@ class TestFederationCheckpoints:
         ck = ensure_checkpoint(
             store, self.DRL_FED, n_jobs=40, seed=0, with_predictor=False
         )
-        assert isinstance(ck, FederationPolicyCheckpoint)
-        assert len(ck.site_checkpoints) == 2
+        assert isinstance(ck, PolicyCheckpoint)
+        assert len(ck.sites) == 2
         assert ck.fed_qnet_state is not None
         key = content_key(training_request(self.DRL_FED, 40, 0))
         loaded = load_checkpoint(store, key, self.DRL_FED)
         assert loaded is not None
         for k, v in ck.fed_qnet_state.items():
             assert np.array_equal(loaded.fed_qnet_state[k], v)
-        for mine, theirs in zip(ck.site_checkpoints, loaded.site_checkpoints):
+        for mine, theirs in zip(ck.sites, loaded.sites):
             for k, v in mine.qnet_state.items():
                 assert np.array_equal(theirs.qnet_state[k], v)
 
@@ -284,10 +284,11 @@ class TestFederationCheckpoints:
         ck = ensure_checkpoint(store, TINY_FED, n_jobs=40, seed=0, with_predictor=False)
         assert ck.fed_qnet_state is None
         key = content_key(training_request(TINY_FED, 40, 0))
-        assert store.get_federation(key) is not None
-        assert store.get_federation(key, need_fed_policy=True) is None
+        assert store.get(key) is not None
+        assert store.get(key, need_fed_policy=True) is None
         # And a federated blob never serves a single-cluster lookup.
-        assert store.get(key) is None
+        plain = replace(TINY_FED, sites=(), federation="home")
+        assert load_checkpoint(store, key, plain) is None
 
     def test_warm_cell_runs_from_checkpoint(self, tmp_path):
         store = CheckpointStore(tmp_path)

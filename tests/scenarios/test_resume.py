@@ -86,6 +86,31 @@ class TestIncrementalJournal:
         assert lines[0] == "# sweep: 2 cells, 2 journaled, 0 to compute"
 
 
+def _live_group_members(pgid: int) -> set[int]:
+    """Running (non-zombie) processes of process group ``pgid``.
+
+    Reads ``/proc`` where it exists: an exited orphan whose new parent
+    never reaps it lingers as a zombie, which holds nothing. Without
+    ``/proc``, any member counts.
+    """
+    proc_root = Path("/proc")
+    if not proc_root.is_dir():
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return set()
+        return {pgid}
+    live = set()
+    for stat in proc_root.glob("[0-9]*/stat"):
+        try:
+            state, _, pgrp = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except (OSError, IndexError, ValueError):
+            continue  # exited while we looked
+        if int(pgrp) == pgid and state != "Z":
+            live.add(int(stat.parent.name))
+    return live
+
+
 class TestSigkillResume:
     def test_killed_cli_sweep_resumes_without_recomputing_journaled_cells(
         self, tmp_path
@@ -111,6 +136,7 @@ class TestSigkillResume:
         proc = subprocess.Popen(
             argv, cwd=REPO_ROOT, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             # Wait for at least one journaled cell, then SIGKILL mid-sweep.
@@ -121,9 +147,21 @@ class TestSigkillResume:
                 if proc.poll() is not None:
                     break
                 time.sleep(0.05)
-        finally:
             if proc.poll() is None:
                 proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=60)
+            # The pool workers must not outlive the killed sweep.
+            deadline = time.monotonic() + 10
+            while _live_group_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not _live_group_members(proc.pid), (
+                "pool workers outlived the SIGKILLed sweep"
+            )
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
             proc.wait(timeout=60)
 
         journaled = len(list(cache.glob("*/*.json")))

@@ -181,6 +181,14 @@ class TestRunCellSharded:
         assert cell["shards"] == 1
         assert cell["n_jobs_completed"] == 120
 
+    def test_faulted_scenario_is_refused(self):
+        # Shards would replay the trace without the scenario's fault
+        # plan: a silently fault-free result, so refuse instead.
+        with pytest.raises(ValueError, match="faults"):
+            run_cell_sharded(
+                "failure-storm", "round-robin", n_jobs=60, seed=0, shards=2
+            )
+
 
 class TestShardedTariff:
     @staticmethod
@@ -200,8 +208,8 @@ class TestShardedTariff:
 
     def test_shards_receive_absolute_time_offsets(self, monkeypatch):
         import repro.scenarios.sharding as sharding_module
+        from repro.scenarios.federation import build_cell
         from repro.scenarios.sharding import shard_trace
-        from repro.harness.runner import make_scenario_system
 
         spec = self._tou_spec()
         captured = []
@@ -215,9 +223,7 @@ class TestShardedTariff:
         run_cell_sharded(spec, "round-robin", n_jobs=200, seed=0, shards=3,
                          workers=1)
         assert len(captured) == 3
-        _, eval_jobs, _ = make_scenario_system(
-            "round-robin", spec, 200, seed=0
-        )
+        _, _, (eval_jobs,) = build_cell("round-robin", spec, 200, seed=0)
         _, starts = shard_trace(eval_jobs, 3)
         assert [t.t_offset for t in captured] == pytest.approx(starts)
 

@@ -163,6 +163,18 @@ class TestExecution:
         assert "tou-price-shift" in captured
         assert "electricity" in captured
 
+    def test_shards_refuse_a_faulted_scenario_before_running(
+        self, capsys, tmp_path
+    ):
+        rc = main(["scenario", "run", "--name", "failure-storm",
+                   "--system", "round-robin", "--jobs", "60", "--shards", "2",
+                   "--cache-dir", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "injects faults" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.slow
     def test_scenario_sweep_with_cache(self, capsys, tmp_path):
         argv = ["scenario", "sweep", "--scenarios", "paper-default",
