@@ -32,7 +32,7 @@ headline claims; the figure commands print (or write) the CSV series the
 paper plots; ``workload`` generates and characterizes a synthetic trace
 (optionally writing it as a canonical trace CSV); ``systems`` lists the
 named systems; ``scenario`` drives the scenario suite — ``sweep`` fans
-the (scenario × system × seed) grid out over a process pool, journals
+the (scenario × system × seed) grid out over a worker pool, journals
 each completed cell under ``.repro-cache/`` as it finishes (so a killed
 sweep resumes with ``--resume``), trains each scenario's DRL policy once
 and warm-starts its cells from the checkpoint blob, and can emit the
@@ -167,7 +167,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         import inspect
         from dataclasses import replace as dc_replace
 
-        from repro.scenarios.orchestrator import run_cell
+        from repro.scenarios.orchestrator import check_execution, run_cell
         from repro.scenarios.sharding import check_shardable, run_cell_sharded
 
         def _default(fn, param: str):
@@ -232,6 +232,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         if args.shards > 1:
             try:
                 check_shardable(spec)
+                check_execution(workers=args.workers)
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
@@ -372,9 +373,14 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     # action == "sweep"
-    from repro.scenarios.orchestrator import detected_cpus, sweep
+    from repro.scenarios.orchestrator import check_execution, detected_cpus, sweep
     from repro.scenarios.store import ResultStore
 
+    try:
+        check_execution(args.workers, args.cell_retries, args.cell_timeout)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.resume:
         if args.no_cache or args.force:
             print("error: --resume needs the journal; it conflicts with "
@@ -416,11 +422,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print(f"wrote {args.series_out}")
     # Stdout-only (kept out of --out artifacts so sweep outputs stay
     # byte-identical across worker counts): the parallelism actually used
-    # — the pool is capped at the number of cells that needed computing.
+    # — the pool is capped at the trainings and cells that needed computing.
     cpus = detected_cpus()
-    limit = args.workers if args.workers is not None else cpus
-    if report.n_computed:
-        pool = max(1, min(limit, report.n_computed))
+    if report.workers_used:
+        pool = report.workers_used
         print(f"# {cpus} CPUs detected for this process; pool size {pool}")
     else:
         print(f"# {cpus} CPUs detected for this process; all cells cached, no pool")
@@ -535,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "warm-handoff segments run in parallel "
                              "(default 1 = unsharded)")
     sc_run.add_argument("--workers", type=int, default=None,
-                        help="process-pool size for sharded runs "
-                             "(default: detected CPU count)")
+                        help="pool size for sharded runs (default: detected "
+                             "CPU count; 1 runs the shards in this process)")
     sc_run.add_argument("--warm", action="store_true",
                         help="warm-start DRL systems from the policy "
                              "checkpoint store (training on first use)")
@@ -563,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc_sweep.add_argument("--jobs", type=int, default=600,
                           help="evaluation trace length per cell (default 600)")
     sc_sweep.add_argument("--workers", type=int, default=None,
-                          help="process-pool size (default: CPU count; 1 = serial)")
+                          help="pool size (default: CPU count; 1 runs each "
+                               "task in this process, one at a time)")
     sc_sweep.add_argument("--cache-dir", type=Path, default=Path(".repro-cache"),
                           help="result-store directory (default .repro-cache)")
     sc_sweep.add_argument("--no-cache", action="store_true",

@@ -4,10 +4,13 @@ One sweep cell = one scenario, one named system, one seed: the cell
 builds its own traces and simulates its own cluster, so cells are fully
 independent. That independence buys three things at once:
 
-* **Parallelism** — cells fan out over a process pool and the grid runs
-  at the machine's core count instead of serially; results are
-  bit-identical to a serial run because every random stream inside a
-  cell derives from the cell's own :class:`~numpy.random.SeedSequence`.
+* **Parallelism** — one scheduler fans trainings and cells out over
+  :func:`_pool`, which at one worker is this process and otherwise a
+  process pool at the machine's core count. Every task receives a
+  pickled copy of its arguments either way, and every random stream
+  inside a cell derives from the cell's own
+  :class:`~numpy.random.SeedSequence`, so results are bit-identical at
+  any worker count.
 * **Caching** — each cell is content-keyed by its full request (the
   scenario's parameters, system, seed, protocol knobs) and stored as
   JSON under ``.repro-cache/``, so re-running a sweep recomputes only
@@ -31,10 +34,18 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -328,15 +339,14 @@ def _poisoned(scenario: str, system: str, seed: int) -> bool:
 
 
 def _execute_cell(args: tuple) -> dict:
-    """Process-pool entry point (must be module-level picklable).
+    """Pool entry point for one cell (must be module-level picklable).
 
-    The optional sixth element is a per-cell wall-clock timeout in
-    seconds, enforced in-worker via ``SIGALRM`` (skipped silently on
-    platforms without it) so a wedged cell fails like any other cell
+    The last element is the cell's wall-clock timeout in seconds (or
+    ``None``), enforced in the worker via ``SIGALRM`` (skipped silently
+    on platforms without it) so a wedged cell fails like any other cell
     error — retried, then quarantined — instead of hanging the sweep.
     """
-    spec, system, seed, protocol, checkpoint, *rest = args
-    timeout = rest[0] if rest else None
+    spec, system, seed, protocol, checkpoint, timeout = args
     name = spec.name if isinstance(spec, ScenarioSpec) else str(spec)
     if _poisoned(name, system, seed):
         raise RuntimeError(
@@ -375,7 +385,7 @@ def _execute_cell(args: tuple) -> dict:
 
 
 def _train_policy_task(args: tuple):
-    """Process-pool entry point for one training group's policy."""
+    """Pool entry point for one training group's policy."""
     spec, n_jobs, seed, pretrain, online_epochs, with_predictor = args
     return ckpt.train_policy(
         spec,
@@ -394,13 +404,16 @@ class SweepReport:
     ``results`` holds ``None`` at quarantined cells' grid positions
     (``cached``/``keys`` stay index-aligned); ``quarantined`` carries
     their structured failure records — the same dicts journaled to
-    ``quarantine.jsonl`` in the store.
+    ``quarantine.jsonl`` in the store. ``workers_used`` is the size of
+    the pool that ran the trainings and cells (0 when every cell was
+    cached).
     """
 
     results: list[dict]
     cached: list[bool]
     keys: list[str]
     quarantined: list[dict] = field(default_factory=list)
+    workers_used: int = 0
 
     @property
     def n_cached(self) -> int:
@@ -472,6 +485,26 @@ def detected_cpus() -> int:
     return max(MIN_WORKERS, count or MIN_WORKERS)
 
 
+def check_execution(
+    workers: int | None = None,
+    cell_retries: int = 0,
+    cell_timeout: float | None = None,
+) -> None:
+    """Raise ValueError on an out-of-range execution knob.
+
+    The one rule :func:`sweep`, sharded cells and the CLI apply before
+    any work starts: at least :data:`MIN_WORKERS` workers (``None`` =
+    :func:`detected_cpus`), no negative retry budget, and a timeout
+    that is ``None`` or positive.
+    """
+    if workers is not None and workers < MIN_WORKERS:
+        raise ValueError(f"workers must be at least {MIN_WORKERS}, got {workers}")
+    if cell_retries < 0:
+        raise ValueError(f"cell_retries must be 0 or more, got {cell_retries}")
+    if cell_timeout is not None and not cell_timeout > 0:
+        raise ValueError(f"cell_timeout must be positive seconds, got {cell_timeout}")
+
+
 def _pool_workers(workers: int | None, n_tasks: int) -> int:
     limit = workers if workers is not None else detected_cpus()
     return max(MIN_WORKERS, min(limit, n_tasks))
@@ -492,11 +525,35 @@ def _exit_with_parent(parent: int) -> None:
     threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
-def _pool(n_workers: int) -> ProcessPoolExecutor:
-    """The process pool sweeps and sharded cells share.
+class _InProcessExecutor(Executor):
+    """A pool of one worker: this process.
 
-    Workers fork where available and exit when this process dies.
+    ``submit`` runs the task at once on a pickled copy of its arguments
+    — what a pool worker would receive — and returns the finished
+    future, so a task never shares state with the caller or another
+    task. A failing task's exception lands in the future, as from a
+    pool; ``KeyboardInterrupt`` and ``SystemExit`` propagate at once.
     """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            args, kwargs = pickle.loads(pickle.dumps((args, kwargs)))
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _pool(n_workers: int) -> Executor:
+    """The executor sweeps and sharded cells share.
+
+    One worker is this process (:class:`_InProcessExecutor`). More are
+    a process pool whose workers fork where available and exit when
+    this process dies.
+    """
+    if n_workers == 1:
+        return _InProcessExecutor()
     methods = multiprocessing.get_all_start_methods()
     return ProcessPoolExecutor(
         max_workers=n_workers,
@@ -538,8 +595,9 @@ def sweep(
     seeds:
         One full grid per seed (results aggregate over seeds).
     workers:
-        Process-pool size; default = CPU count. 1 forces serial
-        execution in-process (useful for determinism checks).
+        Pool size (at least 1); default = CPU count. One worker runs
+        each task in this process, one at a time; results are the same
+        at every worker count.
     store:
         The result cache; defaults to ``.repro-cache/`` in the working
         directory. Completed cells are journaled to it immediately, so
@@ -571,12 +629,12 @@ def sweep(
     cell_retries:
         Extra attempts per failing cell (and per failing training)
         before giving up on it, with exponential backoff between
-        attempts. 0 disables retries.
+        attempts. 0 disables retries; negative budgets are rejected.
     cell_timeout:
-        Per-cell wall-clock budget in seconds, enforced in the worker
-        via ``SIGALRM`` (no-op on platforms without it). A cell that
-        overruns fails with :class:`CellTimeout` and is retried /
-        quarantined like any other cell error. Trainings are exempt —
+        Per-cell wall-clock budget in seconds (positive), enforced in
+        the worker via ``SIGALRM`` (no-op on platforms without it). A
+        cell that overruns fails with :class:`CellTimeout` and is
+        retried / quarantined like any other cell error. Trainings are exempt —
         they are legitimately long and shared by many cells. ``None``
         (the default) disables the budget. Execution knob only: it is
         *not* part of the cell's content key.
@@ -590,7 +648,17 @@ def sweep(
     Results come back in grid order (scenario-major, then system, then
     seed) regardless of which worker finished first. Quarantined cells
     leave ``None`` at their grid position; aggregation skips them.
+
+    Scheduling: trainings go first and each group's cells are queued the
+    moment its policy lands. At most ``workers`` tasks are in flight, so
+    one worker runs a task, journals or quarantines it, and only then
+    starts the next. A failing task retries ``cell_retries`` times before
+    it is quarantined (a training takes its waiting cells with it) or
+    re-raised. A broken process pool is respawned (at most
+    ``_MAX_POOL_RESPAWNS`` times) and the tasks it interrupted rerun
+    without being charged an attempt.
     """
+    check_execution(workers, cell_retries, cell_timeout)
     if on_error not in ("quarantine", "raise"):
         raise ValueError(
             f"on_error must be 'quarantine' or 'raise', got {on_error!r}"
@@ -650,6 +718,7 @@ def sweep(
         f"{len(pending)} to compute"
     )
 
+    n_workers = 0
     if pending:
         # --- group DRL cells by training key (train-once / evaluate-many)
         group_keys: dict[int, str] = {}
@@ -697,141 +766,151 @@ def sweep(
                 f"{len(to_train)} to train)"
             )
 
-        train_tasks = [
-            (cells[i].spec, n_jobs, cells[i].seed, pretrain, online_epochs, pred)
-            for (_, i, pred) in to_train
-        ]
-        done = {"cells": total - len(pending), "trained": 0}
+        # --- schedule: tasks are ("train", index into to_train) or
+        # ("evaluate", grid index). Trainings go first, then every cell
+        # whose policy is at hand; a training group's cells wait for it.
+        ready = deque(("train", j) for j in range(len(to_train)))
+        waiting: dict[str, list[int]] = {}
+        for i in pending:
+            tkey = group_keys.get(i)
+            if tkey is not None and tkey not in policies:
+                waiting.setdefault(tkey, []).append(i)
+            else:
+                ready.append(("evaluate", i))
+        n_done, n_trained = total - len(pending), 0
 
-        failed_groups: set[str] = set()
+        def task(kind: str, n: int) -> tuple:
+            if kind == "train":
+                _, i, with_predictor = to_train[n]
+                spec, seed = cells[i].spec, cells[i].seed
+                args = (spec, n_jobs, seed, pretrain, online_epochs, with_predictor)
+                return _train_policy_task, args
+            cell = cells[n]
+            policy = policies.get(group_keys.get(n))
+            args = (cell.spec, cell.system, cell.seed, protocol, policy, cell_timeout)
+            return _execute_cell, args
 
-        def cell_task(j: int) -> tuple:
-            i = pending[j]
-            return (
-                cells[i].spec,
-                cells[i].system,
-                cells[i].seed,
-                protocol,
-                policies.get(group_keys.get(i)),
-                cell_timeout,
-            )
-
-        def register_policy(j: int, policy) -> None:
-            tkey, cell_index, _ = to_train[j]
-            policies[tkey] = policy
-            if ckpt_store is not None:
-                ckpt.store_checkpoint(ckpt_store, tkey, policy)
-            done["trained"] += 1
-            cell = cells[cell_index]
-            emit(
-                f"# trained [{done['trained']}/{len(to_train)}] "
-                f"{cell.spec.name} seed {cell.seed}"
-            )
-
-        def journal_cell(j: int, result: dict) -> None:
-            i = pending[j]
-            results[i] = result
-            if use_cache:
-                store.put(
-                    keys[i], cell_request(cells[i], protocol, warm_start), result
+        def deliver(kind: str, n: int, value) -> None:
+            nonlocal n_done, n_trained
+            if kind == "train":
+                tkey, i, _ = to_train[n]
+                policies[tkey] = value
+                if ckpt_store is not None:
+                    ckpt.store_checkpoint(ckpt_store, tkey, value)
+                n_trained += 1
+                emit(
+                    f"# trained [{n_trained}/{len(to_train)}] "
+                    f"{cells[i].spec.name} seed {cells[i].seed}"
                 )
-            done["cells"] += 1
+                ready.extend(("evaluate", k) for k in waiting.pop(tkey, ()))
+                return
+            results[n] = value
+            if use_cache:
+                store.put(keys[n], cell_request(cells[n], protocol, warm_start), value)
+            n_done += 1
             emit(
-                f"# [{done['cells']}/{total}] {cells[i].spec.name} × "
-                f"{cells[i].system} seed {cells[i].seed}: computed"
+                f"# [{n_done}/{total}] {cells[n].spec.name} × "
+                f"{cells[n].system} seed {cells[n].seed}: computed"
             )
 
-        def quarantine_record(
-            i: int, stage: str, exc: BaseException, attempts_n: int
-        ) -> dict:
+        def quarantine(kind: str, n: int, exc: BaseException, tries: int) -> None:
+            nonlocal n_done
+            i = to_train[n][1] if kind == "train" else n
+            cell = cells[i]
+            error = f"{type(exc).__name__}: {exc}"
             record = {
                 "key": keys[i],
-                "scenario": cells[i].spec.name,
-                "system": cells[i].system,
-                "seed": cells[i].seed,
-                "stage": stage,
-                "error": f"{type(exc).__name__}: {exc}",
-                "attempts": attempts_n,
+                "scenario": cell.spec.name,
+                "system": cell.system,
+                "seed": cell.seed,
+                "stage": kind,
+                "error": error,
+                "attempts": tries,
             }
             quarantined.append(record)
             if use_cache:
                 append_quarantine(store.root, record)
-            return record
-
-        def quarantine_cell(j: int, exc: BaseException, attempts_n: int) -> None:
-            i = pending[j]
-            quarantine_record(i, "evaluate", exc, attempts_n)
-            done["cells"] += 1
+            if kind == "train":
+                emit(
+                    f"# training {cell.spec.name} seed {cell.seed}: "
+                    f"QUARANTINED ({error})"
+                )
+                lost = RuntimeError("training for this cell's group failed")
+                for k in waiting.pop(to_train[n][0], ()):
+                    quarantine("evaluate", k, lost, 0)
+                return
+            n_done += 1
             emit(
-                f"# [{done['cells']}/{total}] {cells[i].spec.name} × "
-                f"{cells[i].system} seed {cells[i].seed}: QUARANTINED "
-                f"({type(exc).__name__}: {exc})"
+                f"# [{n_done}/{total}] {cell.spec.name} × {cell.system} "
+                f"seed {cell.seed}: QUARANTINED ({error})"
             )
 
-        def quarantine_train(j: int, exc: BaseException, attempts_n: int) -> None:
-            tkey, cell_index, _ = to_train[j]
-            failed_groups.add(tkey)
-            quarantine_record(cell_index, "train", exc, attempts_n)
-            cell = cells[cell_index]
-            emit(
-                f"# training {cell.spec.name} seed {cell.seed}: QUARANTINED "
-                f"({type(exc).__name__}: {exc})"
-            )
-
-        n_workers = _pool_workers(workers, len(pending) + len(train_tasks))
-        if n_workers == 1:
-            # Serial: strict train-then-evaluate phases, in-process (so
-            # tests can monkeypatch and results are trivially ordered).
-            # Retry-then-quarantine matches the pool path; ``raise``
-            # mode still honors retries before failing fast.
-            for j, task in enumerate(train_tasks):
-                for attempt in range(cell_retries + 1):
-                    try:
-                        register_policy(j, _train_policy_task(task))
+        n_workers = _pool_workers(workers, len(pending) + len(to_train))
+        attempts: dict[tuple[str, int], int] = {}
+        failure: BaseException | None = None
+        respawns = 0
+        while ready and failure is None:
+            broke = False
+            with _pool(n_workers) as pool:
+                running: dict[Future, tuple[str, int]] = {}
+                while True:
+                    while (
+                        ready
+                        and len(running) < n_workers
+                        and failure is None
+                        and not broke
+                    ):
+                        item = ready.popleft()
+                        fn, args = task(*item)
+                        try:
+                            running[pool.submit(fn, args)] = item
+                        except BrokenProcessPool:
+                            broke = True
+                            ready.appendleft(item)
+                    if not running:
                         break
-                    except Exception as exc:
-                        if attempt < cell_retries:
-                            time.sleep(_RETRY_BACKOFF_S * 2**attempt)
-                            continue
-                        if on_error == "raise":
-                            raise
-                        quarantine_train(j, exc, attempt + 1)
-            for j in range(len(pending)):
-                tkey = group_keys.get(pending[j])
-                if tkey in failed_groups:
-                    quarantine_cell(
-                        j,
-                        RuntimeError("training for this cell's group failed"),
-                        0,
+                    finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        item = running.pop(future)
+                        try:
+                            value = future.result()
+                        except BrokenProcessPool:
+                            # The break killed this task, it didn't fail
+                            # it: resubmit to the respawned pool, attempt
+                            # uncharged.
+                            broke = True
+                            ready.append(item)
+                        except Exception as exc:
+                            if failure is not None:
+                                continue
+                            tries = attempts[item] = attempts.get(item, 0) + 1
+                            if tries <= cell_retries:
+                                time.sleep(_RETRY_BACKOFF_S * 2 ** (tries - 1))
+                                ready.appendleft(item)
+                            elif on_error == "raise":
+                                failure = exc  # deliver the rest, then re-raise
+                            else:
+                                quarantine(*item, exc, tries)
+                        except BaseException as exc:  # KeyboardInterrupt, ...
+                            failure = failure or exc
+                        else:
+                            deliver(*item, value)
+            if broke and failure is None:
+                respawns += 1
+                if respawns > _MAX_POOL_RESPAWNS:
+                    raise RuntimeError(
+                        f"process pool broke {respawns} times "
+                        f"({len(ready)} tasks outstanding); giving up"
                     )
-                    continue
-                for attempt in range(cell_retries + 1):
-                    try:
-                        journal_cell(j, _execute_cell(cell_task(j)))
-                        break
-                    except Exception as exc:
-                        if attempt < cell_retries:
-                            time.sleep(_RETRY_BACKOFF_S * 2**attempt)
-                            continue
-                        if on_error == "raise":
-                            raise
-                        quarantine_cell(j, exc, attempt + 1)
-        else:
-            _run_pipelined(
-                n_workers,
-                pending,
-                group_keys,
-                policies,
-                to_train,
-                train_tasks,
-                cell_task,
-                register_policy,
-                journal_cell,
-                quarantine_cell,
-                quarantine_train,
-                cell_retries,
-                on_error,
-            )
+                logger.warning(
+                    "process pool broke; respawning (%d/%d) and resubmitting "
+                    "%d interrupted task(s)",
+                    respawns,
+                    _MAX_POOL_RESPAWNS,
+                    len(ready),
+                )
+        if failure is not None:
+            raise failure
         if quarantined:
             emit(f"# quarantined: {len(quarantined)} cells")
 
@@ -840,6 +919,7 @@ def sweep(
         cached=cached,
         keys=keys,
         quarantined=quarantined,
+        workers_used=n_workers,
     )
     if profile and use_cache:
         merged = report.telemetry()
@@ -854,141 +934,6 @@ _MAX_POOL_RESPAWNS = 3
 
 #: Base backoff between retry attempts of a failing cell or training.
 _RETRY_BACKOFF_S = 0.5
-
-
-def _run_pipelined(
-    n_workers: int,
-    pending: list[int],
-    group_keys: dict[int, str],
-    policies: dict,
-    to_train: list[tuple[str, int, bool]],
-    train_tasks: list[tuple],
-    cell_task,
-    register_policy,
-    journal_cell,
-    quarantine_cell,
-    quarantine_train,
-    cell_retries: int,
-    on_error: str,
-) -> None:
-    """Fan trainings and evaluations over one pool, without a barrier.
-
-    Policy-free cells (baselines, blob-backed groups, cold DRL cells)
-    are submitted immediately alongside the training tasks; each
-    still-training group's cells are held back and dispatched the moment
-    its policy lands, so the pool never idles behind the slowest
-    training.
-
-    Degradation discipline:
-
-    * A failing task retries up to ``cell_retries`` times (exponential
-      backoff), then is quarantined — or, under ``on_error="raise"``,
-      re-raised after completed results are delivered. A quarantined
-      training quarantines its whole waiting group.
-    * :class:`BrokenProcessPool` (a worker SIGKILLed by the OOM killer,
-      a segfaulting extension) condemns every in-flight future, so the
-      pool is respawned and the interrupted tasks resubmitted *without*
-      charging them an attempt — they are innocent victims, not
-      failures. ``_MAX_POOL_RESPAWNS`` bounds the respawn loop.
-    """
-    waiting: dict[str, list[int]] = {}
-    failure: BaseException | None = None
-    attempts: dict[tuple[str, int], int] = {}
-    ready: list[tuple[str, int]] = [("train", j) for j in range(len(train_tasks))]
-    for j in range(len(pending)):
-        tkey = group_keys.get(pending[j])
-        if tkey is not None and tkey not in policies:
-            waiting.setdefault(tkey, []).append(j)
-        else:
-            ready.append(("cell", j))
-    respawns = 0
-    while ready and failure is None:
-        broke = False
-        with _pool(n_workers) as pool:
-            futures: dict = {}
-
-            def submit(item: tuple[str, int]) -> None:
-                nonlocal broke
-                kind, j = item
-                if broke:
-                    ready.append(item)
-                    return
-                try:
-                    if kind == "train":
-                        future = pool.submit(_train_policy_task, train_tasks[j])
-                    else:
-                        future = pool.submit(_execute_cell, cell_task(j))
-                except BrokenProcessPool:
-                    broke = True
-                    ready.append(item)
-                    return
-                futures[future] = item
-
-            batch = list(ready)
-            ready.clear()
-            for item in batch:
-                submit(item)
-            while futures:
-                finished, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                for future in finished:
-                    kind, j = item = futures.pop(future)
-                    try:
-                        value = future.result()
-                    except BrokenProcessPool:
-                        # The break killed this task, it didn't fail it:
-                        # resubmit to the respawned pool, attempt uncharged.
-                        broke = True
-                        if failure is None:
-                            ready.append(item)
-                        continue
-                    except BaseException as exc:
-                        if failure is not None:
-                            continue
-                        if not isinstance(exc, Exception):
-                            failure = exc  # KeyboardInterrupt, SystemExit
-                            continue
-                        n = attempts[item] = attempts.get(item, 0) + 1
-                        if n <= cell_retries:
-                            time.sleep(_RETRY_BACKOFF_S * 2 ** (n - 1))
-                            submit(item)
-                        elif on_error == "raise":
-                            failure = exc  # deliver the rest, then re-raise
-                        elif kind == "train":
-                            quarantine_train(j, exc, n)
-                            for k in waiting.pop(to_train[j][0], ()):
-                                quarantine_cell(
-                                    k,
-                                    RuntimeError(
-                                        "training for this cell's group failed"
-                                    ),
-                                    0,
-                                )
-                        else:
-                            quarantine_cell(j, exc, n)
-                        continue
-                    if kind == "train":
-                        register_policy(j, value)
-                        if failure is None:
-                            for k in waiting.pop(to_train[j][0], ()):
-                                submit(("cell", k))
-                    else:
-                        journal_cell(j, value)
-        if broke and failure is None:
-            respawns += 1
-            if respawns > _MAX_POOL_RESPAWNS:
-                raise RuntimeError(
-                    f"process pool broke {respawns} times "
-                    f"({len(ready)} tasks outstanding); giving up"
-                )
-            logger.warning(
-                "process pool broke; respawning (%d/%d) and resubmitting "
-                "%d interrupted task(s)",
-                respawns,
-                _MAX_POOL_RESPAWNS,
-                len(ready),
-            )
-    if failure is not None:
-        raise failure
 
 
 # ----------------------------------------------------------------------

@@ -41,9 +41,7 @@ paper's jobs) of extra simulated span and idle energy. Concretely:
 
 from __future__ import annotations
 
-import pickle
 from bisect import bisect_right
-from copy import deepcopy
 
 from repro.sim.churn import CapacityEvent
 from repro.sim.job import Job
@@ -205,10 +203,11 @@ def run_cell_sharded(
     per :func:`combine_shard_metrics`, to within :data:`SHARD_TOLERANCE`
     of the unsharded cell.
 
-    ``workers`` defaults to the detected CPU count (see
-    :func:`~repro.scenarios.orchestrator.detected_cpus`); systems that do
-    not pickle fall back to serial shard execution, which still yields
-    the sharded (recombined) semantics.
+    ``workers`` (at least 1) defaults to the detected CPU count (see
+    :func:`~repro.scenarios.orchestrator.detected_cpus`). Shards run on
+    the sweep's pool (:func:`~repro.scenarios.orchestrator._pool`): one
+    worker evaluates them in this process, one after another, on the
+    same pickled warm copies a process pool receives.
 
     ``checkpoint`` (a :class:`~repro.scenarios.checkpoints.PolicyCheckpoint`)
     composes warm starting with sharding: the in-parent training step is
@@ -218,15 +217,16 @@ def run_cell_sharded(
     Raises
     ------
     ValueError
-        On a non-positive ``shards``, or a scenario
+        On a non-positive ``shards`` or ``workers``, or a scenario
         :func:`check_shardable` rejects.
     """
     from repro.scenarios import registry
     from repro.scenarios.federation import build_cell
-    from repro.scenarios.orchestrator import _pool, _pool_workers
+    from repro.scenarios.orchestrator import _pool, _pool_workers, check_execution
 
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
+    check_execution(workers)
     spec = registry.get(scenario) if isinstance(scenario, str) else scenario
     check_shardable(spec)
     (built,), _, (eval_jobs,) = build_cell(
@@ -256,23 +256,11 @@ def run_cell_sharded(
         for seg, evts, start in zip(segments, shard_events, starts)
     ]
 
+    # Every worker, this process included, receives a pickled copy of
+    # the warm system, so every shard starts from the same snapshot.
     n_workers = _pool_workers(workers, len(tasks))
-    parallel_ok = n_workers > 1
-    if parallel_ok:
-        try:
-            pickle.dumps(tasks[0])
-        except Exception:
-            parallel_ok = False
-    if parallel_ok:
-        with _pool(n_workers) as pool:
-            shard_results = list(pool.map(_run_shard, tasks))
-    else:
-        # Serial fallback: deepcopy preserves the every-shard-starts-warm
-        # semantics a worker pool gets from pickling.
-        n_workers = 1
-        shard_results = [
-            _run_shard((deepcopy(task[0]), *task[1:])) for task in tasks
-        ]
+    with _pool(n_workers) as pool:
+        shard_results = list(pool.map(_run_shard, tasks))
 
     combined = combine_shard_metrics(shard_results)
     combined.update(

@@ -100,6 +100,23 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(scenarios=[TINY], seeds=(), use_cache=False)
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("workers", 0),
+            ("workers", -2),
+            ("cell_retries", -1),
+            ("cell_timeout", -1.0),
+            ("cell_timeout", 0.0),
+        ],
+    )
+    def test_out_of_range_execution_knob_rejected(self, tmp_path, knob, value):
+        store = ResultStore(tmp_path / "cache")
+        with pytest.raises(ValueError, match=knob):
+            sweep(scenarios=[TINY], systems=FAST_SYSTEMS, store=store, **{knob: value})
+        # Rejected before the store is read or written.
+        assert not store.root.exists()
+
 
 class TestAggregation:
     def test_rows_average_over_seeds(self, tmp_path):

@@ -39,8 +39,11 @@ def base_kwargs(store, **extra):
 
 
 class TestQuarantine:
+    # At two workers the patched run_cell reaches the forked pool workers:
+    # _execute_cell looks it up at call time.
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_cell_is_quarantined_and_sweep_continues(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, workers
     ):
         store = ResultStore(tmp_path / "cache")
         real = orchestrator.run_cell
@@ -51,7 +54,7 @@ class TestQuarantine:
             return real(scenario, system, **kw)
 
         monkeypatch.setattr(orchestrator, "run_cell", flaky)
-        report = sweep(**base_kwargs(store))
+        report = sweep(**base_kwargs(store, workers=workers))
         assert report.n_quarantined == 1
         record = report.quarantined[0]
         assert record["system"] == "packing"
@@ -160,12 +163,13 @@ class TestQuarantine:
 
 
 class TestChaosPoison:
-    def test_poisoned_cell_quarantines_via_env(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_poisoned_cell_quarantines_via_env(self, tmp_path, monkeypatch, workers):
         monkeypatch.setenv(
             CHAOS_POISON_ENV, f"{TINY.name}:packing:0"
         )
         store = ResultStore(tmp_path / "cache")
-        report = sweep(**base_kwargs(store))
+        report = sweep(**base_kwargs(store, workers=workers))
         assert report.n_quarantined == 1
         assert report.quarantined[0]["system"] == "packing"
         assert (store.root / QUARANTINE_FILE).exists()

@@ -181,6 +181,13 @@ class TestRunCellSharded:
         assert cell["shards"] == 1
         assert cell["n_jobs_completed"] == 120
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_out_of_range_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_cell_sharded(
+                "paper-default", "round-robin", n_jobs=60, shards=2, workers=workers
+            )
+
     def test_faulted_scenario_is_refused(self):
         # Shards would replay the trace without the scenario's fault
         # plan: a silently fault-free result, so refuse instead.

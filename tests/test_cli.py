@@ -175,6 +175,50 @@ class TestExecution:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--workers", "-2"),
+            ("--cell-retries", "-1"),
+            ("--cell-timeout", "-1"),
+            ("--cell-timeout", "0"),
+        ],
+    )
+    def test_sweep_rejects_out_of_range_execution_knobs(
+        self, capsys, tmp_path, flag, value
+    ):
+        rc = main(["scenario", "sweep", "--scenarios", "paper-default",
+                   "--systems", "round-robin,packing", "--jobs", "60",
+                   "--cache-dir", str(tmp_path / "cache"), flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_sharded_run_rejects_out_of_range_workers(self, capsys, tmp_path, workers):
+        rc = main(["scenario", "run", "--name", "paper-default",
+                   "--system", "round-robin", "--jobs", "60", "--shards", "2",
+                   "--workers", workers, "--cache-dir", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: workers" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_pool_size_counts_trainings(self, capsys, tmp_path):
+        # One training plus two warm-started cells: a pool of three, not
+        # of the two cells alone.
+        argv = ["scenario", "sweep", "--scenarios", "paper-default",
+                "--systems", "drl-only,drl+fixed-30", "--jobs", "60",
+                "--workers", "4", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "pool size 3" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "all cells cached, no pool" in capsys.readouterr().out
+
     @pytest.mark.slow
     def test_scenario_sweep_with_cache(self, capsys, tmp_path):
         argv = ["scenario", "sweep", "--scenarios", "paper-default",
