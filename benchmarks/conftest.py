@@ -13,6 +13,10 @@ Scale knobs (environment variables):
 
 Benchmarks print the paper-style tables to stdout (run pytest with ``-s``
 to see them) and always write them to the output directory.
+
+Every timing gate reads the median per-round ratio of the compared arms
+over the alternating-order rounds of ``tests.helpers.interleaved``, and
+its artifact records the quartiles and round count next to it.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ def _evaluate(system, eval_jobs):
     return result.energy_kwh, result.mean_latency
 
 
-def test_bench_ablation_architecture(benchmark, traces, out_dir, bench_seed):
+def test_bench_ablation_architecture(traces, out_dir, bench_seed):
     """A1: hierarchical Q-network vs flat feed-forward Q-network."""
     eval_jobs, train_traces = traces
     rows = []
@@ -83,16 +83,9 @@ def test_bench_ablation_architecture(benchmark, traces, out_dir, bench_seed):
         ["architecture", "params", "energy kWh", "mean latency s"], rows
     )
     save_artifact(out_dir, "ablation_architecture.txt", text)
-    benchmark.pedantic(
-        lambda: proto.qnet.predict(
-            np.random.default_rng(0).uniform(size=(32, proto.encoder.state_dim))
-        ),
-        rounds=10,
-        iterations=3,
-    )
 
 
-def test_bench_ablation_groups(benchmark, traces, out_dir, bench_seed):
+def test_bench_ablation_groups(traces, out_dir, bench_seed):
     """A2: K in {2, 3, 5} server groups (M = 30)."""
     eval_jobs, train_traces = traces
     rows = []
@@ -107,10 +100,9 @@ def test_bench_ablation_groups(benchmark, traces, out_dir, bench_seed):
         rows.append([k, system.broker.qnet.num_parameters(), f"{e:.2f}", f"{lat:.0f}"])
     text = format_table(["K", "params", "energy kWh", "mean latency s"], rows)
     save_artifact(out_dir, "ablation_groups.txt", text)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_bench_ablation_state_features(benchmark, traces, out_dir, bench_seed):
+def test_bench_ablation_state_features(traces, out_dir, bench_seed):
     """A3: with/without the queue-depth and on/off state features."""
     eval_jobs, train_traces = traces
     rows = []
@@ -132,10 +124,9 @@ def test_bench_ablation_state_features(benchmark, traces, out_dir, bench_seed):
         rows.append([label, f"{e:.2f}", f"{lat:.0f}"])
     text = format_table(["state features", "energy kWh", "mean latency s"], rows)
     save_artifact(out_dir, "ablation_state.txt", text)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_bench_ablation_dpm_learner_sharing(benchmark, traces, out_dir, bench_seed):
+def test_bench_ablation_dpm_learner_sharing(traces, out_dir, bench_seed):
     """A4: shared vs per-server (paper-distributed) local-tier learners."""
     eval_jobs, train_traces = traces
     config = default_config(30, seed=bench_seed)
@@ -153,4 +144,3 @@ def test_bench_ablation_dpm_learner_sharing(benchmark, traces, out_dir, bench_se
         rows.append([label, f"{e:.2f}", f"{lat:.0f}"])
     text = format_table(["local-tier learner", "energy kWh", "mean latency s"], rows)
     save_artifact(out_dir, "ablation_dpm.txt", text)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -15,7 +15,8 @@ Results merge into ``BENCH_hotpath.json`` (the perf trajectory file) in
 the bench output directory under the ``"federation"`` key, alongside the
 decision-epoch numbers.
 The acceptance gate bounds the *home-routed* federation's per-job
-overhead over the single cluster — pure engine tax, no broker — at
+overhead over the single cluster in the median round — pure engine
+tax, no broker — at
 ``REPRO_BENCH_FED_MAX_OVERHEAD`` (default 1.6x; policy brokers are
 reported but ungated, their work scales with what they inspect).
 
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 import pytest
 
@@ -46,6 +46,7 @@ from repro.sim.federation import build_federation
 from repro.sim.power import TariffModel
 from repro.workload.mixtures import correlated_traces
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
+from tests.helpers import interleaved, paired_ratio
 
 FED_JOBS = int(os.environ.get("REPRO_BENCH_FED_JOBS", "1500"))
 MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_FED_MAX_OVERHEAD", "1.6"))
@@ -53,21 +54,12 @@ MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_FED_MAX_OVERHEAD", "1.6"))
 M, SITES = 30, 3
 PER_SITE = M // SITES
 HORIZON = FED_JOBS * 14.0
+POLICIES = ("home", "least-loaded", "price-greedy")
+ROUNDS = 3
 
 TOU = TariffModel.time_of_use(
     peak_start_hour=16.0, peak_end_hour=21.0, peak_price=0.32, offpeak_price=0.08
 )
-
-
-def timed_run(build, run, reps: int = 3) -> float:
-    """Best-of-reps wall seconds for build-and-run (fresh engine each rep)."""
-    best = float("inf")
-    for _ in range(reps):
-        engine, streams = build()
-        t0 = time.perf_counter()
-        run(engine, streams)
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +108,16 @@ def build_fed(per_site, policy):
     return engine, [[job.copy() for job in stream] for stream in per_site]
 
 
+def run_arm(build):
+    """An arm: ``build()`` a fresh engine and its jobs, then run it."""
+
+    def setup():
+        engine, streams = build()
+        return lambda: engine.run(streams)
+
+    return setup
+
+
 def phase_breakdown(per_site, policy: str) -> dict[str, float]:
     """Per-phase *self* microseconds per job for one profiled run."""
     engine, streams = build_fed(per_site, policy)
@@ -133,33 +135,22 @@ def test_bench_federation_dispatch(traces, out_dir):
     single_trace, per_site = traces
     n_fed_jobs = sum(len(stream) for stream in per_site)
 
-    single_s = timed_run(
-        lambda: build_single(single_trace), lambda e, jobs: e.run(jobs)
+    rounds = interleaved(
+        {
+            "single": run_arm(lambda: build_single(single_trace)),
+            **{
+                policy: run_arm(lambda policy=policy: build_fed(per_site, policy))
+                for policy in POLICIES
+            },
+        },
+        ROUNDS,
     )
-    policy_s = {
-        policy: timed_run(
-            lambda policy=policy: build_fed(per_site, policy),
-            lambda e, streams: e.run(streams),
-        )
-        for policy in ("home", "least-loaded", "price-greedy")
-    }
-
-    single_us = single_s / FED_JOBS * 1e6
-    fed_us = {p: s / n_fed_jobs * 1e6 for p, s in policy_s.items()}
-    overhead = fed_us["home"] / single_us
-    if overhead > MAX_OVERHEAD:
-        # One noise-relief re-measure, keeping mins (shared runners).
-        single_s = min(
-            single_s,
-            timed_run(lambda: build_single(single_trace), lambda e, j: e.run(j)),
-        )
-        policy_s["home"] = min(
-            policy_s["home"],
-            timed_run(lambda: build_fed(per_site, "home"), lambda e, s: e.run(s)),
-        )
-        single_us = single_s / FED_JOBS * 1e6
-        fed_us["home"] = policy_s["home"] / n_fed_jobs * 1e6
-        overhead = fed_us["home"] / single_us
+    single_us = rounds.summary("single")["median"] / FED_JOBS * 1e6
+    fed_us = {p: rounds.summary(p)["median"] / n_fed_jobs * 1e6 for p in POLICIES}
+    overhead = paired_ratio(
+        [s / n_fed_jobs for s in rounds.seconds["home"]],
+        [s / FED_JOBS for s in rounds.seconds["single"]],
+    )
 
     payload = {
         "m": M,
@@ -167,7 +158,7 @@ def test_bench_federation_dispatch(traces, out_dir):
         "jobs": FED_JOBS,
         "single_cluster_us_per_job": round(single_us, 2),
         "federated_us_per_job": {p: round(v, 2) for p, v in fed_us.items()},
-        "home_overhead_x": round(overhead, 3),
+        "home_overhead_x": {key: round(v, 3) for key, v in overhead.items()},
         # Instrumented pass: where each policy's per-job time goes.
         # Spans are self-time, so the phases of one policy sum to (at
         # most) its profiled wall time — decision cost is fed.route
@@ -175,15 +166,16 @@ def test_bench_federation_dispatch(traces, out_dir):
         # is site.settle, placement is site.dispatch.
         "phase_us": {
             policy: phase_breakdown(per_site, policy)
-            for policy in ("home", "least-loaded", "price-greedy", "drl")
+            for policy in (*POLICIES, "drl")
         },
     }
     merge_hotpath(out_dir, {"federation": payload})
     save_artifact(out_dir, "BENCH_federation.json", json.dumps(payload, indent=2))
 
-    assert overhead <= MAX_OVERHEAD, (
-        f"home-routed federation costs {overhead:.2f}x the single-cluster "
-        f"dispatch per job (gate {MAX_OVERHEAD:.2f}x; fed "
-        f"{fed_us['home']:.1f} us vs single {single_us:.1f} us); rerun on a "
-        "quiet machine or set REPRO_BENCH_FED_MAX_OVERHEAD"
+    assert overhead["median"] <= MAX_OVERHEAD, (
+        f"home-routed federation costs {overhead['median']:.2f}x the "
+        f"single-cluster dispatch per job in the median of {ROUNDS} rounds "
+        f"(gate {MAX_OVERHEAD:.2f}x; fed {fed_us['home']:.1f} us vs single "
+        f"{single_us:.1f} us); rerun on a quiet machine or set "
+        "REPRO_BENCH_FED_MAX_OVERHEAD"
     )

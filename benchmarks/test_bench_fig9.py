@@ -19,18 +19,9 @@ def fig9(bench_jobs, bench_seed):
     return run_figure9(n_jobs=bench_jobs, seed=bench_seed)
 
 
-def test_bench_fig9(benchmark, fig9, out_dir):
+def test_bench_fig9(fig9, out_dir):
     save_artifact(out_dir, "fig9a_latency.csv", render_series_csv(fig9, "latency"))
     save_artifact(out_dir, "fig9b_energy.csv", render_series_csv(fig9, "energy"))
-    benchmark.pedantic(
-        lambda: render_series_csv(fig9, "energy"), rounds=3, iterations=1
-    )
-
-    # Shape assertions (repeated standalone below for plain pytest runs).
-    lat_finals = {name: pts[-1][1] for name, pts in fig9.latency.items()}
-    eng_finals = {name: pts[-1][1] for name, pts in fig9.energy.items()}
-    assert lat_finals["round-robin"] == min(lat_finals.values())
-    assert eng_finals["round-robin"] == max(eng_finals.values())
 
 
 def test_shape_round_robin_extremes_m40(fig9):

@@ -66,7 +66,7 @@ def _evaluate(predictor, test_series):
     }
 
 
-def test_bench_lstm_predictor(benchmark, trained, out_dir):
+def test_bench_lstm_predictor(trained, out_dir):
     predictor, test_series, history = trained
     stats = _evaluate(predictor, test_series)
     text = (
@@ -77,10 +77,6 @@ def test_bench_lstm_predictor(benchmark, trained, out_dir):
         f"last-value={stats['naive_cat_acc']:.1%}"
     )
     save_artifact(out_dir, "lstm_predictor.txt", text)
-    window = test_series[: predictor.config.lookback]
-    benchmark.pedantic(
-        lambda: predictor.predict_seconds(window), rounds=20, iterations=5
-    )
     # Shape: the trained LSTM must beat the naive predictor in MSE.
     assert stats["lstm_mse"] < stats["naive_mse"]
 

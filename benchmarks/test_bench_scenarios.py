@@ -25,12 +25,23 @@ from repro.scenarios.checkpoints import CheckpointStore
 from repro.scenarios.orchestrator import detected_cpus, run_cell, sweep
 from repro.scenarios.sharding import run_cell_sharded
 from repro.scenarios.store import ResultStore
+from tests.helpers import interleaved, paired_ratio
 
 SCENARIO_JOBS = int(os.environ.get("REPRO_BENCH_SCENARIO_JOBS", "200"))
 #: Non-learning systems keep the bench about orchestration, not training.
 BENCH_SYSTEMS = ("round-robin", "packing")
 #: Cell size for the warm-start bench (DRL cells: training dominates).
 WARM_JOBS = int(os.environ.get("REPRO_BENCH_WARM_JOBS", "150"))
+#: Timed rounds of the sharded and warm-start gates (seconds per round).
+ROUNDS = 3
+
+
+def describe_speedup(ratio: dict) -> str:
+    """A per-round speedup summary as one line of text."""
+    return (
+        f"{ratio['median']:.2f}x (median of {ratio['n']} rounds, quartiles "
+        f"{ratio['q1']:.2f}x and {ratio['q3']:.2f}x)"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -98,45 +109,42 @@ def test_bench_sharded_cell(out_dir, bench_seed):
     wall clock (the whole point of sharding a single cell); on one CPU
     the timing line is still recorded but the speedup is not asserted.
     The cell is sized (default 12000 jobs, ~1.5 s unsharded) so the pool
-    spin-up cost cannot mask the win, and a losing first measurement is
-    re-timed once before judging (shared runners are noisy).
+    spin-up cost cannot mask the win. Both run in the same interleaved
+    rounds, and the gate takes the median per-round speedup (shared
+    runners are noisy).
     """
     n_jobs = int(os.environ.get("REPRO_BENCH_SHARD_JOBS", "12000"))
     shards = 4
 
-    def time_unsharded():
-        t0 = time.perf_counter()
-        result = run_cell(
-            "paper-default", "round-robin", n_jobs=n_jobs, seed=bench_seed
-        )
-        return time.perf_counter() - t0, result
+    def run_unsharded():
+        return run_cell("paper-default", "round-robin", n_jobs=n_jobs, seed=bench_seed)
 
-    def time_sharded():
-        t0 = time.perf_counter()
-        result = run_cell_sharded(
-            "paper-default", "round-robin", n_jobs=n_jobs, seed=bench_seed,
+    def run_sharded():
+        return run_cell_sharded(
+            "paper-default",
+            "round-robin",
+            n_jobs=n_jobs,
+            seed=bench_seed,
             shards=shards,
         )
-        return time.perf_counter() - t0, result
 
-    t_unsharded, unsharded = time_unsharded()
-    t_sharded, sharded = time_sharded()
+    rounds = interleaved(
+        {"unsharded": lambda: run_unsharded, "sharded": lambda: run_sharded}, ROUNDS
+    )
+    unsharded, sharded = rounds.results["unsharded"], rounds.results["sharded"]
     cpus = detected_cpus()
-    if cpus >= 2 and sharded["workers_used"] >= 2 and t_sharded >= t_unsharded:
-        t_unsharded = min(t_unsharded, time_unsharded()[0])
-        t_sharded = min(t_sharded, time_sharded()[0])
 
     assert sharded["n_jobs_completed"] == unsharded["n_jobs_completed"]
-    speedup = t_unsharded / t_sharded if t_sharded > 0 else float("inf")
+    speedup = paired_ratio(rounds.seconds["unsharded"], rounds.seconds["sharded"])
     text = "\n".join(
         [
             f"cell: paper-default x round-robin, {n_jobs} jobs, "
             f"{shards} shards, {cpus} CPUs detected",
-            f"unsharded: {t_unsharded:.2f} s",
-            f"sharded:   {t_sharded:.2f} s ({sharded['workers_used']} workers)",
-            f"speedup:   {speedup:.2f}x",
-            f"power delta: "
-            "{:.1%}".format(
+            f"unsharded: {rounds.summary('unsharded')['median']:.2f} s median",
+            f"sharded:   {rounds.summary('sharded')['median']:.2f} s median "
+            f"({sharded['workers_used']} workers)",
+            f"speedup:   {describe_speedup(speedup)}",
+            "power delta: {:.1%}".format(
                 abs(sharded["average_power_w"] - unsharded["average_power_w"])
                 / unsharded["average_power_w"]
             ),
@@ -144,9 +152,9 @@ def test_bench_sharded_cell(out_dir, bench_seed):
     )
     save_artifact(out_dir, "bench_sharded_cell.txt", text)
     if cpus >= 2 and sharded["workers_used"] >= 2:
-        assert t_sharded < t_unsharded, (
-            f"sharded cell ({t_sharded:.2f} s) must beat unsharded "
-            f"({t_unsharded:.2f} s) with {sharded['workers_used']} workers"
+        assert speedup["median"] > 1.0, (
+            f"sharded cell must beat unsharded with {sharded['workers_used']} "
+            f"workers, got a speedup of {describe_speedup(speedup)}"
         )
 
 
@@ -163,8 +171,8 @@ def test_bench_warm_start_sweep(out_dir, bench_seed, tmp_path):
       checkpoint store: zero trainings, evaluation only.
 
     The hot-blob sweep must beat the per-cell sweep (it skips *all*
-    training); a losing first measurement is re-timed once before
-    judging, since shared runners are noisy.
+    training). The two run in the same interleaved rounds, and the gate
+    takes the median per-round speedup, since shared runners are noisy.
     """
     systems = ("drl-only", "hierarchical")
     base = dict(
@@ -179,43 +187,37 @@ def test_bench_warm_start_sweep(out_dir, bench_seed, tmp_path):
     )
     ckpt_store = CheckpointStore(tmp_path / "ckpt")
 
-    def time_per_cell():
-        t0 = time.perf_counter()
-        sweep(use_cache=False, warm_start=False, **base)
-        return time.perf_counter() - t0
+    def per_cell():
+        return sweep(use_cache=False, warm_start=False, **base)
 
-    def time_warm(store):
-        t0 = time.perf_counter()
-        report = sweep(use_cache=False, checkpoints=store, **base)
-        return time.perf_counter() - t0, report
+    def warm():
+        return sweep(use_cache=False, checkpoints=ckpt_store, **base)
 
-    t_per_cell = time_per_cell()
-    t_warm_cold, _ = time_warm(ckpt_store)
+    t0 = time.perf_counter()
+    warm()  # cold blobs: trains the group once and persists it
+    t_warm_cold = time.perf_counter() - t0
     assert len(ckpt_store) == 1, "both DRL cells must share one training"
-    t_warm_hot, hot = time_warm(ckpt_store)
+    rounds = interleaved({"per_cell": lambda: per_cell, "hot": lambda: warm}, ROUNDS)
     assert len(ckpt_store) == 1
-    assert hot.n_computed == len(systems)
+    assert rounds.results["hot"].n_computed == len(systems)
 
-    if t_warm_hot >= t_per_cell:  # re-time once: shared runners are noisy
-        t_per_cell = min(t_per_cell, time_per_cell())
-        t_warm_hot = min(t_warm_hot, time_warm(ckpt_store)[0])
-
-    speedup = t_per_cell / t_warm_hot if t_warm_hot > 0 else float("inf")
+    speedup = paired_ratio(rounds.seconds["per_cell"], rounds.seconds["hot"])
     text = "\n".join(
         [
             f"grid: paper-default x {len(systems)} DRL systems, "
             f"{WARM_JOBS} jobs/cell, serial",
-            f"per-cell training:      {t_per_cell:.2f} s "
-            f"({len(systems)} policies trained)",
-            f"warm start, cold blobs: {t_warm_cold:.2f} s (1 policy trained)",
-            f"warm start, hot blobs:  {t_warm_hot:.2f} s (0 policies trained)",
-            f"speedup (hot vs per-cell): {speedup:.2f}x",
+            f"per-cell training:      {rounds.summary('per_cell')['median']:.2f} s "
+            f"median ({len(systems)} policies trained)",
+            f"warm start, cold blobs: {t_warm_cold:.2f} s once (1 policy trained)",
+            f"warm start, hot blobs:  {rounds.summary('hot')['median']:.2f} s "
+            "median (0 policies trained)",
+            f"speedup (hot vs per-cell): {describe_speedup(speedup)}",
         ]
     )
     save_artifact(out_dir, "bench_warm_start.txt", text)
-    assert t_warm_hot < t_per_cell, (
-        f"warm sweep ({t_warm_hot:.2f} s) must beat per-cell training "
-        f"({t_per_cell:.2f} s)"
+    assert speedup["median"] > 1.0, (
+        "warm sweep must beat per-cell training, got a speedup of "
+        f"{describe_speedup(speedup)}"
     )
 
 

@@ -27,36 +27,12 @@ def table1_rows(bench_jobs, bench_seed):
     return run_table1(n_jobs=bench_jobs, cluster_sizes=(30, 40), seed=bench_seed)
 
 
-def test_bench_table1(benchmark, table1_rows, out_dir, bench_jobs):
-    """Timing proxy: one evaluation cell (round-robin, M=30)."""
-    from repro.harness.runner import make_system, run_system
-    from repro.harness.table1 import default_config, make_traces
-
-    eval_jobs, _ = make_traces(min(bench_jobs, 1000), 30, 0)
-    system = make_system("round-robin", default_config(30))
-
-    benchmark.pedantic(
-        lambda: run_system(system, eval_jobs), rounds=2, iterations=1
-    )
-
+def test_bench_table1(table1_rows, out_dir):
+    """Render Table I and the claim summaries; the tests below check them."""
     text = render_table1(table1_rows)
     for m in (30, 40):
         text += "\n" + evaluate_claims(table1_rows, num_servers=m).summary()
     save_artifact(out_dir, "table1.txt", text)
-
-    # Shape assertions (also run standalone below under plain pytest;
-    # repeated here because --benchmark-only skips fixture-less tests).
-    for m in (30, 40):
-        by_system = {r.system: r for r in table1_rows if r.num_servers == m}
-        rr = by_system["round-robin"]
-        assert rr.latency_1e6_s == min(r.latency_1e6_s for r in by_system.values())
-        assert rr.energy_kwh == max(r.energy_kwh for r in by_system.values())
-        report = evaluate_claims(table1_rows, num_servers=m)
-        assert report.power_saving_vs_round_robin > 0.20
-        assert (
-            report.energy_saving_vs_drl > -0.10
-            or report.latency_saving_vs_drl > 0.10
-        )
 
 
 @pytest.mark.parametrize("m", [30, 40])

@@ -14,6 +14,14 @@ from dataclasses import dataclass, field
 from repro.sim.power import PowerModel
 
 
+def groups_for(num_servers: int) -> int:
+    """K between 2 and 4 dividing M (paper: K in [2, 4])."""
+    for k in (4, 3, 2):
+        if num_servers % k == 0:
+            return k
+    return 1
+
+
 @dataclass(frozen=True)
 class GlobalTierConfig:
     """Hyper-parameters of the DRL-based global tier.

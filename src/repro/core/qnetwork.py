@@ -18,8 +18,6 @@ parameter count is independent of K — the two benefits the paper claims.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.core.state import StateEncoder
@@ -28,6 +26,35 @@ from repro.nn.layers import Module
 from repro.nn.mlp import MLP
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.obs import telemetry as obs
+
+
+def check_batch(
+    states: np.ndarray, actions: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A minibatch as float states, int actions and float targets; raises
+    ``ValueError`` unless there is one action and one target per state."""
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    actions = np.asarray(actions, dtype=np.int64).reshape(-1)
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
+    n = states.shape[0]
+    if actions.shape[0] != n or targets.shape[0] != n:
+        raise ValueError(
+            f"batch size mismatch: {n} states, {actions.shape[0]} actions, "
+            f"{targets.shape[0]} targets"
+        )
+    return states, actions, targets
+
+
+def loss_and_derr(
+    err: np.ndarray, huber_delta: float | None
+) -> tuple[float, np.ndarray]:
+    """Summed chosen-action loss (MSE, or Huber) and its derivative."""
+    if huber_delta is None:
+        return float(np.sum(err**2)), 2.0 * err
+    abs_err = np.abs(err)
+    quad = np.minimum(abs_err, huber_delta)
+    loss = float(np.sum(0.5 * quad**2 + huber_delta * (abs_err - quad)))
+    return loss, np.clip(err, -huber_delta, huber_delta)
 
 
 class FlatQNetwork(Module):
@@ -80,21 +107,11 @@ class FlatQNetwork(Module):
         huber_delta: float | None = None,
     ) -> float:
         """Minibatch regression of the chosen-action outputs to ``targets``."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        actions = np.asarray(actions, dtype=np.int64).reshape(-1)
-        targets = np.asarray(targets, dtype=np.float64).reshape(-1)
+        states, actions, targets = check_batch(states, actions, targets)
         n = states.shape[0]
         q, caches = self.net.forward(states)
         rows = np.arange(n)
-        err = q[rows, actions] - targets
-        if huber_delta is None:
-            loss = float(np.sum(err**2)) / n
-            derr = 2.0 * err
-        else:
-            abs_err = np.abs(err)
-            quad = np.minimum(abs_err, huber_delta)
-            loss = float(np.sum(0.5 * quad**2 + huber_delta * (abs_err - quad))) / n
-            derr = np.clip(err, -huber_delta, huber_delta)
+        loss, derr = loss_and_derr(q[rows, actions] - targets, huber_delta)
         dq = np.zeros_like(q)
         dq[rows, actions] = derr / n
         self.zero_grad()
@@ -102,7 +119,7 @@ class FlatQNetwork(Module):
         if max_grad_norm is not None:
             clip_grad_norm(self.parameters(), max_grad_norm)
         optimizer.step()
-        return loss
+        return loss / n
 
     def pretrain_autoencoder(self, states: np.ndarray, **kwargs) -> list[float]:
         """No autoencoder in the flat architecture; offline phase no-op."""
@@ -190,21 +207,6 @@ class HierarchicalQNetwork(Module):
         """
         return [(k + offset) % self.num_groups for offset in range(1, self.num_groups)]
 
-    def _assemble(
-        self,
-        k: int,
-        groups: np.ndarray,
-        codes: np.ndarray,
-        jobs: np.ndarray,
-        sample_idx: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Build the Sub-Q_k input ``[raw g_k | codes of others | job]``."""
-        idx = slice(None) if sample_idx is None else sample_idx
-        parts = [groups[k][idx]]
-        parts.extend(codes[other][idx] for other in self._other_groups(k))
-        parts.append(jobs[idx])
-        return np.concatenate(parts, axis=1)
-
     def _encode_all(self, groups: np.ndarray) -> np.ndarray:
         """Codes for every group: shape (K, batch, code_dim)."""
         batch = groups.shape[1]
@@ -217,9 +219,10 @@ class HierarchicalQNetwork(Module):
     ) -> np.ndarray:
         """All K Sub-Q input blocks at once: shape ``(K, batch, subq_in)``.
 
-        Row ``(k, i)`` holds exactly the vector :meth:`_assemble` builds
-        for group ``k`` and sample ``i`` — the loop's concatenation is
-        replaced by slice assignment into one preallocated array.
+        Row ``(k, i)`` holds exactly the vector the per-group loop
+        reference in ``tests/helpers.py`` concatenates for group ``k``
+        and sample ``i``, built by slice assignment into one
+        preallocated array.
         """
         k, batch = self.num_groups, jobs.shape[0]
         out = np.empty((k, batch, self.subq_in))
@@ -243,32 +246,17 @@ class HierarchicalQNetwork(Module):
         stacked into one ``(K, batch, subq_in)`` tensor and pushed through
         the shared network in a *single* forward call. NumPy's stacked
         matmul issues one identically-shaped GEMM per group, so every
-        group's Q block is bit-identical to :meth:`predict_loop` (a
-        flattened ``(K*batch, subq_in)`` GEMM would not be: BLAS picks
-        different kernels for different row counts, perturbing final ulps
-        — see the equivalence tests).
+        group's Q block is bit-identical to the per-group loop reference
+        in ``tests/helpers.py`` (a flattened ``(K*batch, subq_in)`` GEMM
+        would not be: BLAS picks different kernels for different row
+        counts, perturbing final ulps — see
+        ``tests/core/test_qnetwork_equivalence.py``).
         """
         groups, jobs = self.encoder.split(states)
         codes = self._encode_all(groups)
         x = self._assemble_all(groups, codes, jobs)
         q = self.subq.predict(x)  # (K, batch, group_size)
         return q.transpose(1, 0, 2).reshape(jobs.shape[0], self.num_actions)
-
-    def predict_loop(self, states: np.ndarray) -> np.ndarray:
-        """Reference per-group loop (the pre-vectorization path).
-
-        Kept as the ground truth the batched :meth:`predict` must match
-        bit for bit, and as the baseline the hot-path microbenchmark
-        measures its speedup against.
-        """
-        groups, jobs = self.encoder.split(states)
-        codes = self._encode_all(groups)
-        batch = jobs.shape[0]
-        out = np.empty((batch, self.num_actions))
-        for k in range(self.num_groups):
-            q_k = self.subq.predict(self._assemble(k, groups, codes, jobs))
-            out[:, k * self.group_size : (k + 1) * self.group_size] = q_k
-        return out
 
     def q_values(self, state: np.ndarray) -> np.ndarray:
         """Q-vector for a single state; shape ``(M,)``."""
@@ -281,32 +269,6 @@ class HierarchicalQNetwork(Module):
     def make_optimizer(self, lr: float = 1e-3) -> Adam:
         """Adam over the shared parameters (each shared tensor once)."""
         return Adam(self.parameters(), lr=lr)
-
-    def _check_batch(
-        self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        actions = np.asarray(actions, dtype=np.int64).reshape(-1)
-        targets = np.asarray(targets, dtype=np.float64).reshape(-1)
-        n = states.shape[0]
-        if actions.shape[0] != n or targets.shape[0] != n:
-            raise ValueError(
-                f"batch size mismatch: {n} states, {actions.shape[0]} actions, "
-                f"{targets.shape[0]} targets"
-            )
-        return states, actions, targets
-
-    @staticmethod
-    def _loss_and_derr(
-        err: np.ndarray, huber_delta: float | None
-    ) -> tuple[float, np.ndarray]:
-        """Per-group chosen-action loss sum and its derivative."""
-        if huber_delta is None:
-            return float(np.sum(err**2)), 2.0 * err
-        abs_err = np.abs(err)
-        quad = np.minimum(abs_err, huber_delta)
-        loss = float(np.sum(0.5 * quad**2 + huber_delta * (abs_err - quad)))
-        return loss, np.clip(err, -huber_delta, huber_delta)
 
     def train_step(
         self,
@@ -330,141 +292,58 @@ class HierarchicalQNetwork(Module):
         backward (instead of K of each), and the Sub-Q inputs for every
         group come from a single vectorized assembly. The Sub-Q GEMMs
         themselves stay per-group because each group sees a different
-        subset of samples — keeping their shapes identical to
-        :meth:`train_step_loop` is what makes the two paths bit-identical
-        (the code-gradient scatter back to the per-group accumulators is
-        an exact element-wise operation either way).
+        subset of samples — keeping their shapes identical to the
+        per-group loop reference in ``tests/helpers.py`` is what makes
+        the two paths bit-identical (the code-gradient scatter back to
+        the per-group accumulators is an exact element-wise operation
+        either way).
         """
-        tel = obs.active()
-        if tel is None:
-            return self._train_step_batched(
-                states, actions, targets, optimizer, max_grad_norm, huber_delta
-            )
-        with tel.span("qnet.train_step"):
-            return self._train_step_batched(
-                states, actions, targets, optimizer, max_grad_norm, huber_delta
-            )
+        with obs.get().span("qnet.train_step"):
+            states, actions, targets = check_batch(states, actions, targets)
+            n = states.shape[0]
+            groups, jobs = self.encoder.split(states)
 
-    def _train_step_batched(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        targets: np.ndarray,
-        optimizer: Adam,
-        max_grad_norm: float | None,
-        huber_delta: float | None,
-    ) -> float:
-        states, actions, targets = self._check_batch(states, actions, targets)
-        n = states.shape[0]
-        groups, jobs = self.encoder.split(states)
+            # One stacked forward through the shared encoder; slice [k] of
+            # the caches is exactly the cache a per-group forward would
+            # produce.
+            codes, enc_caches = self.autoencoder.encode_with_cache(groups)
+            x_all = self._assemble_all(groups, codes, jobs)
 
-        # One stacked forward through the shared encoder; slice [k] of the
-        # caches is exactly the cache a per-group forward would produce.
-        codes, enc_caches = self.autoencoder.encode_with_cache(groups)
-        x_all = self._assemble_all(groups, codes, jobs)
+            self.zero_grad()
+            total_loss = 0.0
+            # dL/dcode accumulators, one plane per group (codes feed K-1
+            # Sub-Q passes); filled by exact scatter, so a single stacked
+            # encoder backward below replaces the per-group loop.
+            dcodes = np.zeros_like(codes)
+            group_ids = actions // self.group_size
 
-        self.zero_grad()
-        total_loss = 0.0
-        # dL/dcode accumulators, one plane per group (codes feed K-1
-        # Sub-Q passes); filled by exact scatter, so a single stacked
-        # encoder backward below replaces the per-group loop.
-        dcodes = np.zeros_like(codes)
-        group_ids = actions // self.group_size
+            for k in range(self.num_groups):
+                sample_idx = np.flatnonzero(group_ids == k)
+                if sample_idx.size == 0:
+                    continue
+                q_k, caches = self.subq.forward(x_all[k][sample_idx])
+                local = actions[sample_idx] - k * self.group_size
+                rows = np.arange(sample_idx.size)
+                err = q_k[rows, local] - targets[sample_idx]
+                group_loss, derr = loss_and_derr(err, huber_delta)
+                total_loss += group_loss
+                dq = np.zeros_like(q_k)
+                dq[rows, local] = derr / n
+                dx = self.subq.backward(dq, caches)
+                # Split dx back into [raw g_k | other codes | job] and route
+                # the code gradients to their producing encoder rows.
+                offset = self.group_dim
+                for other in self._other_index[k]:
+                    dcodes[other][sample_idx] += dx[:, offset : offset + self.code_dim]
+                    offset += self.code_dim
 
-        for k in range(self.num_groups):
-            sample_idx = np.flatnonzero(group_ids == k)
-            if sample_idx.size == 0:
-                continue
-            x_k = x_all[k][sample_idx]
-            q_k, caches = self.subq.forward(x_k)
-            local = actions[sample_idx] - k * self.group_size
-            rows = np.arange(sample_idx.size)
-            err = q_k[rows, local] - targets[sample_idx]
-            group_loss, derr = self._loss_and_derr(err, huber_delta)
-            total_loss += group_loss
-            dq = np.zeros_like(q_k)
-            dq[rows, local] = derr / n
-            dx = self.subq.backward(dq, caches)
-            # Split dx back into [raw g_k | other codes | job] and route the
-            # code gradients to their producing encoder rows.
-            offset = self.group_dim
-            for other in self._other_index[k]:
-                dcodes[other][sample_idx] += dx[:, offset : offset + self.code_dim]
-                offset += self.code_dim
+            if self.num_groups > 1:
+                self.autoencoder.encoder_backward(dcodes, enc_caches)
 
-        if self.num_groups > 1:
-            self.autoencoder.encoder_backward(dcodes, enc_caches)
-
-        if max_grad_norm is not None:
-            clip_grad_norm(self.parameters(), max_grad_norm)
-        optimizer.step()
-        return total_loss / n
-
-    def train_step_loop(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        targets: np.ndarray,
-        optimizer: Adam,
-        max_grad_norm: float | None = 10.0,
-        huber_delta: float | None = None,
-    ) -> float:
-        """Reference per-group training loop (the pre-vectorization path).
-
-        Semantically and bit-wise equal to :meth:`train_step`; kept as
-        the equivalence-test ground truth and microbenchmark baseline.
-        """
-        states, actions, targets = self._check_batch(states, actions, targets)
-        n = states.shape[0]
-        groups, jobs = self.encoder.split(states)
-
-        # Forward the shared encoder once per group, keeping caches so the
-        # Q-loss can flow back into it.
-        enc_caches: list[list[dict[str, Any]]] = []
-        codes_list: list[np.ndarray] = []
-        for k in range(self.num_groups):
-            code_k, cache_k = self.autoencoder.encode_with_cache(groups[k])
-            codes_list.append(code_k)
-            enc_caches.append(cache_k)
-        codes = np.stack(codes_list)
-
-        self.zero_grad()
-        total_loss = 0.0
-        # dL/dcode accumulators per group (codes feed K-1 Sub-Q passes).
-        dcodes = [np.zeros_like(codes[k]) for k in range(self.num_groups)]
-
-        for k in range(self.num_groups):
-            group_lo = k * self.group_size
-            mask = (actions >= group_lo) & (actions < group_lo + self.group_size)
-            sample_idx = np.flatnonzero(mask)
-            if sample_idx.size == 0:
-                continue
-            x_k = self._assemble(k, groups, codes, jobs, sample_idx)
-            q_k, caches = self.subq.forward(x_k)
-            local = actions[sample_idx] - group_lo
-            rows = np.arange(sample_idx.size)
-            err = q_k[rows, local] - targets[sample_idx]
-            group_loss, derr = self._loss_and_derr(err, huber_delta)
-            total_loss += group_loss
-            dq = np.zeros_like(q_k)
-            dq[rows, local] = derr / n
-            dx = self.subq.backward(dq, caches)
-            # Split dx back into [raw g_k | other codes | job] and route the
-            # code gradients to their producing encoder passes.
-            offset = self.group_dim
-            for other in self._other_groups(k):
-                dcode = dx[:, offset : offset + self.code_dim]
-                dcodes[other][sample_idx] += dcode
-                offset += self.code_dim
-
-        for k in range(self.num_groups):
-            if np.any(dcodes[k]):
-                self.autoencoder.encoder_backward(dcodes[k], enc_caches[k])
-
-        if max_grad_norm is not None:
-            clip_grad_norm(self.parameters(), max_grad_norm)
-        optimizer.step()
-        return total_loss / n
+            if max_grad_norm is not None:
+                clip_grad_norm(self.parameters(), max_grad_norm)
+            optimizer.step()
+            return total_loss / n
 
     def clone(self, rng: np.random.Generator | None = None) -> "HierarchicalQNetwork":
         """Independent copy with identical weights (same encoder geometry)."""

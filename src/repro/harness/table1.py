@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.config import ExperimentConfig, GlobalTierConfig
+from repro.core.config import ExperimentConfig, GlobalTierConfig, groups_for
 from repro.harness.report import format_table
 from repro.harness.runner import RunResult, standard_protocol
 from repro.workload.synthetic import (
@@ -48,19 +48,11 @@ class Table1Row:
         )
 
 
-def _groups_for(num_servers: int) -> int:
-    """K between 2 and 4 dividing M (paper: K in [2, 4])."""
-    for k in (4, 3, 2):
-        if num_servers % k == 0:
-            return k
-    return 1
-
-
 def default_config(num_servers: int, seed: int = 0) -> ExperimentConfig:
     """Paper-default experiment configuration for a cluster size."""
     return ExperimentConfig(
         num_servers=num_servers,
-        global_tier=GlobalTierConfig(num_groups=_groups_for(num_servers)),
+        global_tier=GlobalTierConfig(num_groups=groups_for(num_servers)),
         seed=seed,
     )
 

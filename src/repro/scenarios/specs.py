@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.config import ExperimentConfig, GlobalTierConfig
-from repro.faults.spec import FaultSpec, SiteOutageSpec
+from repro.core.config import ExperimentConfig, GlobalTierConfig, groups_for
+from repro.faults.spec import FaultSpec
 from repro.scenarios.store import content_key
 from repro.sim.churn import CapacityEvent
 from repro.sim.job import Job
@@ -52,14 +52,6 @@ FEDERATION_POLICIES = (
     "carbon-greedy",
     "drl",
 )
-
-
-def groups_for(num_servers: int) -> int:
-    """K between 2 and 4 dividing M (paper: K in [2, 4])."""
-    for k in (4, 3, 2):
-        if num_servers % k == 0:
-            return k
-    return 1
 
 
 @dataclass(frozen=True)

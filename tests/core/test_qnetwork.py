@@ -148,6 +148,12 @@ class TestFlatQNetwork:
             last = flat.train_step(states, actions, targets, optimizer)
         assert last < 0.3 * first
 
+    def test_train_step_batch_mismatch_raises(self, encoder, rng):
+        flat = FlatQNetwork(encoder, hidden=(16,), rng=rng)
+        states = random_states(encoder, 4, rng)
+        with pytest.raises(ValueError, match="mismatch"):
+            flat.train_step(states, [2], [0.5], flat.make_optimizer())
+
     def test_clone(self, encoder, rng):
         flat = FlatQNetwork(encoder, rng=rng)
         states = random_states(encoder, 3, rng)

@@ -1,7 +1,8 @@
 """Bit-exactness of the batched Sub-Q fast path vs the per-group loop.
 
 The vectorized ``predict``/``train_step`` must be *bit-identical* — not
-merely close — to the reference ``predict_loop``/``train_step_loop``:
+merely close — to the loop reference ``predict_loop``/``train_step_loop``
+in ``tests/helpers.py``:
 the fast path batches via numpy's stacked ``(K, batch, in) @ (in, out)``
 matmul, which issues one identically-shaped GEMM per group, so every
 floating-point operation matches the loop's. (Flattening to a single
@@ -15,6 +16,7 @@ import pytest
 
 from repro.core.qnetwork import HierarchicalQNetwork
 from repro.core.state import StateEncoder
+from tests.helpers import predict_loop, train_step_loop
 
 
 def make_net(num_servers=6, num_groups=3, seed=0, **enc_kwargs):
@@ -38,7 +40,7 @@ class TestPredictEquivalence:
     def test_batched_predict_bit_identical(self, batch, rng):
         net = make_net()
         states = random_states(net, batch, rng)
-        assert np.array_equal(net.predict(states), net.predict_loop(states))
+        assert np.array_equal(net.predict(states), predict_loop(net, states))
 
     @pytest.mark.parametrize(
         "num_servers,num_groups", [(4, 2), (8, 4), (30, 3), (5, 1)]
@@ -46,12 +48,12 @@ class TestPredictEquivalence:
     def test_across_geometries(self, num_servers, num_groups, rng):
         net = make_net(num_servers, num_groups)
         states = random_states(net, 5, rng)
-        assert np.array_equal(net.predict(states), net.predict_loop(states))
+        assert np.array_equal(net.predict(states), predict_loop(net, states))
 
     def test_q_values_single_state(self, rng):
         net = make_net(30, 3)
         state = random_states(net, 1, rng)[0]
-        assert np.array_equal(net.q_values(state), net.predict_loop(state[None, :])[0])
+        assert np.array_equal(net.q_values(state), predict_loop(net, state[None, :])[0])
 
 
 class TestTrainStepEquivalence:
@@ -67,8 +69,9 @@ class TestTrainStepEquivalence:
         loss_fast = fast.train_step(
             states, actions, targets, fast.make_optimizer(lr=1e-3), huber_delta=huber
         )
-        loss_loop = loop.train_step_loop(
-            states, actions, targets, loop.make_optimizer(lr=1e-3), huber_delta=huber
+        opt_loop = loop.make_optimizer(lr=1e-3)
+        loss_loop = train_step_loop(
+            loop, states, actions, targets, opt_loop, huber_delta=huber
         )
         assert loss_fast == loss_loop
         for p_fast, p_loop in zip(fast.parameters(), loop.parameters()):
@@ -83,7 +86,7 @@ class TestTrainStepEquivalence:
         actions = rng.integers(0, 2, size=6)  # group 0 only
         targets = rng.normal(size=6)
         fast.train_step(states, actions, targets, fast.make_optimizer())
-        loop.train_step_loop(states, actions, targets, loop.make_optimizer())
+        train_step_loop(loop, states, actions, targets, loop.make_optimizer())
         for p_fast, p_loop in zip(fast.parameters(), loop.parameters()):
             assert np.array_equal(p_fast.value, p_loop.value), p_fast.name
 
@@ -98,7 +101,7 @@ class TestTrainStepEquivalence:
             actions = rng.integers(0, 8, size=16)
             targets = rng.normal(size=16)
             fast.train_step(states, actions, targets, opt_fast)
-            loop.train_step_loop(states, actions, targets, opt_loop)
+            train_step_loop(loop, states, actions, targets, opt_loop)
         states = random_states(fast, 4, rng)
         assert np.array_equal(fast.predict(states), loop.predict(states))
         for p_fast, p_loop in zip(fast.parameters(), loop.parameters()):

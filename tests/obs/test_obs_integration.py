@@ -16,9 +16,7 @@ Three properties the whole design hangs on:
 
 from __future__ import annotations
 
-import gc
 import os
-import time
 
 import pytest
 
@@ -31,6 +29,7 @@ from repro.sim.federation import build_federation
 from repro.sim.power import TariffModel
 from repro.workload.mixtures import correlated_traces
 from repro.workload.synthetic import SyntheticTraceConfig
+from tests.helpers import interleaved
 
 MAX_OVERHEAD = float(os.environ.get("REPRO_OBS_MAX_OVERHEAD", "0.10"))
 
@@ -96,14 +95,14 @@ class TestOverhead:
     Measured on the federation hot path (three 10-server sites with
     least-loaded cluster brokers, shifted time-of-use tariffs, and a
     price-greedy federation broker — the follow-the-sun dispatch stack
-    of the acceptance scenario). Each repetition runs one plain and one
-    instrumented arm back-to-back (order alternating, GC paused) and
-    yields one overhead ratio; the gate applies to the *smallest* ratio
-    observed. Machine noise — scheduler preemption, frequency drift,
-    co-tenants — only ever inflates a ratio, so the cleanest pair is
-    the best estimate of the instrumentation's intrinsic cost, while a
-    real regression (extra work on every event) inflates every pair
-    and still trips the gate.
+    of the acceptance scenario). Each round of
+    ``tests.helpers.interleaved`` runs one plain and one instrumented arm
+    back-to-back (order alternating, GC paused) and yields one overhead
+    ratio; the gate applies to the *smallest* ratio observed. Machine
+    noise — scheduler preemption, frequency drift, co-tenants — only
+    ever inflates a ratio, so the cleanest pair is the best estimate of
+    the instrumentation's intrinsic cost, while a real regression (extra
+    work on every event) inflates every pair and still trips the gate.
     """
 
     N_JOBS = 1500
@@ -155,47 +154,31 @@ class TestOverhead:
         )
         return engine, [[job.copy() for job in s] for s in per_site]
 
-    def _run_plain(self, per_site) -> float:
-        engine, streams = self._build(per_site)
-        t0 = time.perf_counter()
-        engine.run(streams)
-        return time.perf_counter() - t0
+    def _arm(self, per_site, instrumented: bool):
+        def setup():
+            engine, streams = self._build(per_site)
+            if not instrumented:
+                return lambda: engine.run(streams)
 
-    def _run_instrumented(self, per_site) -> float:
-        engine, streams = self._build(per_site)
-        t0 = time.perf_counter()
-        with obs.capture():
-            engine.run(streams)
-        return time.perf_counter() - t0
+            def run():
+                with obs.capture():
+                    engine.run(streams)
 
-    def _measure(self, per_site) -> float:
-        """Smallest instrumented/plain ratio over interleaved pairs."""
-        # Untimed warmup pair (first runs eat cold caches and the CPU's
-        # turbo transient), then alternate which arm goes first per
-        # pair so frequency drift cannot systematically favour one arm.
-        self._run_plain(per_site)
-        self._run_instrumented(per_site)
-        best = float("inf")
-        gc.disable()
-        try:
-            for rep in range(self.REPS):
-                if rep % 2 == 0:
-                    plain = self._run_plain(per_site)
-                    instrumented = self._run_instrumented(per_site)
-                else:
-                    instrumented = self._run_instrumented(per_site)
-                    plain = self._run_plain(per_site)
-                best = min(best, instrumented / plain)
-        finally:
-            gc.enable()
-        return best - 1.0
+            return run
+
+        return setup
 
     @pytest.mark.slow
     def test_enabled_overhead_within_budget(self, per_site):
-        overhead = self._measure(per_site)
-        if overhead > MAX_OVERHEAD:
-            # One noise-relief re-measure (shared runners).
-            overhead = min(overhead, self._measure(per_site))
+        seconds = interleaved(
+            {
+                "plain": self._arm(per_site, instrumented=False),
+                "instrumented": self._arm(per_site, instrumented=True),
+            },
+            self.REPS,
+        ).seconds
+        ratios = [i / p for i, p in zip(seconds["instrumented"], seconds["plain"])]
+        overhead = min(ratios) - 1.0
         assert overhead <= MAX_OVERHEAD, (
             f"enabled telemetry costs {overhead:.1%} over the uninstrumented "
             f"run in the cleanest of {self.REPS} interleaved pairs (gate "
