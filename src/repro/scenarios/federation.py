@@ -11,7 +11,8 @@ path builds every cell. :func:`build_cell`
    system seed);
 2. builds per-site home streams and training segments from the spec
    (:meth:`~repro.scenarios.specs.ScenarioSpec.build_site_traces` —
-   correlated across sites);
+   correlated across sites; training segments only for a cell with
+   policy weights, :func:`~repro.scenarios.checkpoints.needs_policy`);
 3. builds one named cluster-tier system per site (each trained on its
    own segments, or warm-started from a
    :class:`~repro.scenarios.checkpoints.PolicyCheckpoint`);
@@ -184,7 +185,9 @@ def build_cell(
             "to warm-start"
         )
     trace_ss, system_seed = derive_cell_seeds(seed)
-    eval_streams, train_streams = spec.build_site_traces(n_jobs, trace_ss)
+    eval_streams, train_streams = spec.build_site_traces(
+        n_jobs, trace_ss, with_training=needs_policy(spec, system)
+    )
     n_sites = len(spec.site_specs)
     site_seeds, fed_seed = derive_site_seeds(system_seed, n_sites)
 

@@ -396,7 +396,11 @@ class TraceReplaySpec:
         return range(reserve, reserve + eval_n), segments
 
     def build(
-        self, n_jobs: int, n_train_segments: int, train_fraction: float
+        self,
+        n_jobs: int,
+        n_train_segments: int,
+        train_fraction: float,
+        with_training: bool = True,
     ) -> tuple[list[Job], list[list[Job]]]:
         """Evaluation trace and training segments per the split policy.
 
@@ -405,7 +409,8 @@ class TraceReplaySpec:
         than failing, so the same scenario drives smoke fixtures and
         real multi-gigabyte traces. Training reserves at most half the
         usable jobs; empty segments are dropped. Every returned stream
-        is re-based to t = 0 and renumbered.
+        is re-based to t = 0 and renumbered. ``with_training=False``
+        skips the segments, not their reservation.
         """
         jobs = self.load_jobs()
         eval_range, segment_ranges = self._split_ranges(
@@ -416,7 +421,7 @@ class TraceReplaySpec:
             [
                 rebase([jobs[i] for i in segment])
                 for segment in segment_ranges
-                if segment
+                if segment and with_training
             ],
         )
 
@@ -530,7 +535,11 @@ class WorkloadSpec:
         return n_jobs / reference_rate(num_servers, self.rate_scale)
 
     def build(
-        self, n_jobs: int, num_servers: int, seed: int | np.random.SeedSequence
+        self,
+        n_jobs: int,
+        num_servers: int,
+        seed: int | np.random.SeedSequence,
+        with_training: bool = True,
     ) -> tuple[list[Job], list[list[Job]]]:
         """Generate the evaluation trace and training segments.
 
@@ -540,10 +549,11 @@ class WorkloadSpec:
         even when built in parallel workers. Trace replay is
         deterministic: the seed does not perturb the recorded jobs (it
         still seeds controller construction elsewhere).
+        ``with_training=False`` skips the training segments.
         """
         if self.replay is not None:
             return self.replay.build(
-                n_jobs, self.n_train_segments, self.train_fraction
+                n_jobs, self.n_train_segments, self.train_fraction, with_training
             )
         ss = (
             seed
@@ -551,6 +561,8 @@ class WorkloadSpec:
             else np.random.SeedSequence(seed)
         )
         eval_ss, *train_ss = ss.spawn(1 + self.n_train_segments)
+        if not with_training:
+            train_ss = []
         class_configs = [(c.trace, c.weight) for c in self.classes]
         crowds = [
             (f.start_fraction, f.duration_fraction, f.rate_multiplier)
@@ -927,7 +939,10 @@ class ScenarioSpec:
         return self.workload.build(n_jobs, self.num_servers_total, seed)
 
     def build_site_traces(
-        self, n_jobs: int, seed: int | np.random.SeedSequence
+        self,
+        n_jobs: int,
+        seed: int | np.random.SeedSequence,
+        with_training: bool = True,
     ) -> tuple[list[list[Job]], list[list[list[Job]]]]:
         """Per-site home streams plus per-site training segments.
 
@@ -941,12 +956,12 @@ class ScenarioSpec:
         the way real fleets' do. A federation of one, explicit or
         implicit, delegates to the single-cluster
         :meth:`WorkloadSpec.build` and is therefore the identical
-        experiment.
+        experiment. ``with_training=False`` skips the training segments.
         """
         workload = self.workload
         if len(self.sites) <= 1:
             eval_jobs, segments = workload.build(
-                n_jobs, self.num_servers_total, seed
+                n_jobs, self.num_servers_total, seed, with_training
             )
             return [eval_jobs], [[segment] for segment in segments]
         ss = (
@@ -955,6 +970,8 @@ class ScenarioSpec:
             else np.random.SeedSequence(seed)
         )
         eval_ss, *train_ss = ss.spawn(1 + workload.n_train_segments)
+        if not with_training:
+            train_ss = []
         total_weight = sum(site.weight for site in self.sites)
         config = workload.classes[0].trace
         coupling = (

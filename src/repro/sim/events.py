@@ -1,9 +1,10 @@
 """Continuous-time event queue.
 
-A simple binary-heap priority queue of ``(time, sequence, event)`` where
-the sequence number breaks ties deterministically in insertion order.
-Events carry a callback; cancellation is lazy (a cancelled event is popped
-and skipped), which keeps DPM timeout handling O(log n). A live-event
+A simple binary-heap priority queue of ``(time, sequence, event)`` tuples
+where the unique sequence number breaks ties deterministically in
+insertion order, so the heap never compares two events. Events carry a
+callback; cancellation is lazy (a cancelled event is popped and
+skipped), which keeps DPM timeout handling O(log n). A live-event
 counter is maintained on schedule/cancel/pop so ``len(queue)`` is O(1)
 instead of a scan over a heap full of cancelled tombstones.
 """
@@ -17,18 +18,16 @@ from typing import Callable
 class ScheduledEvent:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "kind", "_queue")
+    __slots__ = ("time", "callback", "cancelled", "kind", "_queue")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[[float], None],
         kind: str = "",
         queue: "EventQueue | None" = None,
     ) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.kind = kind
@@ -41,9 +40,6 @@ class ScheduledEvent:
             if self._queue is not None:
                 self._queue._live -= 1
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"ScheduledEvent(t={self.time:.3f}, kind={self.kind!r}{state})"
@@ -53,7 +49,7 @@ class EventQueue:
     """Time-ordered queue of :class:`ScheduledEvent`."""
 
     def __init__(self) -> None:
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = 0
         self._live = 0  # scheduled minus (cancelled + popped): O(1) len()
         self.now = 0.0
@@ -72,14 +68,15 @@ class EventQueue:
         Raises
         ------
         ValueError
-            If ``time`` is in the simulated past.
+            If ``time`` is in the simulated past or NaN (a NaN compares
+            false with everything and would misorder the heap).
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(f"cannot schedule at {time} before now ({self.now})")
-        event = ScheduledEvent(time, self._seq, callback, kind, queue=self)
+        event = ScheduledEvent(time, callback, kind, queue=self)
+        heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
         self._live += 1
-        heapq.heappush(self._heap, event)
         return event
 
     def schedule_in(
@@ -95,17 +92,19 @@ class EventQueue:
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def pop(self) -> ScheduledEvent | None:
         """Pop and return the next live event, advancing ``now``.
 
         Returns None when no live events remain.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
             if event.cancelled:
                 continue
             if event.time < self.now:

@@ -9,6 +9,7 @@ therefore includes queueing delay and any server boot delay (Fig. 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 #: Resource vector index conventions used across the library.
@@ -25,10 +26,10 @@ class Job:
     job_id:
         Unique identifier within a trace.
     arrival_time:
-        Simulated arrival time in seconds.
+        Simulated arrival time in seconds; finite and non-negative.
     duration:
         Execution time in seconds once resources are granted (paper: jobs
-        between 1 minute and 2 hours).
+        between 1 minute and 2 hours); finite and positive.
     resources:
         Demand per resource type, each in ``(0, 1]`` as a fraction of one
         server's capacity.
@@ -45,10 +46,11 @@ class Job:
     finish_time: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(f"job {self.job_id}: negative arrival time")
-        if self.duration <= 0:
-            raise ValueError(f"job {self.job_id}: duration must be positive")
+        # Written so that NaN fails too: it compares false with anything.
+        if not 0 <= self.arrival_time < math.inf:
+            raise ValueError(f"job {self.job_id}: arrival time must be finite and >= 0")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"job {self.job_id}: duration must be finite and positive")
         if not self.resources:
             raise ValueError(f"job {self.job_id}: empty resource vector")
         for name, demand in zip(RESOURCE_NAMES, self.resources):

@@ -7,9 +7,12 @@ arrays shared by the cluster and its servers. Servers update their own
 row scalar-wise at their change points (assign / start / finish / sleep /
 wake), while cluster-wide operations become single vector expressions:
 
-* :meth:`ClusterLedger.sync` integrates *all* servers to ``now`` in a
-  handful of array ops instead of an O(M) Python loop of per-server
-  ``account`` calls;
+* the five integrated rates are the rows of one ``(5, M)`` matrix,
+  ``rates`` (row order :data:`RATES`), and their time integrals the
+  matching rows of ``integrals`` (:data:`INTEGRALS`), so
+  :meth:`ClusterLedger.sync` integrates *all* servers to ``now`` with
+  one broadcast multiply-add, ``integrals += rates * dt``, instead of an
+  O(M) Python loop of per-server ``account`` calls;
 * aggregate reads (total energy, VM-seconds, overload) are ``ndarray.sum``
   reductions;
 * the DRL state encoder consumes the utilization / power-state / queue
@@ -26,6 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 _EPS = 1e-9
+
+#: Rows of ``ClusterLedger.rates`` and, in the same order, of the time
+#: integrals ``ClusterLedger.integrals``; each name is a view of its row.
+RATES = ("power", "queue", "in_system", "active_cpu", "overload_excess")
+INTEGRALS = ("energy", "queue_int", "system_int", "util_int", "overload_int")
 
 
 class ClusterLedger:
@@ -44,40 +52,23 @@ class ClusterLedger:
 
     Exact time integrals (advanced by ``account``/:meth:`sync`):
     ``energy``, ``queue_int``, ``system_int``, ``util_int``,
-    ``overload_int``, with per-server ``last_account`` stamps.
+    ``overload_int``, with per-server ``last_account`` stamps. The
+    rates are the rows of the ``(5, M)`` matrix ``rates`` and the
+    integrals those of ``integrals`` (orders :data:`RATES` and
+    :data:`INTEGRALS`); each named array above is a view of its row.
     """
 
-    __slots__ = (
-        "util",
-        "on",
-        "queue",
-        "in_system",
-        "power",
-        "active_cpu",
-        "overload_excess",
-        "energy",
-        "queue_int",
-        "system_int",
-        "util_int",
-        "overload_int",
-        "last_account",
-    )
+    __slots__ = ("util", "on", "last_account", "rates", "integrals", *RATES, *INTEGRALS)
 
     def __init__(self, num_servers: int, num_resources: int) -> None:
         m = int(num_servers)
         self.util = np.zeros((m, int(num_resources)))
         self.on = np.zeros(m)
-        self.queue = np.zeros(m)
-        self.in_system = np.zeros(m)
-        self.power = np.zeros(m)
-        self.active_cpu = np.zeros(m)
-        self.overload_excess = np.zeros(m)
-        self.energy = np.zeros(m)
-        self.queue_int = np.zeros(m)
-        self.system_int = np.zeros(m)
-        self.util_int = np.zeros(m)
-        self.overload_int = np.zeros(m)
         self.last_account = np.zeros(m)
+        self.rates = np.zeros((len(RATES), m))
+        self.integrals = np.zeros((len(INTEGRALS), m))
+        for name, row in zip(RATES + INTEGRALS, (*self.rates, *self.integrals)):
+            setattr(self, name, row)
 
     def sync(self, now: float) -> None:
         """Integrate every server's time metrics up to ``now`` at once.
@@ -85,19 +76,16 @@ class ClusterLedger:
         Raises
         ------
         RuntimeError
-            If any server's accounting clock is ahead of ``now``.
+            If any server's accounting clock is ahead of ``now``; no
+            integral is touched then.
         """
         dt = now - self.last_account
-        bad = np.flatnonzero(dt < -_EPS)
-        if bad.size:
+        if (dt < -_EPS).any():
+            bad = int(np.flatnonzero(dt < -_EPS)[0])
             raise RuntimeError(
-                f"server {int(bad[0])}: accounting time went backwards "
-                f"({now} < {self.last_account[bad[0]]})"
+                f"server {bad}: accounting time went backwards "
+                f"({now} < {self.last_account[bad]})"
             )
         np.maximum(dt, 0.0, out=dt)
-        self.energy += self.power * dt
-        self.queue_int += self.queue * dt
-        self.system_int += self.in_system * dt
-        self.util_int += self.active_cpu * dt
-        self.overload_int += self.overload_excess * dt
+        self.integrals += self.rates * dt
         self.last_account[:] = now

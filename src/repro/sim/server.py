@@ -177,53 +177,29 @@ class Server:
         """Exact energy integral in joules."""
         return float(self._ledger.energy[self._index])
 
-    @energy_joules.setter
-    def energy_joules(self, value: float) -> None:
-        self._ledger.energy[self._index] = value
-
     @property
     def queue_integral(self) -> float:
         """Waiting jobs × seconds."""
         return float(self._ledger.queue_int[self._index])
-
-    @queue_integral.setter
-    def queue_integral(self, value: float) -> None:
-        self._ledger.queue_int[self._index] = value
 
     @property
     def system_integral(self) -> float:
         """(Waiting + running) jobs × seconds."""
         return float(self._ledger.system_int[self._index])
 
-    @system_integral.setter
-    def system_integral(self, value: float) -> None:
-        self._ledger.system_int[self._index] = value
-
     @property
     def util_integral(self) -> float:
         """CPU-utilization × seconds."""
         return float(self._ledger.util_int[self._index])
-
-    @util_integral.setter
-    def util_integral(self, value: float) -> None:
-        self._ledger.util_int[self._index] = value
 
     @property
     def overload_integral(self) -> float:
         """max(0, cpu − threshold) × seconds."""
         return float(self._ledger.overload_int[self._index])
 
-    @overload_integral.setter
-    def overload_integral(self, value: float) -> None:
-        self._ledger.overload_int[self._index] = value
-
     @property
     def _last_account(self) -> float:
         return float(self._ledger.last_account[self._index])
-
-    @_last_account.setter
-    def _last_account(self, value: float) -> None:
-        self._ledger.last_account[self._index] = value
 
     @property
     def cpu_utilization(self) -> float:
@@ -284,9 +260,17 @@ class Server:
             self._refresh()
 
     def fits(self, job: Job) -> bool:
-        """Whether ``job`` fits in the current free capacity."""
-        demand = np.asarray(job.resources[: self.num_resources])
-        return bool(np.all(self.used + demand <= self.capacity + _EPS))
+        """Whether ``job`` fits in the current free capacity.
+
+        ``used + demand <= capacity + _EPS`` in every dimension, compared
+        on Python floats: the array form's doubles, without allocating.
+        """
+        for used, demand, capacity in zip(
+            self.used.tolist(), job.resources, self.capacity.tolist()
+        ):
+            if not used + demand <= capacity + _EPS:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Accounting

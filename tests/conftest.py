@@ -15,6 +15,12 @@ from repro.sim.job import Job
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: a long end-to-end run (still part of the default suite)"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

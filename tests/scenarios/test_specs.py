@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.scenarios import registry, specs
+from repro.scenarios.federation import build_cell
 from repro.scenarios.specs import (
     CapacityWindowSpec,
     FleetSpec,
@@ -14,6 +16,7 @@ from repro.scenarios.specs import (
     rolling_maintenance,
 )
 from repro.sim.power import PowerModel
+from repro.workload import mixtures
 
 
 class TestValidation:
@@ -117,6 +120,49 @@ class TestTraces:
         assert len(events) == 2
         assert all(e.time == pytest.approx(500.0) for e in events)
         assert all(e.duration == pytest.approx(100.0) for e in events)
+
+
+class TestTrainingSegmentsOnDemand:
+    """A cell generates training segments only when something reads them."""
+
+    @pytest.mark.parametrize(
+        "name, module, generator",
+        [
+            # One synthetic class: one generate_trace call per stream.
+            ("paper-default", mixtures, "generate_trace"),
+            # Multi-site: one correlated_traces call per stream.
+            ("federated-correlated", specs, "correlated_traces"),
+        ],
+    )
+    def test_round_robin_cell_generates_only_its_evaluation(
+        self, monkeypatch, name, module, generator
+    ):
+        spec = registry.get(name)
+        calls = []
+        original = getattr(module, generator)
+
+        def spy(*args, **kwargs):
+            calls.append(generator)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, generator, spy)
+        *_, rr_streams = build_cell("round-robin", spec, 60, seed=3)
+        assert len(calls) == 1
+        calls.clear()
+        *_, drl_streams = build_cell(
+            "drl-only", spec, 60, seed=3, pretrain=False, online_epochs=0
+        )
+        assert len(calls) == 1 + spec.workload.n_train_segments
+        assert rr_streams == drl_streams
+
+    def test_replay_without_training_keeps_its_evaluation(self):
+        spec = registry.get("google-replay")
+        eval_streams, segments = spec.build_site_traces(50, seed=0)
+        lazy_streams, no_segments = spec.build_site_traces(
+            50, seed=0, with_training=False
+        )
+        assert segments and no_segments == []
+        assert lazy_streams == eval_streams
 
 
 class TestContentKey:

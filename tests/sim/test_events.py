@@ -36,6 +36,16 @@ class TestScheduling:
         with pytest.raises(ValueError, match="before now"):
             q.schedule(5.0, lambda t: None)
 
+    def test_schedule_nan_raises(self):
+        # NaN compares false with everything: let into the heap it would
+        # misorder every later entry.
+        q = EventQueue()
+        q.schedule(1.0, lambda t: None)
+        for schedule in (q.schedule, q.schedule_in):
+            with pytest.raises(ValueError):
+                schedule(float("nan"), lambda t: None)
+        assert len(q) == 1 == len(q._heap)
+
     def test_schedule_in_relative(self):
         q = EventQueue()
         times = []
@@ -124,7 +134,7 @@ class TestCounterInvariants:
 
     @staticmethod
     def _live_in_heap(q: EventQueue) -> int:
-        return sum(1 for e in q._heap if not e.cancelled)
+        return sum(1 for _, _, e in q._heap if not e.cancelled)
 
     def test_cancel_after_peek_prune_is_noop(self):
         q = EventQueue()

@@ -19,6 +19,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="duration"):
             Job(1, 0.0, duration, (0.5,))
 
+    @pytest.mark.parametrize(
+        "arrival, duration",
+        [
+            (float("nan"), 60.0),
+            (float("inf"), 60.0),
+            (0.0, float("nan")),
+            (0.0, float("inf")),
+            (float("nan"), float("inf")),
+        ],
+    )
+    def test_non_finite_times_raise(self, arrival, duration):
+        with pytest.raises(ValueError, match="finite"):
+            Job(0, arrival, duration, (0.5, 0.1, 0.1))
+
     def test_empty_resources_raise(self):
         with pytest.raises(ValueError, match="resource"):
             Job(1, 0.0, 60.0, ())

@@ -12,7 +12,10 @@ from repro.core.baselines import (
     RoundRobinBroker,
 )
 from repro.sim.engine import build_simulation
+from repro.sim.events import EventQueue
 from repro.sim.job import Job
+from repro.sim.power import PowerModel
+from repro.sim.server import _EPS, Server
 
 
 @st.composite
@@ -138,3 +141,40 @@ def test_fcfs_start_order_per_server(trace):
     for assigned in per_server.values():
         starts = [j.start_time for j in assigned]
         assert all(a <= b + 1e-9 for a, b in zip(starts, starts[1:]))
+
+
+@st.composite
+def fit_cases(draw):
+    """A server's used/capacity state plus a demand, biased to the edges.
+
+    ``mode`` picks the demand: free-drawn, or exactly the headroom
+    ``capacity + _EPS - used`` of every dimension (the tolerance
+    boundary), or one ulp past it. Capacity comes from ``set_capacity``
+    and includes the fully drained server (0.0).
+    """
+    d = draw(st.integers(min_value=1, max_value=3))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    fraction = draw(st.one_of(st.sampled_from([0.0, 1.0]), unit))
+    used = draw(st.lists(unit, min_size=d, max_size=d))
+    mode = draw(st.sampled_from(["free", "boundary", "past"]))
+    if mode == "free":
+        positive = st.floats(min_value=1e-12, max_value=1.0)
+        demand = draw(st.lists(positive, min_size=d, max_size=d))
+    else:
+        demand = [fraction + _EPS - u for u in used]
+        if mode == "past":
+            demand = [float(np.nextafter(x, np.inf)) for x in demand]
+        demand = [min(max(x, 1e-12), 1.0) for x in demand]
+    return d, fraction, used, demand
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fit_cases())
+def test_fits_matches_array_comparison(case):
+    d, fraction, used, demand = case
+    server = Server(0, PowerModel(), EventQueue(), AlwaysOnPolicy(), num_resources=d)
+    server.set_capacity(0.0, fraction)
+    server.used[:] = used
+    job = Job(0, 0.0, 1.0, tuple(demand))
+    expected = np.all(server.used + np.asarray(demand) <= server.capacity + _EPS)
+    assert server.fits(job) is bool(expected)

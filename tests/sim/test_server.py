@@ -170,6 +170,17 @@ class TestFigure4PowerManagement:
         assert server.wakeups == 1
 
 
+    def test_infinite_timeout_schedules_nothing(self):
+        # math.inf is legal only as a policy timeout, and it is never
+        # turned into an event.
+        server, events = make_server(ScriptedPolicy([math.inf]))
+        server.assign(job(1, 0.0, 50.0, 0.5), 0.0)
+        events.run_until_empty()
+        assert server.state is PowerState.IDLE
+        assert server._timeout_event is None
+        assert len(events) == 0 and events.now == 50.0
+
+
 class TestEnergyAccounting:
     def test_idle_energy_exact(self):
         server, events = make_server()
