@@ -1,4 +1,4 @@
-"""Experiment E8 — ablations of the design choices DESIGN.md calls out.
+"""Experiment E8 — ablations of the architecture's design choices.
 
 Not a paper table; these benches quantify the load-bearing pieces of the
 architecture on our substrate:

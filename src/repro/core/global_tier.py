@@ -245,7 +245,7 @@ def offline_pretrain(
                 num_resources=broker.encoder.num_resources,
                 initially_on=initially_on,
             )
-            engine.run(list(trace))
+            engine.run([job.copy() for job in trace])
     finally:
         broker.behavior = None
 

@@ -9,8 +9,11 @@
   tier plus the distributed RL power manager with LSTM workload
   prediction in the local tier.
 
-Each builder returns a :class:`HierarchicalSystem` bundle that knows how
-to construct a ready-to-run :class:`~repro.sim.engine.ClusterEngine`.
+Each builder returns a :class:`HierarchicalSystem` bundle.
+:meth:`HierarchicalSystem.site` maps it to one site's arguments for
+:func:`~repro.sim.federation.build_federation`, the one engine builder;
+:meth:`HierarchicalSystem.run` simulates a trace on a fresh one-site
+engine built from them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.core.predictor import WorkloadPredictor
 from repro.core.state import StateEncoder
 from repro.rl.smdp import SMDPQLearner
 from repro.sim.churn import CapacityEvent
-from repro.sim.engine import ClusterEngine, build_simulation
+from repro.sim.engine import SimulationResult, build_simulation
 from repro.sim.interfaces import Broker, PowerPolicy
 from repro.sim.job import Job
 from repro.sim.power import TariffModel
@@ -44,45 +47,40 @@ class HierarchicalSystem:
     initially_on: bool = False
     predictor: WorkloadPredictor | None = None
 
-    def build_engine(
-        self,
-        record_every: int | None = None,
-        keep_jobs: bool = False,
-        capacity_events: tuple[CapacityEvent, ...] = (),
-        tariff: "TariffModel | None" = None,
-        faults=None,
-    ) -> ClusterEngine:
-        """Construct a simulation engine around this system."""
-        return build_simulation(
-            num_servers=self.config.num_servers,
-            broker=self.broker,
-            policies=self.policies,
-            power_model=self.config.fleet_power_models,
-            num_resources=self.config.num_resources,
-            overload_threshold=self.config.overload_threshold,
-            initially_on=self.initially_on,
-            record_every=(
-                record_every if record_every is not None else self.config.record_every
-            ),
-            keep_jobs=keep_jobs,
-            capacity_events=capacity_events,
-            tariff=tariff,
-            faults=faults,
-        )
+    def site(self, **extra) -> dict:
+        """This system as one site of :func:`~repro.sim.federation.build_federation`.
+
+        The one mapping from a system (its config, broker, policies and
+        ``initially_on``) to site arguments; ``extra`` adds the rest
+        (``name``, ``record_every``, ``tariff``, ``capacity_events``).
+        """
+        config = self.config
+        return {
+            "num_servers": config.num_servers,
+            "broker": self.broker,
+            "policies": self.policies,
+            "power_model": config.fleet_power_models,
+            "num_resources": config.num_resources,
+            "overload_threshold": config.overload_threshold,
+            "initially_on": self.initially_on,
+            **extra,
+        }
 
     def run(
         self,
         jobs: list[Job],
         record_every: int | None = None,
-        keep_jobs: bool = False,
         capacity_events: tuple[CapacityEvent, ...] = (),
         tariff: "TariffModel | None" = None,
         faults=None,
-    ):
-        """Convenience: build an engine and run the trace."""
-        return self.build_engine(
-            record_every, keep_jobs, capacity_events, tariff=tariff, faults=faults
-        ).run(jobs)
+    ) -> SimulationResult:
+        """Simulate ``jobs`` on a fresh one-site engine around this system."""
+        if record_every is None:
+            record_every = self.config.record_every
+        site = self.site(
+            record_every=record_every, capacity_events=capacity_events, tariff=tariff
+        )
+        return build_simulation(**site, faults=faults).run(jobs)
 
     def freeze(self) -> None:
         """Put every learning component into greedy evaluation mode."""

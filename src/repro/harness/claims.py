@@ -10,8 +10,8 @@ Sec. VII claims, for the 30-machine / 95 000-job case:
   energy and **16.20 %** energy at equal latency versus fixed timeouts.
 
 We do not expect to match these numbers on a different substrate — the
-*shape* assertions (who wins, roughly what factor, see DESIGN.md §3) are
-what :func:`evaluate_claims` checks and EXPERIMENTS.md records.
+*shape* assertions (who wins, roughly by what factor) are what
+:func:`evaluate_claims` checks and ``python -m repro table1`` prints.
 """
 
 from __future__ import annotations

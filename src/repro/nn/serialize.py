@@ -87,7 +87,7 @@ def load_states(
     catch and treat those as cache misses.
     """
     states: dict[str, dict[str, np.ndarray]] = {}
-    with np.load(Path(path), allow_pickle=False) as blob:
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as blob:
         meta = json.loads(str(blob[META_KEY][()])) if META_KEY in blob else {}
         if not isinstance(meta, dict):
             raise ValueError(f"blob metadata must be a JSON object, got {meta!r}")

@@ -19,10 +19,13 @@ path builds every cell. :func:`build_cell`
 4. builds the federation-tier dispatcher named by ``spec.federation``
    (training the DRL dispatcher over the training streams when cold).
 
-:func:`build_federation_engine` then puts every site on one event clock
-with the scenario's churn and faults, and
-:func:`repro.scenarios.orchestrator.run_cell` runs it and flattens the
-result.
+:func:`build_federation_engine` then maps each site's system to site
+arguments (:meth:`~repro.core.hierarchical.HierarchicalSystem.site`)
+and hands them, with the scenario's churn and faults, to
+:func:`~repro.sim.federation.build_federation` — the one engine builder,
+which puts every site on one event clock.
+:func:`repro.scenarios.orchestrator.run_cell` runs the engine and
+flattens the result.
 """
 
 from __future__ import annotations
@@ -35,13 +38,10 @@ from repro.core.federation import DRLFederationBroker, make_federation_broker
 from repro.core.hierarchical import HierarchicalSystem
 from repro.harness.runner import derive_cell_seeds, make_system, needs_global_tier
 from repro.scenarios.specs import ScenarioSpec
-from repro.sim.churn import CapacityEvent, schedule_capacity_events
-from repro.sim.cluster import Cluster
-from repro.sim.events import EventQueue
-from repro.sim.federation import FederationEngine, Site
+from repro.sim.churn import CapacityEvent
+from repro.sim.federation import FederationEngine, build_federation
 from repro.sim.interfaces import FederationBroker
 from repro.sim.job import Job
-from repro.sim.metrics import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids an import cycle
     from repro.scenarios.checkpoints import PolicyCheckpoint
@@ -73,57 +73,33 @@ def build_federation_engine(
     systems: Sequence[HierarchicalSystem],
     broker: FederationBroker | None,
     record_every: int = 200,
-    keep_jobs: bool = False,
     with_tariffs: bool = True,
     faults=None,
     capacity_events: Sequence[CapacityEvent] = (),
 ) -> FederationEngine:
-    """Fresh per-site clusters on one shared clock, wired to ``systems``.
+    """One :func:`~repro.sim.federation.build_federation` call over ``systems``.
 
-    The federated analogue of
-    :meth:`~repro.core.hierarchical.HierarchicalSystem.build_engine`:
-    every call builds new clusters (simulations are single-use) around
-    the systems' live controllers, so training passes and the evaluation
-    run reuse the same learned state. ``with_tariffs=False`` builds the
-    tariff-blind engines training uses. ``capacity_events`` is the
-    evaluation's churn schedule; the spec admits churn only on a one-site
-    fleet, so it targets the lone site. ``faults`` is an optional
-    per-site plan list (:func:`repro.faults.plan.scenario_fault_plans`)
-    installing the fault runtime after the churn, the order the
-    single-cluster engine uses; training engines carry neither.
+    Every call builds new clusters (simulations are single-use) around
+    the systems' live controllers
+    (:meth:`~repro.core.hierarchical.HierarchicalSystem.site`), so
+    training passes and the evaluation run reuse the same learned state.
+    ``with_tariffs=False`` builds the tariff-blind engines training
+    uses. ``capacity_events`` is the evaluation's churn schedule; the
+    spec admits churn only on a one-site fleet, so it targets the first
+    site. ``faults`` is an optional per-site plan list
+    (:func:`repro.faults.plan.scenario_fault_plans`); training engines
+    carry neither.
     """
-    events = EventQueue()
-    sites = []
-    for site_spec, system in zip(spec.site_specs, systems):
-        config = system.config
-        cluster = Cluster(
-            num_servers=config.num_servers,
-            power_model=config.fleet_power_models,
-            events=events,
-            policies=system.policies,
-            num_resources=config.num_resources,
-            overload_threshold=config.overload_threshold,
-            initially_on=system.initially_on,
+    sites = [
+        system.site(
+            name=site_spec.name,
+            record_every=record_every,
+            tariff=site_spec.tariff if with_tariffs else None,
         )
-        tariff = site_spec.tariff if with_tariffs else None
-        sites.append(
-            Site(
-                name=site_spec.name,
-                cluster=cluster,
-                broker=system.broker,
-                metrics=MetricsCollector(
-                    record_every=record_every, keep_jobs=keep_jobs, tariff=tariff
-                ),
-                tariff=tariff,
-            )
-        )
-    schedule_capacity_events(sites[0].cluster, capacity_events)
-    engine = FederationEngine(sites, broker)
-    if faults is not None:
-        from repro.faults.inject import install_faults
-
-        install_faults(engine, faults)
-    return engine
+        for site_spec, system in zip(spec.site_specs, systems)
+    ]
+    sites[0]["capacity_events"] = capacity_events
+    return build_federation(sites, broker, faults=faults)
 
 
 def train_federation_broker(

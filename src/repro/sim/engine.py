@@ -7,12 +7,11 @@ local-tier decision epoch (handled inside :class:`~repro.sim.server.Server`
 via its policy). Between epochs, the simulated world evolves purely
 through scheduled events.
 
-Since the federation refactor, :class:`ClusterEngine` is the
-single-site special case of
-:class:`~repro.sim.federation.FederationEngine`: it wraps its cluster in
-one :class:`~repro.sim.federation.Site` and delegates the run loop, so
-the single-cluster simulator and a federation of one are the same code
-path (and therefore bit-identical).
+The single-cluster simulator is a federation of one:
+:func:`build_simulation` builds a one-site engine with
+:func:`~repro.sim.federation.build_federation`, the one engine builder,
+and :class:`ClusterEngine` is a read-only view over it whose
+:meth:`~ClusterEngine.run` returns a :class:`SimulationResult`.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.sim.churn import CapacityEvent, schedule_capacity_events
+from repro.sim.churn import CapacityEvent
 from repro.sim.cluster import Cluster
 from repro.sim.events import EventQueue
-from repro.sim.federation import FederationEngine, Site
+from repro.sim.federation import FederationEngine, build_federation
 from repro.sim.interfaces import Broker, PowerPolicy
 from repro.sim.job import Job
 from repro.sim.metrics import MetricsCollector
@@ -58,70 +57,52 @@ class SimulationResult:
         return self.metrics.average_power_watts()
 
 
+@dataclass(frozen=True)
 class ClusterEngine:
-    """Wires a broker, a cluster, and a job stream together.
+    """A one-site :class:`~repro.sim.federation.FederationEngine`, seen as one cluster.
 
-    Parameters
-    ----------
-    cluster:
-        The server cluster (with DPM policies already attached).
-    broker:
-        The global-tier job dispatcher.
-    metrics:
-        Optional pre-configured collector.
+    Holds nothing but that engine; :attr:`cluster`, :attr:`broker`,
+    :attr:`metrics` and :attr:`events` are read-only views of its lone
+    site, so there is no second copy to fall out of step.
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        broker: Broker,
-        metrics: MetricsCollector | None = None,
-    ) -> None:
-        self.cluster = cluster
-        self.broker = broker
-        self.events = cluster.events
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        self._federation = FederationEngine(
-            [Site(name="cluster", cluster=cluster, broker=broker, metrics=self.metrics)]
-        )
+    federation: FederationEngine
 
-    def run(
-        self,
-        jobs: Iterable[Job] | Sequence[Job],
-        max_jobs: int | None = None,
-        max_events: int | None = None,
-    ) -> SimulationResult:
+    @property
+    def cluster(self) -> Cluster:
+        return self.federation.sites[0].cluster
+
+    @property
+    def broker(self) -> Broker:
+        return self.federation.sites[0].broker
+
+    @property
+    def metrics(self) -> MetricsCollector:
+        return self.federation.sites[0].metrics
+
+    @property
+    def events(self) -> EventQueue:
+        return self.federation.events
+
+    def run(self, jobs: Iterable[Job] | Sequence[Job]) -> SimulationResult:
         """Simulate the job stream to completion.
 
         Jobs must be ordered by non-decreasing arrival time (the paper's
         traces are). Arrivals are scheduled lazily one at a time, so the
-        stream may be a generator of arbitrary length. Delegates to the
-        single-site federation built at construction (no federation
-        broker: every job stays "home").
-
-        Parameters
-        ----------
-        jobs:
-            The trace to replay.
-        max_jobs:
-            Stop feeding arrivals after this many jobs (the simulation
-            still drains in-flight work).
-        max_events:
-            Safety valve on total processed events.
+        stream may be a generator of arbitrary length. Every job stays
+        "home": the one-site engine has no federation broker.
 
         Raises
         ------
         ValueError
             If arrival times decrease along the stream.
         """
-        result = self._federation.run(
-            [jobs], max_jobs=max_jobs, max_events=max_events
-        )
+        result = self.federation.run([jobs])
         return SimulationResult(
             self.metrics,
             self.cluster,
             result.final_time,
-            faults=self._federation.faults,
+            faults=self.federation.faults,
         )
 
 
@@ -134,38 +115,32 @@ def build_simulation(
     overload_threshold: float = 0.9,
     initially_on: bool = False,
     record_every: int = 100,
-    keep_jobs: bool = False,
     capacity_events: Iterable[CapacityEvent] = (),
     tariff: TariffModel | None = None,
     faults=None,
 ) -> ClusterEngine:
-    """Convenience constructor for the common engine wiring.
+    """One cluster: a one-site :func:`~repro.sim.federation.build_federation`.
 
-    ``power_model`` may be a per-server sequence (heterogeneous fleet);
-    ``capacity_events`` are pre-scheduled churn events (failures or
-    maintenance drains) that fire during the run; ``tariff`` attaches a
-    price/carbon signal so the metrics also report cost and CO₂;
-    ``faults`` is an optional
-    :class:`~repro.faults.plan.SiteFaultPlan` installing seeded
-    unplanned-failure injection (crashes, job failures, stragglers).
+    The arguments are that builder's site keys (``power_model`` may be
+    a per-server sequence; ``capacity_events`` are pre-scheduled churn
+    events; ``tariff`` makes the metrics also report cost and CO₂), plus
+    ``faults``: an optional :class:`~repro.faults.plan.SiteFaultPlan`
+    installing seeded unplanned-failure injection (crashes, job
+    failures, stragglers).
     """
-    events = EventQueue()
-    cluster = Cluster(
+    site = dict(
+        name="cluster",
         num_servers=num_servers,
-        power_model=power_model if power_model is not None else PowerModel(),
-        events=events,
+        broker=broker,
         policies=policies,
+        power_model=power_model,
         num_resources=num_resources,
         overload_threshold=overload_threshold,
         initially_on=initially_on,
+        record_every=record_every,
+        capacity_events=capacity_events,
+        tariff=tariff,
     )
-    schedule_capacity_events(cluster, capacity_events)
-    metrics = MetricsCollector(
-        record_every=record_every, keep_jobs=keep_jobs, tariff=tariff
+    return ClusterEngine(
+        build_federation([site], faults=None if faults is None else [faults])
     )
-    engine = ClusterEngine(cluster, broker, metrics)
-    if faults is not None:
-        from repro.faults.inject import install_faults
-
-        install_faults(engine._federation, [faults])
-    return engine

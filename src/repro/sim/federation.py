@@ -3,69 +3,68 @@
 The paper's hierarchy stops at one cluster — a global tier dispatches
 jobs to servers, a local tier manages per-server power. This module adds
 the tier above it: a :class:`Site` bundles one cluster with its own
-cluster-tier :class:`~repro.sim.interfaces.Broker`, its own
-:class:`~repro.sim.metrics.MetricsCollector`, and (optionally) its own
-:class:`~repro.sim.power.TariffModel`, so sites may differ in fleet,
-power models, and electricity prices; a :class:`FederationEngine` merges
-the sites' home job streams into one time-ordered feed and routes every
-arrival through a :class:`~repro.sim.interfaces.FederationBroker` before
-the chosen site's own broker places it on a server.
+cluster-tier :class:`~repro.sim.interfaces.Broker` and its own
+:class:`~repro.sim.metrics.MetricsCollector` (which carries the site's
+optional :class:`~repro.sim.power.TariffModel`), so sites may differ in
+fleet, power models, and electricity prices; a :class:`FederationEngine`
+merges the sites' home job streams into one time-ordered feed and routes
+every arrival through a :class:`~repro.sim.interfaces.FederationBroker`
+before the chosen site's own broker places it on a server.
 
-The single-cluster :class:`~repro.sim.engine.ClusterEngine` is the
-degenerate case: one site, no federation broker. It delegates here, so a
-federation of one is *bit-identical* to the single-cluster simulator —
-same event order, same accounts — which is what makes the refactor safe
-(and is asserted by the equivalence test suite).
+:func:`build_federation` is the one engine builder: every engine in the
+package — a fleet, a scenario cell, or the single-cluster
+:class:`~repro.sim.engine.ClusterEngine` (one site, no federation
+broker) — is built by it, so a federation of one is the single-cluster
+simulator, not a twin of it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.obs import telemetry as obs
+from repro.sim.churn import schedule_capacity_events
 from repro.sim.cluster import Cluster
 from repro.sim.events import EventQueue
 from repro.sim.interfaces import Broker, FederationBroker
 from repro.sim.job import Job
 from repro.sim.metrics import MetricsCollector, SeriesPoint
-from repro.sim.power import TariffModel
+from repro.sim.power import PowerModel, TariffModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.plan import SiteFaultPlan
 
 
 @dataclass
 class Site:
-    """One member cluster of a federation.
+    """One member cluster of a federation, as :func:`build_federation` wires it.
 
     Parameters
     ----------
     name:
         Site label (e.g. a region); cosmetic, used in reports.
     cluster:
-        The site's server cluster. All sites of one federation must be
+        The site's server cluster. All sites of one federation are
         built on the *same* :class:`~repro.sim.events.EventQueue`.
     broker:
         The site's cluster-tier dispatcher (the paper's global tier).
     metrics:
-        Per-site collector; built automatically (carrying ``tariff``)
-        when omitted.
-    tariff:
-        The site's electricity price / carbon signal. Sites in different
-        markets or time zones carry different tariffs (see
+        The site's collector. It carries the site's electricity price /
+        carbon signal (:attr:`tariff`); sites in different markets or
+        time zones carry different tariffs (see
         :meth:`~repro.sim.power.TariffModel.shifted`).
     """
 
     name: str
     cluster: Cluster
     broker: Broker
-    metrics: MetricsCollector | None = None
-    tariff: TariffModel | None = None
+    metrics: MetricsCollector
 
-    def __post_init__(self) -> None:
-        if self.metrics is None:
-            self.metrics = MetricsCollector(tariff=self.tariff)
-        elif self.tariff is None:
-            self.tariff = self.metrics.tariff
+    @property
+    def tariff(self) -> TariffModel | None:
+        return self.metrics.tariff
 
     @property
     def num_servers(self) -> int:
@@ -181,8 +180,8 @@ class FederationEngine:
     broker:
         The federation-tier dispatcher. ``None`` routes every job to its
         home site without any broker call — the zero-overhead static
-        baseline, and exactly what the single-cluster engine delegates
-        with.
+        baseline, and what :func:`~repro.sim.engine.build_simulation`
+        builds.
     """
 
     #: Event-loop gauges are sampled every this many processed events.
@@ -348,24 +347,11 @@ class FederationEngine:
             key=lambda rec: (rec[0], rec[1]),
         )
 
-    def run(
-        self,
-        streams: Sequence[Iterable[Job]],
-        max_jobs: int | None = None,
-        max_events: int | None = None,
-    ) -> FederationResult:
+    def run(self, streams: Sequence[Iterable[Job]]) -> FederationResult:
         """Simulate all home streams to completion.
 
-        Parameters
-        ----------
-        streams:
-            One job iterable per site (``streams[i]`` is site ``i``'s
-            home stream); each must be sorted by arrival time.
-        max_jobs:
-            Stop feeding after this many arrivals fleet-wide (in-flight
-            work still drains).
-        max_events:
-            Safety valve on total processed events.
+        ``streams`` holds one job iterable per site (``streams[i]`` is
+        site ``i``'s home stream); each must be sorted by arrival time.
 
         Raises
         ------
@@ -378,7 +364,6 @@ class FederationEngine:
                 f"got {len(streams)} job streams for {len(self.sites)} sites"
             )
         feed = self._merged_feed(streams)
-        fed = 0
         tel = self._tel = obs.active()
         if tel is not None:
             feed_phase = obs.Phase(tel, "run.feed")
@@ -391,9 +376,6 @@ class FederationEngine:
             arrived = sum(site.metrics.n_arrived for site in self.sites)
 
         def feed_next() -> None:
-            nonlocal fed
-            if max_jobs is not None and fed >= max_jobs:
-                return
             if tel is None:
                 item = next(feed, None)
             else:
@@ -403,7 +385,6 @@ class FederationEngine:
             if item is None:
                 return
             arrival, home, job = item
-            fed += 1
             self.events.schedule(
                 arrival,
                 lambda t, job=job, home=home: on_arrival_event(job, home, t),
@@ -418,7 +399,7 @@ class FederationEngine:
         try:
             with span("run"):
                 feed_next()
-                self._drain(max_events)
+                self._drain()
                 with span("run.finalize"):
                     return self._finalize()
         finally:
@@ -461,11 +442,10 @@ class FederationEngine:
             fleet_series=merge_site_series(self.sites),
         )
 
-    def _drain(self, max_events: int | None) -> None:
+    def _drain(self) -> None:
         """Run events in time order until the queue is empty.
 
-        ``max_events`` is a safety valve on the events run. With
-        telemetry on, the loop's phases are timed: ``loop.event`` (the
+        With telemetry on, the loop's phases are timed: ``loop.event`` (the
         callback, parent of the route/settle/dispatch/hook phases),
         ``loop.gauges`` (queue sampling every :data:`GAUGE_EVERY`
         events), and ``loop.pop`` — the heap pops plus the loop's own
@@ -483,7 +463,7 @@ class FederationEngine:
             marks = tel.mark_sink("events")
             t_start = tel.clock()
         try:
-            while max_events is None or executed < max_events:
+            while True:
                 event = events.pop()
                 if event is None:
                     drained = True
@@ -516,48 +496,65 @@ class FederationEngine:
 def build_federation(
     site_args: Sequence[dict],
     broker: FederationBroker | None = None,
-    events: EventQueue | None = None,
+    faults: Sequence[SiteFaultPlan | None] | None = None,
 ) -> FederationEngine:
-    """Convenience constructor: one shared clock, one cluster per site.
+    """Build a fleet: the one place engines, clusters and sites are made.
 
-    ``site_args`` holds one dict per site with the keys of
-    :func:`~repro.sim.engine.build_simulation` minus ``broker`` (passed
-    as ``"broker"``) plus ``"name"`` and optional ``"tariff"`` /
-    ``"record_every"`` / ``"keep_jobs"``; every cluster is built on the
-    shared ``events`` queue.
+    ``site_args`` holds one dict per site. ``num_servers``, ``broker``
+    (the site's cluster-tier dispatcher) and ``policies`` are required;
+    the rest are optional:
+
+    * ``name`` — site label (default ``site{i}``);
+    * ``power_model`` — one :class:`~repro.sim.power.PowerModel` or one
+      per server (default ``PowerModel()``);
+    * ``num_resources`` (3), ``overload_threshold`` (0.9) and
+      ``initially_on`` (False) — as for
+      :class:`~repro.sim.cluster.Cluster`;
+    * ``record_every`` (100) and ``tariff`` (None) — the site's
+      :class:`~repro.sim.metrics.MetricsCollector`;
+    * ``capacity_events`` — the site's churn schedule, a sequence of
+      :class:`~repro.sim.churn.CapacityEvent` (default none).
+
+    The order is fixed, because it fixes the event queue's tie-breaks:
+    every site's cluster on one new clock, then each site's
+    ``capacity_events``, then the :class:`FederationEngine` under the
+    federation ``broker``, then ``faults`` — one
+    :class:`~repro.faults.plan.SiteFaultPlan` or ``None`` per site, or
+    ``None`` for no fault runtime at all.
     """
-    from repro.sim.power import PowerModel
-
-    events = events if events is not None else EventQueue()
+    events = EventQueue()
     sites: list[Site] = []
+    churn = []
     for i, args in enumerate(site_args):
         args = dict(args)
-        name = args.pop("name", f"site{i}")
-        tariff = args.pop("tariff", None)
-        metrics = MetricsCollector(
-            record_every=args.pop("record_every", 100),
-            keep_jobs=args.pop("keep_jobs", False),
-            tariff=tariff,
-        )
-        cluster = Cluster(
-            num_servers=args.pop("num_servers"),
-            power_model=args.pop("power_model", None) or PowerModel(),
-            events=events,
-            policies=args.pop("policies"),
-            num_resources=args.pop("num_resources", 3),
-            overload_threshold=args.pop("overload_threshold", 0.9),
-            initially_on=args.pop("initially_on", False),
-        )
-        site_broker = args.pop("broker")
-        if args:
-            raise ValueError(f"unknown site arguments {sorted(args)}")
+        power_model = args.pop("power_model", None)
         sites.append(
             Site(
-                name=name,
-                cluster=cluster,
-                broker=site_broker,
-                metrics=metrics,
-                tariff=tariff,
+                name=args.pop("name", f"site{i}"),
+                cluster=Cluster(
+                    num_servers=args.pop("num_servers"),
+                    power_model=PowerModel() if power_model is None else power_model,
+                    events=events,
+                    policies=args.pop("policies"),
+                    num_resources=args.pop("num_resources", 3),
+                    overload_threshold=args.pop("overload_threshold", 0.9),
+                    initially_on=args.pop("initially_on", False),
+                ),
+                broker=args.pop("broker"),
+                metrics=MetricsCollector(
+                    record_every=args.pop("record_every", 100),
+                    tariff=args.pop("tariff", None),
+                ),
             )
         )
-    return FederationEngine(sites, broker)
+        churn.append(args.pop("capacity_events", ()))
+        if args:
+            raise ValueError(f"unknown site arguments {sorted(args)}")
+    for site, site_churn in zip(sites, churn):
+        schedule_capacity_events(site.cluster, site_churn)
+    engine = FederationEngine(sites, broker)
+    if faults is not None:
+        from repro.faults.inject import install_faults
+
+        install_faults(engine, faults)
+    return engine

@@ -9,8 +9,7 @@ cluster.
 The real trace is not redistributable, so this package provides both a
 reader for trace CSVs (:mod:`repro.workload.trace`) and a synthetic
 generator (:mod:`repro.workload.synthetic`) that reproduces the statistics
-the simulation actually consumes — see DESIGN.md §4 for the substitution
-argument.
+the simulation actually consumes.
 """
 
 from repro.workload.mixtures import (

@@ -129,6 +129,22 @@ class TestOfflinePretrain:
         # Behavior override must be cleared afterwards.
         assert broker.behavior is None
 
+    def test_callers_jobs_come_back_untouched(self):
+        traces = [jobs_burst(12), jobs_burst(12)]
+        offline_pretrain(
+            make_broker(),
+            traces,
+            policy_factory=lambda: ImmediateSleepPolicy(),
+            autoencoder_epochs=1,
+            q_epochs=1,
+            batches_per_epoch=2,
+        )
+        assert all(
+            (job.server_id, job.start_time, job.finish_time) == (None, None, None)
+            for trace in traces
+            for job in trace
+        )
+
     def test_empty_traces_raise(self):
         broker = make_broker()
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from repro.sim.server import PowerState
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
 
 
-def churny_engine(n_servers=6, n_jobs=400, seed=5):
+def churny_engine(n_servers=6, n_jobs=400, seed=5, broker=None):
     """A run with sleep/wake churn (short DPM timeout) and capacity churn."""
     config = SyntheticTraceConfig(n_jobs=n_jobs, horizon=n_jobs * 30.0)
     jobs = generate_trace(config, seed=seed)
@@ -31,7 +31,7 @@ def churny_engine(n_servers=6, n_jobs=400, seed=5):
     )
     engine = build_simulation(
         num_servers=n_servers,
-        broker=RoundRobinBroker(),
+        broker=broker if broker is not None else RoundRobinBroker(),
         policies=FixedTimeoutPolicy(45.0),
         capacity_events=events,
         initially_on=False,
@@ -76,15 +76,19 @@ class TestIncrementalObservables:
     def test_consistent_at_every_decision_epoch(self):
         """Check mid-run too, where drift would actually mislead the DRL
         agent — not just at the drained final state."""
-        engine, jobs = churny_engine(n_jobs=150)
 
         class CheckingBroker(RoundRobinBroker):
+            calls = 0
+
             def select_server(self, job, cluster, now):
+                self.calls += 1
                 assert_ledger_consistent(cluster)
                 return super().select_server(job, cluster, now)
 
-        engine.broker = CheckingBroker()
+        broker = CheckingBroker()
+        engine, jobs = churny_engine(n_jobs=150, broker=broker)
         engine.run(jobs)
+        assert broker.calls == len(jobs) == 150
 
     def test_aggregates_match_per_server_sums(self):
         engine, jobs = churny_engine()

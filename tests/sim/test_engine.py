@@ -38,14 +38,6 @@ class TestRun:
         result = engine.run(jobs)
         assert result.mean_latency == pytest.approx(50.0)
 
-    def test_max_jobs_limits_feed(self):
-        engine = build_simulation(
-            2, RoundRobinBroker(), AlwaysOnPolicy(), initially_on=True
-        )
-        result = engine.run(jobs_burst(10), max_jobs=3)
-        assert result.metrics.n_arrived == 3
-        assert result.metrics.n_completed == 3
-
     def test_generator_stream_accepted(self):
         engine = build_simulation(
             2, RoundRobinBroker(), AlwaysOnPolicy(), initially_on=True

@@ -3,18 +3,11 @@
 import pytest
 
 from repro.core.baselines import AlwaysOnPolicy, RoundRobinBroker
-from repro.sim.cluster import Cluster
 from repro.sim.engine import build_simulation
-from repro.sim.events import EventQueue
-from repro.sim.federation import (
-    FederationEngine,
-    Site,
-    build_federation,
-    merge_site_series,
-)
+from repro.sim.federation import FederationEngine, build_federation, merge_site_series
 from repro.sim.interfaces import FederationBroker
 from repro.sim.job import Job
-from repro.sim.power import PowerModel, TariffModel
+from repro.sim.power import TariffModel
 
 
 def jobs_burst(n, spacing=10.0, duration=50.0, cpu=0.3, offset=0.0, start_id=0):
@@ -92,15 +85,18 @@ class TestFederationEngine:
 
     def test_sites_must_share_one_event_queue(self):
         def lone_site(name):
-            events = EventQueue()
-            cluster = Cluster(
-                num_servers=1,
-                power_model=PowerModel(),
-                events=events,
-                policies=AlwaysOnPolicy(),
-                initially_on=True,
-            )
-            return Site(name=name, cluster=cluster, broker=RoundRobinBroker())
+            (site,) = build_federation(
+                [
+                    dict(
+                        name=name,
+                        num_servers=1,
+                        broker=RoundRobinBroker(),
+                        policies=AlwaysOnPolicy(),
+                        initially_on=True,
+                    )
+                ]
+            ).sites
+            return site
 
         with pytest.raises(ValueError, match="event clock"):
             FederationEngine([lone_site("a"), lone_site("b")])
@@ -109,21 +105,31 @@ class TestFederationEngine:
         with pytest.raises(ValueError, match="at least one site"):
             FederationEngine([])
 
-    def test_max_jobs_is_fleet_wide(self):
-        engine = two_sites()
-        result = engine.run(
-            [jobs_burst(5), jobs_burst(5, offset=1.0, start_id=50)], max_jobs=4
-        )
-        assert result.n_completed == 4
-
     def test_same_time_arrivals_prefer_lower_site_index(self):
-        # Both streams emit a job at t=0; site 0's must be handled first
-        # (deterministic tie-break), observable through the metrics
-        # arrival counters after one event.
-        engine = two_sites()
-        engine.run([jobs_burst(1), jobs_burst(1, start_id=9)], max_events=1)
-        assert engine.sites[0].metrics.n_arrived == 1
-        assert engine.sites[1].metrics.n_arrived == 0
+        # Both streams emit a job at t=0; site 0's must be placed first
+        # (deterministic tie-break), observable through the order in
+        # which the site brokers are asked.
+        placed = []
+
+        class Recording(RoundRobinBroker):
+            def select_server(self, job, cluster, now):
+                placed.append((now, job.job_id))
+                return super().select_server(job, cluster, now)
+
+        engine = build_federation(
+            [
+                dict(
+                    name=name,
+                    num_servers=1,
+                    broker=Recording(),
+                    policies=AlwaysOnPolicy(),
+                    initially_on=True,
+                )
+                for name in ("a", "b")
+            ]
+        )
+        engine.run([jobs_burst(1, start_id=9), jobs_burst(1)])
+        assert placed == [(0.0, 9), (0.0, 0)]
 
     def test_per_site_tariffs_split_the_bill(self):
         cheap = TariffModel(price=0.01, carbon=100.0)
@@ -173,9 +179,20 @@ class TestClusterEngineDelegation:
         engine = build_simulation(
             2, RoundRobinBroker(), AlwaysOnPolicy(), initially_on=True
         )
-        assert len(engine._federation.sites) == 1
-        assert engine._federation.broker is None
-        assert engine._federation.sites[0].metrics is engine.metrics
+        (site,) = engine.federation.sites
+        assert engine.federation.broker is None
+        assert engine.cluster is site.cluster
+        assert engine.broker is site.broker
+        assert engine.metrics is site.metrics
+        assert engine.events is site.cluster.events
+
+    @pytest.mark.parametrize("name", ["cluster", "broker", "metrics", "events"])
+    def test_cluster_engine_views_are_read_only(self, name):
+        engine = build_simulation(
+            2, RoundRobinBroker(), AlwaysOnPolicy(), initially_on=True
+        )
+        with pytest.raises(AttributeError):
+            setattr(engine, name, getattr(engine, name))
 
     def test_explicit_single_site_matches_cluster_engine(self):
         jobs = jobs_burst(12, spacing=30.0)
@@ -213,11 +230,10 @@ class TestBuildFederation:
                       policies=AlwaysOnPolicy(), bogus=1)]
             )
 
-    def test_metrics_carry_site_tariff(self):
-        tariff = TariffModel(price=0.2)
+    @pytest.mark.parametrize("tariff", [None, TariffModel(price=0.2)])
+    def test_metrics_carry_site_tariff(self, tariff):
         engine = build_federation(
             [dict(num_servers=1, broker=RoundRobinBroker(),
                   policies=AlwaysOnPolicy(), tariff=tariff)]
         )
-        assert engine.sites[0].metrics.tariff is tariff
-        assert engine.sites[0].tariff is tariff
+        assert engine.sites[0].tariff is engine.sites[0].metrics.tariff is tariff
