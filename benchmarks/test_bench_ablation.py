@@ -24,7 +24,12 @@ from repro.core.hierarchical import HierarchicalSystem, _make_encoder
 from repro.core.baselines import ImmediateSleepPolicy
 from repro.core.qnetwork import FlatQNetwork
 from repro.harness.report import format_table
-from repro.harness.runner import make_system, run_system, train_global_prototype
+from repro.harness.runner import (
+    make_system,
+    run_system,
+    train_global_prototype,
+    train_site_policy,
+)
 from repro.harness.table1 import default_config, make_traces
 
 
@@ -130,14 +135,14 @@ def test_bench_ablation_dpm_learner_sharing(traces, out_dir, bench_seed):
     """A4: shared vs per-server (paper-distributed) local-tier learners."""
     eval_jobs, train_traces = traces
     config = default_config(30, seed=bench_seed)
-    proto = train_global_prototype(config, train_traces)
+    policy = train_site_policy(config, train_traces, with_predictor=True)
     rows = []
     for label, shared in (("shared-learner", True), ("per-server (paper)", False)):
         system = make_system(
             "hierarchical",
             config,
             train_traces,
-            global_prototype=proto,
+            policy=policy,
             shared_dpm_learner=shared,
         )
         e, lat = _evaluate(system, eval_jobs)

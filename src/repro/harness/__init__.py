@@ -1,7 +1,9 @@
 """Experiment harness: regenerates every table and figure of Sec. VII.
 
 * :mod:`repro.harness.runner` — named-system construction, the paper's
-  offline-then-online training protocol, and single-run execution.
+  offline-then-online training protocol, and single-run execution. Its
+  :class:`SitePolicy` is the one handoff from training to evaluation:
+  every DRL system an experiment compares is built from one.
 * :mod:`repro.harness.table1` — Table I (energy / accumulated latency /
   average power at a fixed job count, M = 30 and 40).
 * :mod:`repro.harness.figures` — Figs. 8 and 9 (accumulated latency and
@@ -23,7 +25,7 @@ from repro.harness.figures import (
 from repro.harness.report import format_table
 from repro.harness.runner import (
     RunResult,
-    clone_global_broker,
+    SitePolicy,
     make_system,
     needs_global_tier,
     run_system,
@@ -31,6 +33,7 @@ from repro.harness.runner import (
     SYSTEM_DESCRIPTIONS,
     SYSTEM_NAMES,
     train_global_prototype,
+    train_site_policy,
 )
 from repro.harness.table1 import Table1Row, render_table1, run_table1
 from repro.harness.tradeoff import TradeoffPoint, render_tradeoff_csv, run_tradeoff
@@ -44,7 +47,7 @@ __all__ = [
     "render_series_csv",
     "format_table",
     "RunResult",
-    "clone_global_broker",
+    "SitePolicy",
     "make_system",
     "needs_global_tier",
     "run_system",
@@ -52,6 +55,7 @@ __all__ = [
     "SYSTEM_DESCRIPTIONS",
     "SYSTEM_NAMES",
     "train_global_prototype",
+    "train_site_policy",
     "Table1Row",
     "render_table1",
     "run_table1",

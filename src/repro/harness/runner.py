@@ -9,10 +9,13 @@ through the evaluation trace itself.
 
 To compare local tiers apples-to-apples (Table I and Fig. 10 pair the
 *same* DRL allocation tier with different power managers), the harness
-trains one **global prototype** per experiment and clones its Q-network
-into every DRL-based system, so differences between ``drl-only``,
-``drl+fixed-T`` and ``hierarchical`` come from the local tier, not from
-global-training variance.
+trains one :class:`SitePolicy` per experiment (:func:`train_site_policy`)
+and builds every DRL-based system from it, so differences between
+``drl-only``, ``drl+fixed-T`` and ``hierarchical`` come from the local
+tier, not from global-training variance. A ``SitePolicy`` is the one
+handoff from training to evaluation: the harness keeps it in memory,
+and scenario sweeps keep one per site on disk
+(:mod:`repro.scenarios.checkpoints`).
 
 Systems are addressed by name so benchmarks, tests, examples and scenario
 cells (per site, through :func:`repro.scenarios.federation.build_cell`)
@@ -54,7 +57,6 @@ from repro.core.hierarchical import (
     pretrain_predictor,
 )
 from repro.core.predictor import WorkloadPredictor
-from repro.obs import telemetry as obs
 from repro.sim.churn import CapacityEvent
 from repro.sim.job import Job
 from repro.sim.power import TariffModel
@@ -104,8 +106,6 @@ class RunResult:
     co2_kg: float = 0.0
     cost_series: tuple[tuple[int, float], ...] = ()
     co2_series: tuple[tuple[int, float], ...] = ()
-    #: Telemetry snapshot of the run (profiled runs only, else None).
-    telemetry: dict | None = None
     # Fault-injection extensions (defaults hold for fault-free runs).
     failed_jobs: int = 0
     retries: int = 0
@@ -155,9 +155,7 @@ def run_system(
     )
     metrics = result.metrics
     runtime = result.faults
-    tel = obs.active()
     return RunResult(
-        telemetry=tel.snapshot() if tel is not None else None,
         name=system.name,
         num_servers=system.config.num_servers,
         n_jobs=metrics.n_completed,
@@ -209,11 +207,11 @@ def build_pretrained_predictor(
 ) -> WorkloadPredictor:
     """The LSTM predictor a hierarchical system starts evaluation with.
 
-    Shared by :func:`make_system`'s cold path and checkpoint training
-    (:func:`repro.scenarios.checkpoints.train_policy`), so the warm
-    path's stored weights are bit-for-bit the ones a cold cell would
-    have trained. A trace too short for a full look-back window leaves
-    the predictor legitimately unfitted.
+    Shared by :func:`make_system`'s cold path and
+    :func:`train_site_policy`, so a policy's stored weights are
+    bit-for-bit the ones a cold system would have trained. A trace too
+    short for a full look-back window leaves the predictor legitimately
+    unfitted.
     """
     predictor = WorkloadPredictor(
         config.local_tier.predictor, rng=np.random.default_rng(seed)
@@ -258,34 +256,128 @@ def train_global_prototype(
     return broker
 
 
-def clone_global_broker(
-    prototype: DRLGlobalBroker,
-    config: ExperimentConfig,
-    seed: int | None = None,
-) -> DRLGlobalBroker:
-    """Fresh broker carrying the prototype's trained Q-network weights.
+@dataclass(frozen=True)
+class SitePolicy:
+    """One site's trained controllers: the handoff from training to evaluation.
 
-    The clone owns an independent network, optimizer, and replay memory,
-    and starts at the prototype's (annealed) exploration rate, so systems
-    sharing a prototype remain statistically independent afterwards.
+    Parameters
+    ----------
+    qnet_state:
+        :meth:`~repro.nn.layers.Module.state_dict` of the trained
+        Q-network (a site's global tier or the federation dispatcher).
+    epsilon:
+        The trained broker's annealed exploration rate; brokers built
+        from the policy resume exploring from here.
+    predictor_state:
+        State dict of the LSTM predictor network, or None when the
+        policy was trained without one.
+    predictor_fitted:
+        Whether the predictor was actually fitted (a too-short trace
+        legitimately leaves it unfitted — that is recorded, not retried).
+    arch:
+        The Q-network's architecture fingerprint, when known.
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    clone = DRLGlobalBroker(
-        prototype.encoder,
-        config.global_tier,
-        qnetwork=prototype.qnet.clone(rng=rng),
-        rng=rng,
+
+    qnet_state: dict[str, np.ndarray]
+    epsilon: float
+    predictor_state: dict[str, np.ndarray] | None = None
+    predictor_fitted: bool = False
+    arch: dict | None = None
+
+    @classmethod
+    def capture(
+        cls, broker, predictor: WorkloadPredictor | None = None
+    ) -> "SitePolicy":
+        """Snapshot a trained broker (its ``qnet`` and ``epsilon``)."""
+        state = None if predictor is None else predictor.network.state_dict()
+        return cls(
+            qnet_state=broker.qnet.state_dict(),
+            epsilon=broker.epsilon,
+            predictor_state=state,
+            predictor_fitted=predictor is not None and predictor.fitted,
+            arch=broker.qnet.describe(),
+        )
+
+    def restore(self, qnet) -> None:
+        """Load the stored weights into ``qnet`` after checking its geometry.
+
+        Raises
+        ------
+        ValueError
+            If ``qnet``'s architecture fingerprint differs from the
+            stored one (the weights were trained for a different fleet).
+        """
+        if self.arch is not None and self.arch != qnet.describe():
+            raise ValueError(
+                "policy geometry does not match the network: weights carry "
+                f"{self.arch}, network needs {qnet.describe()}"
+            )
+        qnet.load_state_dict(self.qnet_state)
+
+    def broker(
+        self, config: ExperimentConfig, seed: int | None = None
+    ) -> DRLGlobalBroker:
+        """A fresh DRL broker carrying the stored weights and ε.
+
+        The broker owns an independent network, optimizer and replay
+        memory, so systems built from one policy stay independent.
+        """
+        broker = build_drl_only(config, seed=seed).broker
+        assert isinstance(broker, DRLGlobalBroker)
+        self.restore(broker.qnet)
+        broker.epsilon = self.epsilon
+        return broker
+
+    def predictor(self, config: ExperimentConfig, seed: int) -> WorkloadPredictor:
+        """The stored LSTM predictor a hierarchical system starts from.
+
+        Raises
+        ------
+        ValueError
+            If the policy was trained without a predictor.
+        """
+        if self.predictor_state is None:
+            raise ValueError(
+                "policy was trained without a predictor; retrain with "
+                "with_predictor=True to serve hierarchical systems"
+            )
+        predictor = WorkloadPredictor(
+            config.local_tier.predictor, rng=np.random.default_rng(seed)
+        )
+        predictor.network.load_state_dict(self.predictor_state)
+        predictor.fitted = self.predictor_fitted
+        return predictor
+
+
+def train_site_policy(
+    config: ExperimentConfig,
+    train_traces: list[list[Job]],
+    pretrain: bool = True,
+    online_epochs: int = 2,
+    seed: int | None = None,
+    with_predictor: bool = False,
+) -> SitePolicy:
+    """Train one site's controllers (:func:`train_global_prototype`).
+
+    With ``with_predictor``, the policy also carries the LSTM predictor
+    of :func:`build_pretrained_predictor`, seeded like the system.
+    """
+    broker = train_global_prototype(
+        config, train_traces, pretrain=pretrain, online_epochs=online_epochs, seed=seed
     )
-    clone.epsilon = prototype.epsilon
-    return clone
+    predictor = None
+    if with_predictor:
+        predictor = build_pretrained_predictor(
+            config, train_traces, config.seed if seed is None else seed
+        )
+    return SitePolicy.capture(broker, predictor)
 
 
 def make_system(
     name: str,
     config: ExperimentConfig | None = None,
     train_traces: list[list[Job]] | None = None,
-    global_prototype: DRLGlobalBroker | None = None,
-    predictor: WorkloadPredictor | None = None,
+    policy: SitePolicy | None = None,
     pretrain: bool = True,
     online_epochs: int = 2,
     local_epochs: int = 2,
@@ -302,17 +394,13 @@ def make_system(
     train_traces:
         Traces for offline pretraining and online warm-up of learning
         systems; ignored by static baselines.
-    global_prototype:
-        A broker from :func:`train_global_prototype`. When given, DRL
-        systems clone its Q-network instead of training their own —
-        isolating local-tier differences.
-    predictor:
-        A (typically pre-trained) LSTM workload predictor for the
-        hierarchical system's local tier. When given, the usual
-        offline predictor pre-training is skipped — this is how policy
-        checkpoints warm-start the local tier.
+    policy:
+        A trained :class:`SitePolicy`. When given, DRL systems start
+        from its weights instead of training their own — isolating
+        local-tier differences — and ``hierarchical`` takes its LSTM
+        predictor. Ignored by static baselines.
     online_epochs:
-        Online global-training passes when *no* prototype is supplied.
+        Online global-training passes when *no* policy is supplied.
     local_epochs:
         Warm-up passes for the hierarchical system's local tier.
     local_w:
@@ -324,13 +412,15 @@ def make_system(
     Raises
     ------
     ValueError
-        On an unknown system name.
+        On an unknown system name, or a ``hierarchical`` system whose
+        ``policy`` carries no predictor.
     """
     config = config if config is not None else ExperimentConfig()
     if local_w is not None:
         config = replace(config, local_tier=replace(config.local_tier, w=local_w))
     train_traces = train_traces or []
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    system_seed = config.seed if seed is None else seed
+    rng = np.random.default_rng(system_seed)
 
     if name == "round-robin":
         return build_round_robin(config)
@@ -364,8 +454,8 @@ def make_system(
         )
 
     # --- DRL-based systems ------------------------------------------------
-    if global_prototype is not None:
-        broker = clone_global_broker(global_prototype, config, seed=seed)
+    if policy is not None:
+        broker = policy.broker(config, seed=seed)
     else:
         broker = train_global_prototype(
             config, train_traces, pretrain=pretrain, online_epochs=online_epochs,
@@ -390,10 +480,10 @@ def make_system(
             initially_on=False,
         )
     # name == "hierarchical"
-    if predictor is None:
-        predictor = build_pretrained_predictor(
-            config, train_traces, config.seed if seed is None else seed
-        )
+    if policy is not None:
+        predictor = policy.predictor(config, system_seed)
+    else:
+        predictor = build_pretrained_predictor(config, train_traces, system_seed)
     system = build_hierarchical(
         config,
         broker=broker,
@@ -409,6 +499,33 @@ def make_system(
     return system
 
 
+def with_shared_policy(
+    names: tuple[str, ...],
+    config: ExperimentConfig,
+    train_traces: list[list[Job]],
+    make_kwargs: dict,
+) -> dict:
+    """``make_kwargs`` plus one :class:`SitePolicy` for the DRL systems in ``names``.
+
+    The training step shared by :func:`standard_protocol` and
+    :func:`~repro.harness.tradeoff.run_tradeoff`: every DRL system a
+    protocol compares starts from the same trained global tier, and
+    from the same LSTM predictor when ``names`` includes
+    ``hierarchical``. A caller's own ``policy`` is kept.
+    """
+    if "policy" in make_kwargs or not any(needs_global_tier(n) for n in names):
+        return make_kwargs
+    train_kwargs = {
+        k: make_kwargs[k]
+        for k in ("pretrain", "online_epochs", "seed")
+        if k in make_kwargs
+    }
+    policy = train_site_policy(
+        config, train_traces, with_predictor="hierarchical" in names, **train_kwargs
+    )
+    return {**make_kwargs, "policy": policy}
+
+
 def standard_protocol(
     names: tuple[str, ...],
     eval_jobs: list[Job],
@@ -419,22 +536,12 @@ def standard_protocol(
 ) -> dict[str, RunResult]:
     """Train each named system, evaluate all on the same trace.
 
-    A single global prototype is trained and shared by every DRL-based
-    system in ``names`` (unless the caller passes ``global_prototype``).
+    One :class:`SitePolicy` is trained and shared by every DRL-based
+    system in ``names`` (:func:`with_shared_policy`).
     """
     config = config if config is not None else ExperimentConfig()
     train_traces = train_traces or []
-    if "global_prototype" not in make_kwargs and any(
-        needs_global_tier(n) for n in names
-    ):
-        proto_kwargs = {
-            k: make_kwargs[k]
-            for k in ("pretrain", "online_epochs", "seed")
-            if k in make_kwargs
-        }
-        make_kwargs["global_prototype"] = train_global_prototype(
-            config, train_traces, **proto_kwargs
-        )
+    make_kwargs = with_shared_policy(names, config, train_traces, make_kwargs)
     results: dict[str, RunResult] = {}
     for name in names:
         system = make_system(name, config, train_traces, **make_kwargs)

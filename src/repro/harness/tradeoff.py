@@ -20,7 +20,12 @@ import numpy as np
 
 from repro.core.config import ExperimentConfig
 from repro.harness.report import format_csv
-from repro.harness.runner import RunResult, make_system, run_system
+from repro.harness.runner import (
+    RunResult,
+    make_system,
+    run_system,
+    with_shared_policy,
+)
 from repro.harness.table1 import default_config, make_traces
 
 #: Default sweep of the local-tier weight w (power vs. latency).
@@ -66,32 +71,19 @@ def run_tradeoff(
     """
     config = config if config is not None else default_config(num_servers, seed=seed)
     eval_jobs, train_traces = make_traces(n_jobs, num_servers, seed)
-    if "global_prototype" not in make_kwargs:
-        # One shared DRL allocation tier for every point — the paper's
-        # setup pairs the same global tier with different local tiers.
-        from repro.harness.runner import train_global_prototype
-
-        proto_kwargs = {
-            k: make_kwargs[k]
-            for k in ("pretrain", "online_epochs", "seed")
-            if k in make_kwargs
-        }
-        make_kwargs["global_prototype"] = train_global_prototype(
-            config, train_traces, **proto_kwargs
-        )
+    runs = [("hierarchical", "hierarchical", w, {"local_w": w}) for w in w_sweep]
+    runs += [(f"drl+fixed-{t:g}", f"fixed-{t:g}", t, {}) for t in timeouts]
+    # One shared DRL allocation tier (and LSTM predictor) for every
+    # point — the paper pairs the same global tier with different local
+    # tiers.
+    make_kwargs = with_shared_policy(
+        tuple(name for name, *_ in runs), config, train_traces, make_kwargs
+    )
     points: list[TradeoffPoint] = []
-    for w in w_sweep:
-        system = make_system(
-            "hierarchical", config, train_traces, local_w=w, **make_kwargs
-        )
+    for name, curve_name, parameter, extra in runs:
+        system = make_system(name, config, train_traces, **extra, **make_kwargs)
         result = run_system(system, eval_jobs)
-        points.append(TradeoffPoint.from_result("hierarchical", w, result))
-    for timeout in timeouts:
-        system = make_system(
-            f"drl+fixed-{timeout:g}", config, train_traces, **make_kwargs
-        )
-        result = run_system(system, eval_jobs)
-        points.append(TradeoffPoint.from_result(f"fixed-{timeout:g}", timeout, result))
+        points.append(TradeoffPoint.from_result(curve_name, parameter, result))
     return points
 
 

@@ -27,9 +27,10 @@ package turns the reproduction into a *scenario machine*:
   large cell parallelizes too.
 * :mod:`repro.scenarios.checkpoints` — content-keyed policy weight
   blobs (train-once / evaluate-many): DRL cells sharing a training key
-  warm-start from one stored snapshot — per site, a
-  ``HierarchicalQNetwork`` + LSTM snapshot, plus the DRL federation
-  dispatcher's weights when the scenario uses it.
+  warm-start from one stored snapshot — one
+  :class:`~repro.harness.runner.SitePolicy` per site (Q-network + LSTM
+  weights), plus one for the DRL federation dispatcher when the
+  scenario uses it.
 * :mod:`repro.scenarios.federation` — every cell's construction: a
   plain scenario is a federation of one implicit site
   (``ScenarioSpec.site_specs``), so one path builds per-site systems,

@@ -14,15 +14,14 @@ LSTM predictor) inside every cell. This module factors the training out:
   have done on its own (same :class:`~numpy.random.SeedSequence`
   derivation as :func:`~repro.scenarios.federation.build_cell`) and
   captures the result as a :class:`PolicyCheckpoint`: one
-  :class:`SitePolicy` per site (one for a plain scenario), plus the DRL
-  federation dispatcher's weights when the scenario uses it.
+  :class:`~repro.harness.runner.SitePolicy` per site (one for a plain
+  scenario), plus one for the DRL federation dispatcher when the
+  scenario uses it. A ``SitePolicy`` is the object the paper harness
+  keeps in memory; :func:`~repro.scenarios.federation.build_cell`
+  builds warm systems from it the same way.
 * :class:`CheckpointStore` — content-keyed ``.npz`` blobs under
   ``.repro-cache/checkpoints/``, atomic like the result store, with a
   schema gate so stale blobs are ignored rather than half-loaded.
-* :func:`restore_prototype` / :func:`restore_predictor` — what
-  :func:`~repro.scenarios.federation.build_cell` warm-starts a site
-  from: the DRL broker is cloned from the stored Q-network weights, the
-  hierarchical predictor from the stored LSTM weights.
 
 The orchestrator composes these into train-once / evaluate-many: one
 training per group of cells sharing a key, fanned over the worker pool,
@@ -37,15 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.config import ExperimentConfig
-from repro.core.global_tier import DRLGlobalBroker
-from repro.core.hierarchical import build_drl_only
-from repro.core.predictor import WorkloadPredictor
 from repro.harness.runner import (
-    build_pretrained_predictor,
+    SitePolicy,
     derive_cell_seeds,
     needs_global_tier,
-    train_global_prototype,
+    train_site_policy,
 )
 from repro.nn.serialize import load_states, save_states
 from repro.obs import telemetry as obs
@@ -108,53 +103,17 @@ def needs_policy(spec: ScenarioSpec, system: str) -> bool:
 
 
 @dataclass
-class SitePolicy:
-    """One site's cluster-tier weights.
-
-    Parameters
-    ----------
-    qnet_state:
-        :meth:`~repro.nn.layers.Module.state_dict` of the trained
-        :class:`~repro.core.qnetwork.HierarchicalQNetwork`.
-    epsilon:
-        The prototype broker's annealed exploration rate at capture time
-        (clones resume exploration from here).
-    predictor_state:
-        State dict of the LSTM predictor network, when predictor
-        training was attempted; None otherwise.
-    predictor_fitted:
-        Whether the predictor was actually fitted (a too-short trace
-        legitimately leaves it unfitted — that is recorded, not retried).
-    predictor_attempted:
-        Whether predictor training was attempted at all. A blob trained
-        for a predictor-free group can be upgraded later by retraining
-        with the predictor included.
-    arch:
-        The Q-network's architecture fingerprint, when known.
-    """
-
-    qnet_state: dict[str, np.ndarray]
-    epsilon: float
-    predictor_state: dict[str, np.ndarray] | None = None
-    predictor_fitted: bool = False
-    predictor_attempted: bool = False
-    arch: dict | None = None
-
-
-@dataclass
 class PolicyCheckpoint:
     """Serialized controller weights for one training key.
 
-    One :class:`SitePolicy` per site of
+    One :class:`~repro.harness.runner.SitePolicy` per site of
     :attr:`~repro.scenarios.specs.ScenarioSpec.site_specs` (one for a
-    plain scenario) plus, when the scenario's federation tier is the DRL
-    dispatcher, its Q-network weights and annealed ε. ``meta`` carries
-    the training request and the dispatcher's architecture fingerprint.
+    plain scenario) plus ``fed``, the DRL federation dispatcher's policy
+    when the scenario uses it. ``meta`` carries the training request.
     """
 
     sites: tuple[SitePolicy, ...]
-    fed_qnet_state: dict[str, np.ndarray] | None = None
-    fed_epsilon: float = 0.0
+    fed: SitePolicy | None = None
     meta: dict = field(default_factory=dict)
 
 
@@ -171,49 +130,28 @@ def train_policy(
     Bit-for-bit the training a cell performs when it trains alone: the
     same seed derivation (:func:`~repro.harness.runner.derive_cell_seeds`,
     then :func:`~repro.scenarios.federation.derive_site_seeds`), the same
-    per-site training segments, the same
-    :func:`~repro.harness.runner.train_global_prototype` call per site,
-    and (when ``with_predictor``) the exact predictor pre-training of
-    :func:`~repro.harness.runner.build_pretrained_predictor`. When the
-    federation policy is ``"drl"``, the dispatcher is then trained over a
-    canonical fleet — per-site ``drl-only`` systems warm-started from the
-    just-trained prototypes (the federated analogue of Algorithm 1's
-    seed-policy experience collection) — and its weights captured too.
+    per-site training segments, and one
+    :func:`~repro.harness.runner.train_site_policy` call per site. When
+    the federation policy is ``"drl"``, the dispatcher is then trained
+    over a canonical fleet — per-site ``drl-only`` systems warm-started
+    from the just-trained policies (the federated analogue of Algorithm
+    1's seed-policy experience collection) — and captured too.
     """
     trace_ss, system_seed = derive_cell_seeds(seed)
     _, train_streams = spec.build_site_traces(n_jobs, trace_ss)
     site_seeds, _ = derive_site_seeds(system_seed, len(spec.site_specs))
-
-    sites: list[SitePolicy] = []
-    for i, site_seed in enumerate(site_seeds):
-        config = spec.site_experiment_config(i, seed=seed)
-        site_train = [segment[i] for segment in train_streams]
-        broker = train_global_prototype(
-            config,
-            site_train,
-            pretrain=pretrain,
-            online_epochs=online_epochs,
-            seed=site_seed,
-        )
-        predictor_state = None
-        predictor_fitted = False
-        if with_predictor:
-            predictor = build_pretrained_predictor(config, site_train, site_seed)
-            predictor_state = predictor.network.state_dict()
-            predictor_fitted = predictor.fitted
-        sites.append(
-            SitePolicy(
-                qnet_state=broker.qnet.state_dict(),
-                epsilon=broker.epsilon,
-                predictor_state=predictor_state,
-                predictor_fitted=predictor_fitted,
-                predictor_attempted=with_predictor,
-                arch=broker.qnet.describe(),
-            )
-        )
-
     checkpoint = PolicyCheckpoint(
-        sites=tuple(sites),
+        sites=tuple(
+            train_site_policy(
+                spec.site_experiment_config(i, seed=seed),
+                [segment[i] for segment in train_streams],
+                pretrain=pretrain,
+                online_epochs=online_epochs,
+                seed=site_seed,
+                with_predictor=with_predictor,
+            )
+            for i, site_seed in enumerate(site_seeds)
+        ),
         meta={
             "request": training_request(spec, n_jobs, seed, pretrain, online_epochs)
         },
@@ -227,62 +165,8 @@ def train_policy(
             online_epochs=online_epochs,
             checkpoint=checkpoint,
         )
-        checkpoint.fed_qnet_state = fed_broker.qnet.state_dict()
-        checkpoint.fed_epsilon = fed_broker.epsilon
-        checkpoint.meta["fed_arch"] = fed_broker.qnet.describe()
+        checkpoint.fed = SitePolicy.capture(fed_broker)
     return checkpoint
-
-
-def restore_prototype(
-    site: SitePolicy,
-    config: ExperimentConfig,
-    seed: int,
-) -> DRLGlobalBroker:
-    """A prototype broker carrying one site's trained Q-network.
-
-    Raises
-    ------
-    ValueError
-        If the stored weights do not fit the configuration's encoder
-        geometry (the blob was trained for a different fleet).
-    """
-    broker = build_drl_only(config, seed=seed).broker
-    assert isinstance(broker, DRLGlobalBroker)
-    if site.arch is not None and site.arch != broker.qnet.describe():
-        raise ValueError(
-            "checkpoint geometry does not match the scenario: "
-            f"blob carries {site.arch}, scenario needs {broker.qnet.describe()}"
-        )
-    broker.qnet.load_state_dict(site.qnet_state)
-    broker.epsilon = site.epsilon
-    return broker
-
-
-def restore_predictor(
-    site: SitePolicy,
-    config: ExperimentConfig,
-    seed: int,
-) -> WorkloadPredictor:
-    """The warm LSTM predictor a site's hierarchical system starts from.
-
-    Raises
-    ------
-    ValueError
-        If the site's weights were trained without attempting the
-        predictor.
-    """
-    if not site.predictor_attempted:
-        raise ValueError(
-            "checkpoint was trained without a predictor; retrain with "
-            "with_predictor=True to serve hierarchical cells"
-        )
-    predictor = WorkloadPredictor(
-        config.local_tier.predictor, rng=np.random.default_rng(seed)
-    )
-    if site.predictor_state is not None:
-        predictor.network.load_state_dict(site.predictor_state)
-        predictor.fitted = site.predictor_fitted
-    return predictor
 
 
 class CheckpointStore(ContentAddressedStore):
@@ -296,8 +180,9 @@ class CheckpointStore(ContentAddressedStore):
     reported as a miss) so a version bump simply retrains and overwrites.
 
     One blob layout serves every scenario: per-site state dicts
-    ``site{i}_qnet`` / ``site{i}_predictor``, the optional ``fed_qnet``,
-    and a ``sites`` metadata list with one entry per site.
+    ``site{i}_qnet`` / ``site{i}_predictor``, the optional ``fed_qnet``
+    (with ``fed_epsilon`` and ``fed_arch`` metadata), and a ``sites``
+    metadata list with one entry per site.
     """
 
     suffix = ".npz"
@@ -313,11 +198,11 @@ class CheckpointStore(ContentAddressedStore):
     ) -> PolicyCheckpoint | None:
         """Load a checkpoint, or None on miss.
 
-        ``need_predictor`` demands that every site's training at least
-        *attempted* the LSTM predictor, and ``need_fed_policy`` that the
-        blob carries the federation dispatcher's weights; blobs falling
-        short miss (and get retrained). So do blobs missing any site's
-        Q-network.
+        ``need_predictor`` demands that every site carries LSTM
+        predictor weights (fitted or not), and ``need_fed_policy`` that
+        the blob carries the federation dispatcher's weights; blobs
+        falling short miss (and get retrained). So do blobs missing any
+        site's Q-network.
         """
         path = self.path_for(key)
         try:
@@ -337,29 +222,32 @@ class CheckpointStore(ContentAddressedStore):
         sites: list[SitePolicy] = []
         for i, entry in enumerate(site_meta):
             qnet = states.get(f"site{i}_qnet")
-            if qnet is None:
-                return None
-            predictor_attempted = bool(entry.get("predictor_attempted", False))
-            if need_predictor and not predictor_attempted:
+            predictor = states.get(f"site{i}_predictor")
+            if qnet is None or (need_predictor and predictor is None):
                 return None
             sites.append(
                 SitePolicy(
                     qnet_state=qnet,
                     epsilon=float(entry.get("epsilon", 0.0)),
-                    predictor_state=states.get(f"site{i}_predictor"),
+                    predictor_state=predictor,
                     predictor_fitted=bool(entry.get("predictor_fitted", False)),
-                    predictor_attempted=predictor_attempted,
                     arch=entry.get("arch"),
                 )
             )
         fed_state = states.get("fed_qnet")
         if need_fed_policy and fed_state is None:
             return None
+        fed = None
+        if fed_state is not None:
+            fed = SitePolicy(
+                qnet_state=fed_state,
+                epsilon=float(meta.get("fed_epsilon", 0.0)),
+                arch=meta.get("fed_arch"),
+            )
         return PolicyCheckpoint(
             sites=tuple(sites),
-            fed_qnet_state=fed_state,
-            fed_epsilon=float(meta.get("fed_epsilon", 0.0)),
-            meta={k: meta[k] for k in ("fed_arch", "request") if k in meta},
+            fed=fed,
+            meta={k: meta[k] for k in ("request",) if k in meta},
         )
 
     def put(self, key: str, checkpoint: PolicyCheckpoint) -> Path:
@@ -370,22 +258,19 @@ class CheckpointStore(ContentAddressedStore):
             states[f"site{i}_qnet"] = site.qnet_state
             if site.predictor_state is not None:
                 states[f"site{i}_predictor"] = site.predictor_state
-            entry = {
-                "epsilon": site.epsilon,
-                "predictor_fitted": site.predictor_fitted,
-                "predictor_attempted": site.predictor_attempted,
-            }
+            entry = {"epsilon": site.epsilon, "predictor_fitted": site.predictor_fitted}
             if site.arch is not None:
                 entry["arch"] = site.arch
             site_meta.append(entry)
-        if checkpoint.fed_qnet_state is not None:
-            states["fed_qnet"] = checkpoint.fed_qnet_state
         meta = {
             "schema": CHECKPOINT_SCHEMA_VERSION,
             "sites": site_meta,
-            "fed_epsilon": checkpoint.fed_epsilon,
             **checkpoint.meta,
         }
+        if checkpoint.fed is not None:
+            states["fed_qnet"] = checkpoint.fed.qnet_state
+            meta["fed_epsilon"] = checkpoint.fed.epsilon
+            meta["fed_arch"] = checkpoint.fed.arch
         return save_states(self.path_for(key), states, meta)
 
 
@@ -463,8 +348,6 @@ __all__ = [
     "ensure_checkpoint",
     "load_checkpoint",
     "needs_policy",
-    "restore_predictor",
-    "restore_prototype",
     "store_checkpoint",
     "train_policy",
     "training_request",

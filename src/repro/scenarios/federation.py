@@ -14,10 +14,12 @@ path builds every cell. :func:`build_cell`
    correlated across sites; training segments only for a cell with
    policy weights, :func:`~repro.scenarios.checkpoints.needs_policy`);
 3. builds one named cluster-tier system per site (each trained on its
-   own segments, or warm-started from a
+   own segments, or built from that site's
+   :class:`~repro.harness.runner.SitePolicy` in a
    :class:`~repro.scenarios.checkpoints.PolicyCheckpoint`);
 4. builds the federation-tier dispatcher named by ``spec.federation``
-   (training the DRL dispatcher over the training streams when cold).
+   (training the DRL dispatcher over the training streams when cold,
+   else restoring the checkpoint's dispatcher policy).
 
 :func:`build_federation_engine` then maps each site's system to site
 arguments (:meth:`~repro.core.hierarchical.HierarchicalSystem.site`)
@@ -36,7 +38,7 @@ import numpy as np
 
 from repro.core.federation import DRLFederationBroker, make_federation_broker
 from repro.core.hierarchical import HierarchicalSystem
-from repro.harness.runner import derive_cell_seeds, make_system, needs_global_tier
+from repro.harness.runner import derive_cell_seeds, make_system
 from repro.scenarios.specs import ScenarioSpec
 from repro.sim.churn import CapacityEvent
 from repro.sim.federation import FederationEngine, build_federation
@@ -141,19 +143,16 @@ def build_cell(
 
     Returns ``(site_systems, federation_broker, eval_streams)`` ready
     for :func:`build_federation_engine` + run. With a ``checkpoint``,
-    per-site DRL prototypes/predictors and the DRL federation dispatcher
-    are restored from the stored weights instead of trained in-cell.
+    each site's DRL system and the DRL federation dispatcher start from
+    the stored :class:`~repro.harness.runner.SitePolicy` objects instead
+    of training in-cell.
 
     Raises
     ------
     ValueError
         If a ``checkpoint`` is given for a cell that trains no policy.
     """
-    from repro.scenarios.checkpoints import (
-        needs_policy,
-        restore_predictor,
-        restore_prototype,
-    )
+    from repro.scenarios.checkpoints import needs_policy
 
     if checkpoint is not None and not needs_policy(spec, system):
         raise ValueError(
@@ -167,47 +166,27 @@ def build_cell(
     n_sites = len(spec.site_specs)
     site_seeds, fed_seed = derive_site_seeds(system_seed, n_sites)
 
-    systems: list[HierarchicalSystem] = []
-    for i in range(n_sites):
-        config = spec.site_experiment_config(i, seed=seed)
-        site_train = [segment[i] for segment in train_streams]
-        make_kwargs: dict = {}
-        if checkpoint is not None and needs_global_tier(system):
-            site_policy = checkpoint.sites[i]
-            make_kwargs["global_prototype"] = restore_prototype(
-                site_policy, config, site_seeds[i]
-            )
-            if system == "hierarchical":
-                make_kwargs["predictor"] = restore_predictor(
-                    site_policy, config, site_seeds[i]
-                )
-        systems.append(
-            make_system(
-                system,
-                config,
-                site_train,
-                seed=site_seeds[i],
-                pretrain=pretrain,
-                online_epochs=online_epochs,
-                local_epochs=local_epochs,
-                **make_kwargs,
-            )
+    systems = [
+        make_system(
+            system,
+            spec.site_experiment_config(i, seed=seed),
+            [segment[i] for segment in train_streams],
+            policy=None if checkpoint is None else checkpoint.sites[i],
+            seed=site_seeds[i],
+            pretrain=pretrain,
+            online_epochs=online_epochs,
+            local_epochs=local_epochs,
         )
+        for i in range(n_sites)
+    ]
 
     broker = make_federation_broker(
         spec.federation, n_sites, rng=np.random.default_rng(fed_seed)
     )
     if isinstance(broker, DRLFederationBroker):
-        if checkpoint is not None and checkpoint.fed_qnet_state is not None:
-            fed_arch = checkpoint.meta.get("fed_arch")
-            if fed_arch is not None and fed_arch != broker.qnet.describe():
-                raise ValueError(
-                    "federation checkpoint geometry does not match the "
-                    f"scenario: blob carries {fed_arch}, scenario needs "
-                    f"{broker.qnet.describe()}"
-                )
-            broker.qnet.load_state_dict(checkpoint.fed_qnet_state)
-            broker.epsilon = checkpoint.fed_epsilon
+        if checkpoint is not None and checkpoint.fed is not None:
+            checkpoint.fed.restore(broker.qnet)
+            broker.epsilon = checkpoint.fed.epsilon
         else:
             train_federation_broker(
                 spec, systems, broker, train_streams, online_epochs=online_epochs

@@ -25,8 +25,9 @@ DRL cells are grouped by their *training key* — the training-relevant
 subset of the request, see :mod:`repro.scenarios.checkpoints` — each
 group's policy is trained once in the pool (or loaded from a checkpoint
 blob), and every cell in the group warm-starts from those weights. This
-is the protocol of :mod:`repro.harness.table1` (one global prototype
-shared across a cluster's DRL systems), now cacheable across sweeps.
+is the protocol of :mod:`repro.harness.table1` (one trained
+:class:`~repro.harness.runner.SitePolicy` shared across a cluster's DRL
+systems), now cacheable across sweeps.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def cell_request(cell: SweepCell, protocol: dict, warm_start: bool = False) -> d
     Warm-started policy-bearing cells (DRL cluster systems, and any
     system on a federated scenario with the DRL dispatcher) carry
     ``"warm_start": True`` in their protocol — they follow the
-    shared-prototype training protocol, which is a different experiment
+    shared-policy training protocol, which is a different experiment
     than train-per-cell, so the two must never share cache slots.
     Policy-free cells are unaffected either way and keep identical keys
     under both modes.

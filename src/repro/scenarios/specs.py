@@ -903,7 +903,9 @@ class ScenarioSpec:
         """Servers fleet-wide: across all sites, or the single cluster."""
         return sum(site.fleet.num_servers for site in self.site_specs)
 
-    def _fleet_config(self, fleet: FleetSpec, seed: int) -> ExperimentConfig:
+    def site_experiment_config(self, index: int, seed: int = 0) -> ExperimentConfig:
+        """The simulation/controller configuration of one site of :attr:`site_specs`."""
+        fleet = self.site_specs[index].fleet
         return ExperimentConfig(
             num_servers=fleet.num_servers,
             power_model=fleet.classes[0].power,
@@ -912,14 +914,6 @@ class ScenarioSpec:
             global_tier=GlobalTierConfig(num_groups=fleet.groups()),
             seed=seed,
         )
-
-    def experiment_config(self, seed: int = 0) -> ExperimentConfig:
-        """The simulation/controller configuration this scenario implies."""
-        return self._fleet_config(self.fleet, seed)
-
-    def site_experiment_config(self, index: int, seed: int = 0) -> ExperimentConfig:
-        """Configuration for one site of :attr:`site_specs`."""
-        return self._fleet_config(self.site_specs[index].fleet, seed)
 
     def build_traces(
         self, n_jobs: int, seed: int | np.random.SeedSequence

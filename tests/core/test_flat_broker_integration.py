@@ -35,20 +35,10 @@ def test_flat_qnetwork_drives_broker_end_to_end():
     assert all(np.isfinite(loss) for loss in broker.loss_history)
 
 
-def test_flat_clone_survives_runner_cloning():
-    from repro.harness.runner import clone_global_broker
-    from repro.core.config import ExperimentConfig
-
-    config = ExperimentConfig(
-        num_servers=4, global_tier=GlobalTierConfig(num_groups=2)
-    )
+def test_flat_clone_keeps_weights():
     encoder = StateEncoder(4, num_groups=2)
-    proto = DRLGlobalBroker(
-        encoder,
-        config.global_tier,
-        qnetwork=FlatQNetwork(encoder, rng=np.random.default_rng(0)),
-        rng=np.random.default_rng(0),
-    )
-    clone = clone_global_broker(proto, config)
+    proto = FlatQNetwork(encoder, rng=np.random.default_rng(0))
+    clone = proto.clone(rng=np.random.default_rng(1))
+    assert clone is not proto
     state = np.random.default_rng(1).uniform(size=encoder.state_dim)
-    assert np.allclose(proto.qnet.q_values(state), clone.qnet.q_values(state))
+    assert np.array_equal(proto.q_values(state), clone.q_values(state))

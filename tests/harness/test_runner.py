@@ -1,5 +1,7 @@
 """Tests for repro.harness.runner."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,11 @@ from repro.core.baselines import FixedTimeoutPolicy
 from repro.core.global_tier import DRLGlobalBroker
 from repro.harness.runner import (
     SYSTEM_NAMES,
-    clone_global_broker,
     make_system,
     needs_global_tier,
     run_system,
     standard_protocol,
-    train_global_prototype,
+    train_site_policy,
 )
 from repro.sim.job import Job
 
@@ -74,29 +75,43 @@ class TestMakeSystem:
         )
         assert system.config.local_tier.w == 0.77
 
-    def test_prototype_cloned_not_shared(self, small_config, train_traces):
-        proto = train_global_prototype(
-            small_config, train_traces, pretrain=False, online_epochs=1
-        )
-        a = make_system("drl-only", small_config, global_prototype=proto)
-        b = make_system("drl-only", small_config, global_prototype=proto)
-        assert a.broker is not proto
-        assert a.broker is not b.broker
-        assert a.broker.qnet is not b.broker.qnet
 
-
-class TestCloneGlobalBroker:
-    def test_same_predictions_independent_training(
+class TestSitePolicy:
+    def test_systems_built_from_one_policy_are_independent(
         self, small_config, train_traces, rng
     ):
-        proto = train_global_prototype(
+        policy = train_site_policy(
             small_config, train_traces, pretrain=False, online_epochs=1
         )
-        clone = clone_global_broker(proto, small_config)
-        state = rng.uniform(size=proto.encoder.state_dim)
-        assert np.allclose(proto.qnet.q_values(state), clone.qnet.q_values(state))
-        assert clone.epsilon == proto.epsilon
-        assert len(clone.replay) == 0
+        a = make_system("drl-only", small_config, policy=policy)
+        b = make_system("drl+fixed-30", small_config, policy=policy)
+        assert a.broker is not b.broker
+        assert a.broker.qnet is not b.broker.qnet
+        state = rng.uniform(size=a.broker.encoder.state_dim)
+        assert np.array_equal(
+            a.broker.qnet.q_values(state), b.broker.qnet.q_values(state)
+        )
+        for system in (a, b):
+            assert system.broker.epsilon == policy.epsilon
+            assert len(system.broker.replay) == 0
+
+    def test_geometry_mismatch_raises(self, small_config, train_traces):
+        policy = train_site_policy(
+            small_config, train_traces, pretrain=False, online_epochs=0
+        )
+        bigger = replace(small_config, num_servers=2 * small_config.num_servers)
+        with pytest.raises(ValueError, match="geometry"):
+            policy.broker(bigger)
+
+    def test_predictor_without_weights_raises(self, small_config, train_traces):
+        policy = train_site_policy(
+            small_config, train_traces, pretrain=False, online_epochs=0
+        )
+        assert policy.predictor_state is None
+        with pytest.raises(ValueError, match="predictor"):
+            policy.predictor(small_config, seed=0)
+        with pytest.raises(ValueError, match="predictor"):
+            make_system("hierarchical", small_config, policy=policy)
 
 
 class TestRunAndProtocol:

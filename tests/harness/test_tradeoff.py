@@ -9,6 +9,7 @@ from repro.harness.tradeoff import (
     frontier_savings,
     pareto_front,
     render_tradeoff_csv,
+    run_tradeoff,
 )
 
 
@@ -84,3 +85,30 @@ class TestRender:
         header = "curve,parameter,energy_wh_per_job,mean_latency_s"
         assert text.splitlines()[0] == header
         assert len(text.splitlines()) == 7
+
+
+class TestRunTradeoff:
+    def test_every_point_shares_one_predictor_fit(self, monkeypatch):
+        # One trained policy serves every w: the LSTM is fitted once,
+        # not once per hierarchical point.
+        from repro.core.predictor import WorkloadPredictor
+
+        fits = []
+        real_fit = WorkloadPredictor.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fits.append(1)
+            return real_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkloadPredictor, "fit", counting_fit)
+        points = run_tradeoff(
+            n_jobs=60,
+            num_servers=4,
+            w_sweep=(0.1, 0.5, 0.9),
+            timeouts=(60.0,),
+            pretrain=False,
+            online_epochs=0,
+            local_epochs=0,
+        )
+        assert [p.curve for p in points] == ["hierarchical"] * 3 + ["fixed-60"]
+        assert len(fits) == 1

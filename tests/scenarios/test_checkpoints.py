@@ -12,8 +12,7 @@ from repro.scenarios.checkpoints import (
     PolicyCheckpoint,
     SitePolicy,
     ensure_checkpoint,
-    restore_predictor,
-    restore_prototype,
+    load_checkpoint,
     train_policy,
     training_request,
 )
@@ -22,6 +21,7 @@ from repro.scenarios.specs import (
     FleetSpec,
     ScenarioSpec,
     ServerClassSpec,
+    SiteSpec,
     WorkloadSpec,
 )
 from repro.scenarios.store import content_key
@@ -88,7 +88,6 @@ class TestStoreRoundTrip:
             epsilon=0.05,
             predictor_state=predictor.network.state_dict(),
             predictor_fitted=True,
-            predictor_attempted=True,
         )
         store = CheckpointStore(tmp_path / "ckpt")
         store.put("a" * 64, PolicyCheckpoint(sites=(site,)))
@@ -129,6 +128,56 @@ class TestStoreRoundTrip:
         assert store.get("d" * 64) is not None
         assert store.get("d" * 64, need_predictor=True) is None
 
+    def test_blob_in_the_previous_layout_still_loads(self, tmp_path):
+        # The layout written before SitePolicy moved to the harness: every
+        # site entry carries ``predictor_attempted``, and the meta carries
+        # ``fed_epsilon``/``fed_arch`` next to the ``fed_qnet`` array.
+        spec = ScenarioSpec(
+            name="tiny-fed-drl",
+            description="",
+            sites=(
+                SiteSpec("east", TINY.fleet),
+                SiteSpec("west", TINY.fleet),
+            ),
+            federation="drl",
+        )
+        rng = np.random.default_rng(0)
+        qnets = [{"0:w": rng.normal(size=(3, 2))} for _ in range(2)]
+        predictors = [{"0:lstm": rng.normal(size=4)} for _ in range(2)]
+        fed_qnet = {"0:w": rng.normal(size=(2, 2))}
+        fed_arch = {"kind": "hierarchical", "num_actions": 2}
+        states = {"fed_qnet": fed_qnet}
+        for i in range(2):
+            states[f"site{i}_qnet"] = qnets[i]
+            states[f"site{i}_predictor"] = predictors[i]
+        meta = {
+            "schema": CHECKPOINT_SCHEMA_VERSION,
+            "sites": [
+                {
+                    "epsilon": 0.25,
+                    "predictor_fitted": True,
+                    "predictor_attempted": True,
+                }
+                for _ in range(2)
+            ],
+            "fed_epsilon": 0.125,
+            "fed_arch": fed_arch,
+            "request": {"seed": 0},
+        }
+        store = CheckpointStore(tmp_path / "ckpt")
+        save_states(store.path_for("g" * 64), states, meta)
+        loaded = load_checkpoint(store, "g" * 64, spec, need_predictor=True)
+        assert loaded is not None
+        for i, site in enumerate(loaded.sites):
+            assert site.epsilon == 0.25 and site.predictor_fitted
+            assert np.array_equal(site.qnet_state["0:w"], qnets[i]["0:w"])
+            assert np.array_equal(
+                site.predictor_state["0:lstm"], predictors[i]["0:lstm"]
+            )
+        assert loaded.fed.epsilon == 0.125
+        assert loaded.fed.arch == fed_arch
+        assert np.array_equal(loaded.fed.qnet_state["0:w"], fed_qnet["0:w"])
+
     def test_clear(self, tmp_path, policy):
         store = CheckpointStore(tmp_path / "ckpt")
         store.put("e" * 64, policy)
@@ -138,10 +187,10 @@ class TestStoreRoundTrip:
 
 
 class TestWarmSystems:
-    def test_restored_prototype_matches_trained_weights(self, policy):
-        config = TINY.experiment_config(seed=0)
+    def test_policy_broker_carries_trained_weights(self, policy):
+        config = TINY.site_experiment_config(0, seed=0)
         (site,) = policy.sites
-        broker = restore_prototype(site, config, seed=123)
+        broker = site.broker(config, seed=123)
         for key, value in broker.qnet.state_dict().items():
             assert np.array_equal(site.qnet_state[key], value)
         assert broker.epsilon == site.epsilon
@@ -153,14 +202,12 @@ class TestWarmSystems:
             fleet=FleetSpec(classes=(ServerClassSpec("standard", 8),)),
         )
         with pytest.raises(ValueError, match="geometry"):
-            restore_prototype(
-                policy.sites[0], other.experiment_config(seed=0), seed=0
-            )
+            policy.sites[0].broker(other.site_experiment_config(0, seed=0), seed=0)
 
     def test_predictor_required_but_absent_raises(self, policy):
-        config = TINY.experiment_config(seed=0)
+        config = TINY.site_experiment_config(0, seed=0)
         with pytest.raises(ValueError, match="predictor"):
-            restore_predictor(policy.sites[0], config, seed=0)
+            policy.sites[0].predictor(config, seed=0)
 
     def test_warm_system_is_deterministic(self, policy):
         (a,), _, (jobs_a,) = build_cell(

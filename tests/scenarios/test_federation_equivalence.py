@@ -118,7 +118,7 @@ def single_cluster_reference(spec, system, n_jobs, seed, pretrain, online_epochs
     eval_jobs, train_traces = spec.build_traces(n_jobs, trace_ss)
     built = make_system(
         system,
-        spec.experiment_config(seed=seed),
+        spec.site_experiment_config(0, seed=seed),
         train_traces,
         seed=system_seed,
         pretrain=pretrain,

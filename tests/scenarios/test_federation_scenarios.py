@@ -268,21 +268,36 @@ class TestFederationCheckpoints:
         )
         assert isinstance(ck, PolicyCheckpoint)
         assert len(ck.sites) == 2
-        assert ck.fed_qnet_state is not None
+        assert ck.fed is not None
         key = content_key(training_request(self.DRL_FED, 40, 0))
         loaded = load_checkpoint(store, key, self.DRL_FED)
         assert loaded is not None
-        for k, v in ck.fed_qnet_state.items():
-            assert np.array_equal(loaded.fed_qnet_state[k], v)
+        assert loaded.fed.epsilon == ck.fed.epsilon
+        assert loaded.fed.arch == ck.fed.arch
+        for k, v in ck.fed.qnet_state.items():
+            assert np.array_equal(loaded.fed.qnet_state[k], v)
         for mine, theirs in zip(ck.sites, loaded.sites):
             for k, v in mine.qnet_state.items():
                 assert np.array_equal(theirs.qnet_state[k], v)
+
+    def test_fed_policy_geometry_mismatch_raises(self):
+        from repro.core.federation import make_federation_broker
+        from repro.harness.runner import SitePolicy
+
+        two, three = (
+            make_federation_broker("drl", n, rng=np.random.default_rng(0))
+            for n in (2, 3)
+        )
+        policy = SitePolicy.capture(two)
+        policy.restore(two.qnet)  # its own geometry loads
+        with pytest.raises(ValueError, match="geometry"):
+            policy.restore(three.qnet)
 
     def test_blob_without_fed_policy_misses_when_required(self, tmp_path):
         store = CheckpointStore(tmp_path)
         # Train for the least-loaded flavor: site weights only.
         ck = ensure_checkpoint(store, TINY_FED, n_jobs=40, seed=0, with_predictor=False)
-        assert ck.fed_qnet_state is None
+        assert ck.fed is None
         key = content_key(training_request(TINY_FED, 40, 0))
         assert store.get(key) is not None
         assert store.get(key, need_fed_policy=True) is None

@@ -57,7 +57,7 @@ class TestBuiltinRoundTrip:
     def test_builds_and_simulates(self, name):
         """Every builtin produces a runnable config, traces, and churn plan."""
         spec = registry.get(name)
-        config = spec.experiment_config(seed=0)
+        config = spec.site_experiment_config(0, seed=0)
         assert config.num_servers == spec.fleet.num_servers
         eval_jobs, train = spec.build_traces(80, seed=0)
         assert len(eval_jobs) >= 80  # flash crowds may add extras
@@ -103,7 +103,7 @@ class TestNewBuiltins:
         eval_jobs, train = spec.build_traces(80, seed=0)
         assert len(eval_jobs) == 80
         assert train and all(train)
-        system = make_system("round-robin", spec.experiment_config(seed=0))
+        system = make_system("round-robin", spec.site_experiment_config(0, seed=0))
         result = run_system(
             system, eval_jobs, record_every=50, tariff=spec.tariff
         )

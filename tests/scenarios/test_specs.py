@@ -83,7 +83,7 @@ class TestExperimentConfig:
                 )
             ),
         )
-        config = spec.experiment_config(seed=5)
+        config = spec.site_experiment_config(0, seed=5)
         assert config.num_servers == 4
         assert config.power_models is not None
         assert len(config.power_models) == 4
@@ -91,7 +91,7 @@ class TestExperimentConfig:
         assert config.fleet_power_models == config.power_models
 
     def test_homogeneous_uses_shared_model(self):
-        config = ScenarioSpec(name="s", description="").experiment_config()
+        config = ScenarioSpec(name="s", description="").site_experiment_config(0)
         assert config.power_models is None
         assert config.fleet_power_models is config.power_model
 
