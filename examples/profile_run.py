@@ -17,8 +17,7 @@ Run from the repository root::
 
 The same telemetry is available without any code via the CLI::
 
-    PYTHONPATH=src python -m repro scenario run follow-the-sun \
-        price-greedy --profile
+    PYTHONPATH=src python -m repro scenario run follow-the-sun --profile
 """
 
 from __future__ import annotations

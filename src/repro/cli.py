@@ -44,7 +44,7 @@ carries on (``--strict`` restores fail-fast). ``scenario run --trace``
 replays
 recorded Google task-events files through any scenario; unsharded runs
 journal their result exactly like a sweep cell would. ``--profile``
-captures run telemetry (per-phase self-time breakdown, counters, rates),
+captures run telemetry (per-phase self-time breakdown, counters, gauges),
 writes it as ``telemetry.json`` under the cache dir, and ``obs report``
 renders any such artifact. ``lint`` runs the AST-based determinism &
 invariant auditor (:mod:`repro.lint`) over the given paths (default

@@ -94,56 +94,52 @@ def scenario_fault_plans(
 ) -> list[SiteFaultPlan | None] | None:
     """Per-site fault plans for a scenario cell, or None when fault-free.
 
-    Federated scenarios resolve one plan per site (a site's own
-    ``SiteSpec.faults`` overrides the scenario-level spec); site outage
+    One plan per site of :attr:`~repro.scenarios.specs.ScenarioSpec.site_specs`
+    (a plain scenario is one implicit site); a site's own
+    ``SiteSpec.faults`` overrides the scenario-level spec. Site outage
     windows always come from the scenario-level spec, which is the only
-    place that can see every site index.
+    place that can see every site index. Seeds follow
+    :func:`~repro.scenarios.federation.derive_site_seeds`: a lone site
+    takes :func:`derive_fault_seed` itself, so a one-site federation
+    draws the plain scenario's faults; more sites spawn one child each.
     """
     horizon = spec.horizon_for(n_jobs)
-    if spec.sites:
-        scenario_faults = spec.faults
-        site_specs = [site.faults or scenario_faults for site in spec.sites]
-        outage_map: dict[int, list[tuple[float, float]]] = {}
-        if scenario_faults is not None:
-            for outage in scenario_faults.site_outages:
-                outage_map.setdefault(outage.site, []).append(
-                    (outage.start_fraction, outage.duration_fraction)
-                )
-        if all(s is None or s.is_null() for s in site_specs) and not outage_map:
-            return None
-        site_seeds = np.random.SeedSequence(derive_fault_seed(seed)).spawn(
-            len(spec.sites)
-        )
-        plans: list[SiteFaultPlan | None] = []
-        for index, (site, effective) in enumerate(zip(spec.sites, site_specs)):
-            outages = tuple(outage_map.get(index, ()))
-            # Outage windows are scenario-level routing (they live in
-            # ``outage_map``), so a spec that is null apart from outages
-            # targeting *other* sites leaves this site fault-free.
-            local_null = effective is None or replace(
-                effective, site_outages=()
-            ).is_null()
-            if local_null and not outages:
-                plans.append(None)
-                continue
-            effective = effective or FaultSpec()
-            plans.append(
-                build_site_plan(
-                    effective,
-                    site.fleet.num_servers,
-                    horizon,
-                    int(site_seeds[index].generate_state(1)[0]),
-                    outages=outages,
-                )
+    sites = spec.site_specs
+    scenario_faults = spec.faults
+    site_faults = [site.faults or scenario_faults for site in sites]
+    outage_map: dict[int, list[tuple[float, float]]] = {}
+    if scenario_faults is not None:
+        for outage in scenario_faults.site_outages:
+            outage_map.setdefault(outage.site, []).append(
+                (outage.start_fraction, outage.duration_fraction)
             )
-        return plans
-    if spec.faults is None or spec.faults.is_null():
+    if all(s is None or s.is_null() for s in site_faults) and not outage_map:
         return None
-    return [
-        build_site_plan(
-            spec.faults,
-            spec.fleet.num_servers,
-            horizon,
-            derive_fault_seed(seed),
+    fault_seed = derive_fault_seed(seed)
+    if len(sites) == 1:
+        site_seeds = [fault_seed]
+    else:
+        site_seeds = [
+            int(child.generate_state(1)[0])
+            for child in np.random.SeedSequence(fault_seed).spawn(len(sites))
+        ]
+    plans: list[SiteFaultPlan | None] = []
+    for index, (site, effective) in enumerate(zip(sites, site_faults)):
+        outages = tuple(outage_map.get(index, ()))
+        # Outage windows are scenario-level routing (they live in
+        # ``outage_map``), so a spec that is null apart from outages
+        # targeting *other* sites leaves this site fault-free.
+        local_null = effective is None or replace(effective, site_outages=()).is_null()
+        if local_null and not outages:
+            plans.append(None)
+            continue
+        plans.append(
+            build_site_plan(
+                effective or FaultSpec(),
+                site.fleet.num_servers,
+                horizon,
+                site_seeds[index],
+                outages=outages,
+            )
         )
-    ]
+    return plans

@@ -3,13 +3,14 @@
 The observability layer the scaling work measures itself with:
 
 * :mod:`repro.obs.telemetry` — near-zero-overhead-when-disabled spans /
-  counters / gauges / rolling rates, aggregated per run and mergeable
-  across sweep cells. Hot loops read :func:`active` once per run and
-  time their phases with :class:`Phase` / :class:`MarkSink`; everything
-  else may call :func:`get` unconditionally (disabled returns the
-  :data:`NULL` no-op singleton).
+  counters / gauges, aggregated per run and mergeable across sweep
+  cells. Every span is timed by one :class:`Phase`: hot loops read
+  :func:`active` once per run and keep a phase per loop step; everything
+  else may call :func:`get` unconditionally for ``get().span(name)``
+  (disabled returns the :data:`NULL` no-op singleton).
 * :mod:`repro.obs.report` — the sorted self-time breakdown behind
-  ``repro obs report`` plus the ``telemetry.json`` (de)serialization.
+  ``repro obs report`` (counters with their per-second rates) plus the
+  ``telemetry.json`` (de)serialization.
 * :mod:`repro.obs.logsetup` — the package's stdlib-logging handler and
   the ``--log-level`` / ``-v`` resolution the CLI uses.
 
@@ -32,29 +33,22 @@ from repro.obs.report import (
 )
 from repro.obs.telemetry import (
     NULL,
-    DEFAULT_RATE_WINDOW_S,
     TELEMETRY_SCHEMA,
     GaugeStat,
-    MarkSink,
     NullTelemetry,
     Phase,
     SpanStat,
     Telemetry,
     active,
     capture,
-    disable,
-    enable,
-    enabled,
     get,
     merge_snapshots,
 )
 
 __all__ = [
-    "DEFAULT_RATE_WINDOW_S",
     "NULL",
     "TELEMETRY_SCHEMA",
     "GaugeStat",
-    "MarkSink",
     "NullTelemetry",
     "Phase",
     "SpanStat",
@@ -62,9 +56,6 @@ __all__ = [
     "active",
     "capture",
     "configure_logging",
-    "disable",
-    "enable",
-    "enabled",
     "get",
     "load_snapshot",
     "merge_snapshots",

@@ -5,7 +5,9 @@ snapshot (:meth:`~repro.obs.telemetry.Telemetry.snapshot`) or a
 sweep-level roll-up (:func:`~repro.obs.telemetry.merge_snapshots`), the
 renderer prints the spans ranked by *self* time — where the run
 actually spent its wall clock, each phase counted exactly once — plus
-the counters, gauge summaries, and throughput rates.
+the counters (each also per second of ``wall_s``) and gauge summaries.
+Snapshots of the older schema 1 carry a ``rates`` block, which is
+ignored.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def span_rows(snapshot: dict, top: int | None = None) -> list[list]:
 
 
 def render_report(snapshot: dict, top: int | None = None) -> str:
-    """Full text report: spans by self time, counters, gauges, rates."""
+    """Full text report: spans by self time, counters, gauges."""
     # Imported here, not at module top: ``repro.sim`` imports the
     # telemetry sibling of this module, and ``repro.harness`` imports
     # ``repro.sim`` — a module-level import would tie the knot.
@@ -87,8 +89,11 @@ def render_report(snapshot: dict, top: int | None = None) -> str:
         lines.append("")
         lines.append(
             format_table(
-                ["Counter", "Count"],
-                [[name, count] for name, count in snapshot["counters"].items()],
+                ["Counter", "Count", "Per s"],
+                [
+                    [name, count, f"{count / wall:.1f}" if wall > 0.0 else "0.0"]
+                    for name, count in snapshot["counters"].items()
+                ],
             )
         )
     if snapshot.get("gauges"):
@@ -108,18 +113,6 @@ def render_report(snapshot: dict, top: int | None = None) -> str:
                     for name, g in snapshot["gauges"].items()
                 ],
             )
-        )
-    if snapshot.get("rates"):
-        rate_rows = []
-        for name, r in snapshot["rates"].items():
-            row = [name, r["count"], f"{r['per_s']:.1f}"]
-            row.append(
-                f"{r['window_per_s']:.1f}" if "window_per_s" in r else "-"
-            )
-            rate_rows.append(row)
-        lines.append("")
-        lines.append(
-            format_table(["Rate", "Count", "Per s", "Window/s"], rate_rows)
         )
     return "\n".join(lines)
 

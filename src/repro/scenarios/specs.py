@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import ExperimentConfig, GlobalTierConfig, groups_for
+from repro.core.federation import FEDERATION_POLICY_NAMES as FEDERATION_POLICIES
 from repro.faults.spec import FaultSpec
 from repro.scenarios.store import content_key
 from repro.sim.churn import CapacityEvent
@@ -39,18 +40,6 @@ from repro.workload.trace import (
     read_google_machine_events,
     read_google_task_events,
     read_trace_csv,
-)
-
-#: Federation-tier dispatch policies a scenario may name. Kept as the
-#: scenario-layer vocabulary so importing specs stays light; the
-#: implementations (and the matching tuple) live in
-#: :mod:`repro.core.federation`.
-FEDERATION_POLICIES = (
-    "home",
-    "least-loaded",
-    "price-greedy",
-    "carbon-greedy",
-    "drl",
 )
 
 

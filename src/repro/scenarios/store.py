@@ -40,7 +40,10 @@ logger = logging.getLogger(__name__)
 #: ``SiteSpec.faults``, :mod:`repro.faults`); results carry
 #: ``failed_jobs``/``retries``/``goodput``/``availability`` (and
 #: ``broker_fallbacks``), per site too on federated cells.
-SCHEMA_VERSION = 6
+#: v7: a one-site federation seeds its fault plan like the plain
+#: scenario (:func:`repro.faults.plan.scenario_fault_plans`), so faulted
+#: one-site federations changed under unchanged content keys.
+SCHEMA_VERSION = 7
 
 DEFAULT_ROOT = Path(".repro-cache")
 

@@ -215,7 +215,6 @@ class FederationEngine:
         self._tel = None
         self._route_phase = self._settle_phase = None
         self._dispatch_phase = self._hooks_phase = None
-        self._job_marks = None
         self._remote_routed = 0
         self._gauge_names = [f"queue.{site.name}" for site in self.sites]
 
@@ -253,7 +252,7 @@ class FederationEngine:
                 except Exception as exc:
                     self._broker_error(exc)
             if tel is not None:
-                self._job_marks.add(self._hooks_phase.end())
+                self._hooks_phase.end()
 
         return handle
 
@@ -371,7 +370,6 @@ class FederationEngine:
             self._settle_phase = obs.Phase(tel, "site.settle")
             self._dispatch_phase = obs.Phase(tel, "site.dispatch")
             self._hooks_phase = obs.Phase(tel, "site.finish_hooks")
-            self._job_marks = tel.mark_sink("jobs")
             self._remote_routed = 0
             arrived = sum(site.metrics.n_arrived for site in self.sites)
 
@@ -460,7 +458,6 @@ class FederationEngine:
         if tel is not None:
             event_phase = obs.Phase(tel, "loop.event")
             gauge_phase = obs.Phase(tel, "loop.gauges")
-            marks = tel.mark_sink("events")
             t_start = tel.clock()
         try:
             while True:
@@ -474,7 +471,7 @@ class FederationEngine:
                     continue
                 event_phase.begin()
                 event.callback(event.time)
-                marks.add(event_phase.end())
+                event_phase.end()
                 if executed % self.GAUGE_EVERY == 0:
                     gauge_phase.begin()
                     tel.gauge("events.queue_depth", len(events))

@@ -71,8 +71,6 @@ class MetricsCollector:
     record_every:
         Sample the series every this many job completions (1 records every
         completion; larger values bound memory on 100k-job runs).
-    keep_jobs:
-        Retain references to completed jobs (for per-job analysis).
     tariff:
         Optional electricity price / carbon-intensity signal. When set,
         every accounting interval's energy delta is weighted by the
@@ -81,7 +79,6 @@ class MetricsCollector:
     """
 
     record_every: int = 100
-    keep_jobs: bool = False
     tariff: TariffModel | None = None
 
     n_arrived: int = 0
@@ -94,7 +91,6 @@ class MetricsCollector:
     acc_cost_usd: float = 0.0
     acc_co2_g: float = 0.0
     series: list[SeriesPoint] = field(default_factory=list)
-    completed_jobs: list[Job] = field(default_factory=list)
     final_time: float = 0.0
 
     _tariff_time: float = field(default=0.0, init=False, repr=False)
@@ -141,8 +137,6 @@ class MetricsCollector:
         self.max_latency = max(self.max_latency, latency)
         self.final_time = now
         self._settle_tariff(now, cluster_energy)
-        if self.keep_jobs:
-            self.completed_jobs.append(job)
         if self.n_completed % self.record_every == 0 or self.n_completed == 1:
             self.series.append(
                 SeriesPoint(

@@ -50,7 +50,7 @@ def load_site(site, n_jobs, now=0.0):
 
 class TestVocabulary:
     def test_policy_names_match_the_scenario_layer(self):
-        assert FEDERATION_POLICY_NAMES == FEDERATION_POLICIES
+        assert FEDERATION_POLICIES is FEDERATION_POLICY_NAMES
 
     def test_factory_builds_every_named_policy(self):
         assert make_federation_broker("home", 2) is None

@@ -146,6 +146,17 @@ class TestPlans:
         assert isinstance(plans[0], SiteFaultPlan)
         assert plans == scenario_fault_plans(spec, 100, 0)
 
+    def test_one_site_federation_draws_the_plain_plan(self):
+        spec = ScenarioSpec(
+            name="x", description="d", faults=FaultSpec(crashes_per_server=1.0)
+        )
+        solo = dataclasses.replace(
+            spec, sites=(SiteSpec("solo", spec.fleet, spec.tariff),)
+        )
+        for seed in (0, 3):
+            plain = scenario_fault_plans(spec, 100, seed)
+            assert scenario_fault_plans(solo, 100, seed) == plain
+
     def test_site_spec_overrides_scenario_spec(self):
         scen = FaultSpec(job_failure_prob=0.1)
         override = FaultSpec(job_failure_prob=0.5)

@@ -39,7 +39,6 @@ def snapshot() -> dict:
             clock.advance(1.5)
     tel.counter("jobs.completed", 42)
     tel.gauge("events.queue_depth", 7.0)
-    tel.mark("jobs")
     return tel.snapshot()
 
 
@@ -77,7 +76,7 @@ class TestRenderReport:
         assert "loop.event" in text
         assert "jobs.completed" in text
         assert "events.queue_depth" in text
-        assert "Rate" in text
+        assert "Per s" in text
 
     def test_report_mentions_run_count_for_rollups(self, snapshot):
         merged = obs.merge_snapshots([snapshot, snapshot])
@@ -86,6 +85,41 @@ class TestRenderReport:
     def test_empty_snapshot_renders(self):
         text = render_report({"spans": {}, "wall_s": 0.0})
         assert "(no spans recorded)" in text
+
+    @staticmethod
+    def _per_s(text: str, counter: str) -> str:
+        """The ``Per s`` cell of one counter row, as printed."""
+        (row,) = [r for r in map(str.split, text.splitlines()) if r[:1] == [counter]]
+        return row[-1]
+
+    def test_counter_per_s_is_count_over_wall(self, snapshot):
+        # 42 completions over 5.0 s of wall clock.
+        assert snapshot["wall_s"] == 5.0
+        assert self._per_s(render_report(snapshot), "jobs.completed") == "8.4"
+
+    def test_rollup_per_s_is_summed_count_over_summed_wall(self, snapshot):
+        other = dict(snapshot, wall_s=2.0, counters={"jobs.completed": 10})
+        merged = obs.merge_snapshots([snapshot, other])
+        assert merged["wall_s"] == 7.0
+        assert self._per_s(render_report(merged), "jobs.completed") == "7.4"
+
+    def test_zero_wall_counters_read_zero_per_s(self):
+        text = render_report({"spans": {}, "wall_s": 0.0, "counters": {"x": 3}})
+        assert self._per_s(text, "x") == "0.0"
+
+
+class TestSchemaOne:
+    def test_rates_block_is_ignored(self, snapshot, tmp_path):
+        """A schema-1 snapshot still carries ``rates``: it loads, renders
+        and merges as if the block were absent."""
+        jobs = {"count": 42, "per_s": 8.4, "window_s": 5.0, "window_per_s": 8.4}
+        v1 = dict(snapshot, schema=1, rates={"jobs": jobs})
+        loaded = load_snapshot(write_snapshot(v1, tmp_path / "telemetry.json"))
+        assert loaded == v1
+        assert render_report(loaded) == render_report(snapshot)
+        merged = obs.merge_snapshots([loaded, snapshot])
+        assert "rates" not in merged
+        assert merged == obs.merge_snapshots([snapshot, snapshot])
 
 
 class TestArtifactIO:

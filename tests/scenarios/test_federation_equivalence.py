@@ -2,8 +2,8 @@
 
 A federated cell with a single site must be the *identical experiment*
 to the single-cluster cell — bit-identical metrics, not approximately
-equal — across builtin scenarios (synthetic, tariffed, and trace-replay
-workloads) and across systems including the DRL global tier. This is
+equal — across builtin scenarios (synthetic, tariffed, trace-replay and
+faulted workloads) and across systems including the DRL global tier. This is
 what licenses routing everything through the federation engine.
 
 Plain cells run as one-site federations too, so the last test pins them
@@ -40,11 +40,17 @@ EXACT_KEYS = (
     "energy_series",
     "cost_series",
     "co2_series",
+    "failed_jobs",
+    "retries",
+    "goodput",
+    "availability",
+    "broker_fallbacks",
 )
 
 #: >= 3 builtin scenarios covering synthetic (paper-default), tariffed
-#: synthetic (tou-price-shift), and trace replay (google-replay).
-SCENARIOS = ("paper-default", "tou-price-shift", "google-replay")
+#: synthetic (tou-price-shift), trace replay (google-replay), and fault
+#: injection (failure-storm: the lone site draws the plain cell's faults).
+SCENARIOS = ("paper-default", "tou-price-shift", "google-replay", "failure-storm")
 
 #: A static baseline, a sleeping baseline, and the DRL global tier
 #: (untrained here — online learning still runs through the evaluation,

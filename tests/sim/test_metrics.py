@@ -80,12 +80,6 @@ class TestCollector:
         assert m.total_energy_kwh() == 0.0
         assert m.average_power_watts() == 0.0
 
-    def test_keep_jobs(self):
-        m = MetricsCollector(keep_jobs=True)
-        job = done_job(1, 0.0, 0.0, 1.0)
-        m.on_completion(job, 1.0, 0.0)
-        assert m.completed_jobs == [job]
-
     def test_series_accessors(self):
         m = MetricsCollector(record_every=1)
         m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, JOULES_PER_KWH)

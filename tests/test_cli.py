@@ -112,7 +112,7 @@ class TestExecution:
         assert "paper-default" in captured
         assert "energy" in captured
 
-    def test_scenario_run_journals_schema_v6_result(self, capsys, tmp_path):
+    def test_scenario_run_journals_schema_v7_result(self, capsys, tmp_path):
         import json
 
         from repro.scenarios.store import SCHEMA_VERSION
@@ -124,7 +124,7 @@ class TestExecution:
         records = list(tmp_path.glob("*/*.json"))
         assert len(records) == 1
         record = json.loads(records[0].read_text())
-        assert record["schema"] == SCHEMA_VERSION == 6
+        assert record["schema"] == SCHEMA_VERSION == 7
         assert "cost_series" in record["result"]
         assert "co2_series" in record["result"]
         assert record["result"]["failed_jobs"] == 0
