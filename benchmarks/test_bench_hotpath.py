@@ -12,13 +12,16 @@ ring-buffer replay), and records:
 * decision-epoch latency (full epoch: sync + aggregate reads + encode +
   Q-values) and its components, fast vs loop;
 * train-step latency (replay sample + target build + SGD step);
+* optimizer-step latency: the packed Adam (one in-place pass over the
+  Q-network's whole parameter vector) against Adam one array at a time;
 * end-to-end DRL simulation throughput in jobs/sec.
 
-The Sub-Q loop is the reference in ``tests/helpers.py``. Results merge
-into ``BENCH_hotpath.json`` (the perf trajectory file) in the bench
-output directory. The acceptance gates assert the median per-round
-decision-epoch speedup at M=30 / K=3 (``REPRO_BENCH_MIN_SPEEDUP``
-relaxes it for noisy shared runners) and a train-step ratio of >= 1.
+The Sub-Q loop and the per-array Adam are references in
+``tests/helpers.py``. Results merge into ``BENCH_hotpath.json`` (the
+perf trajectory file) in the bench output directory. The acceptance
+gates assert the median per-round decision-epoch speedup at M=30 / K=3
+(``REPRO_BENCH_MIN_SPEEDUP`` relaxes it for noisy shared runners) and
+train-step and optimizer-step ratios of >= 1.
 
 Scale knobs: ``REPRO_BENCH_HOTPATH_ITERS`` (decision epochs per arm per
 round, default 400), ``REPRO_BENCH_HOTPATH_JOBS`` (end-to-end trace
@@ -42,7 +45,14 @@ from repro.core.state import StateEncoder
 from repro.rl.replay import ReplayMemory, Transition
 from repro.sim.engine import build_simulation
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
-from tests.helpers import assemble, interleaved, paired_ratio, train_step_loop
+from tests.helpers import (
+    LoopAdam,
+    assemble,
+    assert_same_adam,
+    interleaved,
+    paired_ratio,
+    train_step_loop,
+)
 
 ITERS = int(os.environ.get("REPRO_BENCH_HOTPATH_ITERS", "400"))
 E2E_JOBS = int(os.environ.get("REPRO_BENCH_HOTPATH_JOBS", "1500"))
@@ -224,6 +234,18 @@ def test_bench_hotpath(rig, out_dir, bench_seed):
     qnet._bench_opt = qnet.make_optimizer()
     twin = qnet.clone()
     twin._bench_opt = twin.make_optimizer()
+    # Optimizer step alone, on the same fixed gradients: both arms take
+    # the same steps, so they must end bit for bit equal.
+    optim_iters = max(ITERS // 4, 100)
+    packed_net = qnet.clone()
+    packed_opt = packed_net.make_optimizer()
+    packed_opt.grads[...] = np.random.default_rng(bench_seed).normal(
+        size=packed_opt.grads.size
+    )
+    loop_net = qnet.clone()
+    loop_opt = LoopAdam(loop_net.parameters())
+    for mine, theirs in zip(loop_opt.parameters, packed_opt.parameters):
+        mine.grad[...] = theirs.grad
     rounds = interleaved(
         {
             "epoch_fast": repeat(fast_epoch, ITERS),
@@ -238,9 +260,12 @@ def test_bench_hotpath(rig, out_dir, bench_seed):
             "train_loop": repeat(
                 lambda: legacy_train_minibatch(twin, memory, rng), train_iters
             ),
+            "optim_fast": repeat(packed_opt.step, optim_iters),
+            "optim_loop": repeat(loop_opt.step, optim_iters),
         },
         ROUNDS,
     )
+    assert_same_adam(packed_opt, loop_opt)
 
     # End-to-end: jobs/sec of a DRL-brokered simulation (fast path only —
     # the trajectory metric future PRs must not regress).
@@ -271,6 +296,7 @@ def test_bench_hotpath(rig, out_dir, bench_seed):
         "encode_us": compare(rounds, "encode", sub),
         "q_values_us": compare(rounds, "q", sub),
         "train_step_ms": compare(rounds, "train", train_iters, 1e3, 3),
+        "optim_step_us": compare(rounds, "optim", optim_iters),
         "drl_sim_jobs_per_sec": round(jobs_per_sec, 1),
         "e2e_jobs": E2E_JOBS,
     }
@@ -286,3 +312,5 @@ def test_bench_hotpath(rig, out_dir, bench_seed):
     )
     train_step = payload["train_step_ms"]
     assert train_step["speedup"]["median"] >= 1.0, train_step
+    optim_step = payload["optim_step_us"]
+    assert optim_step["speedup"]["median"] >= 1.0, optim_step

@@ -24,7 +24,7 @@ from repro.core.state import StateEncoder
 from repro.nn.autoencoder import Autoencoder
 from repro.nn.layers import Module
 from repro.nn.mlp import MLP
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam
 from repro.obs import telemetry as obs
 
 
@@ -114,10 +114,10 @@ class FlatQNetwork(Module):
         loss, derr = loss_and_derr(q[rows, actions] - targets, huber_delta)
         dq = np.zeros_like(q)
         dq[rows, actions] = derr / n
-        self.zero_grad()
+        optimizer.zero_grad()
         self.net.backward(dq, caches)
         if max_grad_norm is not None:
-            clip_grad_norm(self.parameters(), max_grad_norm)
+            optimizer.clip_grad_norm(max_grad_norm)
         optimizer.step()
         return loss / n
 
@@ -309,7 +309,7 @@ class HierarchicalQNetwork(Module):
             codes, enc_caches = self.autoencoder.encode_with_cache(groups)
             x_all = self._assemble_all(groups, codes, jobs)
 
-            self.zero_grad()
+            optimizer.zero_grad()
             total_loss = 0.0
             # dL/dcode accumulators, one plane per group (codes feed K-1
             # Sub-Q passes); filled by exact scatter, so a single stacked
@@ -341,7 +341,7 @@ class HierarchicalQNetwork(Module):
                 self.autoencoder.encoder_backward(dcodes, enc_caches)
 
             if max_grad_norm is not None:
-                clip_grad_norm(self.parameters(), max_grad_norm)
+                optimizer.clip_grad_norm(max_grad_norm)
             optimizer.step()
             return total_loss / n
 

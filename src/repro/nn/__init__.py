@@ -30,7 +30,7 @@ from repro.nn.layers import Dense, Module
 from repro.nn.losses import HuberLoss, MAELoss, MSELoss
 from repro.nn.lstm import LSTMCell, LSTMNetwork
 from repro.nn.mlp import MLP
-from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
+from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.parameter import Parameter
 
 __all__ = [
@@ -58,6 +58,5 @@ __all__ = [
     "SGD",
     "Adam",
     "Optimizer",
-    "clip_grad_norm",
     "Parameter",
 ]

@@ -88,11 +88,16 @@ class Sigmoid(Activation):
     name = "sigmoid"
 
     def forward(self, z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z, dtype=np.float64)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
+        # The two-branch form in one pass: with e = exp(-|z|), 1 / (1 + e)
+        # where z >= 0 and e / (1 + e) elsewhere, so exp never overflows and
+        # each element sees the operations it saw under boolean masks, bit
+        # for bit. min(z, -z) is -|z| but keeps a NaN's sign, as exp(z) does.
+        e = np.negative(z)
+        np.minimum(z, e, out=e)
+        np.exp(e, out=e)
+        out = np.where(z >= 0, 1.0, e)
+        e += 1.0
+        out /= e
         return out
 
     def derivative(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -124,7 +124,7 @@ class Autoencoder(Module):
                 recon, dec_caches = self.decoder.forward(code)
                 epoch_loss += loss.forward(recon, batch)
                 batches += 1
-                self.zero_grad()
+                optimizer.zero_grad()
                 dcode = self.decoder.backward(loss.backward(recon, batch), dec_caches)
                 self.encoder.backward(dcode, enc_caches)
                 optimizer.step()

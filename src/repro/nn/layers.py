@@ -13,7 +13,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.nn.activations import Activation, get_activation
+from repro.nn.activations import Activation, Identity, get_activation
 from repro.nn.initializers import xavier_uniform, zeros
 from repro.nn.parameter import Parameter
 
@@ -60,6 +60,9 @@ class Module:
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore a snapshot produced by :meth:`state_dict`.
 
+        Values are copied into the parameters' existing arrays, which may
+        be views of an optimizer's buffer (see :mod:`repro.nn.parameter`).
+
         Raises
         ------
         ValueError
@@ -79,7 +82,7 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {key!r}: {value.shape} vs {param.value.shape}"
                 )
-            param.value = value.copy()
+            param.value[...] = value
 
 
 class Dense(Module):
@@ -158,7 +161,10 @@ class Dense(Module):
         sequential per-slice backward bit for bit.
         """
         dy = np.atleast_2d(np.asarray(dy, dtype=np.float64))
-        dz = dy * self.activation.derivative(cache["z"], cache["y"])
+        if isinstance(self.activation, Identity):
+            dz = dy  # dy * 1 is dy, bit for bit
+        else:
+            dz = dy * self.activation.derivative(cache["z"], cache["y"])
         x = cache["x"]
         if dz.ndim == 2:
             self.weight.accumulate(x.T @ dz)

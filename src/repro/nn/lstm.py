@@ -18,7 +18,7 @@ from repro.nn.activations import Sigmoid, Tanh
 from repro.nn.initializers import constant, normal, xavier_uniform, zeros
 from repro.nn.layers import Dense, Module
 from repro.nn.losses import MSELoss
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam
 from repro.nn.parameter import Parameter
 
 _SIGMOID = Sigmoid()
@@ -78,9 +78,8 @@ class LSTMCell(Module):
             )
         hd = self.hidden_dim
         z = x @ self.w_x.value + h_prev @ self.w_h.value + self.bias.value
-        i = _SIGMOID.forward(z[:, :hd])
-        f = _SIGMOID.forward(z[:, hd : 2 * hd])
-        o = _SIGMOID.forward(z[:, 2 * hd : 3 * hd])
+        gates = _SIGMOID.forward(z[:, : 3 * hd])
+        i, f, o = gates[:, :hd], gates[:, hd : 2 * hd], gates[:, 2 * hd :]
         g = _TANH.forward(z[:, 3 * hd :])
         c = f * c_prev + i * g
         tanh_c = np.tanh(c)
@@ -174,14 +173,16 @@ class LSTMNetwork(Module):
             hidden_dim, output_dim, activation="identity", rng=rng, name="lstm.out"
         )
         if init == "paper":
-            self.input_layer.weight.value = normal(
+            # Written into the layers' arrays, never rebinding them (see
+            # repro.nn.parameter).
+            self.input_layer.weight.value[...] = normal(
                 rng, (input_dim, cell_input_dim), mean=0.0, std=1.0
             )
-            self.input_layer.bias.value = constant((cell_input_dim,), 0.1)
-            self.output_layer.weight.value = normal(
+            self.input_layer.bias.value[...] = constant((cell_input_dim,), 0.1)
+            self.output_layer.weight.value[...] = normal(
                 rng, (hidden_dim, output_dim), mean=0.0, std=1.0
             )
-            self.output_layer.bias.value = constant((output_dim,), 0.1)
+            self.output_layer.bias.value[...] = constant((output_dim,), 0.1)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict[str, Any]]:
         """Run a batch of sequences ``(batch, T, input_dim)``.
@@ -199,17 +200,18 @@ class LSTMNetwork(Module):
         batch, steps, _ = x.shape
         if steps < 1:
             raise ValueError("sequence length must be at least 1")
+        # The input layer sees every step on its own, so it runs once over
+        # the (steps, batch, input_dim) stack: numpy's batched matmul makes
+        # one product per step, each bit for bit the per-step product.
+        inputs, in_cache = self.input_layer.forward(x.transpose(1, 0, 2))
         h, c = self.cell.initial_state(batch)
-        in_caches: list[Any] = []
         cell_caches: list[dict[str, Any]] = []
         for t in range(steps):
-            xt, in_cache = self.input_layer.forward(x[:, t, :])
-            h, c, cell_cache = self.cell.step(xt, h, c)
-            in_caches.append(in_cache)
+            h, c, cell_cache = self.cell.step(inputs[t], h, c)
             cell_caches.append(cell_cache)
         y, out_cache = self.output_layer.forward(h)
         caches = {
-            "in": in_caches,
+            "in": in_cache,
             "cell": cell_caches,
             "out": out_cache,
             "batch": batch,
@@ -221,9 +223,22 @@ class LSTMNetwork(Module):
         """Full BPTT from the final-step prediction gradient ``dy``."""
         dh = self.output_layer.backward(dy, caches["out"])
         dc = np.zeros((caches["batch"], self.hidden_dim))
+        in_cache = caches["in"]
+        d_inputs = np.empty_like(in_cache["y"])
         for t in range(caches["steps"] - 1, -1, -1):
-            dxt, dh, dc = self.cell.step_backward(dh, dc, caches["cell"][t])
-            self.input_layer.backward(dxt, caches["in"][t])
+            d_inputs[t], dh, dc = self.cell.step_backward(dh, dc, caches["cell"][t])
+        # The input layer after the recurrence: its gradients are added in
+        # the recurrence's step order (last step first), and nothing needs
+        # the gradient with respect to the input sequence.
+        dz = d_inputs * self.input_layer.activation.derivative(
+            in_cache["z"], in_cache["y"]
+        )
+        dw = np.matmul(np.swapaxes(in_cache["x"], 1, 2), dz)
+        db = dz.sum(axis=1)
+        weight, bias = self.input_layer.weight, self.input_layer.bias
+        for t in range(caches["steps"] - 1, -1, -1):
+            weight.grad += dw[t]
+            bias.grad += db[t]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference on a batch of sequences."""
@@ -263,10 +278,10 @@ class LSTMNetwork(Module):
                 pred, caches = self.forward(x[idx])
                 epoch_loss += loss.forward(pred, y[idx])
                 batches += 1
-                self.zero_grad()
+                optimizer.zero_grad()
                 self.backward(loss.backward(pred, y[idx]), caches)
                 if max_grad_norm is not None:
-                    clip_grad_norm(self.parameters(), max_grad_norm)
+                    optimizer.clip_grad_norm(max_grad_norm)
                 optimizer.step()
             history.append(epoch_loss / max(batches, 1))
         return history

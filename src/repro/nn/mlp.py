@@ -14,7 +14,7 @@ import numpy as np
 from repro.nn.activations import Activation
 from repro.nn.layers import Dense, Module
 from repro.nn.losses import MSELoss
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam
 
 
 class MLP(Module):
@@ -135,10 +135,10 @@ class MLP(Module):
                 pred, caches = self.forward(x[idx])
                 epoch_loss += loss.forward(pred, y[idx])
                 batches += 1
-                self.zero_grad()
+                optimizer.zero_grad()
                 self.backward(loss.backward(pred, y[idx]), caches)
                 if max_grad_norm is not None:
-                    clip_grad_norm(self.parameters(), max_grad_norm)
+                    optimizer.clip_grad_norm(max_grad_norm)
                 optimizer.step()
             history.append(epoch_loss / max(batches, 1))
         return history

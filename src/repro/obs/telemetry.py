@@ -147,11 +147,10 @@ class Phase:
         tel._stack.append(self)
         self._start = tel.clock()
 
-    def end(self) -> float:
-        """Close the interval opened by :meth:`begin`; returns its end time."""
+    def end(self) -> None:
+        """Close the interval opened by :meth:`begin`."""
         tel = self._tel
-        now = tel.clock()
-        elapsed = now - self._start
+        elapsed = tel.clock() - self._start
         stack = tel._stack
         stack.pop()
         if stack:
@@ -160,7 +159,6 @@ class Phase:
         self.total_s += elapsed
         if elapsed > self.max_s:
             self.max_s = elapsed
-        return now
 
     def add(self, elapsed_s: float, calls: int = 1) -> None:
         """Account ``calls`` childless intervals timed in bulk elsewhere.

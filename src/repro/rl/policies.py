@@ -23,7 +23,8 @@ def epsilon_greedy_choice(
     Raises
     ------
     ValueError
-        If ``q_values`` is empty or ``epsilon`` outside [0, 1].
+        If ``q_values`` is empty, ``epsilon`` outside [0, 1], or the
+        greedy branch finds no maximum because ``q_values`` holds a NaN.
     """
     q_values = np.asarray(q_values, dtype=np.float64)
     if q_values.ndim != 1 or q_values.size == 0:
@@ -35,7 +36,11 @@ def epsilon_greedy_choice(
     if rng.uniform() < epsilon:
         return int(rng.integers(q_values.size))
     best = np.flatnonzero(q_values == q_values.max())
-    return int(rng.choice(best))
+    if best.size == 0:
+        nan_at = np.flatnonzero(np.isnan(q_values)).tolist()
+        raise ValueError(f"q_values hold NaN at {nan_at}, so no action is greedy")
+    # The index rng.choice(best) would draw, from the same generator state.
+    return int(best[rng.integers(best.size)])
 
 
 class EpsilonGreedy:

@@ -1,6 +1,7 @@
-"""Non-fixture test utilities: a numerical gradient, the per-group Sub-Q
-loop reference the batched Q-network must match bit for bit, and the one
-timer behind every bench gate."""
+"""Non-fixture test utilities: a numerical gradient, the loop references
+the fast paths must match bit for bit (the per-group Sub-Q loop, the
+per-array optimizer, the per-step LSTM), and the one timer behind every
+bench gate."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import numpy as np
 
 from perfbench.stats import summarize
 from repro.core.qnetwork import check_batch, loss_and_derr
-from repro.nn.optim import clip_grad_norm
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -120,9 +120,177 @@ def train_step_loop(
             net.autoencoder.encoder_backward(dcodes[k], enc_caches[k])
 
     if max_grad_norm is not None:
-        clip_grad_norm(net.parameters(), max_grad_norm)
+        clip_grad_norm_loop(net.parameters(), max_grad_norm)
     optimizer.step()
     return total_loss / n
+
+
+# ----------------------------------------------------------------------
+# Per-array optimizer: the oracle of the packed one in repro.nn.optim
+# ----------------------------------------------------------------------
+
+
+def clip_grad_norm_loop(parameters, max_norm: float) -> float:
+    """Gradient clipping one parameter array at a time; returns the
+    pre-clipping global norm."""
+    if max_norm <= 0:
+        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    total_sq = sum(float(np.sum(p.grad**2)) for p in parameters)
+    total = float(np.sqrt(total_sq))
+    if total > max_norm and total > 0.0:
+        scale = max_norm / total
+        for p in parameters:
+            p.grad *= scale
+    return total
+
+
+class LoopAdam:
+    """Adam one parameter array at a time, with its own moment arrays.
+
+    It has the packed :class:`repro.nn.optim.Adam`'s interface
+    (``parameters``, ``step``, ``zero_grad``, ``clip_grad_norm``), so it
+    can stand in for it inside a fit loop or a train step, and it works
+    on packed and unpacked parameters alike.
+    """
+
+    def __init__(self, parameters, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.parameters = list({id(p): p for p in parameters}.values())
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = [np.zeros_like(p.value) for p in self.parameters]
+        self.v = [np.zeros_like(p.value) for p in self.parameters]
+        self.t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.parameters:
+            p.grad.fill(0.0)
+
+    def clip_grad_norm(self, max_norm: float) -> float:
+        return clip_grad_norm_loop(self.parameters, max_norm)
+
+    def step(self) -> None:
+        self.t += 1
+        bias1 = 1.0 - self.beta1**self.t
+        bias2 = 1.0 - self.beta2**self.t
+        for p, m, v in zip(self.parameters, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * p.grad**2
+            m_hat = m / bias1
+            v_hat = v / bias2
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def assert_same_adam(packed, oracle) -> None:
+    """Weights, moments and step count of a packed ``Adam`` equal a
+    :class:`LoopAdam`'s, bit for bit."""
+    assert packed._t == oracle.t
+    assert len(packed.parameters) == len(oracle.parameters)
+    for mine, theirs in zip(packed.parameters, oracle.parameters):
+        assert np.array_equal(mine.value, theirs.value), mine.name
+    assert np.array_equal(packed._m, np.concatenate([m.ravel() for m in oracle.m]))
+    assert np.array_equal(packed._v, np.concatenate([v.ravel() for v in oracle.v]))
+
+
+def record_optimizers(monkeypatch, module, cls) -> list:
+    """Make ``module.Adam`` build ``cls`` instances; returns the list each
+    new instance is appended to."""
+    made: list = []
+
+    class Recording(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(module, "Adam", Recording)
+    return made
+
+
+# ----------------------------------------------------------------------
+# Per-step LSTM: the oracle of repro.nn.lstm's one-pass gates and
+# hoisted input layer
+# ----------------------------------------------------------------------
+
+
+def sigmoid_masked(z: np.ndarray) -> np.ndarray:
+    """The two-branch sigmoid: ``1 / (1 + exp(-z))`` where ``z >= 0``,
+    ``exp(z) / (1 + exp(z))`` elsewhere."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def lstm_step_loop(cell, x, h_prev, c_prev):
+    """One cell step with one masked sigmoid per gate."""
+    hd = cell.hidden_dim
+    z = x @ cell.w_x.value + h_prev @ cell.w_h.value + cell.bias.value
+    i = sigmoid_masked(z[:, :hd])
+    f = sigmoid_masked(z[:, hd : 2 * hd])
+    o = sigmoid_masked(z[:, 2 * hd : 3 * hd])
+    g = np.tanh(z[:, 3 * hd :])
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    return o * tanh_c, c, (x, h_prev, c_prev, i, f, o, g, tanh_c)
+
+
+def lstm_step_backward_loop(cell, dh, dc, cache):
+    """Backprop of :func:`lstm_step_loop`; returns ``(dx, dh_prev, dc_prev)``."""
+    x, h_prev, c_prev, i, f, o, g, tanh_c = cache
+    dc_total = dc + dh * o * (1.0 - tanh_c**2)
+    do = dh * tanh_c
+    di = dc_total * g
+    df = dc_total * c_prev
+    dg = dc_total * i
+    dz = np.concatenate(
+        [
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            do * o * (1.0 - o),
+            dg * (1.0 - g**2),
+        ],
+        axis=1,
+    )
+    cell.w_x.accumulate(x.T @ dz)
+    cell.w_h.accumulate(h_prev.T @ dz)
+    cell.bias.accumulate(dz.sum(axis=0))
+    return dz @ cell.w_x.value.T, dz @ cell.w_h.value.T, dc_total * f
+
+
+def lstm_forward_loop(net, x: np.ndarray):
+    """``LSTMNetwork.forward`` with the input layer run step by step."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 2:
+        x = x[:, :, None]
+    batch, steps, _ = x.shape
+    h, c = net.cell.initial_state(batch)
+    in_caches, cell_caches = [], []
+    for t in range(steps):
+        xt, in_cache = net.input_layer.forward(x[:, t, :])
+        h, c, cell_cache = lstm_step_loop(net.cell, xt, h, c)
+        in_caches.append(in_cache)
+        cell_caches.append(cell_cache)
+    y, out_cache = net.output_layer.forward(h)
+    caches = {
+        "in": in_caches,
+        "cell": cell_caches,
+        "out": out_cache,
+        "batch": batch,
+        "steps": steps,
+    }
+    return y, caches
+
+
+def lstm_backward_loop(net, dy: np.ndarray, caches) -> None:
+    """BPTT of :func:`lstm_forward_loop`, the input layer inside the
+    recurrence (each step's backward also computes its unused ``dx``)."""
+    dh = net.output_layer.backward(dy, caches["out"])
+    dc = np.zeros((caches["batch"], net.hidden_dim))
+    for t in range(caches["steps"] - 1, -1, -1):
+        dxt, dh, dc = lstm_step_backward_loop(net.cell, dh, dc, caches["cell"][t])
+        net.input_layer.backward(dxt, caches["in"][t])
 
 
 class Rounds(NamedTuple):

@@ -12,6 +12,7 @@ from repro.nn.activations import (
     Tanh,
     get_activation,
 )
+from tests.helpers import sigmoid_masked
 
 ALL_ACTIVATIONS = [
     Identity(),
@@ -71,6 +72,16 @@ class TestSigmoid:
         out = s.forward(np.array([-1000.0, 1000.0]))
         assert out[0] == pytest.approx(0.0, abs=1e-12)
         assert out[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_pass_matches_masked_form_bit_for_bit(self, rng):
+        edges = [0.0, 1e-300, 36.0, 745.0, 800.0, np.inf]
+        special = np.array(edges + [-v for v in edges] + [np.nan])
+        special = np.append(special, np.copysign(np.nan, -1.0))
+        z = np.concatenate([special, rng.normal(0.0, 20.0, size=997)])
+        for block in (z, z.reshape(-1, 3)[:, :2], z[:12].reshape(3, 4)):
+            got, want = Sigmoid().forward(block), sigmoid_masked(block)
+            # Bit patterns, so zeros' and NaNs' sign bits count too.
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_no_overflow_warnings(self):
         with np.errstate(over="raise"):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.nn.autoencoder as autoencoder_module
 from repro.nn.autoencoder import Autoencoder
+from repro.nn.optim import Adam
+from tests.helpers import LoopAdam, assert_same_adam, record_optimizers
 
 
 class TestConstruction:
@@ -58,6 +61,20 @@ class TestTraining:
         history = ae.fit(rng.normal(size=(32, 4)), epochs=5, rng=rng)
         assert len(history) == 5
         assert all(np.isfinite(h) for h in history)
+
+    def test_fit_matches_per_array_adam(self, monkeypatch):
+        x = np.random.default_rng(3).uniform(size=(400, 6))
+        runs = {}
+        for name, cls in (("packed", Adam), ("oracle", LoopAdam)):
+            with monkeypatch.context() as mp:
+                made = record_optimizers(mp, autoencoder_module, cls)
+                ae = Autoencoder(6, hidden_sizes=(5, 3), rng=np.random.default_rng(1))
+                history = ae.fit(x, epochs=8, rng=np.random.default_rng(2))
+            runs[name] = (made[0], history)
+        (packed, packed_history), (oracle, oracle_history) = runs.values()
+        assert packed._t == 8 * 7
+        assert_same_adam(packed, oracle)
+        assert packed_history == oracle_history
 
     def test_encoder_backward_accumulates_grads(self, rng):
         ae = Autoencoder(6, hidden_sizes=(4, 2), rng=rng)

@@ -65,6 +65,18 @@ class TestDenseBackward:
         assert np.allclose(layer.bias.grad, num_b, atol=1e-5)
         assert np.allclose(dx, num_x, atol=1e-5)
 
+    def test_identity_backward_is_dy_times_one(self, rng):
+        layer = Dense(3, 4, rng=rng)
+        x = rng.normal(size=(5, 3))
+        dy = rng.normal(size=(5, 4))
+        dy[0, 0] = -0.0
+        _, cache = layer.forward(x)
+        dx = layer.backward(dy, cache)
+        dz = dy * np.ones_like(dy)
+        assert np.array_equal(dx, dz @ layer.weight.value.T)
+        assert np.array_equal(layer.weight.grad, x.T @ dz)
+        assert np.array_equal(layer.bias.grad, dz.sum(axis=0))
+
     def test_gradients_accumulate_over_calls(self, rng):
         layer = Dense(2, 2, rng=rng)
         x = rng.normal(size=(3, 2))
@@ -139,6 +151,17 @@ class TestModule:
         layer.weight.value += 1.0
         layer.load_state_dict(snapshot)
         assert np.allclose(layer.weight.value, original)
+
+    def test_load_state_dict_writes_into_the_packed_buffer(self, rng):
+        from repro.nn.optim import Adam
+
+        layer = Dense(3, 2, rng=rng)
+        snapshot = Dense(3, 2, rng=rng).state_dict()
+        opt = Adam(layer.parameters())
+        layer.load_state_dict(snapshot)
+        assert np.shares_memory(layer.weight.value, opt.values)
+        assert np.array_equal(opt.values[:6], snapshot["0:dense.W"].ravel())
+        assert np.array_equal(layer.bias.value, snapshot["1:dense.b"])
 
     def test_load_state_dict_shape_mismatch_raises(self, rng):
         layer = Dense(3, 2, rng=rng)

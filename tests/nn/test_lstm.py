@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
+import repro.nn.lstm as lstm_module
 from repro.nn.lstm import LSTMCell, LSTMNetwork
-from tests.helpers import numerical_gradient
+from repro.nn.optim import Adam
+from tests.helpers import (
+    LoopAdam,
+    assert_same_adam,
+    lstm_backward_loop,
+    lstm_forward_loop,
+    numerical_gradient,
+    record_optimizers,
+)
 
 
 class TestCell:
@@ -121,6 +130,56 @@ class TestNetwork:
         n_before = net.num_parameters()
         net.predict(rng.normal(size=(1, 50, 1)))
         assert net.num_parameters() == n_before
+
+
+class TestOnePassEquivalence:
+    """One-pass gates and the hoisted input layer against the per-step
+    reference in tests/helpers.py, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "input_dim,batch,flat",
+        [(1, 1, False), (1, 5, False), (1, 4, True), (3, 4, False)],
+    )
+    def test_outputs_and_every_gradient(self, rng, input_dim, batch, flat):
+        net = LSTMNetwork(input_dim=input_dim, hidden_dim=6, cell_input_dim=5, rng=rng)
+        x = rng.normal(size=(batch, 35) if flat else (batch, 35, input_dim))
+        dy = rng.normal(size=(batch, 1))
+        y, caches = net.forward(x)
+        net.zero_grad()
+        net.backward(dy, caches)
+        grads = [p.grad.copy() for p in net.parameters()]
+        y_ref, ref_caches = lstm_forward_loop(net, x)
+        net.zero_grad()
+        lstm_backward_loop(net, dy, ref_caches)
+        assert np.array_equal(y, y_ref)
+        for p, grad in zip(net.parameters(), grads):
+            assert np.array_equal(grad, p.grad), p.name
+
+    @pytest.mark.parametrize("init", ["xavier", "paper"])
+    def test_fit_matches_the_per_array_per_step_oracle(self, monkeypatch, init):
+        data = np.random.default_rng(5)
+        x = data.uniform(size=(120, 35, 1))
+        y = data.uniform(size=(120, 1))
+        runs = {}
+        for name, cls in (("packed", Adam), ("oracle", LoopAdam)):
+            with monkeypatch.context() as mp:
+                made = record_optimizers(mp, lstm_module, cls)
+                if cls is LoopAdam:
+                    mp.setattr(LSTMNetwork, "forward", lstm_forward_loop)
+                    mp.setattr(LSTMNetwork, "backward", lstm_backward_loop)
+                net = LSTMNetwork(
+                    hidden_dim=30, init=init, rng=np.random.default_rng(6)
+                )
+                history = net.fit(
+                    x, y, epochs=7, batch_size=16, rng=np.random.default_rng(7)
+                )
+                runs[name] = (made[0], history, net.predict(x[:4]))
+        (packed, history, pred), (oracle, oracle_history, oracle_pred) = runs.values()
+        assert packed._t == 7 * 8
+        assert all(np.shares_memory(p.value, packed.values) for p in packed.parameters)
+        assert_same_adam(packed, oracle)
+        assert history == oracle_history
+        assert np.array_equal(pred, oracle_pred)
 
 
 class TestLearning:

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.nn.mlp as mlp_module
 from repro.nn.mlp import MLP
-from tests.helpers import numerical_gradient
+from repro.nn.optim import Adam
+from tests.helpers import (
+    LoopAdam,
+    assert_same_adam,
+    numerical_gradient,
+    record_optimizers,
+)
 
 
 class TestConstruction:
@@ -87,6 +94,31 @@ class TestFit:
         y = rng.normal(size=(16, 1)) * 100
         history = mlp.fit(x, y, epochs=3, max_grad_norm=1.0, rng=rng)
         assert all(np.isfinite(h) for h in history)
+
+
+class TestPackedFit:
+    @pytest.mark.parametrize("max_grad_norm", [None, 1.0])
+    def test_fit_matches_per_array_adam(self, monkeypatch, max_grad_norm):
+        data = np.random.default_rng(3)
+        x = data.normal(size=(200, 3)) * 5.0
+        y = data.normal(size=(200, 2)) * 5.0
+        runs = {}
+        for name, cls in (("packed", Adam), ("oracle", LoopAdam)):
+            with monkeypatch.context() as mp:
+                made = record_optimizers(mp, mlp_module, cls)
+                net = MLP([3, 16, 2], rng=np.random.default_rng(1))
+                history = net.fit(
+                    x,
+                    y,
+                    epochs=8,
+                    max_grad_norm=max_grad_norm,
+                    rng=np.random.default_rng(2),
+                )
+            runs[name] = (made[0], history)
+        (packed, packed_history), (oracle, oracle_history) = runs.values()
+        assert packed._t == 8 * 7
+        assert_same_adam(packed, oracle)
+        assert packed_history == oracle_history
 
 
 class TestSharing:

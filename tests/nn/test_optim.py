@@ -3,8 +3,30 @@
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam, clip_grad_norm
+from repro.nn.optim import SGD, Adam
 from repro.nn.parameter import Parameter
+from tests.helpers import LoopAdam, assert_same_adam, clip_grad_norm_loop
+
+
+def clip_grad_norm(parameters, max_norm):
+    """Clip through an optimizer over ``parameters``, as the fit loops do."""
+    return SGD(parameters).clip_grad_norm(max_norm)
+
+
+def random_parameters(rng, shapes=((5, 7), (7,), (7, 3), (3,), (), (1, 1))):
+    """Parameters of assorted shapes, 0-d included, with random gradients."""
+    params = [
+        Parameter(rng.normal(size=shape), name=f"p{i}")
+        for i, shape in enumerate(shapes)
+    ]
+    for p in params:
+        p.grad[...] = rng.normal(size=p.shape)
+    return params
+
+
+def twins(params):
+    """Independent copies of ``params``, gradients included."""
+    return [p.copy() for p in params]
 
 
 def quadratic_step(params, optimizer, steps=200):
@@ -128,3 +150,92 @@ class TestAdam:
         p.accumulate(np.ones(2))
         opt.zero_grad()
         assert np.all(p.grad == 0.0)
+
+
+class TestPacked:
+    """The packed optimizers against the per-array oracle in tests/helpers.py."""
+
+    def test_parameters_become_views_of_one_buffer(self, rng):
+        params = random_parameters(rng)
+        before = [(p.value.copy(), p.grad.copy()) for p in params]
+        opt = Adam(params)
+        offset = 0
+        for p, (value, grad) in zip(params, before):
+            assert np.shares_memory(p.value, opt.values)
+            assert np.shares_memory(p.grad, opt.grads)
+            assert np.array_equal(p.value, value) and np.array_equal(p.grad, grad)
+            assert np.array_equal(opt.values[offset : offset + p.size], value.ravel())
+            offset += p.size
+        assert opt.values.size == offset
+
+    @pytest.mark.parametrize("lr", [1e-3, 0.05])
+    def test_adam_matches_per_array_loop(self, rng, lr):
+        params = random_parameters(rng)
+        oracle_params = twins(params)
+        packed, oracle = Adam(params, lr=lr), LoopAdam(oracle_params, lr=lr)
+        for _ in range(60):
+            grads = [rng.normal(scale=10.0, size=p.shape) for p in params]
+            norms = []
+            for opt in (packed, oracle):
+                opt.zero_grad()
+                for p, g in zip(opt.parameters, grads):
+                    p.accumulate(g)
+                norms.append(opt.clip_grad_norm(10.0))
+                opt.step()
+            assert norms[0] == norms[1]
+            for mine, theirs in zip(packed.parameters, oracle.parameters):
+                assert np.array_equal(mine.grad, theirs.grad)
+        assert_same_adam(packed, oracle)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_sgd_matches_per_array_loop(self, rng, momentum):
+        params = random_parameters(rng)
+        expected = twins(params)
+        velocity = [np.zeros_like(p.value) for p in expected]
+        opt = SGD(params, lr=0.01, momentum=momentum)
+        for _ in range(50):
+            opt.step()
+            for p, v in zip(expected, velocity):
+                if momentum:
+                    v *= momentum
+                    v += p.grad
+                    p.value -= 0.01 * v
+                else:
+                    p.value -= 0.01 * p.grad
+        for mine, theirs in zip(params, expected):
+            assert np.array_equal(mine.value, theirs.value)
+
+    @pytest.mark.parametrize("max_norm", [0.5, 1e6])
+    def test_clip_matches_per_array_loop(self, rng, max_norm):
+        params = random_parameters(rng)
+        oracle_params = twins(params)
+        norm = SGD(params).clip_grad_norm(max_norm)
+        assert norm == clip_grad_norm_loop(oracle_params, max_norm)
+        for mine, theirs in zip(params, oracle_params):
+            assert np.array_equal(mine.grad, theirs.grad)
+
+    def test_zero_grad_clears_every_parameter(self, rng):
+        params = random_parameters(rng)
+        opt = Adam(params)
+        opt.zero_grad()
+        assert all(np.all(p.grad == 0.0) for p in params)
+        assert not np.any(opt.grads)
+
+    def test_second_optimizer_reuses_a_consecutive_run(self, rng):
+        params = random_parameters(rng)
+        whole = Adam(params)
+        part = Adam(params[1:4])
+        assert part.values.base is whole.values
+        assert part.grads.base is whole.grads
+        assert SGD(params).values.base is whole.values  # the whole run again
+        # A step through the part moves the whole's parameters too.
+        before = whole.values.copy()
+        part.step()
+        assert not np.array_equal(whole.values, before)
+        assert np.array_equal(whole.values[: params[0].size], before[: params[0].size])
+
+    def test_out_of_order_packed_parameters_raise(self, rng):
+        params = random_parameters(rng)
+        Adam(params)
+        with pytest.raises(ValueError, match="consecutive run"):
+            Adam([params[2], params[0]])

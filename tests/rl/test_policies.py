@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rl.policies import (
     DecayingEpsilonGreedy,
@@ -46,6 +48,26 @@ class TestEpsilonGreedyChoice:
     def test_matrix_q_raises(self, rng):
         with pytest.raises(ValueError):
             epsilon_greedy_choice(np.zeros((2, 2)), 0.1, rng)
+
+    def test_nan_q_value_is_named(self, rng):
+        q = np.array([0.5, np.nan, 0.2])
+        with pytest.raises(ValueError, match=r"NaN at \[1\]"):
+            epsilon_greedy_choice(q, 0.0, rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 3), min_size=1, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_greedy_draw_is_rng_choice_of_the_maxima(self, values, seed):
+        # Few distinct values, so ties at the maximum are common.
+        q = np.array(values, dtype=np.float64)
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            reference.uniform()  # the exploration draw
+            best = np.flatnonzero(q == q.max())
+            assert epsilon_greedy_choice(q, 0.0, rng) == int(reference.choice(best))
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestEpsilonGreedy:
