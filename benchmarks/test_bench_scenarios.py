@@ -23,7 +23,6 @@ from repro.harness.report import format_table
 from repro.scenarios import registry
 from repro.scenarios.checkpoints import CheckpointStore
 from repro.scenarios.orchestrator import detected_cpus, run_cell, sweep
-from repro.scenarios.sharding import run_cell_sharded
 from repro.scenarios.store import ResultStore
 from tests.helpers import interleaved, paired_ratio
 
@@ -32,7 +31,7 @@ SCENARIO_JOBS = int(os.environ.get("REPRO_BENCH_SCENARIO_JOBS", "200"))
 BENCH_SYSTEMS = ("round-robin", "packing")
 #: Cell size for the warm-start bench (DRL cells: training dominates).
 WARM_JOBS = int(os.environ.get("REPRO_BENCH_WARM_JOBS", "150"))
-#: Timed rounds of the sharded and warm-start gates (seconds per round).
+#: Timed rounds of the warm-start gate (seconds per round).
 ROUNDS = 3
 
 
@@ -100,62 +99,6 @@ def test_bench_parallel_speedup(out_dir, sweep_kwargs):
         ]
     )
     save_artifact(out_dir, "bench_scenario_sweep.txt", text)
-
-
-def test_bench_sharded_cell(out_dir, bench_seed):
-    """One large cell, unsharded vs trace-sharded over the worker pool.
-
-    With >= 2 usable CPUs the sharded run must beat the unsharded run on
-    wall clock (the whole point of sharding a single cell); on one CPU
-    the timing line is still recorded but the speedup is not asserted.
-    The cell is sized (default 12000 jobs, ~1.5 s unsharded) so the pool
-    spin-up cost cannot mask the win. Both run in the same interleaved
-    rounds, and the gate takes the median per-round speedup (shared
-    runners are noisy).
-    """
-    n_jobs = int(os.environ.get("REPRO_BENCH_SHARD_JOBS", "12000"))
-    shards = 4
-
-    def run_unsharded():
-        return run_cell("paper-default", "round-robin", n_jobs=n_jobs, seed=bench_seed)
-
-    def run_sharded():
-        return run_cell_sharded(
-            "paper-default",
-            "round-robin",
-            n_jobs=n_jobs,
-            seed=bench_seed,
-            shards=shards,
-        )
-
-    rounds = interleaved(
-        {"unsharded": lambda: run_unsharded, "sharded": lambda: run_sharded}, ROUNDS
-    )
-    unsharded, sharded = rounds.results["unsharded"], rounds.results["sharded"]
-    cpus = detected_cpus()
-
-    assert sharded["n_jobs_completed"] == unsharded["n_jobs_completed"]
-    speedup = paired_ratio(rounds.seconds["unsharded"], rounds.seconds["sharded"])
-    text = "\n".join(
-        [
-            f"cell: paper-default x round-robin, {n_jobs} jobs, "
-            f"{shards} shards, {cpus} CPUs detected",
-            f"unsharded: {rounds.summary('unsharded')['median']:.2f} s median",
-            f"sharded:   {rounds.summary('sharded')['median']:.2f} s median "
-            f"({sharded['workers_used']} workers)",
-            f"speedup:   {describe_speedup(speedup)}",
-            "power delta: {:.1%}".format(
-                abs(sharded["average_power_w"] - unsharded["average_power_w"])
-                / unsharded["average_power_w"]
-            ),
-        ]
-    )
-    save_artifact(out_dir, "bench_sharded_cell.txt", text)
-    if cpus >= 2 and sharded["workers_used"] >= 2:
-        assert speedup["median"] > 1.0, (
-            f"sharded cell must beat unsharded with {sharded['workers_used']} "
-            f"workers, got a speedup of {describe_speedup(speedup)}"
-        )
 
 
 def test_bench_warm_start_sweep(out_dir, bench_seed, tmp_path):

@@ -10,8 +10,7 @@ Usage::
     python -m repro systems
     python -m repro scenario list
     python -m repro scenario run   --name NAME [--system SYS] [--jobs N]
-                                   [--shards S] [--workers W] [--warm]
-                                   [--trace CSV...] [--sites N]
+                                   [--warm] [--trace CSV...] [--sites N]
                                    [--federation POLICY] [--profile]
     python -m repro scenario sweep [--scenarios a,b] [--systems x,y]
                                    [--seeds 0,1] [--jobs N] [--workers W]
@@ -41,9 +40,10 @@ a tariff) with ``--series-out``. Failing cells are retried
 (``--cell-retries``), optionally time-boxed (``--cell-timeout``), and
 then quarantined — journaled to ``quarantine.jsonl`` while the sweep
 carries on (``--strict`` restores fail-fast). ``scenario run --trace``
-replays
-recorded Google task-events files through any scenario; unsharded runs
-journal their result exactly like a sweep cell would. ``--profile``
+replays recorded Google task-events files through any scenario, and
+every run journals its result exactly like a sweep cell would. Unknown
+scenario or system names, ``--jobs`` below 1 and out-of-range execution
+knobs exit 2 before any work starts. ``--profile``
 captures run telemetry (per-phase self-time breakdown, counters, gauges),
 writes it as ``telemetry.json`` under the cache dir, and ``obs report``
 renders any such artifact. ``lint`` runs the AST-based determinism &
@@ -167,8 +167,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         import inspect
         from dataclasses import replace as dc_replace
 
-        from repro.scenarios.orchestrator import check_execution, run_cell
-        from repro.scenarios.sharding import check_shardable, run_cell_sharded
+        from repro.scenarios.orchestrator import (
+            SweepCell,
+            check_cells,
+            journal_cell_result,
+            run_cell,
+        )
+        from repro.scenarios.store import ResultStore
 
         def _default(fn, param: str):
             return inspect.signature(fn).parameters[param].default
@@ -182,7 +187,12 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             print("error: scenario run needs exactly one scenario name "
                   "(positional or --name)", file=sys.stderr)
             return 2
-        spec = registry.get(name)
+        try:
+            spec = registry.get(name)
+            check_cells([args.system], args.jobs)
+        except (KeyError, ValueError) as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 2
         if args.sites is not None:
             from repro.scenarios.specs import SiteSpec
 
@@ -225,17 +235,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-        if args.profile and args.shards > 1:
-            print("error: --profile needs the unsharded path (one telemetry "
-                  "capture per run); drop --shards", file=sys.stderr)
-            return 2
-        if args.shards > 1:
-            try:
-                check_shardable(spec)
-                check_execution(workers=args.workers)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
         if spec.sites and len(spec.sites) > 1 and args.trace:
             print("error: --trace replays support a single site",
                   file=sys.stderr)
@@ -264,12 +263,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             )
         checkpoint = None
         # The warm path must train exactly what the cold path would, so
-        # read the protocol off the callee each branch actually uses:
-        # both follow run_cell's defaults (run and sweep cells share
-        # cache slots, so they must share the protocol too).
-        cold = run_cell_sharded if args.shards > 1 else run_cell
-        online_epochs = _default(cold, "online_epochs")
-        local_epochs = _default(cold, "local_epochs")
+        # read the protocol off run_cell's defaults (run and sweep cells
+        # share cache slots, so they must share the protocol too).
+        online_epochs = _default(run_cell, "online_epochs")
+        local_epochs = _default(run_cell, "local_epochs")
         if args.warm:
             from repro.scenarios.checkpoints import (
                 CheckpointStore,
@@ -287,43 +284,27 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                     online_epochs=online_epochs,
                     with_predictor=args.system == "hierarchical",
                 )
-        if args.shards > 1:
-            cell = run_cell_sharded(
-                spec, args.system, n_jobs=args.jobs, seed=args.seed,
-                shards=args.shards, workers=args.workers,
-                checkpoint=checkpoint,
-            )
-            extra = (
-                f"shards: {cell['shards']} on {cell['workers_used']} workers  "
-            )
-        else:
-            cell = run_cell(
-                spec, args.system, n_jobs=args.jobs, seed=args.seed,
-                checkpoint=checkpoint, profile=args.profile,
-            )
-            extra = ""
-            # Journal the cell exactly as a sweep would, so later sweeps
-            # (and --resume) reuse it as a cache hit. Sharded results
-            # stay out of the store: they are a documented approximation
-            # of the unsharded cell, not the same experiment.
-            from repro.scenarios.orchestrator import SweepCell, journal_cell_result
-            from repro.scenarios.store import ResultStore
-
-            path = journal_cell_result(
-                ResultStore(args.cache_dir),
-                SweepCell(spec, args.system, args.seed),
-                cell,
-                n_jobs=args.jobs,
-                online_epochs=online_epochs,
-                local_epochs=local_epochs,
-                warm_start=checkpoint is not None,
-                profile=args.profile,
-            )
-            print(f"# journaled {path}", file=sys.stderr)
+        cell = run_cell(
+            spec, args.system, n_jobs=args.jobs, seed=args.seed,
+            checkpoint=checkpoint, profile=args.profile,
+        )
+        # Journal the cell exactly as a sweep would, so later sweeps (and
+        # --resume) reuse it as a cache hit.
+        path = journal_cell_result(
+            ResultStore(args.cache_dir),
+            SweepCell(spec, args.system, args.seed),
+            cell,
+            n_jobs=args.jobs,
+            online_epochs=online_epochs,
+            local_epochs=local_epochs,
+            warm_start=checkpoint is not None,
+            profile=args.profile,
+        )
+        print(f"# journaled {path}", file=sys.stderr)
         lines = [
             f"scenario: {spec.name} ({spec.description})",
             f"system: {args.system}  servers: {cell['num_servers']}  "
-            f"jobs: {cell['n_jobs_completed']}  {extra}"
+            f"jobs: {cell['n_jobs_completed']}  "
             f"churn events: {cell['capacity_events']}",
             f"energy: {cell['energy_kwh']:.2f} kWh  "
             f"latency: {cell['acc_latency_s'] / 1e6:.3f}e6 s  "
@@ -373,13 +354,25 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     # action == "sweep"
-    from repro.scenarios.orchestrator import check_execution, detected_cpus, sweep
+    from repro.scenarios.orchestrator import (
+        check_cells,
+        check_execution,
+        detected_cpus,
+        sweep,
+    )
     from repro.scenarios.store import ResultStore
 
+    systems = tuple(_split_csv(args.systems))
     try:
         check_execution(args.workers, args.cell_retries, args.cell_timeout)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        check_cells(systems, args.jobs)
+        scenarios = (
+            [registry.get(name) for name in _split_csv(args.scenarios)]
+            if args.scenarios
+            else None
+        )
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     if args.resume:
         if args.no_cache or args.force:
@@ -391,8 +384,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                   f"{args.cache_dir}; nothing to resume", file=sys.stderr)
             return 2
     report = sweep(
-        scenarios=_split_csv(args.scenarios) if args.scenarios else None,
-        systems=tuple(_split_csv(args.systems)),
+        scenarios=scenarios,
+        systems=systems,
         seeds=tuple(int(s) for s in _split_csv(args.seeds)),
         n_jobs=args.jobs,
         workers=args.workers,
@@ -535,13 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="federation-tier dispatch policy (home, "
                              "least-loaded, price-greedy, carbon-greedy, "
                              "drl); default for --sites N>1: least-loaded")
-    sc_run.add_argument("--shards", type=int, default=1,
-                        help="split the evaluation trace into this many "
-                             "warm-handoff segments run in parallel "
-                             "(default 1 = unsharded)")
-    sc_run.add_argument("--workers", type=int, default=None,
-                        help="pool size for sharded runs (default: detected "
-                             "CPU count; 1 runs the shards in this process)")
     sc_run.add_argument("--warm", action="store_true",
                         help="warm-start DRL systems from the policy "
                              "checkpoint store (training on first use)")

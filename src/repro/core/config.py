@@ -22,6 +22,21 @@ def groups_for(num_servers: int) -> int:
     return 1
 
 
+def _check_epsilon_schedule(start: float, floor: float, decay: float) -> None:
+    """Raise ValueError unless epsilon decays from ``start`` towards ``floor``.
+
+    Caught here, not mid-run: a decay above 1 grows epsilon each action
+    until ε-greedy selection refuses it.
+    """
+    if not 0.0 <= floor <= start <= 1.0:
+        raise ValueError(
+            f"need 0 <= epsilon_floor <= epsilon_start <= 1, got "
+            f"floor {floor}, start {start}"
+        )
+    if not 0.0 < decay <= 1.0:
+        raise ValueError(f"epsilon_decay must be in (0, 1], got {decay}")
+
+
 @dataclass(frozen=True)
 class GlobalTierConfig:
     """Hyper-parameters of the DRL-based global tier.
@@ -45,7 +60,10 @@ class GlobalTierConfig:
         (watts), jobs in system, and the hot-spot measure over each
         sojourn. Scales chosen so each term is O(1).
     epsilon_start, epsilon_floor, epsilon_decay:
-        ε-greedy schedule for online action selection.
+        ε-greedy schedule for online action selection: epsilon starts
+        at ``epsilon_start`` and shrinks by ``epsilon_decay`` per action
+        to ``epsilon_floor`` (``0 <= floor <= start <= 1``, decay in
+        ``(0, 1]``).
     replay_capacity:
         Experience memory capacity N_D.
     batch_size:
@@ -76,8 +94,9 @@ class GlobalTierConfig:
         Early-training queue explosions otherwise produce unbounded
         targets that destabilize the network.
     huber_delta:
-        Use a Huber loss with this delta for DNN regression instead of
-        MSE (None selects MSE), further bounding outlier gradients.
+        Use a Huber loss with this positive delta for DNN regression
+        instead of MSE (None selects MSE), further bounding outlier
+        gradients.
     """
 
     num_groups: int = 3
@@ -110,6 +129,11 @@ class GlobalTierConfig:
             raise ValueError("train_interval must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        _check_epsilon_schedule(
+            self.epsilon_start, self.epsilon_floor, self.epsilon_decay
+        )
+        if self.huber_delta is not None and self.huber_delta <= 0:
+            raise ValueError(f"huber_delta must be positive, got {self.huber_delta}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +175,7 @@ class LocalTierConfig:
     beta, alpha:
         SMDP discount rate and learning rate of Eqn. (2).
     epsilon_start, epsilon_floor, epsilon_decay:
-        ε-greedy schedule.
+        ε-greedy schedule, under the same rule as the global tier's.
     power_scale:
         Watts that count as "1.0" in the reward so the power and queue
         terms are commensurate (defaults to the peak power).
@@ -176,6 +200,9 @@ class LocalTierConfig:
             raise ValueError(f"w must be in [0, 1], got {self.w}")
         if self.power_scale <= 0:
             raise ValueError("power_scale must be positive")
+        _check_epsilon_schedule(
+            self.epsilon_start, self.epsilon_floor, self.epsilon_decay
+        )
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,7 @@ SYSTEM_DESCRIPTIONS = {
     "hierarchical": "Full framework: DRL global tier + RL/LSTM local tier",
 }
 
-_FIXED_RE = re.compile(r"^drl\+fixed-(\d+(?:\.\d+)?)$")
-
-#: System names whose broker is the DRL global tier.
-_DRL_PREFIXES = ("drl-only", "drl+fixed-", "hierarchical")
+_FIXED_RE = re.compile(r"drl\+fixed-(\d+(?:\.\d+)?)")
 
 
 @dataclass(frozen=True)
@@ -183,8 +180,19 @@ def run_system(
 
 
 def needs_global_tier(name: str) -> bool:
-    """Whether a named system uses the DRL global broker."""
-    return any(name.startswith(prefix) for prefix in _DRL_PREFIXES)
+    """Whether a named system uses the DRL global broker.
+
+    Names match whole: ``drl-only``, ``hierarchical`` or ``drl+fixed-T``.
+    """
+    return name in ("drl-only", "hierarchical") or _FIXED_RE.fullmatch(name) is not None
+
+
+def check_system(name: str) -> None:
+    """Raise ValueError unless ``name`` is a named system or ``drl+fixed-T``."""
+    if name not in SYSTEM_NAMES and not needs_global_tier(name):
+        raise ValueError(
+            f"unknown system {name!r}; known: {SYSTEM_NAMES} or 'drl+fixed-T'"
+        )
 
 
 def derive_cell_seeds(seed: int) -> tuple[np.random.SeedSequence, int]:
@@ -415,6 +423,7 @@ def make_system(
         On an unknown system name, or a ``hierarchical`` system whose
         ``policy`` carries no predictor.
     """
+    check_system(name)
     config = config if config is not None else ExperimentConfig()
     if local_w is not None:
         config = replace(config, local_tier=replace(config.local_tier, w=local_w))
@@ -448,11 +457,6 @@ def make_system(
             config=config,
             initially_on=False,
         )
-    if not needs_global_tier(name):
-        raise ValueError(
-            f"unknown system {name!r}; known: {SYSTEM_NAMES} or 'drl+fixed-T'"
-        )
-
     # --- DRL-based systems ------------------------------------------------
     if policy is not None:
         broker = policy.broker(config, seed=seed)
@@ -470,7 +474,7 @@ def make_system(
             config=config,
             initially_on=False,
         )
-    match = _FIXED_RE.match(name)
+    match = _FIXED_RE.fullmatch(name)
     if match:
         return HierarchicalSystem(
             name=name,
@@ -511,8 +515,11 @@ def with_shared_policy(
     :func:`~repro.harness.tradeoff.run_tradeoff`: every DRL system a
     protocol compares starts from the same trained global tier, and
     from the same LSTM predictor when ``names`` includes
-    ``hierarchical``. A caller's own ``policy`` is kept.
+    ``hierarchical``. A caller's own ``policy`` is kept. Every name is
+    checked (:func:`check_system`) before anything trains.
     """
+    for name in names:
+        check_system(name)
     if "policy" in make_kwargs or not any(needs_global_tier(n) for n in names):
         return make_kwargs
     train_kwargs = {

@@ -41,18 +41,6 @@ class Identity(Activation):
         return np.ones_like(z)
 
 
-class ReLU(Activation):
-    """Rectified linear unit: ``y = max(z, 0)``."""
-
-    name = "relu"
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(z, 0.0)
-
-    def derivative(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return (z > 0.0).astype(np.float64)
-
-
 class ELU(Activation):
     """Exponential linear unit, the activation the paper's Q-network uses.
 
@@ -116,22 +104,9 @@ class Tanh(Activation):
         return 1.0 - y * y
 
 
-class Softplus(Activation):
-    """Softplus ``log(1 + exp(z))``; smooth positive output, used in tests."""
-
-    name = "softplus"
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.logaddexp(0.0, z)
-
-    def derivative(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return Sigmoid().forward(z)
-
-
 _REGISTRY: dict[str, type[Activation]] = {
-    cls.name: cls for cls in (Identity, ReLU, ELU, Sigmoid, Tanh, Softplus)
+    cls.name: cls for cls in (Identity, ELU, Sigmoid, Tanh)
 }
-_REGISTRY["linear"] = Identity
 
 
 def get_activation(name: str | Activation) -> Activation:

@@ -19,16 +19,6 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def xavier_normal(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot/Xavier normal initialization for a ``(fan_in, fan_out)`` matrix."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError(
-            f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}"
-        )
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=(fan_in, fan_out))
-
-
 def normal(
     rng: np.random.Generator,
     shape: tuple[int, ...],

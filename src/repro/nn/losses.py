@@ -28,40 +28,3 @@ class MSELoss:
     def backward(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
         pred, target = _prepare(pred, target)
         return 2.0 * (pred - target) / pred.size
-
-
-class MAELoss:
-    """Mean absolute error; subgradient 0 at exact zero residual."""
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        pred, target = _prepare(pred, target)
-        return float(np.mean(np.abs(pred - target)))
-
-    def backward(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-        pred, target = _prepare(pred, target)
-        return np.sign(pred - target) / pred.size
-
-
-class HuberLoss:
-    """Huber loss: quadratic within ``delta`` of the target, linear outside.
-
-    Commonly used to stabilize deep Q-learning targets.
-    """
-
-    def __init__(self, delta: float = 1.0) -> None:
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = float(delta)
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        pred, target = _prepare(pred, target)
-        err = pred - target
-        abs_err = np.abs(err)
-        quad = np.minimum(abs_err, self.delta)
-        lin = abs_err - quad
-        return float(np.mean(0.5 * quad**2 + self.delta * lin))
-
-    def backward(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-        pred, target = _prepare(pred, target)
-        err = pred - target
-        return np.clip(err, -self.delta, self.delta) / pred.size

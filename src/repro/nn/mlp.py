@@ -1,8 +1,8 @@
 """Multi-layer perceptron built from Dense layers.
 
 Used for the Sub-Q networks of the global tier (one hidden layer of 128
-ELUs plus a linear output, per the paper) and as a generic regressor in
-tests and ablations.
+ELUs plus a linear output, per the paper), the flat Q-network ablation,
+and the autoencoder's encoder and decoder.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import numpy as np
 
 from repro.nn.activations import Activation
 from repro.nn.layers import Dense, Module
-from repro.nn.losses import MSELoss
-from repro.nn.optim import Adam
 
 
 class MLP(Module):
@@ -103,42 +101,3 @@ class MLP(Module):
             raise ValueError("cannot share weights between differently-shaped MLPs")
         for mine, theirs in zip(self.layers, other.layers):
             mine.share_with(theirs)
-
-    def fit(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        epochs: int = 100,
-        batch_size: int = 32,
-        lr: float = 1e-3,
-        rng: np.random.Generator | None = None,
-        max_grad_norm: float | None = None,
-        loss: MSELoss | None = None,
-    ) -> list[float]:
-        """Convenience supervised training loop; returns per-epoch losses."""
-        if rng is None:
-            rng = np.random.default_rng(0)
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        if x.shape[0] != y.shape[0]:
-            raise ValueError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
-        loss = loss or MSELoss()
-        optimizer = Adam(self.parameters(), lr=lr)
-        history: list[float] = []
-        n = x.shape[0]
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            batches = 0
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                pred, caches = self.forward(x[idx])
-                epoch_loss += loss.forward(pred, y[idx])
-                batches += 1
-                optimizer.zero_grad()
-                self.backward(loss.backward(pred, y[idx]), caches)
-                if max_grad_norm is not None:
-                    optimizer.clip_grad_norm(max_grad_norm)
-                optimizer.step()
-            history.append(epoch_loss / max(batches, 1))
-        return history

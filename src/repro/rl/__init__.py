@@ -2,21 +2,15 @@
 
 Model-free, continuous-time Q-learning for semi-Markov decision processes
 (Bradtke & Duff), the value-update rule the paper uses in *both* tiers
-(Eqn. 2), plus ε-greedy exploration schedules and the experience replay
+(Eqn. 2), plus ε-greedy action selection and the experience replay
 memory the global tier's offline/online DRL phases store transitions in.
 """
 
-from repro.rl.policies import (
-    DecayingEpsilonGreedy,
-    EpsilonGreedy,
-    epsilon_greedy_choice,
-)
+from repro.rl.policies import epsilon_greedy_choice
 from repro.rl.replay import ReplayMemory, Transition
 from repro.rl.smdp import SMDPQLearner, smdp_discounted_reward, smdp_target
 
 __all__ = [
-    "DecayingEpsilonGreedy",
-    "EpsilonGreedy",
     "epsilon_greedy_choice",
     "ReplayMemory",
     "Transition",

@@ -1,8 +1,10 @@
-"""Exploration policies.
+"""ε-greedy action selection.
 
 Both tiers of the paper select actions ε-greedily: with probability ε a
 uniformly random action, otherwise the argmax of the current Q estimates.
-A decaying schedule anneals exploration as learning progresses.
+Each caller owns its ε; the global tier's
+:class:`~repro.core.global_tier.DRLGlobalBroker` anneals it toward a
+floor as it learns.
 """
 
 from __future__ import annotations
@@ -41,45 +43,3 @@ def epsilon_greedy_choice(
         raise ValueError(f"q_values hold NaN at {nan_at}, so no action is greedy")
     # The index rng.choice(best) would draw, from the same generator state.
     return int(best[rng.integers(best.size)])
-
-
-class EpsilonGreedy:
-    """Constant-ε policy."""
-
-    def __init__(self, epsilon: float, rng: np.random.Generator | None = None) -> None:
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        self.epsilon = float(epsilon)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def select(self, q_values: np.ndarray) -> int:
-        return epsilon_greedy_choice(q_values, self.epsilon, self.rng)
-
-
-class DecayingEpsilonGreedy:
-    """ε-greedy with multiplicative decay toward a floor.
-
-    ``epsilon`` starts at ``start`` and is multiplied by ``decay`` after
-    every :meth:`select`, never dropping below ``floor``.
-    """
-
-    def __init__(
-        self,
-        start: float = 1.0,
-        floor: float = 0.05,
-        decay: float = 0.999,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        if not 0.0 <= floor <= start <= 1.0:
-            raise ValueError(f"need 0 <= floor <= start <= 1, got {floor}, {start}")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        self.epsilon = float(start)
-        self.floor = float(floor)
-        self.decay = float(decay)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def select(self, q_values: np.ndarray) -> int:
-        choice = epsilon_greedy_choice(q_values, self.epsilon, self.rng)
-        self.epsilon = max(self.floor, self.epsilon * self.decay)
-        return choice

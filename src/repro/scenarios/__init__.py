@@ -22,9 +22,6 @@ package turns the reproduction into a *scenario machine*:
 * :mod:`repro.scenarios.orchestrator` — fans a (scenario × system ×
   seed) grid out over ``multiprocessing`` and aggregates the results
   into :mod:`repro.harness.report` tables/CSVs.
-* :mod:`repro.scenarios.sharding` — splits one cell's evaluation trace
-  into warm-handoff segments fanned over the same pool, so a single
-  large cell parallelizes too.
 * :mod:`repro.scenarios.checkpoints` — content-keyed policy weight
   blobs (train-once / evaluate-many): DRL cells sharing a training key
   warm-start from one stored snapshot — one
@@ -61,12 +58,6 @@ from repro.scenarios.orchestrator import (
     sweep,
 )
 from repro.scenarios.registry import get, names, register, scenario_catalog
-from repro.scenarios.sharding import (
-    SHARD_TOLERANCE,
-    combine_shard_metrics,
-    run_cell_sharded,
-    shard_trace,
-)
 from repro.scenarios.specs import (
     FEDERATION_POLICIES,
     CapacityWindowSpec,
@@ -91,10 +82,6 @@ __all__ = [
     "render_sweep_series_csv",
     "render_sweep_table",
     "run_cell",
-    "run_cell_sharded",
-    "shard_trace",
-    "combine_shard_metrics",
-    "SHARD_TOLERANCE",
     "sweep",
     "get",
     "names",

@@ -53,6 +53,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.faults.plan import scenario_fault_plans
 from repro.harness.report import format_csv, format_table
+from repro.harness.runner import check_system
 from repro.obs import render_report, write_snapshot
 from repro.obs import telemetry as obs
 from repro.scenarios import checkpoints as ckpt
@@ -471,8 +472,8 @@ def detected_cpus() -> int:
 
     Prefers :func:`os.process_cpu_count` (Python 3.13+, affinity-aware),
     then the scheduler affinity mask, then :func:`os.cpu_count`. This is
-    the default worker count for sweeps and sharded cells; benches print
-    it so "parallel speedup on N cores" lines are honest about N.
+    the default worker count for sweeps; benches print it so "parallel
+    speedup on N cores" lines are honest about N.
     """
     getter = getattr(os, "process_cpu_count", None)
     count = getter() if getter is not None else None
@@ -487,14 +488,12 @@ def detected_cpus() -> int:
 
 
 def check_execution(
-    workers: int | None = None,
-    cell_retries: int = 0,
-    cell_timeout: float | None = None,
+    workers: int | None, cell_retries: int, cell_timeout: float | None
 ) -> None:
     """Raise ValueError on an out-of-range execution knob.
 
-    The one rule :func:`sweep`, sharded cells and the CLI apply before
-    any work starts: at least :data:`MIN_WORKERS` workers (``None`` =
+    The one rule :func:`sweep` and the CLI apply before any work
+    starts: at least :data:`MIN_WORKERS` workers (``None`` =
     :func:`detected_cpus`), no negative retry budget, and a timeout
     that is ``None`` or positive.
     """
@@ -506,9 +505,18 @@ def check_execution(
         raise ValueError(f"cell_timeout must be positive seconds, got {cell_timeout}")
 
 
-def _pool_workers(workers: int | None, n_tasks: int) -> int:
-    limit = workers if workers is not None else detected_cpus()
-    return max(MIN_WORKERS, min(limit, n_tasks))
+def check_cells(systems: Iterable[str], n_jobs: int) -> None:
+    """Raise ValueError on an unknown system name or an empty trace.
+
+    The cell-side twin of :func:`check_execution`, applied at the same
+    point: every name must pass
+    :func:`~repro.harness.runner.check_system`, and ``n_jobs`` must be
+    at least 1.
+    """
+    for system in systems:
+        check_system(system)
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
 
 
 def _exit_with_parent(parent: int) -> None:
@@ -547,7 +555,7 @@ class _InProcessExecutor(Executor):
 
 
 def _pool(n_workers: int) -> Executor:
-    """The executor sweeps and sharded cells share.
+    """The executor every sweep schedules on.
 
     One worker is this process (:class:`_InProcessExecutor`). More are
     a process pool whose workers fork where available and exit when
@@ -592,7 +600,10 @@ def sweep(
     scenarios:
         Names or specs; defaults to every registered scenario.
     systems:
-        Named systems per :data:`repro.harness.runner.SYSTEM_NAMES`.
+        Named systems per :data:`repro.harness.runner.SYSTEM_NAMES`, or
+        ``drl+fixed-T``. An unknown name, like ``n_jobs < 1`` or an
+        out-of-range execution knob, raises ValueError before any work
+        (:func:`check_cells`, :func:`check_execution`).
     seeds:
         One full grid per seed (results aggregate over seeds).
     workers:
@@ -660,6 +671,7 @@ def sweep(
     without being charged an attempt.
     """
     check_execution(workers, cell_retries, cell_timeout)
+    check_cells(systems, n_jobs)
     if on_error not in ("quarantine", "raise"):
         raise ValueError(
             f"on_error must be 'quarantine' or 'raise', got {on_error!r}"
@@ -846,7 +858,8 @@ def sweep(
                 f"seed {cell.seed}: QUARANTINED ({error})"
             )
 
-        n_workers = _pool_workers(workers, len(pending) + len(to_train))
+        limit = workers if workers is not None else detected_cpus()
+        n_workers = max(MIN_WORKERS, min(limit, len(pending) + len(to_train)))
         attempts: dict[tuple[str, int], int] = {}
         failure: BaseException | None = None
         respawns = 0

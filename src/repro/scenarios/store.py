@@ -15,12 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import tempfile
 from pathlib import Path
-
-logger = logging.getLogger(__name__)
 
 #: Bump when the result payload's semantics change; keyed into every
 #: request so stale cache entries are never silently reused.
@@ -167,54 +164,3 @@ def append_quarantine(root: str | Path, record: dict) -> Path:
     with path.open("a") as fh:
         fh.write(canonical_json(record) + "\n")
     return path
-
-
-def read_quarantine(root: str | Path) -> list[dict]:
-    """Load the quarantine journal, self-healing corrupt lines.
-
-    A truncated or garbled line (orchestrator killed mid-append, manual
-    tampering) is skipped with a warning and the journal is rewritten
-    atomically without it — the same discipline as
-    :meth:`ResultStore.get`. Missing or unreadable journal → empty list.
-    """
-    path = Path(root) / QUARANTINE_FILE
-    try:
-        raw_lines = path.read_text().splitlines()
-    except (FileNotFoundError, OSError):
-        return []
-    records: list[dict] = []
-    kept: list[str] = []
-    dropped = 0
-    for line in raw_lines:
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            dropped += 1
-            continue
-        if not isinstance(record, dict):
-            dropped += 1
-            continue
-        records.append(record)
-        kept.append(line)
-    if dropped:
-        logger.warning(
-            "quarantine journal %s: skipped %d corrupt line(s) and rewrote "
-            "the journal without them",
-            path,
-            dropped,
-        )
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                for line in kept:
-                    fh.write(line + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
-    return records

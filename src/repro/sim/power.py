@@ -160,9 +160,9 @@ class TariffModel:
         Signal period in seconds (default: one day).
     t_offset:
         Shift applied to simulation time before the periodic lookup —
-        ``signal(t)`` reads the curve at ``t + t_offset``. Lets trace
-        shards evaluate the tariff in absolute experiment time (see
-        :meth:`shifted`), or a run start at an arbitrary hour of day.
+        ``signal(t)`` reads the curve at ``t + t_offset``. Lets a site
+        read one curve in its own time zone (see :meth:`shifted`), or a
+        run start at an arbitrary hour of day.
     """
 
     price: float = 0.10
@@ -288,7 +288,7 @@ class TariffModel:
         )
 
     def shifted(self, dt: float) -> "TariffModel":
-        """This tariff evaluated ``dt`` seconds later (for trace shards)."""
+        """This tariff evaluated ``dt`` seconds later (another time zone)."""
         return replace(self, t_offset=self.t_offset + dt)
 
     # ------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.workload.segments import rebase, split_segments
 from repro.workload.stats import WorkloadStats, characterize
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
 from repro.workload.trace import (
-    jobs_from_arrays,
     read_trace_csv,
     read_google_task_events,
     write_trace_csv,
@@ -41,7 +40,6 @@ __all__ = [
     "characterize",
     "SyntheticTraceConfig",
     "generate_trace",
-    "jobs_from_arrays",
     "read_trace_csv",
     "read_google_task_events",
     "write_trace_csv",

@@ -24,8 +24,6 @@ import math
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from repro.obs import telemetry as obs
 from repro.sim.churn import CapacityEvent
 from repro.sim.job import Job
@@ -116,39 +114,6 @@ def read_trace_csv(path: str | Path) -> list[Job]:
     tel.counter("trace.jobs_parsed", len(jobs))
     logger.debug("parsed %d jobs from %s", len(jobs), path)
     return jobs
-
-
-def jobs_from_arrays(
-    arrival_times: Sequence[float] | np.ndarray,
-    durations: Sequence[float] | np.ndarray,
-    resources: Sequence[Sequence[float]] | np.ndarray,
-    start_id: int = 0,
-) -> list[Job]:
-    """Assemble jobs from parallel arrays (sorted by arrival time).
-
-    Raises
-    ------
-    ValueError
-        If array lengths disagree.
-    """
-    arrival_times = np.asarray(arrival_times, dtype=np.float64)
-    durations = np.asarray(durations, dtype=np.float64)
-    resources = np.asarray(resources, dtype=np.float64)
-    if not (len(arrival_times) == len(durations) == len(resources)):
-        raise ValueError(
-            f"length mismatch: {len(arrival_times)} arrivals, "
-            f"{len(durations)} durations, {len(resources)} resource rows"
-        )
-    order = np.argsort(arrival_times, kind="stable")
-    return [
-        Job(
-            job_id=start_id + rank,
-            arrival_time=float(arrival_times[i]),
-            duration=float(durations[i]),
-            resources=tuple(float(r) for r in resources[i]),
-        )
-        for rank, i in enumerate(order)
-    ]
 
 
 #: A parsed task-events row: (time_s, job_id, event, resources-or-None).

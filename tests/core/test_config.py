@@ -68,3 +68,45 @@ class TestValidation:
         tuned = replace(config, local_tier=replace(config.local_tier, w=0.9))
         assert tuned.local_tier.w == 0.9
         assert config.local_tier.w == 0.5  # original untouched
+
+
+class TestScheduleValidation:
+    """The ε-greedy schedule and the Q-loss are checked when configured,
+    not when a run first trips over them."""
+
+    @pytest.mark.parametrize("tier", [GlobalTierConfig, LocalTierConfig])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"epsilon_decay": 0.0},
+            {"epsilon_decay": 1.5},
+            {"epsilon_start": 0.1, "epsilon_floor": 0.5},
+            {"epsilon_start": 1.5},
+            {"epsilon_floor": -0.1},
+        ],
+        ids=[
+            "decay-zero",
+            "decay-grows",
+            "floor-above-start",
+            "start-above-one",
+            "negative-floor",
+        ],
+    )
+    def test_bad_epsilon_schedule_raises(self, tier, overrides):
+        with pytest.raises(ValueError, match="epsilon"):
+            tier(**overrides)
+
+    @pytest.mark.parametrize("tier", [GlobalTierConfig, LocalTierConfig])
+    def test_schedule_edges_accepted(self, tier):
+        tier(epsilon_decay=1.0)  # constant epsilon
+        tier(epsilon_start=0.2, epsilon_floor=0.2)
+        tier(epsilon_start=0.0, epsilon_floor=0.0)  # greedy throughout
+        tier(epsilon_start=1.0, epsilon_floor=0.0)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0])
+    def test_huber_delta_must_be_positive(self, delta):
+        with pytest.raises(ValueError, match="huber_delta"):
+            GlobalTierConfig(huber_delta=delta)
+
+    def test_huber_delta_none_selects_mse(self):
+        assert GlobalTierConfig(huber_delta=None).huber_delta is None

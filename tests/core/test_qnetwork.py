@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.qnetwork import FlatQNetwork, HierarchicalQNetwork
+from repro.core.qnetwork import FlatQNetwork, HierarchicalQNetwork, loss_and_derr
 from repro.core.state import StateEncoder
+from tests.helpers import numerical_gradient
 
 
 @pytest.fixture
@@ -161,3 +162,48 @@ class TestFlatQNetwork:
 
     def test_pretrain_autoencoder_noop(self, encoder, rng):
         assert FlatQNetwork(encoder, rng=rng).pretrain_autoencoder(None) == []
+
+
+class TestLossAndDerr:
+    """The chosen-action Q-loss: summed MSE, or Huber with ``huber_delta``."""
+
+    def test_mse_value_and_derivative(self):
+        loss, derr = loss_and_derr(np.array([0.5, -2.0]), None)
+        assert loss == pytest.approx(4.25)
+        assert np.array_equal(derr, [1.0, -4.0])
+
+    def test_huber_quadratic_inside_delta(self):
+        loss, _ = loss_and_derr(np.array([0.5]), 1.0)
+        assert loss == pytest.approx(0.125)
+
+    def test_huber_linear_outside_delta(self):
+        # 0.5 * 1^2 + 1 * (3 - 1) = 2.5
+        loss, _ = loss_and_derr(np.array([3.0]), 1.0)
+        assert loss == pytest.approx(2.5)
+
+    def test_huber_is_half_the_squared_error_inside_delta(self, rng):
+        err = rng.uniform(-0.9, 0.9, size=7)
+        huber, huber_derr = loss_and_derr(err, 1.0)
+        mse, mse_derr = loss_and_derr(err, None)
+        assert huber == pytest.approx(0.5 * mse)
+        assert np.allclose(huber_derr, 0.5 * mse_derr)
+
+    def test_huber_derivative_clipped_at_delta(self):
+        _, derr = loss_and_derr(np.array([100.0, -100.0, 0.3]), 1.0)
+        assert np.array_equal(derr, [1.0, -1.0, 0.3])
+
+    def test_huber_continuous_at_delta(self):
+        eps = 1e-9
+        below, _ = loss_and_derr(np.array([1.0 - eps]), 1.0)
+        above, _ = loss_and_derr(np.array([1.0 + eps]), 1.0)
+        assert below == pytest.approx(above, abs=1e-6)
+
+    @pytest.mark.parametrize("huber_delta", [None, 0.7])
+    def test_derivative_matches_numerical(self, rng, huber_delta):
+        err = rng.normal(size=8) * 2
+
+        def loss():
+            return loss_and_derr(err, huber_delta)[0]
+
+        _, derr = loss_and_derr(err, huber_delta)
+        assert np.allclose(derr, numerical_gradient(loss, err), atol=1e-5)

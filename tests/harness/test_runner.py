@@ -9,6 +9,7 @@ from repro.core.baselines import FixedTimeoutPolicy
 from repro.core.global_tier import DRLGlobalBroker
 from repro.harness.runner import (
     SYSTEM_NAMES,
+    check_system,
     make_system,
     needs_global_tier,
     run_system,
@@ -36,9 +37,29 @@ class TestNeedsGlobalTier:
         ("drl-only", True),
         ("drl+fixed-60", True),
         ("hierarchical", True),
+        ("drl+fixed-3O", False),
+        ("drl-onlyX", False),
+        ("drl+fixed-", False),
+        ("hierarchicalZ", False),
+        ("drl+fixed-0.5", True),
+        ("drl+fixed-1e+06", False),
     ])
     def test_classification(self, name, expected):
         assert needs_global_tier(name) is expected
+
+
+class TestCheckSystem:
+    def test_accepts_named_and_fixed_timeout_systems(self):
+        for name in (*SYSTEM_NAMES, "drl+fixed-45", "drl+fixed-0.5"):
+            check_system(name)
+
+    @pytest.mark.parametrize(
+        "name", ["drl+fixed-1e+06", "", "Hierarchical", "packing ", "round_robin"]
+    )
+    def test_rejects_names_that_only_resemble_one(self, name):
+        with pytest.raises(ValueError, match="unknown system") as excinfo:
+            check_system(name)
+        assert "drl+fixed-T" in str(excinfo.value)
 
 
 class TestMakeSystem:
@@ -49,9 +70,13 @@ class TestMakeSystem:
         system = make_system(name, small_config)
         assert system.name == name
 
-    def test_unknown_name_raises(self, small_config):
+    @pytest.mark.parametrize(
+        "name",
+        ["mystery", "drl+fixed-3O", "drl-onlyX", "drl+fixed-", "hierarchicalZ"],
+    )
+    def test_unknown_name_raises(self, small_config, name):
         with pytest.raises(ValueError, match="unknown system"):
-            make_system("mystery", small_config)
+            make_system(name, small_config)
 
     def test_fixed_timeout_parse(self, small_config, train_traces):
         system = make_system(
@@ -143,6 +168,20 @@ class TestRunAndProtocol:
         assert set(results) == {"round-robin", "drl-only", "hierarchical"}
         for result in results.values():
             assert result.n_jobs == 20
+
+    def test_standard_protocol_checks_names_before_training(
+        self, small_config, train_traces, monkeypatch
+    ):
+        import repro.harness.runner as runner_module
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the system names")
+
+        monkeypatch.setattr(runner_module, "train_site_policy", no_training)
+        with pytest.raises(ValueError, match="unknown system 'hierarchicalZ'"):
+            standard_protocol(
+                ("drl-only", "hierarchicalZ"), jobs_burst(5), small_config, train_traces
+            )
 
     def test_series_attached(self, small_config):
         system = make_system("round-robin", small_config)

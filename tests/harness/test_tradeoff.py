@@ -112,3 +112,16 @@ class TestRunTradeoff:
         )
         assert [p.curve for p in points] == ["hierarchical"] * 3 + ["fixed-60"]
         assert len(fits) == 1
+
+    def test_unparsable_timeout_name_fails_before_training(self, monkeypatch):
+        # f"drl+fixed-{1e6:g}" is "drl+fixed-1e+06", a name no system
+        # matches: it must neither fall through to the full framework
+        # nor train the shared policy first.
+        import repro.harness.runner as runner_module
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the system names")
+
+        monkeypatch.setattr(runner_module, "train_site_policy", no_training)
+        with pytest.raises(ValueError, match=r"unknown system 'drl\+fixed-1e\+06'"):
+            run_tradeoff(n_jobs=60, num_servers=4, w_sweep=(0.5,), timeouts=(1e6,))

@@ -3,25 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.nn.activations import (
-    ELU,
-    Identity,
-    ReLU,
-    Sigmoid,
-    Softplus,
-    Tanh,
-    get_activation,
-)
+from repro.nn.activations import ELU, Identity, Sigmoid, Tanh, get_activation
 from tests.helpers import sigmoid_masked
 
 ALL_ACTIVATIONS = [
     Identity(),
-    ReLU(),
     ELU(),
     ELU(alpha=0.5),
     Sigmoid(),
     Tanh(),
-    Softplus(),
 ]
 
 
@@ -37,7 +27,7 @@ def _check_derivative(act, z):
 @pytest.mark.parametrize("act", ALL_ACTIVATIONS, ids=lambda a: repr(a))
 class TestDerivatives:
     def test_matches_numerical(self, act, rng):
-        # Keep clear of the ReLU/ELU kink at exactly 0.
+        # Keep clear of the ELU kink at exactly 0.
         z = rng.uniform(-3, 3, size=50)
         z = z[np.abs(z) > 1e-3]
         _check_derivative(act, z)
@@ -88,23 +78,14 @@ class TestSigmoid:
             Sigmoid().forward(np.array([-800.0, 800.0]))
 
 
-class TestReLU:
-    def test_values(self):
-        out = ReLU().forward(np.array([-2.0, 0.0, 3.0]))
-        assert np.allclose(out, [0.0, 0.0, 3.0])
-
-
 class TestRegistry:
     @pytest.mark.parametrize(
         "name,cls",
         [
             ("identity", Identity),
-            ("linear", Identity),
-            ("relu", ReLU),
             ("elu", ELU),
             ("sigmoid", Sigmoid),
             ("tanh", Tanh),
-            ("softplus", Softplus),
         ],
     )
     def test_lookup_by_name(self, name, cls):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.initializers import constant, normal, xavier_normal, xavier_uniform, zeros
+from repro.nn.initializers import constant, normal, xavier_uniform, zeros
 
 
 class TestXavierUniform:
@@ -26,18 +26,6 @@ class TestXavierUniform:
     def test_invalid_fans_raise(self, rng, fan_in, fan_out):
         with pytest.raises(ValueError):
             xavier_uniform(rng, fan_in, fan_out)
-
-
-class TestXavierNormal:
-    def test_shape_and_std(self, rng):
-        w = xavier_normal(rng, 200, 200)
-        assert w.shape == (200, 200)
-        expected_std = np.sqrt(2.0 / 400)
-        assert abs(w.std() - expected_std) < 0.15 * expected_std
-
-    def test_invalid_fans_raise(self, rng):
-        with pytest.raises(ValueError):
-            xavier_normal(rng, 0, 1)
 
 
 class TestNormal:

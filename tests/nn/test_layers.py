@@ -27,11 +27,11 @@ class TestDenseForward:
             layer.forward(np.ones((1, 4)))
 
     def test_activation_applied(self, rng):
-        layer = Dense(2, 2, activation="relu", rng=rng)
+        layer = Dense(2, 2, activation="elu", rng=rng)
         layer.weight.value = np.eye(2)
         layer.bias.value = np.array([-10.0, 10.0])
         y, _ = layer.forward(np.zeros((1, 2)))
-        assert np.allclose(y, [[0.0, 10.0]])
+        assert np.allclose(y, [[np.expm1(-10.0), 10.0]])
 
     @pytest.mark.parametrize("bad", [(0, 3), (3, 0), (-1, 1)])
     def test_invalid_widths_raise(self, rng, bad):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import HuberLoss, MAELoss, MSELoss
+from repro.nn.losses import MSELoss
 from tests.helpers import numerical_gradient
 
 
@@ -29,54 +29,3 @@ class TestMSE:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             MSELoss().forward(np.zeros(2), np.zeros(3))
-
-
-class TestMAE:
-    def test_value(self):
-        mae = MAELoss().forward(np.array([2.0, -2.0]), np.zeros(2))
-        assert mae == pytest.approx(2.0)
-
-    def test_gradient_matches_numerical_away_from_zero(self, rng):
-        loss = MAELoss()
-        pred = rng.normal(size=6) + 5.0  # keep residuals away from 0
-        target = rng.normal(size=6)
-        analytic = loss.backward(pred, target)
-        numeric = numerical_gradient(lambda: loss.forward(pred, target), pred)
-        assert np.allclose(analytic, numeric, atol=1e-5)
-
-
-class TestHuber:
-    def test_quadratic_inside_delta(self):
-        loss = HuberLoss(delta=1.0)
-        assert loss.forward(np.array([0.5]), np.array([0.0])) == pytest.approx(0.125)
-
-    def test_linear_outside_delta(self):
-        loss = HuberLoss(delta=1.0)
-        # 0.5 * 1^2 + 1 * (3 - 1) = 2.5
-        assert loss.forward(np.array([3.0]), np.array([0.0])) == pytest.approx(2.5)
-
-    def test_gradient_clipped_at_delta(self):
-        loss = HuberLoss(delta=1.0)
-        grad = loss.backward(np.array([100.0, -100.0, 0.3]), np.zeros(3))
-        assert grad[0] == pytest.approx(1.0 / 3)
-        assert grad[1] == pytest.approx(-1.0 / 3)
-        assert grad[2] == pytest.approx(0.3 / 3)
-
-    def test_gradient_matches_numerical(self, rng):
-        loss = HuberLoss(delta=0.7)
-        pred = rng.normal(size=8) * 2
-        target = rng.normal(size=8)
-        analytic = loss.backward(pred, target)
-        numeric = numerical_gradient(lambda: loss.forward(pred, target), pred)
-        assert np.allclose(analytic, numeric, atol=1e-5)
-
-    def test_invalid_delta(self):
-        with pytest.raises(ValueError):
-            HuberLoss(delta=0.0)
-
-    def test_continuous_at_delta(self):
-        loss = HuberLoss(delta=1.0)
-        eps = 1e-9
-        below = loss.forward(np.array([1.0 - eps]), np.zeros(1))
-        above = loss.forward(np.array([1.0 + eps]), np.zeros(1))
-        assert below == pytest.approx(above, abs=1e-6)

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rl.policies import (
-    DecayingEpsilonGreedy,
-    EpsilonGreedy,
-    epsilon_greedy_choice,
-)
+from repro.rl.policies import epsilon_greedy_choice
 
 
 class TestEpsilonGreedyChoice:
@@ -68,36 +64,3 @@ class TestEpsilonGreedyChoice:
             best = np.flatnonzero(q == q.max())
             assert epsilon_greedy_choice(q, 0.0, rng) == int(reference.choice(best))
         assert rng.bit_generator.state == reference.bit_generator.state
-
-
-class TestEpsilonGreedy:
-    def test_select(self, rng):
-        policy = EpsilonGreedy(0.0, rng)
-        assert policy.select(np.array([0.0, 5.0])) == 1
-
-    def test_invalid_epsilon(self):
-        with pytest.raises(ValueError):
-            EpsilonGreedy(-0.1)
-
-
-class TestDecayingEpsilonGreedy:
-    def test_decays_per_selection(self, rng):
-        policy = DecayingEpsilonGreedy(start=1.0, floor=0.1, decay=0.5, rng=rng)
-        policy.select(np.zeros(3))
-        assert policy.epsilon == 0.5
-        policy.select(np.zeros(3))
-        assert policy.epsilon == 0.25
-
-    def test_floor_respected(self, rng):
-        policy = DecayingEpsilonGreedy(start=1.0, floor=0.2, decay=0.1, rng=rng)
-        for _ in range(10):
-            policy.select(np.zeros(2))
-        assert policy.epsilon == 0.2
-
-    def test_invalid_ordering(self):
-        with pytest.raises(ValueError):
-            DecayingEpsilonGreedy(start=0.1, floor=0.5)
-
-    def test_invalid_decay(self):
-        with pytest.raises(ValueError):
-            DecayingEpsilonGreedy(decay=0.0)

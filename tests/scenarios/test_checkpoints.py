@@ -228,18 +228,6 @@ class TestWarmSystems:
             build_cell("round-robin", TINY, 60, seed=0, checkpoint=policy)
 
 
-class TestShardedWarmStart:
-    def test_sharded_cell_accepts_checkpoint(self, policy):
-        from repro.scenarios.sharding import run_cell_sharded
-
-        cell = run_cell_sharded(
-            TINY, "drl-only", n_jobs=80, seed=0, shards=2, workers=1,
-            local_epochs=0, checkpoint=policy,
-        )
-        assert cell["shards"] == 2
-        assert cell["n_jobs_completed"] == cell["n_jobs_offered"] == 80
-
-
 class TestEnsureCheckpoint:
     def test_trains_once_then_loads(self, tmp_path, monkeypatch):
         store = CheckpointStore(tmp_path / "ckpt")

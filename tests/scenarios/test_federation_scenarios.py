@@ -15,6 +15,7 @@ from repro.scenarios.checkpoints import (
     needs_policy,
     training_request,
 )
+from repro.scenarios.federation import derive_site_seeds
 from repro.scenarios.orchestrator import (
     aggregate_rows,
     aggregate_series_rows,
@@ -206,6 +207,24 @@ class TestSiteTraces:
         assert a == b
 
 
+class TestSiteSeeds:
+    def test_one_site_reuses_the_cell_seed(self):
+        site_seeds, fed_seed = derive_site_seeds(11, 1)
+        assert site_seeds == [11]
+        assert fed_seed != 11
+
+    def test_adding_a_site_keeps_the_others_seeds(self):
+        two, _ = derive_site_seeds(11, 2)
+        three, _ = derive_site_seeds(11, 3)
+        assert three[:2] == two
+
+    def test_seeds_are_distinct_and_reproducible(self):
+        site_seeds, fed_seed = derive_site_seeds(11, 4)
+        assert len({*site_seeds, fed_seed}) == 5
+        assert derive_site_seeds(11, 4) == (site_seeds, fed_seed)
+        assert derive_site_seeds(12, 4)[0] != site_seeds
+
+
 class TestFederatedCell:
     def test_result_carries_fleet_and_site_breakdowns(self):
         result = run_cell(TINY_FED, "round-robin", n_jobs=60, seed=0)
@@ -332,9 +351,3 @@ class TestFederatedSweep:
         second = sweep(**kwargs)
         assert second.n_cached == 1
         assert second.results[0]["sites"] == first.results[0]["sites"]
-
-    def test_sharding_refuses_federated_scenarios(self):
-        from repro.scenarios.sharding import run_cell_sharded
-
-        with pytest.raises(ValueError, match="federated"):
-            run_cell_sharded(TINY_FED, "round-robin", n_jobs=60, shards=2)

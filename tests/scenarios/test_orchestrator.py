@@ -117,6 +117,23 @@ class TestSweep:
         # Rejected before the store is read or written.
         assert not store.root.exists()
 
+    @pytest.mark.parametrize(
+        "systems, n_jobs, match",
+        [
+            (("round-robin", "nope"), 60, "unknown system"),
+            (("drl-onlyX",), 60, "unknown system"),
+            (FAST_SYSTEMS, 0, "n_jobs"),
+        ],
+        ids=["unknown-name", "prefix-of-a-name", "no-jobs"],
+    )
+    def test_unknown_system_or_empty_trace_rejected(
+        self, tmp_path, systems, n_jobs, match
+    ):
+        store = ResultStore(tmp_path / "cache")
+        with pytest.raises(ValueError, match=match):
+            sweep(scenarios=[TINY], systems=systems, n_jobs=n_jobs, store=store)
+        assert not store.root.exists()
+
 
 class TestAggregation:
     def test_rows_average_over_seeds(self, tmp_path):

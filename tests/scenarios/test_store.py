@@ -8,7 +8,6 @@ from repro.scenarios.store import (
     append_quarantine,
     canonical_json,
     content_key,
-    read_quarantine,
 )
 
 
@@ -108,34 +107,17 @@ class TestQuarantineJournal:
         ]
         for record in records:
             append_quarantine(tmp_path, record)
-        assert read_quarantine(tmp_path) == records
+        lines = (tmp_path / QUARANTINE_FILE).read_text().splitlines()
+        assert [json.loads(line) for line in lines] == records
 
-    def test_missing_journal_is_empty(self, tmp_path):
-        assert read_quarantine(tmp_path) == []
+    def test_each_record_is_one_canonical_line(self, tmp_path):
+        record = {"system": "packing", "error": "line one\nline two", "key": "k"}
+        path = append_quarantine(tmp_path, record)
+        assert path == tmp_path / QUARANTINE_FILE
+        assert path.read_text() == canonical_json(record) + "\n"
 
-    def test_corrupt_trailing_line_is_skipped_and_healed(self, tmp_path):
-        """Regression: a SIGKILL mid-append leaves a torn last line; reads
-        must skip it and rewrite the journal so it never trips again."""
-        good = {"key": "abc", "system": "drl-only", "error": "boom"}
-        append_quarantine(tmp_path, good)
-        path = tmp_path / QUARANTINE_FILE
-        with path.open("a") as fh:
-            fh.write('{"key": "def", "sys')  # torn mid-write
-        assert read_quarantine(tmp_path) == [good]
-        # The journal was atomically rewritten without the torn line.
-        assert path.read_text() == json.dumps(
-            good, sort_keys=True, separators=(",", ":")
-        ) + "\n"
-        assert read_quarantine(tmp_path) == [good]
-
-    def test_non_dict_lines_are_dropped(self, tmp_path):
-        good = {"key": "abc"}
-        path = tmp_path / QUARANTINE_FILE
-        path.write_text('["a", "list"]\n' + json.dumps(good) + "\n\n")
-        assert read_quarantine(tmp_path) == [good]
-
-    def test_wholly_corrupt_journal_reads_empty(self, tmp_path):
-        path = tmp_path / QUARANTINE_FILE
-        path.write_text("not json at all")
-        assert read_quarantine(tmp_path) == []
-        assert path.read_text() == ""
+    def test_missing_cache_dir_is_created(self, tmp_path):
+        root = tmp_path / "fresh" / "cache"
+        path = append_quarantine(root, {"key": "abc"})
+        assert path.parent == root
+        assert json.loads(path.read_text()) == {"key": "abc"}

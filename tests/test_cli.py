@@ -53,6 +53,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario"])
 
+    @pytest.mark.parametrize("flag", ["--shards", "--workers"])
+    def test_scenario_run_takes_no_shard_options(self, capsys, flag):
+        # `scenario run` evaluates one continuous trace: no shard split,
+        # so no shard pool either.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["scenario", "run", "paper-default", flag, "2"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
     def test_sweep_resume_and_warm_start_flags(self):
         args = build_parser().parse_args(
             ["scenario", "sweep", "--resume", "--no-warm-start",
@@ -163,18 +172,6 @@ class TestExecution:
         assert "tou-price-shift" in captured
         assert "electricity" in captured
 
-    def test_shards_refuse_a_faulted_scenario_before_running(
-        self, capsys, tmp_path
-    ):
-        rc = main(["scenario", "run", "--name", "failure-storm",
-                   "--system", "round-robin", "--jobs", "60", "--shards", "2",
-                   "--cache-dir", str(tmp_path)])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "injects faults" in captured.err
-        assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -183,6 +180,10 @@ class TestExecution:
             ("--cell-retries", "-1"),
             ("--cell-timeout", "-1"),
             ("--cell-timeout", "0"),
+            ("--systems", "nope"),
+            ("--systems", "drl+fixed-3O,hierarchical"),
+            ("--jobs", "0"),
+            ("--scenarios", "nope"),
         ],
     )
     def test_sweep_rejects_out_of_range_execution_knobs(
@@ -197,16 +198,26 @@ class TestExecution:
         assert captured.out == ""
         assert not (tmp_path / "cache").exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_sharded_run_rejects_out_of_range_workers(self, capsys, tmp_path, workers):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--name", "nope"),
+            ("--system", "nope"),
+            ("--system", "hierarchicalZ"),
+            ("--jobs", "0"),
+        ],
+    )
+    def test_run_rejects_bad_input_before_running(
+        self, capsys, tmp_path, flag, value
+    ):
         rc = main(["scenario", "run", "--name", "paper-default",
-                   "--system", "round-robin", "--jobs", "60", "--shards", "2",
-                   "--workers", workers, "--cache-dir", str(tmp_path)])
+                   "--system", "round-robin", "--jobs", "60",
+                   "--cache-dir", str(tmp_path / "cache"), flag, value])
         assert rc == 2
         captured = capsys.readouterr()
-        assert "error: workers" in captured.err
+        assert captured.err.startswith("error: ")
         assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
+        assert not (tmp_path / "cache").exists()
 
     def test_sweep_pool_size_counts_trainings(self, capsys, tmp_path):
         # One training plus two warm-started cells: a pool of three, not
@@ -310,12 +321,6 @@ class TestObsCli:
         snapshot = json.loads(tel_path.read_text())
         assert "run" in snapshot["spans"]
         assert snapshot["counters"]["jobs.completed"] == 60
-
-    def test_profile_conflicts_with_shards(self, capsys, tmp_path):
-        rc = main(["scenario", "run", "--name", "paper-default",
-                   "--shards", "2", "--profile", "--cache-dir", str(tmp_path)])
-        assert rc == 2
-        assert "--profile" in capsys.readouterr().err
 
     def test_obs_report_renders_artifact(self, capsys, tmp_path):
         rc = main(["scenario", "run", "--name", "paper-default",

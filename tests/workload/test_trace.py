@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.job import Job
 from repro.workload.trace import (
-    jobs_from_arrays,
     read_google_task_events,
     read_trace_csv,
     write_trace_csv,
@@ -67,31 +66,6 @@ class TestCsvRoundtrip:
         # <= 3 dims keep the documented zero-padding behaviour.
         path = tmp_path / "t.csv"
         assert write_trace_csv([Job(0, 0.0, 60.0, (0.5, 0.5, 0.5))], path) == 1
-
-
-class TestJobsFromArrays:
-    def test_basic(self):
-        jobs = jobs_from_arrays(
-            [0.0, 5.0], [10.0, 20.0], [(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)]
-        )
-        assert [j.job_id for j in jobs] == [0, 1]
-        assert jobs[1].resources == (0.4, 0.5, 0.6)
-
-    def test_sorts_by_arrival(self):
-        jobs = jobs_from_arrays(
-            [5.0, 0.0], [10.0, 20.0], [(0.1, 0.1, 0.1), (0.2, 0.2, 0.2)]
-        )
-        assert jobs[0].arrival_time == 0.0
-        assert jobs[0].resources == (0.2, 0.2, 0.2)
-        assert [j.job_id for j in jobs] == [0, 1]
-
-    def test_start_id(self):
-        jobs = jobs_from_arrays([0.0], [1.0], [(0.1, 0.1, 0.1)], start_id=100)
-        assert jobs[0].job_id == 100
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            jobs_from_arrays([0.0, 1.0], [1.0], [(0.1, 0.1, 0.1)])
 
 
 def google_row(time_us, job_id, event, cpu, mem, disk):
