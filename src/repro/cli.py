@@ -357,6 +357,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.scenarios.orchestrator import (
         check_cells,
         check_execution,
+        check_grid,
         detected_cpus,
         sweep,
     )
@@ -371,6 +372,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             if args.scenarios
             else None
         )
+        seeds = check_grid(scenarios, systems, _split_csv(args.seeds))
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -386,7 +388,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     report = sweep(
         scenarios=scenarios,
         systems=systems,
-        seeds=tuple(int(s) for s in _split_csv(args.seeds)),
+        seeds=seeds,
         n_jobs=args.jobs,
         workers=args.workers,
         store=ResultStore(args.cache_dir),

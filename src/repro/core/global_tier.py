@@ -26,7 +26,7 @@ from repro.core.config import GlobalTierConfig
 from repro.core.qnetwork import HierarchicalQNetwork
 from repro.core.rewards import GlobalRewardWeights, global_reward_rate
 from repro.core.state import StateEncoder
-from repro.rl.policies import epsilon_greedy_choice
+from repro.rl.policies import explore_draw, greedy_pick
 from repro.rl.replay import ReplayMemory, Transition
 from repro.rl.smdp import smdp_discounted_reward
 from repro.sim.cluster import Cluster
@@ -127,8 +127,11 @@ class DRLGlobalBroker(Broker):
         if self.behavior is not None:
             action = self.behavior.select_server(job, cluster, now)
         else:
-            q = self.qnet.q_values(state)
-            action = epsilon_greedy_choice(q, self.epsilon, self.rng)
+            # The exploration coin first: an exploring arrival needs no
+            # Q-values, and the generator makes the same draws either way.
+            action = explore_draw(self.epsilon, self.qnet.num_actions, self.rng)
+            if action is None:
+                action = greedy_pick(self.qnet.q_values(state), self.rng)
             if self.training_enabled:
                 # Anneal only while learning; freeze() pins epsilon at 0.
                 self.epsilon = max(

@@ -29,10 +29,15 @@ from repro.obs import telemetry as obs
 
 
 def check_batch(
-    states: np.ndarray, actions: np.ndarray, targets: np.ndarray
+    states: np.ndarray,
+    actions: np.ndarray,
+    targets: np.ndarray,
+    num_actions: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A minibatch as float states, int actions and float targets; raises
-    ``ValueError`` unless there is one action and one target per state."""
+    ``ValueError`` unless there is one action and one target per state
+    and, given ``num_actions``, the batch is not empty and every action
+    lies in ``[0, num_actions)``."""
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actions = np.asarray(actions, dtype=np.int64).reshape(-1)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
@@ -42,19 +47,28 @@ def check_batch(
             f"batch size mismatch: {n} states, {actions.shape[0]} actions, "
             f"{targets.shape[0]} targets"
         )
+    if num_actions is not None:
+        if n == 0:
+            raise ValueError("a minibatch needs at least one sample")
+        low, high = actions.min(), actions.max()
+        if low < 0 or high >= num_actions:
+            raise ValueError(
+                f"actions must lie in [0, {num_actions}), got {low} to {high}"
+            )
     return states, actions, targets
 
 
-def loss_and_derr(
+def loss_terms(
     err: np.ndarray, huber_delta: float | None
-) -> tuple[float, np.ndarray]:
-    """Summed chosen-action loss (MSE, or Huber) and its derivative."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample chosen-action loss (squared error, or Huber) and its
+    derivative."""
     if huber_delta is None:
-        return float(np.sum(err**2)), 2.0 * err
+        return err**2, 2.0 * err
     abs_err = np.abs(err)
     quad = np.minimum(abs_err, huber_delta)
-    loss = float(np.sum(0.5 * quad**2 + huber_delta * (abs_err - quad)))
-    return loss, np.clip(err, -huber_delta, huber_delta)
+    terms = 0.5 * quad**2 + huber_delta * (abs_err - quad)
+    return terms, np.clip(err, -huber_delta, huber_delta)
 
 
 class FlatQNetwork(Module):
@@ -107,19 +121,21 @@ class FlatQNetwork(Module):
         huber_delta: float | None = None,
     ) -> float:
         """Minibatch regression of the chosen-action outputs to ``targets``."""
-        states, actions, targets = check_batch(states, actions, targets)
+        states, actions, targets = check_batch(
+            states, actions, targets, self.num_actions
+        )
         n = states.shape[0]
         q, caches = self.net.forward(states)
         rows = np.arange(n)
-        loss, derr = loss_and_derr(q[rows, actions] - targets, huber_delta)
+        terms, derr = loss_terms(q[rows, actions] - targets, huber_delta)
         dq = np.zeros_like(q)
         dq[rows, actions] = derr / n
         optimizer.zero_grad()
-        self.net.backward(dq, caches)
+        self.net.backward(dq, caches, input_grad=False)
         if max_grad_norm is not None:
             optimizer.clip_grad_norm(max_grad_norm)
         optimizer.step()
-        return loss / n
+        return float(np.sum(terms)) / n
 
     def pretrain_autoencoder(self, states: np.ndarray, **kwargs) -> list[float]:
         """No autoencoder in the flat architecture; offline phase no-op."""
@@ -290,16 +306,22 @@ class HierarchicalQNetwork(Module):
         This is the batched fast path: the shared encoder runs one
         stacked ``(K, batch, group_dim)`` forward and one stacked
         backward (instead of K of each), and the Sub-Q inputs for every
-        group come from a single vectorized assembly. The Sub-Q GEMMs
-        themselves stay per-group because each group sees a different
-        subset of samples — keeping their shapes identical to the
-        per-group loop reference in ``tests/helpers.py`` is what makes
-        the two paths bit-identical (the code-gradient scatter back to
-        the per-group accumulators is an exact element-wise operation
-        either way).
+        group come from a single vectorized assembly. The minibatch is
+        sorted once by action group, stably, so each group's samples
+        form one row span in their original order, and the shared Sub-Q
+        runs once over the sorted batch with one product per span and
+        layer: the products keep the shapes of the per-group loop
+        reference in ``tests/helpers.py``, which makes the two paths bit
+        for bit the same. Everything elementwise (bias, activation and
+        its derivative, loss terms, dL/dQ) runs once over the batch; the
+        per-group loss sums are added in group order; and each code
+        gradient is scattered back once, as ``0 + dx``, to the encoder
+        row that produced it.
         """
         with obs.get().span("qnet.train_step"):
-            states, actions, targets = check_batch(states, actions, targets)
+            states, actions, targets = check_batch(
+                states, actions, targets, self.num_actions
+            )
             n = states.shape[0]
             groups, jobs = self.encoder.split(states)
 
@@ -309,35 +331,43 @@ class HierarchicalQNetwork(Module):
             codes, enc_caches = self.autoencoder.encode_with_cache(groups)
             x_all = self._assemble_all(groups, codes, jobs)
 
-            optimizer.zero_grad()
-            total_loss = 0.0
-            # dL/dcode accumulators, one plane per group (codes feed K-1
-            # Sub-Q passes); filled by exact scatter, so a single stacked
-            # encoder backward below replaces the per-group loop.
-            dcodes = np.zeros_like(codes)
+            # Sorted row r is sample order[r], whose action lies in group
+            # owner[r]; group k's samples are the rows of its span.
             group_ids = actions // self.group_size
+            order = np.argsort(group_ids, kind="stable")
+            owner = group_ids[order]
+            spans, start = [], 0
+            for count in np.bincount(group_ids, minlength=self.num_groups).tolist():
+                if count:
+                    spans.append(slice(start, start + count))
+                    start += count
 
-            for k in range(self.num_groups):
-                sample_idx = np.flatnonzero(group_ids == k)
-                if sample_idx.size == 0:
-                    continue
-                q_k, caches = self.subq.forward(x_all[k][sample_idx])
-                local = actions[sample_idx] - k * self.group_size
-                rows = np.arange(sample_idx.size)
-                err = q_k[rows, local] - targets[sample_idx]
-                group_loss, derr = loss_and_derr(err, huber_delta)
-                total_loss += group_loss
-                dq = np.zeros_like(q_k)
-                dq[rows, local] = derr / n
-                dx = self.subq.backward(dq, caches)
-                # Split dx back into [raw g_k | other codes | job] and route
-                # the code gradients to their producing encoder rows.
-                offset = self.group_dim
-                for other in self._other_index[k]:
-                    dcodes[other][sample_idx] += dx[:, offset : offset + self.code_dim]
-                    offset += self.code_dim
+            optimizer.zero_grad()
+            q, caches = self.subq.forward(x_all[owner, order], spans)
+            rows = np.arange(n)
+            local = actions[order] - owner * self.group_size
+            terms, derr = loss_terms(q[rows, local] - targets[order], huber_delta)
+            total_loss = 0.0
+            for span in spans:
+                total_loss += float(terms[span].sum())
+            dq = np.zeros(q.shape)
+            dq[rows, local] = derr / n
+            # With one group no code feeds the Sub-Q, so nothing reads
+            # its input gradient.
+            dx = self.subq.backward(dq, caches, spans, self.num_groups > 1)
 
             if self.num_groups > 1:
+                # Split dx into [raw g_k | other codes | job] and route
+                # each code block to the encoder row that produced it:
+                # block j of a group-k row is the code of group
+                # _other_index[k, j] for the same sample.
+                dcodes = np.zeros(codes.shape)
+                others = self._other_index[owner]
+                offset = self.group_dim
+                for j in range(self.num_groups - 1):
+                    block = dx[:, offset : offset + self.code_dim]
+                    dcodes[others[:, j], order] += block
+                    offset += self.code_dim
                 self.autoencoder.encoder_backward(dcodes, enc_caches)
 
             if max_grad_norm is not None:

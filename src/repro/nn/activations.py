@@ -59,7 +59,8 @@ class ELU(Activation):
         # max(z,0) exactly 0 for z <= 0, so the sum equals the classic
         # where() formulation bit for bit (modulo the sign of zero) with
         # one fewer ufunc pass on the alpha == 1 hot path.
-        neg = np.expm1(np.minimum(z, 0.0))
+        neg = np.minimum(z, 0.0)
+        np.expm1(neg, out=neg)
         if self.alpha != 1.0:
             neg *= self.alpha
         neg += np.maximum(z, 0.0)

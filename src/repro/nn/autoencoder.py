@@ -80,9 +80,11 @@ class Autoencoder(Module):
 
     def encoder_backward(
         self, dcode: np.ndarray, caches: list[dict[str, Any]]
-    ) -> np.ndarray:
-        """Backprop through the encoder only (used when Q-loss flows into codes)."""
-        return self.encoder.backward(dcode, caches)
+    ) -> None:
+        """Backprop through the encoder only (used when Q-loss flows into
+        codes), accumulating its gradients. The gradient with respect to
+        the raw states is not computed: nothing reads it."""
+        self.encoder.backward(dcode, caches, input_grad=False)
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
         """Encode then decode."""
@@ -126,7 +128,7 @@ class Autoencoder(Module):
                 batches += 1
                 optimizer.zero_grad()
                 dcode = self.decoder.backward(loss.backward(recon, batch), dec_caches)
-                self.encoder.backward(dcode, enc_caches)
+                self.encoder.backward(dcode, enc_caches, input_grad=False)
                 optimizer.step()
             history.append(epoch_loss / max(batches, 1))
         return history

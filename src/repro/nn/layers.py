@@ -9,7 +9,7 @@ sharing); each call site keeps its own cache.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -136,29 +136,49 @@ class Dense(Module):
         self.weight = weight
         self.bias = bias
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict[str, Any]]:
+    def forward(
+        self, x: np.ndarray, spans: Sequence[slice] | None = None
+    ) -> tuple[np.ndarray, dict[str, Any]]:
         """Compute ``act(x @ W + b)``.
 
         ``x`` has shape ``(batch, in_features)``, or a stacked
         ``(groups, batch, in_features)`` — the stacked form runs one BLAS
         call per leading slice (numpy's batched matmul), so each slice's
         result is bit-identical to a separate 2-D forward of that slice.
+
+        ``spans`` are row ranges that partition a 2-D batch. Each span
+        gets its own product, shaped as a separate forward of its rows
+        would shape it, so its rows come out bit for bit that forward's;
+        the bias and the activation then run once over the whole batch.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.in_features:
             raise ValueError(
                 f"input width {x.shape[-1]} != layer in_features {self.in_features}"
             )
-        z = x @ self.weight.value + self.bias.value
+        z = np.empty((*x.shape[:-1], self.out_features))
+        for rows in spans or (slice(None),):
+            np.matmul(x[rows], self.weight.value, out=z[rows])
+        z += self.bias.value
         y = self.activation.forward(z)
         return y, {"x": x, "z": z, "y": y}
 
-    def backward(self, dy: np.ndarray, cache: dict[str, Any]) -> np.ndarray:
+    def backward(
+        self,
+        dy: np.ndarray,
+        cache: dict[str, Any],
+        spans: Sequence[slice] | None = None,
+        input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Backprop through the layer; accumulates grads, returns ``dL/dx``.
 
         For stacked ``(groups, batch, ...)`` caches, parameter gradients
         are accumulated slice by slice in leading-axis order, matching a
-        sequential per-slice backward bit for bit.
+        sequential per-slice backward bit for bit. With the ``spans`` of
+        :meth:`forward` they are accumulated span by span, in span
+        order, and ``dL/dx`` is one product per span. With
+        ``input_grad=False`` the product for ``dL/dx`` is skipped and
+        ``None`` returned, for a layer whose input gradient nobody reads.
         """
         dy = np.atleast_2d(np.asarray(dy, dtype=np.float64))
         if isinstance(self.activation, Identity):
@@ -167,15 +187,21 @@ class Dense(Module):
             dz = dy * self.activation.derivative(cache["z"], cache["y"])
         x = cache["x"]
         if dz.ndim == 2:
-            self.weight.accumulate(x.T @ dz)
-            self.bias.accumulate(dz.sum(axis=0))
+            for rows in spans or (slice(None),):
+                self.weight.accumulate(x[rows].T @ dz[rows])
+                self.bias.accumulate(dz[rows].sum(axis=0))
         else:
             dw = np.matmul(np.swapaxes(x, -1, -2), dz)
             db = dz.sum(axis=-2)
             for k in range(dz.shape[0]):
                 self.weight.accumulate(dw[k])
                 self.bias.accumulate(db[k])
-        return dz @ self.weight.value.T
+        if not input_grad:
+            return None
+        dx = np.empty(x.shape)
+        for rows in spans or (slice(None),):
+            np.matmul(dz[rows], self.weight.value.T, out=dx[rows])
+        return dx
 
     def share_with(self, other: "Dense") -> None:
         """Make this layer use ``other``'s parameters (weight sharing)."""

@@ -60,20 +60,38 @@ class MLP(Module):
     def out_features(self) -> int:
         return self.layer_sizes[-1]
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[dict[str, Any]]]:
-        """Run a batch through the network; returns ``(output, caches)``."""
+    def forward(
+        self, x: np.ndarray, spans: Sequence[slice] | None = None
+    ) -> tuple[np.ndarray, list[dict[str, Any]]]:
+        """Run a batch through the network; returns ``(output, caches)``.
+
+        ``spans``, row ranges that partition the batch, give each range
+        its own products (see :meth:`Dense.forward`): every span's rows
+        come out bit for bit a separate forward of those rows.
+        """
         caches: list[dict[str, Any]] = []
         out = np.atleast_2d(np.asarray(x, dtype=np.float64))
         for layer in self.layers:
-            out, cache = layer.forward(out)
+            out, cache = layer.forward(out, spans)
             caches.append(cache)
         return out, caches
 
-    def backward(self, dy: np.ndarray, caches: list[dict[str, Any]]) -> np.ndarray:
-        """Backprop a batch; accumulates grads; returns ``dL/dx``."""
+    def backward(
+        self,
+        dy: np.ndarray,
+        caches: list[dict[str, Any]],
+        spans: Sequence[slice] | None = None,
+        input_grad: bool = True,
+    ) -> np.ndarray | None:
+        """Backprop a batch; accumulates grads; returns ``dL/dx``.
+
+        Pass the ``spans`` the forward ran with. ``input_grad=False``
+        skips the first layer's input gradient and returns ``None``.
+        """
         grad = np.atleast_2d(np.asarray(dy, dtype=np.float64))
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            grad = layer.backward(grad, cache)
+        for i in range(len(self.layers) - 1, -1, -1):
+            layer_input_grad = input_grad or i > 0
+            grad = self.layers[i].backward(grad, caches[i], spans, layer_input_grad)
         return grad
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -90,9 +108,9 @@ class MLP(Module):
                 f"input width {out.shape[-1]} != layer in_features {self.in_features}"
             )
         for layer in self.layers:
-            out = layer.activation.forward(
-                out @ layer.weight.value + layer.bias.value
-            )
+            out = out @ layer.weight.value
+            out += layer.bias.value
+            out = layer.activation.forward(out)
         return out
 
     def share_with(self, other: "MLP") -> None:

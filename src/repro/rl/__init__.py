@@ -6,12 +6,13 @@ Model-free, continuous-time Q-learning for semi-Markov decision processes
 memory the global tier's offline/online DRL phases store transitions in.
 """
 
-from repro.rl.policies import epsilon_greedy_choice
+from repro.rl.policies import explore_draw, greedy_pick
 from repro.rl.replay import ReplayMemory, Transition
 from repro.rl.smdp import SMDPQLearner, smdp_discounted_reward, smdp_target
 
 __all__ = [
-    "epsilon_greedy_choice",
+    "explore_draw",
+    "greedy_pick",
     "ReplayMemory",
     "Transition",
     "SMDPQLearner",

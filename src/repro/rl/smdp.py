@@ -21,7 +21,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.rl.policies import epsilon_greedy_choice
+from repro.rl.policies import explore_draw, greedy_pick
 
 
 def smdp_discounted_reward(reward_rate: float, tau: float, beta: float) -> float:
@@ -123,7 +123,9 @@ class SMDPQLearner:
     def select_action(self, state: Hashable, n_actions: int) -> int:
         """ε-greedy action selection, annealing ε if configured."""
         q = self.q_values(state, n_actions)
-        choice = epsilon_greedy_choice(q, self.epsilon, self.rng)
+        choice = explore_draw(self.epsilon, n_actions, self.rng)
+        if choice is None:
+            choice = greedy_pick(q, self.rng)
         if self.epsilon_decay < 1.0:
             self.epsilon = max(self.epsilon_floor, self.epsilon * self.epsilon_decay)
         return choice

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import numbers
 import os
 import pickle
 import signal
@@ -519,6 +520,38 @@ def check_cells(systems: Iterable[str], n_jobs: int) -> None:
         raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
 
 
+def check_grid(
+    scenarios: Sequence[object] | None,
+    systems: Sequence[str],
+    seeds: Iterable[int | str],
+) -> tuple[int, ...]:
+    """The seeds of a grid with at least one cell, as ints.
+
+    The grid-side twin of :func:`check_cells`, applied at the same
+    point by :func:`sweep` and the CLI. Raises ValueError unless there
+    is at least one scenario (``None`` stands for every registered
+    one), one system and one seed, and every seed is a non-negative
+    integer: an ``int``, or a string of digits as the CLI passes it.
+    """
+    if (scenarios is not None and len(scenarios) == 0) or len(systems) == 0:
+        raise ValueError("sweep needs at least one scenario and one system")
+    checked = tuple(_check_seed(seed) for seed in seeds)
+    if not checked:
+        raise ValueError("sweep needs at least one seed")
+    return checked
+
+
+def _check_seed(seed: object) -> int:
+    """``seed`` as an int, or ValueError naming it."""
+    if isinstance(seed, str):
+        if seed.isdecimal():
+            return int(seed)
+    elif isinstance(seed, numbers.Integral) and not isinstance(seed, bool):
+        if seed >= 0:
+            return int(seed)
+    raise ValueError(f"seeds must be non-negative integers, got {seed!r}")
+
+
 def _exit_with_parent(parent: int) -> None:
     """Pool-worker initializer: exit once the parent process is gone.
 
@@ -601,9 +634,10 @@ def sweep(
         Names or specs; defaults to every registered scenario.
     systems:
         Named systems per :data:`repro.harness.runner.SYSTEM_NAMES`, or
-        ``drl+fixed-T``. An unknown name, like ``n_jobs < 1`` or an
+        ``drl+fixed-T``. An unknown name, like ``n_jobs < 1``, an
+        empty grid, a seed that is not a non-negative integer or an
         out-of-range execution knob, raises ValueError before any work
-        (:func:`check_cells`, :func:`check_execution`).
+        (:func:`check_cells`, :func:`check_grid`, :func:`check_execution`).
     seeds:
         One full grid per seed (results aggregate over seeds).
     workers:
@@ -672,6 +706,7 @@ def sweep(
     """
     check_execution(workers, cell_retries, cell_timeout)
     check_cells(systems, n_jobs)
+    seeds = check_grid(scenarios, systems, seeds)
     if on_error not in ("quarantine", "raise"):
         raise ValueError(
             f"on_error must be 'quarantine' or 'raise', got {on_error!r}"
@@ -682,11 +717,6 @@ def sweep(
         specs = [
             registry.get(s) if isinstance(s, str) else s for s in scenarios
         ]
-    if not specs or not systems:
-        raise ValueError("sweep needs at least one scenario and one system")
-    seeds = tuple(seeds)
-    if not seeds:
-        raise ValueError("sweep needs at least one seed")
     store = store if store is not None else ResultStore()
     ckpt_store = checkpoints
     if ckpt_store is None and use_cache and warm_start:

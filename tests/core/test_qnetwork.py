@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.qnetwork import FlatQNetwork, HierarchicalQNetwork, loss_and_derr
+from repro.core.qnetwork import FlatQNetwork, HierarchicalQNetwork, loss_terms
 from repro.core.state import StateEncoder
 from tests.helpers import numerical_gradient
 
@@ -90,6 +90,28 @@ class TestTraining:
             qnet.train_step(states, np.zeros(3, dtype=int), np.zeros(4),
                             qnet.make_optimizer())
 
+    @pytest.mark.parametrize(
+        "actions, match",
+        [
+            ([0, 6], r"\[0, 6\), got 0 to 6"),
+            ([-1, 2], "got -1 to 2"),
+            ([], "at least one"),
+        ],
+    )
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_train_step_refuses_actions_outside_the_servers(
+        self, qnet, encoder, rng, flat, actions, match
+    ):
+        net = FlatQNetwork(encoder, hidden=(16,), rng=rng) if flat else qnet
+        optimizer = net.make_optimizer()
+        before = [p.value.copy() for p in net.parameters()]
+        n = len(actions)
+        states, targets = random_states(encoder, n, rng), np.zeros(n)
+        with pytest.raises(ValueError, match=match):
+            net.train_step(states, np.array(actions, dtype=int), targets, optimizer)
+        for param, value in zip(net.parameters(), before):
+            assert np.array_equal(param.value, value)
+
     def test_gradients_reach_autoencoder(self, qnet, encoder, rng):
         states = random_states(encoder, 8, rng)
         actions = rng.integers(0, 6, size=8)
@@ -164,38 +186,44 @@ class TestFlatQNetwork:
         assert FlatQNetwork(encoder, rng=rng).pretrain_autoencoder(None) == []
 
 
-class TestLossAndDerr:
+def summed(err: np.ndarray, huber_delta: float | None):
+    """The minibatch loss ``loss_terms`` gives, and its derivative."""
+    terms, derr = loss_terms(err, huber_delta)
+    return float(np.sum(terms)), derr
+
+
+class TestLossTerms:
     """The chosen-action Q-loss: summed MSE, or Huber with ``huber_delta``."""
 
     def test_mse_value_and_derivative(self):
-        loss, derr = loss_and_derr(np.array([0.5, -2.0]), None)
+        loss, derr = summed(np.array([0.5, -2.0]), None)
         assert loss == pytest.approx(4.25)
         assert np.array_equal(derr, [1.0, -4.0])
 
     def test_huber_quadratic_inside_delta(self):
-        loss, _ = loss_and_derr(np.array([0.5]), 1.0)
+        loss, _ = summed(np.array([0.5]), 1.0)
         assert loss == pytest.approx(0.125)
 
     def test_huber_linear_outside_delta(self):
         # 0.5 * 1^2 + 1 * (3 - 1) = 2.5
-        loss, _ = loss_and_derr(np.array([3.0]), 1.0)
+        loss, _ = summed(np.array([3.0]), 1.0)
         assert loss == pytest.approx(2.5)
 
     def test_huber_is_half_the_squared_error_inside_delta(self, rng):
         err = rng.uniform(-0.9, 0.9, size=7)
-        huber, huber_derr = loss_and_derr(err, 1.0)
-        mse, mse_derr = loss_and_derr(err, None)
+        huber, huber_derr = summed(err, 1.0)
+        mse, mse_derr = summed(err, None)
         assert huber == pytest.approx(0.5 * mse)
         assert np.allclose(huber_derr, 0.5 * mse_derr)
 
     def test_huber_derivative_clipped_at_delta(self):
-        _, derr = loss_and_derr(np.array([100.0, -100.0, 0.3]), 1.0)
+        _, derr = summed(np.array([100.0, -100.0, 0.3]), 1.0)
         assert np.array_equal(derr, [1.0, -1.0, 0.3])
 
     def test_huber_continuous_at_delta(self):
         eps = 1e-9
-        below, _ = loss_and_derr(np.array([1.0 - eps]), 1.0)
-        above, _ = loss_and_derr(np.array([1.0 + eps]), 1.0)
+        below, _ = summed(np.array([1.0 - eps]), 1.0)
+        above, _ = summed(np.array([1.0 + eps]), 1.0)
         assert below == pytest.approx(above, abs=1e-6)
 
     @pytest.mark.parametrize("huber_delta", [None, 0.7])
@@ -203,7 +231,7 @@ class TestLossAndDerr:
         err = rng.normal(size=8) * 2
 
         def loss():
-            return loss_and_derr(err, huber_delta)[0]
+            return summed(err, huber_delta)[0]
 
-        _, derr = loss_and_derr(err, huber_delta)
+        _, derr = summed(err, huber_delta)
         assert np.allclose(derr, numerical_gradient(loss, err), atol=1e-5)

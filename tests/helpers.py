@@ -1,7 +1,7 @@
 """Non-fixture test utilities: a numerical gradient, the loop references
 the fast paths must match bit for bit (the per-group Sub-Q loop, the
-per-array optimizer, the per-step LSTM), and the one timer behind every
-bench gate."""
+one-call ε-greedy choice, the per-array optimizer, the per-step LSTM),
+and the one timer behind every bench gate."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from perfbench.stats import summarize
-from repro.core.qnetwork import check_batch, loss_and_derr
+from repro.core.qnetwork import check_batch
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -60,6 +60,18 @@ def predict_loop(net, states: np.ndarray) -> np.ndarray:
         q_k = net.subq.predict(assemble(net, k, groups, codes, jobs))
         out[:, k * net.group_size : (k + 1) * net.group_size] = q_k
     return out
+
+
+def loss_and_derr(
+    err: np.ndarray, huber_delta: float | None
+) -> tuple[float, np.ndarray]:
+    """Summed chosen-action loss (MSE, or Huber) and its derivative."""
+    if huber_delta is None:
+        return float(np.sum(err**2)), 2.0 * err
+    abs_err = np.abs(err)
+    quad = np.minimum(abs_err, huber_delta)
+    loss = float(np.sum(0.5 * quad**2 + huber_delta * (abs_err - quad)))
+    return loss, np.clip(err, -huber_delta, huber_delta)
 
 
 def train_step_loop(
@@ -123,6 +135,32 @@ def train_step_loop(
         clip_grad_norm_loop(net.parameters(), max_grad_norm)
     optimizer.step()
     return total_loss / n
+
+
+def epsilon_greedy_choice(
+    q_values: np.ndarray,
+    epsilon: float,
+    rng: np.random.Generator,
+) -> int:
+    """One ε-greedy choice from a Q-vector already computed: the oracle
+    of ``explore_draw`` followed, on tails, by ``greedy_pick``.
+
+    Ties at the maximum are broken uniformly at random.
+    """
+    q_values = np.asarray(q_values, dtype=np.float64)
+    if q_values.ndim != 1 or q_values.size == 0:
+        raise ValueError(
+            f"q_values must be a non-empty vector, got shape {q_values.shape}"
+        )
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    if rng.uniform() < epsilon:
+        return int(rng.integers(q_values.size))
+    best = np.flatnonzero(q_values == q_values.max())
+    if best.size == 0:
+        nan_at = np.flatnonzero(np.isnan(q_values)).tolist()
+        raise ValueError(f"q_values hold NaN at {nan_at}, so no action is greedy")
+    return int(best[rng.integers(best.size)])
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Orchestrator: determinism, caching, and aggregation."""
 
+import numpy as np
 import pytest
 
 from repro.scenarios.orchestrator import (
     aggregate_rows,
+    check_grid,
     render_sweep_csv,
     render_sweep_table,
     run_cell,
@@ -133,6 +135,39 @@ class TestSweep:
         with pytest.raises(ValueError, match=match):
             sweep(scenarios=[TINY], systems=systems, n_jobs=n_jobs, store=store)
         assert not store.root.exists()
+
+    @pytest.mark.parametrize(
+        "grid, match",
+        [
+            (dict(scenarios=[]), "at least one scenario and one system"),
+            (dict(systems=()), "at least one scenario and one system"),
+            (dict(seeds=()), "at least one seed"),
+            (dict(seeds=(0, -1)), "non-negative integers, got -1"),
+            (dict(seeds=("x",)), "non-negative integers, got 'x'"),
+            (dict(seeds=(1.5,)), "non-negative integers, got 1.5"),
+            (dict(seeds=(True,)), "non-negative integers, got True"),
+        ],
+        ids=[
+            "no-scenario",
+            "no-system",
+            "no-seed",
+            "negative",
+            "text",
+            "float",
+            "bool",
+        ],
+    )
+    def test_empty_grid_or_bad_seed_rejected(self, tmp_path, grid, match):
+        store = ResultStore(tmp_path / "cache")
+        kwargs = dict(scenarios=[TINY], systems=FAST_SYSTEMS, store=store) | grid
+        with pytest.raises(ValueError, match=match):
+            sweep(**kwargs)
+        assert not store.root.exists()
+
+    def test_grid_seeds_come_back_as_ints(self):
+        seeds = check_grid(None, FAST_SYSTEMS, ["0", "12", np.int64(3), 4])
+        assert seeds == (0, 12, 3, 4)
+        assert all(type(seed) is int for seed in seeds)
 
 
 class TestAggregation:

@@ -184,6 +184,11 @@ class TestExecution:
             ("--systems", "drl+fixed-3O,hierarchical"),
             ("--jobs", "0"),
             ("--scenarios", "nope"),
+            ("--systems", ","),
+            ("--scenarios", ","),
+            ("--seeds", "x"),
+            ("--seeds", ","),
+            ("--seeds", "-1"),
         ],
     )
     def test_sweep_rejects_out_of_range_execution_knobs(
