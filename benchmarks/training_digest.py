@@ -6,8 +6,9 @@ Adam's ``eps`` moves no digest of paper-table1 or drl-online). This
 script runs three trainings and hashes everything each one leaves
 behind: for every DRL broker built during it, the Q-network's weights,
 ε, the loss history and the final state of its generator; for every
-Adam built during it, the parameter values, both moments and the step
-count; and for the site policy, its stored Q-network and LSTM weights.
+Adam built during it, the parameter values and the update one more step
+would make, which depends on both moments and the step count; and for
+the site policy, its stored Q-network and LSTM weights.
 
 The trainings:
 
@@ -22,6 +23,11 @@ Two checkouts that train bit for bit alike print the same lines. Run it
 with one BLAS thread, as perfbench runs its children, once per ``src/``::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/training_digest.py
+
+The script runs against an older ``src/`` too, so it reads public names
+only. A change that renames one of them keeps this script working on
+the ``src/`` before the rename (for one change, look the old name up as
+a fallback) rather than lifting the guard.
 """
 
 from __future__ import annotations
@@ -101,9 +107,12 @@ class Digest:
             self.add(broker.rng.bit_generator.state)
         for optimizer in made[Adam]:
             self.add(optimizer.values)
-            self.add(optimizer._m)
-            self.add(optimizer._v)
-            self.add(optimizer._t)
+            # One more step with a zero gradient from zero values leaves
+            # exactly minus the update the moments and step count make.
+            optimizer.grads.fill(0.0)
+            optimizer.values.fill(0.0)
+            optimizer.step()
+            self.add(optimizer.values)
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
@@ -136,11 +145,11 @@ def site_policy(n_jobs: int = 150, seed: int = 0) -> str:
         policy = train_site_policy(
             default_config(30, seed), train_traces, with_predictor=True
         )
-    digest.add_training(made)
     digest.add_state(policy.qnet_state)
     digest.add(float(policy.epsilon))
     digest.add_state(policy.predictor_state)
     digest.add(policy.predictor_fitted)
+    digest.add_training(made)
     return digest.hexdigest()
 
 

@@ -189,7 +189,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             return 2
         try:
             spec = registry.get(name)
-            check_cells([args.system], args.jobs)
+            check_cells([spec], [args.system], [args.seed], args.jobs)
         except (KeyError, ValueError) as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
@@ -357,7 +357,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.scenarios.orchestrator import (
         check_cells,
         check_execution,
-        check_grid,
         detected_cpus,
         sweep,
     )
@@ -366,13 +365,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     systems = tuple(_split_csv(args.systems))
     try:
         check_execution(args.workers, args.cell_retries, args.cell_timeout)
-        check_cells(systems, args.jobs)
         scenarios = (
             [registry.get(name) for name in _split_csv(args.scenarios)]
             if args.scenarios
             else None
         )
-        seeds = check_grid(scenarios, systems, _split_csv(args.seeds))
+        seeds = tuple(int(s) for s in _split_csv(args.seeds))
+        check_cells(scenarios, systems, seeds, args.jobs)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

@@ -32,12 +32,11 @@ def check_batch(
     states: np.ndarray,
     actions: np.ndarray,
     targets: np.ndarray,
-    num_actions: int | None = None,
+    num_actions: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A minibatch as float states, int actions and float targets; raises
-    ``ValueError`` unless there is one action and one target per state
-    and, given ``num_actions``, the batch is not empty and every action
-    lies in ``[0, num_actions)``."""
+    ``ValueError`` unless the batch is not empty, there is one action and
+    one target per state, and every action lies in ``[0, num_actions)``."""
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actions = np.asarray(actions, dtype=np.int64).reshape(-1)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
@@ -47,14 +46,13 @@ def check_batch(
             f"batch size mismatch: {n} states, {actions.shape[0]} actions, "
             f"{targets.shape[0]} targets"
         )
-    if num_actions is not None:
-        if n == 0:
-            raise ValueError("a minibatch needs at least one sample")
-        low, high = actions.min(), actions.max()
-        if low < 0 or high >= num_actions:
-            raise ValueError(
-                f"actions must lie in [0, {num_actions}), got {low} to {high}"
-            )
+    if n == 0:
+        raise ValueError("a minibatch needs at least one sample")
+    low, high = actions.min(), actions.max()
+    if low < 0 or high >= num_actions:
+        raise ValueError(
+            f"actions must lie in [0, {num_actions}), got {low} to {high}"
+        )
     return states, actions, targets
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import numbers
 import os
 import pickle
 import signal
@@ -506,50 +505,32 @@ def check_execution(
         raise ValueError(f"cell_timeout must be positive seconds, got {cell_timeout}")
 
 
-def check_cells(systems: Iterable[str], n_jobs: int) -> None:
-    """Raise ValueError on an unknown system name or an empty trace.
+def check_cells(
+    scenarios: Sequence[object] | None,
+    systems: Sequence[str],
+    seeds: Sequence[int],
+    n_jobs: int,
+) -> None:
+    """Raise ValueError unless the grid has a cell and every cell can run.
 
     The cell-side twin of :func:`check_execution`, applied at the same
-    point: every name must pass
-    :func:`~repro.harness.runner.check_system`, and ``n_jobs`` must be
-    at least 1.
+    point by :func:`sweep` and the CLI: every system name must pass
+    :func:`~repro.harness.runner.check_system`, ``n_jobs`` must be at
+    least 1, there must be at least one scenario (``None`` stands for
+    every registered one), one system and one seed, and every seed must
+    be a non-negative ``int``.
     """
     for system in systems:
         check_system(system)
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
-
-
-def check_grid(
-    scenarios: Sequence[object] | None,
-    systems: Sequence[str],
-    seeds: Iterable[int | str],
-) -> tuple[int, ...]:
-    """The seeds of a grid with at least one cell, as ints.
-
-    The grid-side twin of :func:`check_cells`, applied at the same
-    point by :func:`sweep` and the CLI. Raises ValueError unless there
-    is at least one scenario (``None`` stands for every registered
-    one), one system and one seed, and every seed is a non-negative
-    integer: an ``int``, or a string of digits as the CLI passes it.
-    """
     if (scenarios is not None and len(scenarios) == 0) or len(systems) == 0:
         raise ValueError("sweep needs at least one scenario and one system")
-    checked = tuple(_check_seed(seed) for seed in seeds)
-    if not checked:
+    if len(seeds) == 0:
         raise ValueError("sweep needs at least one seed")
-    return checked
-
-
-def _check_seed(seed: object) -> int:
-    """``seed`` as an int, or ValueError naming it."""
-    if isinstance(seed, str):
-        if seed.isdecimal():
-            return int(seed)
-    elif isinstance(seed, numbers.Integral) and not isinstance(seed, bool):
-        if seed >= 0:
-            return int(seed)
-    raise ValueError(f"seeds must be non-negative integers, got {seed!r}")
+    for seed in seeds:
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seeds must be non-negative integers, got {seed!r}")
 
 
 def _exit_with_parent(parent: int) -> None:
@@ -637,7 +618,7 @@ def sweep(
         ``drl+fixed-T``. An unknown name, like ``n_jobs < 1``, an
         empty grid, a seed that is not a non-negative integer or an
         out-of-range execution knob, raises ValueError before any work
-        (:func:`check_cells`, :func:`check_grid`, :func:`check_execution`).
+        (:func:`check_cells`, :func:`check_execution`).
     seeds:
         One full grid per seed (results aggregate over seeds).
     workers:
@@ -704,9 +685,9 @@ def sweep(
     ``_MAX_POOL_RESPAWNS`` times) and the tasks it interrupted rerun
     without being charged an attempt.
     """
+    seeds = tuple(seeds)
     check_execution(workers, cell_retries, cell_timeout)
-    check_cells(systems, n_jobs)
-    seeds = check_grid(scenarios, systems, seeds)
+    check_cells(scenarios, systems, seeds, n_jobs)
     if on_error not in ("quarantine", "raise"):
         raise ValueError(
             f"on_error must be 'quarantine' or 'raise', got {on_error!r}"

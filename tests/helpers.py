@@ -84,7 +84,9 @@ def train_step_loop(
     huber_delta: float | None = None,
 ) -> float:
     """``net.train_step`` with one encoder forward and backward per group."""
-    states, actions, targets = check_batch(states, actions, targets)
+    states, actions, targets = check_batch(
+        states, actions, targets, net.num_actions
+    )
     n = states.shape[0]
     groups, jobs = net.encoder.split(states)
 

@@ -1,11 +1,9 @@
 """Orchestrator: determinism, caching, and aggregation."""
 
-import numpy as np
 import pytest
 
 from repro.scenarios.orchestrator import (
     aggregate_rows,
-    check_grid,
     render_sweep_csv,
     render_sweep_table,
     run_cell,
@@ -163,11 +161,6 @@ class TestSweep:
         with pytest.raises(ValueError, match=match):
             sweep(**kwargs)
         assert not store.root.exists()
-
-    def test_grid_seeds_come_back_as_ints(self):
-        seeds = check_grid(None, FAST_SYSTEMS, ["0", "12", np.int64(3), 4])
-        assert seeds == (0, 12, 3, 4)
-        assert all(type(seed) is int for seed in seeds)
 
 
 class TestAggregation:

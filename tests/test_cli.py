@@ -210,6 +210,7 @@ class TestExecution:
             ("--system", "nope"),
             ("--system", "hierarchicalZ"),
             ("--jobs", "0"),
+            ("--seed", "-1"),
         ],
     )
     def test_run_rejects_bad_input_before_running(
