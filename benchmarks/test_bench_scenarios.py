@@ -5,7 +5,9 @@ Smoke-benchmarks the orchestrator on a small (scenario × system) grid:
 * per-scenario wall time for one cell (the unit of parallel work);
 * parallel speedup of the full grid versus serial execution, which
   should approach min(grid size, cores) for these independent cells;
-* cached re-run time, which should be effectively zero.
+* cached re-run time, which should be effectively zero;
+* trace generation, the set-up every cell pays first, against the
+  ``uniform()``-coin, per-element oracles in ``tests/helpers.py``.
 
 Scale with ``REPRO_BENCH_SCENARIO_JOBS`` (default 200 jobs per cell —
 the grid retrains nothing DRL by default, so cells are simulation-bound).
@@ -18,13 +20,19 @@ import time
 
 import pytest
 
-from benchmarks.conftest import save_artifact
+from benchmarks.conftest import merge_hotpath, save_artifact
 from repro.harness.report import format_table
 from repro.scenarios import registry
 from repro.scenarios.checkpoints import CheckpointStore
 from repro.scenarios.orchestrator import detected_cpus, run_cell, sweep
 from repro.scenarios.store import ResultStore
-from tests.helpers import interleaved, paired_ratio
+from repro.workload.mixtures import correlated_traces
+from repro.workload.synthetic import (
+    SyntheticTraceConfig,
+    generate_trace,
+    reference_rate,
+)
+from tests.helpers import interleaved, paired_ratio, sampler_oracles
 
 SCENARIO_JOBS = int(os.environ.get("REPRO_BENCH_SCENARIO_JOBS", "200"))
 #: Non-learning systems keep the bench about orchestration, not training.
@@ -33,6 +41,12 @@ BENCH_SYSTEMS = ("round-robin", "packing")
 WARM_JOBS = int(os.environ.get("REPRO_BENCH_WARM_JOBS", "150"))
 #: Timed rounds of the warm-start gate (seconds per round).
 ROUNDS = 3
+#: Jobs per generated trace in the sampler gate (the correlated one
+#: splits them over three clusters), its rounds, and the median speedup
+#: over the oracles it must keep.
+TRACE_JOBS = 3_000
+TRACE_ROUNDS = 9
+MIN_TRACE_SPEEDUP = 1.3
 
 
 def describe_speedup(ratio: dict) -> str:
@@ -179,3 +193,57 @@ def test_bench_cached_rerun(out_dir, sweep_kwargs, tmp_path):
         f"warm-cache sweep of {len(warm.results)} cells: {t_warm * 1000:.1f} ms"
     )
     save_artifact(out_dir, "bench_scenario_cache.txt", text)
+
+
+def test_bench_trace_generation(out_dir, bench_seed):
+    """``generate_trace`` and ``correlated_traces`` against the oracles.
+
+    The oracle arms run the same functions with the ``uniform()``-coin
+    samplers and per-element job construction of ``tests/helpers.py``
+    patched in, so both arms make the same draws and return equal jobs.
+    """
+    config = SyntheticTraceConfig(
+        n_jobs=TRACE_JOBS, horizon=TRACE_JOBS / reference_rate(30)
+    )
+    clusters = [(config, TRACE_JOBS // 3)] * 3
+
+    def single():
+        return generate_trace(config, seed=bench_seed)
+
+    def correlated():
+        return correlated_traces(
+            clusters, config.horizon, seed=bench_seed, coupling=0.5
+        )
+
+    def oracle(work):
+        def patched():
+            with sampler_oracles():
+                return work()
+
+        return patched
+
+    rounds = interleaved(
+        {
+            "generate_trace": lambda: single,
+            "generate_trace_oracle": lambda: oracle(single),
+            "correlated_traces": lambda: correlated,
+            "correlated_traces_oracle": lambda: oracle(correlated),
+        },
+        TRACE_ROUNDS,
+    )
+    payload = {}
+    for name in ("generate_trace", "correlated_traces"):
+        assert rounds.results[name] == rounds.results[f"{name}_oracle"]
+        speedup = paired_ratio(rounds.seconds[f"{name}_oracle"], rounds.seconds[name])
+        payload[name] = {
+            "fast": round(rounds.summary(name)["median"] * 1e3, 2),
+            "oracle": round(rounds.summary(f"{name}_oracle")["median"] * 1e3, 2),
+            "speedup": {key: round(value, 2) for key, value in speedup.items()},
+        }
+    merge_hotpath(out_dir, {"trace_generation_ms": {"jobs": TRACE_JOBS, **payload}})
+    for name, entry in payload.items():
+        assert entry["speedup"]["median"] >= MIN_TRACE_SPEEDUP, (
+            f"{name} at {TRACE_JOBS} jobs runs {describe_speedup(entry['speedup'])} "
+            f"as fast as the oracle (gate {MIN_TRACE_SPEEDUP}x): the slow coin "
+            "or the per-element jobs may be back; rerun on a quiet machine"
+        )

@@ -1,4 +1,5 @@
-"""Training-identity digests: one SHA-256 per training.
+"""Training- and trace-identity digests: one SHA-256 per training, per
+builtin scenario's job streams and for Table I's traces.
 
 perfbench's output digest hashes the simulated energy and latency series,
 so a change to how a network learns can leave it unchanged (doubling
@@ -10,6 +11,14 @@ Adam built during it, the parameter values and the update one more step
 would make, which depends on both moments and the step count; and for
 the site policy, its stored Q-network and LSTM weights.
 
+perfbench's digests see only the seed-0 evaluation streams its
+workloads simulate, and no training segment of a multi-site scenario.
+So the script also hashes every job (id, arrival, duration, demands) of
+each builtin scenario's evaluation and training streams at seeds 0-2
+and 400 jobs (``build_site_traces``), one line per scenario, and of
+Table I's ``make_traces`` at M=30 and M=40 over the same seeds, one
+line (``trace:table1``).
+
 The trainings:
 
 * ``drl-online`` — perfbench's drl-online broker shape (M=30, K=3,
@@ -19,8 +28,9 @@ The trainings:
 * ``federation`` — a :class:`~repro.core.federation.DRLFederationBroker`
   dispatching over two 10-server sites, built by ``build_federation``.
 
-Two checkouts that train bit for bit alike print the same lines. Run it
-with one BLAS thread, as perfbench runs its children, once per ``src/``::
+Two checkouts that train and sample bit for bit alike print the same
+lines. Run it with one BLAS thread, as perfbench runs its children, once
+per ``src/``::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/training_digest.py
 
@@ -48,6 +58,7 @@ from repro.core.state import StateEncoder
 from repro.harness.runner import train_site_policy
 from repro.harness.table1 import default_config, make_traces
 from repro.nn.optim import Adam
+from repro.scenarios import registry
 from repro.sim.engine import build_simulation
 from repro.sim.federation import build_federation
 from repro.workload.synthetic import (
@@ -113,6 +124,15 @@ class Digest:
             optimizer.values.fill(0.0)
             optimizer.step()
             self.add(optimizer.values)
+
+    def add_jobs(self, jobs) -> None:
+        self.add(np.array([job.job_id for job in jobs], dtype=np.int64))
+        self.add(
+            np.array(
+                [(job.arrival_time, job.duration, *job.resources) for job in jobs],
+                dtype=np.float64,
+            )
+        )
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
@@ -192,10 +212,40 @@ TRAININGS = {
     "federation": federation,
 }
 
+#: Seeds and evaluation length of every hashed trace.
+TRACE_SEEDS, TRACE_JOBS = (0, 1, 2), 400
+
+
+def scenario_traces(spec) -> str:
+    """A scenario's evaluation and training streams, every site's."""
+    digest = Digest()
+    for seed in TRACE_SEEDS:
+        eval_streams, train_segments = spec.build_site_traces(TRACE_JOBS, seed)
+        for stream in eval_streams:
+            digest.add_jobs(stream)
+        for segment in train_segments:
+            for stream in segment:
+                digest.add_jobs(stream)
+    return digest.hexdigest()
+
+
+def table1_traces() -> str:
+    """Table I's evaluation traces and training segments at M=30 and 40."""
+    digest = Digest()
+    for num_servers in (30, 40):
+        for seed in TRACE_SEEDS:
+            eval_jobs, train_traces = make_traces(TRACE_JOBS, num_servers, seed)
+            for stream in (eval_jobs, *train_traces):
+                digest.add_jobs(stream)
+    return digest.hexdigest()
+
 
 def main() -> None:
     for name, training in TRAININGS.items():
         print(f"{name} {training()}", flush=True)
+    for spec in registry.all_scenarios():
+        print(f"trace:{spec.name} {scenario_traces(spec)}", flush=True)
+    print(f"trace:table1 {table1_traces()}", flush=True)
 
 
 if __name__ == "__main__":

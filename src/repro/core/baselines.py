@@ -8,7 +8,8 @@ Brokers:
   seed policy for offline experience collection).
 * :class:`LeastLoadedBroker` — greedy minimum-CPU-utilization dispatch.
 * :class:`PackingBroker` — greedy consolidation: first awake server with
-  room, else the first awake server, else wake the first sleeping one.
+  room, else the first server that is not on, else the least-busy awake
+  one.
 
 Power policies:
 
@@ -70,19 +71,28 @@ class LeastLoadedBroker(Broker):
 class PackingBroker(Broker):
     """Greedy consolidation heuristic.
 
-    Prefers, in order: the lowest-index awake server where the job fits
-    right now; the awake server with the shortest queue; the lowest-index
-    sleeping server (paying the boot cost to expand capacity).
+    Prefers, in order: the lowest-index awake (active or idle) server
+    with an empty queue where the job fits right now; when every awake
+    server holds work, the lowest-index server that is not on, which may
+    be asleep, booting or shutting down (a sleeping one pays the boot
+    cost to expand capacity); else the awake server with the fewest jobs
+    in system, lowest index first. Which servers are on comes from the
+    ledger's ``on`` row, read once.
     """
 
     def select_server(self, job: Job, cluster: Cluster, now: float) -> int:
-        awake = [s for s in cluster.servers if s.state.is_on]
-        for server in awake:
-            if not server.pending and server.fits(job):
+        awake: list[Server] = []
+        first_off: Server | None = None
+        for server, on in zip(cluster.servers, cluster.ledger.on.tolist()):
+            if not on:
+                if first_off is None:
+                    first_off = server
+            elif not server.pending and server.fits(job):
                 return server.server_id
-        asleep = [s for s in cluster.servers if not s.state.is_on]
-        if asleep and all(s.jobs_in_system > 0 for s in awake):
-            return asleep[0].server_id
+            else:
+                awake.append(server)
+        if first_off is not None and all(s.jobs_in_system > 0 for s in awake):
+            return first_off.server_id
         if awake:
             return min(awake, key=lambda s: (s.jobs_in_system, s.server_id)).server_id
         return 0

@@ -50,7 +50,13 @@ class PowerState(enum.Enum):
     @property
     def is_on(self) -> bool:
         """True when the server can execute jobs (active or idle)."""
-        return self in (PowerState.ACTIVE, PowerState.IDLE)
+        return self is _ACTIVE or self is _IDLE
+
+
+# The members as module globals, in definition order: hot code compares
+# ``self._state`` with these, since reading a member off the Enum class
+# costs several times a global read.
+_SLEEP, _BOOTING, _ACTIVE, _IDLE, _SHUTTING_DOWN = PowerState
 
 
 class Server:
@@ -112,7 +118,7 @@ class Server:
         self._ledger = ledger
         self._index = int(ledger_index)
 
-        self._state = PowerState.IDLE if initially_on else PowerState.SLEEP
+        self._state = _IDLE if initially_on else _SLEEP
         self.capacity = np.ones(self.num_resources)
         #: Resources in use — a view into the ledger's utilization matrix,
         #: mutated strictly in place.
@@ -163,7 +169,7 @@ class Server:
         ledger.on[i] = 1.0 if state.is_on else 0.0
         ledger.queue[i] = len(self.pending)
         ledger.in_system[i] = len(self.pending) + len(self.running)
-        cpu = self.cpu_utilization if state is PowerState.ACTIVE else 0.0
+        cpu = self.cpu_utilization if state is _ACTIVE else 0.0
         ledger.active_cpu[i] = cpu
         ledger.overload_excess[i] = max(0.0, cpu - self.overload_threshold)
         ledger.power[i] = self.current_power()
@@ -218,13 +224,14 @@ class Server:
 
     def current_power(self) -> float:
         """Instantaneous power draw in watts, by state and utilization."""
-        if self.state is PowerState.SLEEP:
-            return self.power_model.sleep_power
-        if self.state in (PowerState.BOOTING, PowerState.SHUTTING_DOWN):
-            return float(self.power_model.transition_power)
-        if self.state is PowerState.IDLE:
+        state = self._state
+        if state is _ACTIVE:
+            return self.power_model.active_power(self.cpu_utilization)
+        if state is _IDLE:
             return self.power_model.active_power(0.0)
-        return self.power_model.active_power(self.cpu_utilization)
+        if state is _SLEEP:
+            return self.power_model.sleep_power
+        return float(self.power_model.transition_power)
 
     def remaining(self) -> np.ndarray:
         """Free capacity per resource dimension."""
@@ -254,7 +261,7 @@ class Server:
             raise ValueError(f"capacity fraction must be in [0, 1], got {fraction}")
         self.account(now)
         self.capacity = np.full(self.num_resources, fraction)
-        if self.state is PowerState.ACTIVE:
+        if self._state is _ACTIVE:
             self._try_start_jobs(now)
         else:
             self._refresh()
@@ -316,14 +323,15 @@ class Server:
         self.last_arrival_time = now
         self.policy.on_job_assigned(self, job, now)
 
-        if self.state is PowerState.ACTIVE:
+        state = self._state
+        if state is _ACTIVE:
             self._try_start_jobs(now)
-        elif self.state is PowerState.IDLE:
+        elif state is _IDLE:
             self._cancel_timeout()
-            self.state = PowerState.ACTIVE
+            self.state = _ACTIVE
             self.policy.on_active(self, now, from_sleep=False)
             self._try_start_jobs(now)
-        elif self.state is PowerState.SLEEP:
+        elif state is _SLEEP:
             self._begin_boot(now)
             self.policy.on_active(self, now, from_sleep=True)
         else:
@@ -366,7 +374,7 @@ class Server:
         self._try_start_jobs(now)
         if self.on_finish is not None:
             self.on_finish(job, now)
-        if not self.running and not self.pending and self.state is PowerState.ACTIVE:
+        if not self.running and not self.pending and self._state is _ACTIVE:
             self._enter_idle(now)
 
     def kill_job(self, job: Job, now: float) -> None:
@@ -385,7 +393,7 @@ class Server:
         demand = np.asarray(job.resources[: self.num_resources])
         np.maximum(self.used - demand, 0.0, out=self.used)
         self._try_start_jobs(now)
-        if not self.running and not self.pending and self.state is PowerState.ACTIVE:
+        if not self.running and not self.pending and self._state is _ACTIVE:
             self._enter_idle(now)
 
     def take_pending(self, now: float) -> list[Job]:
@@ -402,7 +410,7 @@ class Server:
 
     def _enter_idle(self, now: float) -> None:
         """Decision epoch case 1: queue drained, ask the policy for a timeout."""
-        self.state = PowerState.IDLE
+        self.state = _IDLE
         self.idle_entries += 1
         timeout = float(self.policy.on_idle(self, now))
         if math.isnan(timeout) or timeout < 0.0:
@@ -421,13 +429,13 @@ class Server:
 
     def _on_timeout(self, now: float) -> None:
         self._timeout_event = None
-        if self.state is not PowerState.IDLE:
+        if self._state is not _IDLE:
             return  # stale: a job arrived at the same instant
         self.account(now)
         self._begin_shutdown(now)
 
     def _begin_shutdown(self, now: float) -> None:
-        self.state = PowerState.SHUTTING_DOWN
+        self.state = _SHUTTING_DOWN
         self._transition_event = self.events.schedule_in(
             self.power_model.t_off,
             self._on_shutdown_complete,
@@ -437,13 +445,13 @@ class Server:
     def _on_shutdown_complete(self, now: float) -> None:
         self.account(now)
         self._transition_event = None
-        self.state = PowerState.SLEEP
+        self.state = _SLEEP
         if self.pending:
             # Jobs arrived while shutting down: reboot immediately.
             self._begin_boot(now)
 
     def _begin_boot(self, now: float) -> None:
-        self.state = PowerState.BOOTING
+        self.state = _BOOTING
         self.wakeups += 1
         self._transition_event = self.events.schedule_in(
             self.power_model.t_on,
@@ -454,7 +462,7 @@ class Server:
     def _on_boot_complete(self, now: float) -> None:
         self.account(now)
         self._transition_event = None
-        self.state = PowerState.ACTIVE
+        self.state = _ACTIVE
         self._try_start_jobs(now)
         if not self.running and not self.pending:
             self._enter_idle(now)

@@ -34,6 +34,7 @@ from repro.sim.job import Job
 from repro.workload.synthetic import (
     _DAY_SECONDS,
     SyntheticTraceConfig,
+    _jobs_from_columns,
     _sample_durations,
     _sample_resources,
     generate_trace,
@@ -92,15 +93,7 @@ def flash_crowd_jobs(
     arrivals = np.sort(rng.uniform(start, start + duration, size=n_extra))
     durations = _sample_durations(config, rng, n_extra)
     resources = _sample_resources(config, rng, n_extra)
-    return [
-        Job(
-            job_id=i,
-            arrival_time=float(arrivals[i]),
-            duration=float(durations[i]),
-            resources=tuple(float(r) for r in resources[i]),
-        )
-        for i in range(n_extra)
-    ]
+    return _jobs_from_columns(arrivals, durations, resources)
 
 
 def generate_mixture(
@@ -235,20 +228,21 @@ def _sample_coupled_arrivals(
     duty = coupling * shared_duty + (1.0 - coupling) * own_duty
     mean_mult = 1.0 + duty * (mult - 1.0)
     lam_max = base * (1.0 + amp) * mult / mean_mult
+    mean_gap = 1.0 / lam_max
 
     arrivals = np.empty(config.n_jobs)
     count = 0
     t = 0.0
     si = oi = 0
     while count < config.n_jobs:
-        t += rng.exponential(1.0 / lam_max)
+        t += rng.exponential(mean_gap)
         si, shared_on = _burst_on(shared_windows, si, t)
         oi, own_on = _burst_on(own_windows, oi, t)
         on_level = coupling * shared_on + (1.0 - coupling) * own_on
         burst = 1.0 + (mult - 1.0) * on_level
         diurnal = 1.0 + amp * math.sin(2.0 * math.pi * t / _DAY_SECONDS + phase)
         rate = base * diurnal * burst / mean_mult
-        if rng.uniform() * lam_max <= rate:
+        if rng.random() * lam_max <= rate:  # the coin of _sample_arrivals
             arrivals[count] = t
             count += 1
     return arrivals
@@ -308,17 +302,7 @@ def correlated_traces(
         )
         durations = _sample_durations(cfg, rng, n_jobs)
         resources = _sample_resources(cfg, rng, n_jobs)
-        traces.append(
-            [
-                Job(
-                    job_id=i,
-                    arrival_time=float(arrivals[i]),
-                    duration=float(durations[i]),
-                    resources=tuple(float(r) for r in resources[i]),
-                )
-                for i in range(n_jobs)
-            ]
-        )
+        traces.append(_jobs_from_columns(arrivals, durations, resources))
     return traces
 
 

@@ -133,6 +133,7 @@ def _sample_arrivals(
     duty = config.burst_on_mean / (config.burst_on_mean + config.burst_off_mean)
     mean_mult = 1.0 + duty * (burst_mult - 1.0)
     lam_max = base * (1.0 + amp) * burst_mult / mean_mult
+    mean_gap = 1.0 / lam_max
 
     arrivals = np.empty(config.n_jobs)
     count = 0
@@ -141,14 +142,16 @@ def _sample_arrivals(
     burst_switch = rng.exponential(config.burst_off_mean)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     while count < config.n_jobs:
-        t += rng.exponential(1.0 / lam_max)
+        t += rng.exponential(mean_gap)
         while t >= burst_switch:
             burst_on = not burst_on
             mean = config.burst_on_mean if burst_on else config.burst_off_mean
             burst_switch += rng.exponential(mean)
         diurnal = 1.0 + amp * math.sin(2.0 * math.pi * t / _DAY_SECONDS + phase)
         rate = base * diurnal * (burst_mult if burst_on else 1.0) / mean_mult
-        if rng.uniform() * lam_max <= rate:
+        # The thinning coin: ``random()`` is the double ``uniform()``
+        # returns from the same draw, without its argument handling.
+        if rng.random() * lam_max <= rate:
             arrivals[count] = t
             count += 1
     return arrivals
@@ -186,6 +189,25 @@ def _sample_resources(
     return rows
 
 
+def _jobs_from_columns(
+    arrivals: np.ndarray,
+    durations: np.ndarray,
+    resources: np.ndarray,
+    start_id: int = 0,
+) -> list[Job]:
+    """One validated :class:`Job` per row of the sampled columns.
+
+    The columns are read once as Python floats (``tolist``), which are
+    the values a per-element ``float(arr[i])`` would give.
+    """
+    return [
+        Job(start_id + i, arrival, duration, tuple(demand))
+        for i, (arrival, duration, demand) in enumerate(
+            zip(arrivals.tolist(), durations.tolist(), resources.tolist())
+        )
+    ]
+
+
 def generate_trace(
     config: SyntheticTraceConfig | None = None,
     seed: int | np.random.Generator = 0,
@@ -208,12 +230,4 @@ def generate_trace(
     arrivals = _sample_arrivals(config, rng)
     durations = _sample_durations(config, rng, config.n_jobs)
     resources = _sample_resources(config, rng, config.n_jobs)
-    return [
-        Job(
-            job_id=start_id + i,
-            arrival_time=float(arrivals[i]),
-            duration=float(durations[i]),
-            resources=tuple(float(r) for r in resources[i]),
-        )
-        for i in range(config.n_jobs)
-    ]
+    return _jobs_from_columns(arrivals, durations, resources, start_id)

@@ -1,18 +1,27 @@
 """Non-fixture test utilities: a numerical gradient, the loop references
 the fast paths must match bit for bit (the per-group Sub-Q loop, the
-one-call ε-greedy choice, the per-array optimizer, the per-step LSTM),
-and the one timer behind every bench gate."""
+one-call ε-greedy choice, the per-array optimizer, the per-step LSTM,
+the trace samplers' ``uniform()`` coin and per-element jobs, the
+two-walk packing choice), and the one timer behind every bench gate."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import math
 from time import perf_counter
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from unittest import mock
 
 import numpy as np
 
+import repro.workload.mixtures as mixtures
+import repro.workload.synthetic as synthetic
 from perfbench.stats import summarize
 from repro.core.qnetwork import check_batch
+from repro.sim.job import Job
+from repro.workload.mixtures import _burst_on
+from repro.workload.synthetic import _DAY_SECONDS, SyntheticTraceConfig
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -331,6 +340,134 @@ def lstm_backward_loop(net, dy: np.ndarray, caches) -> None:
     for t in range(caches["steps"] - 1, -1, -1):
         dxt, dh, dc = lstm_step_backward_loop(net.cell, dh, dc, caches["cell"][t])
         net.input_layer.backward(dxt, caches["in"][t])
+
+
+# ----------------------------------------------------------------------
+# Trace samplers and packing: the oracles of repro.workload's
+# ``random()`` coin and column-wise jobs, and of PackingBroker's one walk
+# over the ledger's ``on`` row
+# ----------------------------------------------------------------------
+
+
+def sample_arrivals_loop(
+    config: SyntheticTraceConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """``_sample_arrivals`` with the ``uniform()`` coin and the mean gap
+    divided out on every candidate."""
+    base = config.base_rate
+    amp = config.diurnal_amplitude
+    burst_mult = config.burst_rate_multiplier
+    duty = config.burst_on_mean / (config.burst_on_mean + config.burst_off_mean)
+    mean_mult = 1.0 + duty * (burst_mult - 1.0)
+    lam_max = base * (1.0 + amp) * burst_mult / mean_mult
+
+    arrivals = np.empty(config.n_jobs)
+    count = 0
+    t = 0.0
+    burst_on = False
+    burst_switch = rng.exponential(config.burst_off_mean)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    while count < config.n_jobs:
+        t += rng.exponential(1.0 / lam_max)
+        while t >= burst_switch:
+            burst_on = not burst_on
+            mean = config.burst_on_mean if burst_on else config.burst_off_mean
+            burst_switch += rng.exponential(mean)
+        diurnal = 1.0 + amp * math.sin(2.0 * math.pi * t / _DAY_SECONDS + phase)
+        rate = base * diurnal * (burst_mult if burst_on else 1.0) / mean_mult
+        if rng.uniform() * lam_max <= rate:
+            arrivals[count] = t
+            count += 1
+    return arrivals
+
+
+def sample_coupled_arrivals_loop(
+    config: SyntheticTraceConfig,
+    rng: np.random.Generator,
+    phase: float,
+    shared_windows: tuple[tuple[float, float], ...],
+    shared_duty: float,
+    own_windows: tuple[tuple[float, float], ...],
+    coupling: float,
+) -> np.ndarray:
+    """``_sample_coupled_arrivals`` with the ``uniform()`` coin and the
+    mean gap divided out on every candidate."""
+    base = config.base_rate
+    amp = config.diurnal_amplitude
+    mult = config.burst_rate_multiplier
+    own_duty = config.burst_on_mean / (config.burst_on_mean + config.burst_off_mean)
+    duty = coupling * shared_duty + (1.0 - coupling) * own_duty
+    mean_mult = 1.0 + duty * (mult - 1.0)
+    lam_max = base * (1.0 + amp) * mult / mean_mult
+
+    arrivals = np.empty(config.n_jobs)
+    count = 0
+    t = 0.0
+    si = oi = 0
+    while count < config.n_jobs:
+        t += rng.exponential(1.0 / lam_max)
+        si, shared_on = _burst_on(shared_windows, si, t)
+        oi, own_on = _burst_on(own_windows, oi, t)
+        on_level = coupling * shared_on + (1.0 - coupling) * own_on
+        burst = 1.0 + (mult - 1.0) * on_level
+        diurnal = 1.0 + amp * math.sin(2.0 * math.pi * t / _DAY_SECONDS + phase)
+        rate = base * diurnal * burst / mean_mult
+        if rng.uniform() * lam_max <= rate:
+            arrivals[count] = t
+            count += 1
+    return arrivals
+
+
+def jobs_per_element(
+    arrivals: np.ndarray,
+    durations: np.ndarray,
+    resources: np.ndarray,
+    start_id: int = 0,
+) -> list[Job]:
+    """``_jobs_from_columns`` with one ``float()`` per array element."""
+    return [
+        Job(
+            job_id=start_id + i,
+            arrival_time=float(arrivals[i]),
+            duration=float(durations[i]),
+            resources=tuple(float(r) for r in resources[i]),
+        )
+        for i in range(len(arrivals))
+    ]
+
+
+@contextlib.contextmanager
+def sampler_oracles() -> Iterator[None]:
+    """Patch the oracles above in where the trace functions look them
+    up, so ``generate_trace``, ``flash_crowd_jobs`` and
+    ``correlated_traces`` run with the ``uniform()`` coin and
+    per-element jobs."""
+    with mock.patch.multiple(
+        synthetic,
+        _sample_arrivals=sample_arrivals_loop,
+        _jobs_from_columns=jobs_per_element,
+    ):
+        with mock.patch.multiple(
+            mixtures,
+            _sample_coupled_arrivals=sample_coupled_arrivals_loop,
+            _jobs_from_columns=jobs_per_element,
+        ):
+            yield
+
+
+def packing_choice_loop(job: Job, cluster) -> int:
+    """``PackingBroker.select_server`` reading each server's ``state``
+    property, with a second walk for the servers that are not on."""
+    awake = [s for s in cluster.servers if s.state.is_on]
+    for server in awake:
+        if not server.pending and server.fits(job):
+            return server.server_id
+    asleep = [s for s in cluster.servers if not s.state.is_on]
+    if asleep and all(s.jobs_in_system > 0 for s in awake):
+        return asleep[0].server_id
+    if awake:
+        return min(awake, key=lambda s: (s.jobs_in_system, s.server_id)).server_id
+    return 0
 
 
 class Rounds(NamedTuple):

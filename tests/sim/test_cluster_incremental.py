@@ -11,15 +11,22 @@ objects — so any missed refresh point shows up as drift.
 import numpy as np
 import pytest
 
-from repro.core.baselines import FixedTimeoutPolicy, RoundRobinBroker
+from repro.core.baselines import (
+    FixedTimeoutPolicy,
+    ImmediateSleepPolicy,
+    PackingBroker,
+    RoundRobinBroker,
+)
 from repro.sim.churn import CapacityEvent
 from repro.sim.engine import build_simulation
 from repro.sim.server import PowerState
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
+from tests.helpers import packing_choice_loop
 
 
-def churny_engine(n_servers=6, n_jobs=400, seed=5, broker=None):
-    """A run with sleep/wake churn (short DPM timeout) and capacity churn."""
+def churny_engine(n_servers=6, n_jobs=400, seed=5, broker=None, policy=None):
+    """A run with sleep/wake churn (short DPM timeout unless ``policy``
+    says otherwise) and capacity churn."""
     config = SyntheticTraceConfig(n_jobs=n_jobs, horizon=n_jobs * 30.0)
     jobs = generate_trace(config, seed=seed)
     horizon = config.horizon
@@ -32,7 +39,7 @@ def churny_engine(n_servers=6, n_jobs=400, seed=5, broker=None):
     engine = build_simulation(
         num_servers=n_servers,
         broker=broker if broker is not None else RoundRobinBroker(),
-        policies=FixedTimeoutPolicy(45.0),
+        policies=policy if policy is not None else FixedTimeoutPolicy(45.0),
         capacity_events=events,
         initially_on=False,
     )
@@ -89,6 +96,38 @@ class TestIncrementalObservables:
         engine, jobs = churny_engine(n_jobs=150, broker=broker)
         engine.run(jobs)
         assert broker.calls == len(jobs) == 150
+
+    @pytest.mark.parametrize(
+        "policy, off_states",
+        [
+            (FixedTimeoutPolicy(45.0), {PowerState.SLEEP, PowerState.BOOTING}),
+            (
+                ImmediateSleepPolicy(),
+                {PowerState.SLEEP, PowerState.BOOTING, PowerState.SHUTTING_DOWN},
+            ),
+        ],
+        ids=["timeout-45", "immediate-sleep"],
+    )
+    def test_packing_reads_the_on_row_as_the_states_say(self, policy, off_states):
+        """PackingBroker walks the ledger's ``on`` row once; at every
+        arrival it must pick what the two-walk oracle over each server's
+        ``state`` picks. Servers that are not on get picked in every
+        state of ``off_states``, so booting servers (and, under
+        immediate sleep, shutting-down ones) are in play."""
+        picked_states = []
+
+        class CheckingBroker(PackingBroker):
+            def select_server(self, job, cluster, now):
+                assert_ledger_consistent(cluster)
+                choice = super().select_server(job, cluster, now)
+                assert choice == packing_choice_loop(job, cluster)
+                picked_states.append(cluster[choice].state)
+                return choice
+
+        engine, jobs = churny_engine(broker=CheckingBroker(), policy=policy)
+        engine.run(jobs)
+        assert len(picked_states) == len(jobs) == 400
+        assert {state for state in picked_states if not state.is_on} == off_states
 
     def test_aggregates_match_per_server_sums(self):
         engine, jobs = churny_engine()

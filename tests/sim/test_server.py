@@ -130,9 +130,20 @@ class TestBootDelay:
 class TestFigure4PowerManagement:
     """Fig. 4: ad-hoc versus timeout DPM around a 2-job gap."""
 
-    def _run(self, timeout, gap_arrival):
+    def _run(self, timeout, gap_arrival, states=None):
+        """Run the two jobs; ``states`` collects ``(state, ledger on row)``
+        after every state assignment."""
         policy = ScriptedPolicy(timeouts=[timeout, PowerPolicy.NEVER])
         server, events = make_server(policy, initially_on=False)
+        if states is not None:
+            refresh = server._refresh
+
+            def recording_refresh():
+                refresh()
+                states.append((server.state, server._ledger.on[0]))
+
+            server._refresh = recording_refresh
+            recording_refresh()
         j1 = job(1, 0.0, 50.0, 0.5)
         j2 = job(2, gap_arrival, 50.0, 0.7)
         for j in (j1, j2):
@@ -143,11 +154,19 @@ class TestFigure4PowerManagement:
     def test_ad_hoc_pays_double_transition(self):
         # j1 runs 30..80; immediate shutdown 80..110; j2 arrives at 90
         # (during shutdown) -> waits for sleep at 110, boots 110..140.
-        server, policy, j1, j2 = self._run(timeout=0.0, gap_arrival=90.0)
+        states = []
+        server, policy, j1, j2 = self._run(timeout=0.0, gap_arrival=90.0, states=states)
         assert j1.start_time == pytest.approx(30.0)
         assert j2.start_time == pytest.approx(140.0)
         assert j2.latency == pytest.approx(50.0 + 50.0)  # waited 50, ran 50
         assert server.wakeups == 2
+        # The cycle passes through every power state; only ACTIVE and
+        # IDLE are on, in ``is_on`` and in the ledger row alike.
+        assert {state for state, _ in states} == set(PowerState)
+        for state, on in states:
+            expected = state in (PowerState.ACTIVE, PowerState.IDLE)
+            assert state.is_on is expected
+            assert on == (1.0 if expected else 0.0)
 
     def test_dpm_timeout_serves_immediately(self):
         # Same arrivals with a 60 s timeout: server still idle at t=90,
