@@ -43,6 +43,18 @@ def bench_seed() -> int:
 
 
 @pytest.fixture(scope="session")
+def table1_results(bench_jobs, bench_seed) -> dict:
+    """Table I's protocol at the bench size, run once per session.
+
+    ``run_table1``'s results by cluster size and system: Table I reads
+    its rows from them, Figs. 8 and 9 their M = 30 and M = 40 series.
+    """
+    from repro.harness.table1 import run_table1
+
+    return run_table1(n_jobs=bench_jobs, cluster_sizes=(30, 40), seed=bench_seed)
+
+
+@pytest.fixture(scope="session")
 def out_dir(tmp_path_factory) -> Path:
     if not OUT_ENV:
         return tmp_path_factory.mktemp("bench-results")

@@ -20,7 +20,7 @@ import pytest
 from benchmarks.conftest import save_artifact
 from repro.core.config import ExperimentConfig, GlobalTierConfig
 from repro.core.global_tier import DRLGlobalBroker
-from repro.core.hierarchical import HierarchicalSystem, _make_encoder
+from repro.core.hierarchical import HierarchicalSystem
 from repro.core.baselines import ImmediateSleepPolicy
 from repro.core.qnetwork import FlatQNetwork
 from repro.harness.report import format_table
@@ -66,11 +66,9 @@ def test_bench_ablation_architecture(traces, out_dir, bench_seed):
     import numpy as np
 
     flat_broker = DRLGlobalBroker(
-        _make_encoder(config),
+        proto.encoder,
         config.global_tier,
-        qnetwork=FlatQNetwork(
-            _make_encoder(config), rng=np.random.default_rng(bench_seed)
-        ),
+        qnetwork=FlatQNetwork(proto.encoder, rng=np.random.default_rng(bench_seed)),
         rng=np.random.default_rng(bench_seed),
     )
     flat_system = HierarchicalSystem(

@@ -11,12 +11,13 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import save_artifact
-from repro.harness.figures import render_series_csv, run_figure8, run_figure9
+from repro.harness.table1 import render_series_csv, run_table1
 
 
 @pytest.fixture(scope="module")
-def fig9(bench_jobs, bench_seed):
-    return run_figure9(n_jobs=bench_jobs, seed=bench_seed)
+def fig9(table1_results):
+    """Table I's M = 40 runs by system."""
+    return table1_results[40]
 
 
 def test_bench_fig9(fig9, out_dir):
@@ -25,8 +26,8 @@ def test_bench_fig9(fig9, out_dir):
 
 
 def test_shape_round_robin_extremes_m40(fig9):
-    lat_finals = {name: points[-1][1] for name, points in fig9.latency.items()}
-    eng_finals = {name: points[-1][1] for name, points in fig9.energy.items()}
+    lat_finals = {name: r.latency_series[-1][1] for name, r in fig9.items()}
+    eng_finals = {name: r.energy_series[-1][1] for name, r in fig9.items()}
     assert lat_finals["round-robin"] == min(lat_finals.values())
     assert eng_finals["round-robin"] == max(eng_finals.values())
 
@@ -34,16 +35,11 @@ def test_shape_round_robin_extremes_m40(fig9):
 def test_round_robin_energy_scales_with_m(bench_jobs, bench_seed, fig9):
     """Paper Sec. VII-B: round-robin energy grows with cluster size while
     the DRL frameworks' energy stays roughly constant."""
-    fig8 = run_figure8(
+    small = run_table1(
         n_jobs=max(bench_jobs // 3, 500),
         seed=bench_seed,
         systems=("round-robin",),
     )
-    fig9_small = run_figure9(
-        n_jobs=max(bench_jobs // 3, 500),
-        seed=bench_seed,
-        systems=("round-robin",),
-    )
-    e30 = fig8.energy["round-robin"][-1][1]
-    e40 = fig9_small.energy["round-robin"][-1][1]
+    e30 = small[30]["round-robin"].energy_series[-1][1]
+    e40 = small[40]["round-robin"].energy_series[-1][1]
     assert e40 > e30 * 1.1

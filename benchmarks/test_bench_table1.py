@@ -19,17 +19,17 @@ import pytest
 
 from benchmarks.conftest import save_artifact
 from repro.harness.claims import evaluate_claims
-from repro.harness.table1 import render_table1, run_table1
+from repro.harness import table1
 
 
 @pytest.fixture(scope="module")
-def table1_rows(bench_jobs, bench_seed):
-    return run_table1(n_jobs=bench_jobs, cluster_sizes=(30, 40), seed=bench_seed)
+def table1_rows(table1_results):
+    return table1.table1_rows(table1_results)
 
 
 def test_bench_table1(table1_rows, out_dir):
     """Render Table I and the claim summaries; the tests below check them."""
-    text = render_table1(table1_rows)
+    text = table1.render_table1(table1_rows)
     for m in (30, 40):
         text += "\n" + evaluate_claims(table1_rows, num_servers=m).summary()
     save_artifact(out_dir, "table1.txt", text)

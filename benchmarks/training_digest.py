@@ -1,5 +1,6 @@
-"""Training- and trace-identity digests: one SHA-256 per training, per
-builtin scenario's job streams and for Table I's traces.
+"""Training-, trace- and system-identity digests: one SHA-256 per
+training, per builtin scenario's job streams, for Table I's traces and
+per named system's run.
 
 perfbench's output digest hashes the simulated energy and latency series,
 so a change to how a network learns can leave it unchanged (doubling
@@ -18,6 +19,15 @@ each builtin scenario's evaluation and training streams at seeds 0-2
 and 400 jobs (``build_site_traces``), one line per scenario, and of
 Table I's ``make_traces`` at M=30 and M=40 over the same seeds, one
 line (``trace:table1``).
+
+No perfbench workload runs random, least-loaded or a fixed-timeout DRL
+system, so the digests cannot see a change to how ``make_system`` builds
+them. So the script also prints one ``system:<name>`` line for each name
+in ``SYSTEM_NAMES`` and for ``drl+fixed-60``: it hashes the energy,
+latency, power and both series of ``make_system(name, default_config(6,
+seed=0), train_traces, seed=0)`` run by ``run_system`` on
+``make_traces(300, 6, 0)``. Building hierarchical with per-server DPM
+learners, for one, changes its line.
 
 The trainings:
 
@@ -55,7 +65,12 @@ from repro.core.config import GlobalTierConfig
 from repro.core.federation import DRLFederationBroker
 from repro.core.global_tier import DRLGlobalBroker
 from repro.core.state import StateEncoder
-from repro.harness.runner import train_site_policy
+from repro.harness.runner import (
+    SYSTEM_NAMES,
+    make_system,
+    run_system,
+    train_site_policy,
+)
 from repro.harness.table1 import default_config, make_traces
 from repro.nn.optim import Adam
 from repro.scenarios import registry
@@ -240,12 +255,28 @@ def table1_traces() -> str:
     return digest.hexdigest()
 
 
+def system_runs() -> Iterator[tuple[str, str]]:
+    """(name, digest) of one 300-job run of each system at M=6, seed 0."""
+    config = default_config(6, seed=0)
+    eval_jobs, train_traces = make_traces(300, 6, 0)
+    for name in (*SYSTEM_NAMES, "drl+fixed-60"):
+        system = make_system(name, config, train_traces, seed=0)
+        result = run_system(system, eval_jobs)
+        digest = Digest()
+        digest.add([result.energy_kwh, result.acc_latency, result.average_power])
+        digest.add(result.latency_series)
+        digest.add(result.energy_series)
+        yield name, digest.hexdigest()
+
+
 def main() -> None:
     for name, training in TRAININGS.items():
         print(f"{name} {training()}", flush=True)
     for spec in registry.all_scenarios():
         print(f"trace:{spec.name} {scenario_traces(spec)}", flush=True)
     print(f"trace:table1 {table1_traces()}", flush=True)
+    for name, digest in system_runs():
+        print(f"system:{name} {digest}", flush=True)
 
 
 if __name__ == "__main__":

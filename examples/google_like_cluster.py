@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from repro.harness.claims import evaluate_claims
-from repro.harness.table1 import render_table1, run_table1
+from repro.harness.table1 import render_table1, run_table1, table1_rows
 from repro.workload.segments import split_segments
 from repro.workload.stats import characterize
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
@@ -50,7 +50,7 @@ def main() -> None:
 
     # 4. Small-scale Table I on M = 30 (pass n_jobs=95000 for full scale).
     print("\n=== Table I (reduced scale) ===")
-    rows = run_table1(n_jobs=n_jobs, cluster_sizes=(30,), seed=42)
+    rows = table1_rows(run_table1(n_jobs=n_jobs, cluster_sizes=(30,), seed=42))
     print(render_table1(rows))
     print()
     print(evaluate_claims(rows, num_servers=30).summary())

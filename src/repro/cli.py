@@ -27,8 +27,9 @@ Global flags (before the subcommand): ``--log-level LEVEL`` or ``-v`` /
 level (WARNING by default).
 
 ``table1`` prints the paper-style summary table plus the recomputed
-headline claims; the figure commands print (or write) the CSV series the
-paper plots; ``workload`` generates and characterizes a synthetic trace
+headline claims; ``fig8`` and ``fig9`` print (or write) the CSV series
+of Table I's runs at M = 30 and M = 40, and ``fig10`` the trade-off
+sweep; ``workload`` generates and characterizes a synthetic trace
 (optionally writing it as a canonical trace CSV); ``systems`` lists the
 named systems; ``scenario`` drives the scenario suite — ``sweep`` fans
 the (scenario × system × seed) grid out over a worker pool, journals
@@ -42,8 +43,9 @@ then quarantined — journaled to ``quarantine.jsonl`` while the sweep
 carries on (``--strict`` restores fail-fast). ``scenario run --trace``
 replays recorded Google task-events files through any scenario, and
 every run journals its result exactly like a sweep cell would. Unknown
-scenario or system names, ``--jobs`` below 1 and out-of-range execution
-knobs exit 2 before any work starts. ``--profile``
+scenario or system names, ``--jobs`` below 1, negative seeds, cluster
+sizes that are not positive integers and out-of-range execution knobs
+exit 2 before any work starts. ``--profile``
 captures run telemetry (per-phase self-time breakdown, counters, gauges),
 writes it as ``telemetry.json`` under the cache dir, and ``obs report``
 renders any such artifact. ``lint`` runs the AST-based determinism &
@@ -74,29 +76,55 @@ def _emit(text: str, out: Path | None) -> None:
         print(f"wrote {out}")
 
 
+def _cluster_sizes(text: str) -> tuple[int, ...]:
+    """``--servers``' cluster sizes; ValueError unless each is a positive int."""
+    sizes = tuple(int(s) if s.strip().isdigit() else 0 for s in text.split(","))
+    if min(sizes) < 1:
+        raise ValueError(
+            f"--servers needs comma-separated positive integers, got {text!r}"
+        )
+    return sizes
+
+
+def _check_paper_input(args: argparse.Namespace) -> None:
+    """Raise ValueError unless a paper command's flags can run.
+
+    ``table1``, ``fig8``, ``fig9``, ``fig10`` and ``workload`` call this
+    before any work, so bad input costs no training run.
+    """
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if args.command == "table1":
+        _cluster_sizes(args.servers)
+
+
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.harness.claims import evaluate_claims
-    from repro.harness.table1 import render_table1, run_table1
+    from repro.harness.table1 import render_table1, run_table1, table1_rows
 
-    sizes = tuple(int(s) for s in args.servers.split(","))
-    rows = run_table1(n_jobs=args.jobs, cluster_sizes=sizes, seed=args.seed)
+    sizes = _cluster_sizes(args.servers)
+    results = run_table1(n_jobs=args.jobs, cluster_sizes=sizes, seed=args.seed)
+    rows = table1_rows(results)
     text = render_table1(rows)
-    for m in sizes:
+    for m in results:
         text += "\n" + evaluate_claims(rows, num_servers=m).summary()
     _emit(text, args.out)
     return 0
 
 
 def _cmd_figure(args: argparse.Namespace, which: str) -> int:
-    from repro.harness.figures import render_series_csv, run_figure8, run_figure9
+    """Fig. 8 (M = 30) or Fig. 9 (M = 40): the series of Table I's runs."""
+    from repro.harness.table1 import render_series_csv, run_table1
 
-    runner = run_figure8 if which == "fig8" else run_figure9
-    figure = runner(n_jobs=args.jobs, seed=args.seed)
+    m = 30 if which == "fig8" else 40
+    results = run_table1(n_jobs=args.jobs, cluster_sizes=(m,), seed=args.seed)[m]
     text = (
         "# panel (a): accumulated latency\n"
-        + render_series_csv(figure, "latency")
+        + render_series_csv(results, "latency")
         + "\n# panel (b): energy\n"
-        + render_series_csv(figure, "energy")
+        + render_series_csv(results, "energy")
     )
     _emit(text, args.out)
     return 0
@@ -629,6 +657,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.command in ("table1", "fig8", "fig9", "fig10", "workload"):
+        try:
+            _check_paper_input(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.command == "table1":
         return _cmd_table1(args)
     if args.command in ("fig8", "fig9"):

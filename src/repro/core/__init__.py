@@ -11,7 +11,9 @@
   (Algorithm 2).
 * :mod:`repro.core.baselines` — round-robin and friends, fixed-timeout /
   always-on / immediate-sleep DPM.
-* :mod:`repro.core.hierarchical` — builders wiring complete systems.
+* :mod:`repro.core.hierarchical` — the wired controller stack a system
+  runs as (:func:`repro.harness.runner.make_system` builds the named
+  ones) and the LSTM predictor's offline pre-training.
 * :mod:`repro.core.federation` — the tier above the paper's hierarchy:
   cross-site dispatchers for multi-cluster federations, including a DRL
   dispatcher reusing the Sub-Q machinery over per-site aggregates.
@@ -43,9 +45,6 @@ from repro.core.federation import (
 from repro.core.global_tier import DRLGlobalBroker, offline_pretrain
 from repro.core.hierarchical import (
     HierarchicalSystem,
-    build_drl_only,
-    build_hierarchical,
-    build_round_robin,
     per_server_interarrivals,
     pretrain_predictor,
 )
@@ -80,9 +79,6 @@ __all__ = [
     "make_federation_broker",
     "offline_pretrain",
     "HierarchicalSystem",
-    "build_drl_only",
-    "build_hierarchical",
-    "build_round_robin",
     "per_server_interarrivals",
     "pretrain_predictor",
     "RLPowerPolicy",

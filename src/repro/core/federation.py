@@ -185,23 +185,17 @@ class FederationStateView:
         return sum(site.cluster.overload_integral() for site in self.sites)
 
 
-def federation_encoder(
-    num_sites: int, num_resources: int = 3, num_groups: int | None = None
-) -> StateEncoder:
+def federation_encoder(num_sites: int) -> StateEncoder:
     """The site-granular state encoder a DRL federation dispatcher uses.
 
-    One "server" per site; by default every site is its own group (K =
-    S), so the shared Sub-Q scores each site from its own aggregate
-    block plus the autoencoder code — the same weight-sharing trick the
-    paper uses across server groups, now across sites.
+    One "server" per site, three resources, and every site its own
+    group (K = S), so the shared Sub-Q scores each site from its own
+    aggregate block plus the autoencoder code — the same weight-sharing
+    trick the paper uses across server groups, now across sites.
     """
     if num_sites < 1:
         raise ValueError(f"num_sites must be positive, got {num_sites}")
-    return StateEncoder(
-        num_servers=num_sites,
-        num_resources=num_resources,
-        num_groups=num_groups if num_groups is not None else num_sites,
-    )
+    return StateEncoder(num_servers=num_sites, num_groups=num_sites)
 
 
 #: Compact default hyper-parameters for the federation tier: site-level
@@ -218,42 +212,26 @@ class DRLFederationBroker(FederationBroker):
     the sites. Decision epochs are fleet-wide job arrivals; rewards
     accumulate the same Eqn.-4 terms (power, jobs in system, hot spots)
     over the *whole fleet*, so the dispatcher learns to place load where
-    it hurts the federation least.
+    it hurts the federation least. The agent's hyper-parameters are
+    :class:`GlobalTierConfig`'s with :data:`FEDERATION_TIER_DEFAULTS`
+    layer sizes.
 
     Parameters
     ----------
     num_sites:
         S, the number of member sites.
-    config:
-        Hyper-parameters; defaults to :data:`GlobalTierConfig` with
-        :data:`FEDERATION_TIER_DEFAULTS` layer sizes.
-    qnetwork:
-        Optionally a pre-built / warm-started network (checkpoints).
+    rng:
+        The agent's generator (default: seeded with 0).
     """
 
-    def __init__(
-        self,
-        num_sites: int,
-        config: GlobalTierConfig | None = None,
-        num_resources: int = 3,
-        qnetwork: HierarchicalQNetwork | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def __init__(self, num_sites: int, rng: np.random.Generator | None = None) -> None:
         self.num_sites = int(num_sites)
-        encoder = federation_encoder(num_sites, num_resources)
-        if config is None:
-            config = GlobalTierConfig(
-                num_groups=encoder.num_groups, **FEDERATION_TIER_DEFAULTS
-            )
+        encoder = federation_encoder(num_sites)
+        config = GlobalTierConfig(
+            num_groups=encoder.num_groups, **FEDERATION_TIER_DEFAULTS
+        )
         rng = rng if rng is not None else np.random.default_rng(0)
-        if qnetwork is None:
-            qnetwork = HierarchicalQNetwork(
-                encoder,
-                autoencoder_hidden=config.autoencoder_hidden,
-                subq_hidden=config.subq_hidden,
-                rng=rng,
-            )
-        self.agent = DRLGlobalBroker(encoder, config, qnetwork=qnetwork, rng=rng)
+        self.agent = DRLGlobalBroker(encoder, config, rng=rng)
         self._view: FederationStateView | None = None
         self._view_key: tuple[int, ...] = ()
 
@@ -301,11 +279,7 @@ class DRLFederationBroker(FederationBroker):
 
 
 def make_federation_broker(
-    policy: str,
-    num_sites: int,
-    num_resources: int = 3,
-    qnetwork: HierarchicalQNetwork | None = None,
-    rng: np.random.Generator | None = None,
+    policy: str, num_sites: int, rng: np.random.Generator | None = None
 ) -> FederationBroker | None:
     """Build a named federation-tier dispatcher.
 
@@ -327,9 +301,7 @@ def make_federation_broker(
     if policy == "carbon-greedy":
         return TariffGreedySiteBroker(mode="carbon")
     if policy == "drl":
-        return DRLFederationBroker(
-            num_sites, num_resources=num_resources, qnetwork=qnetwork, rng=rng
-        )
+        return DRLFederationBroker(num_sites, rng=rng)
     raise ValueError(
         f"unknown federation policy {policy!r}; known: {FEDERATION_POLICY_NAMES}"
     )

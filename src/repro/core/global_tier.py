@@ -35,6 +35,10 @@ from repro.sim.interfaces import Broker, PowerPolicy
 from repro.sim.job import Job
 from repro.sim.power import PowerModel
 
+#: Most observed states the autoencoder pre-trains on; a larger
+#: experience memory is subsampled to this many.
+MAX_PRETRAIN_STATES = 5000
+
 
 class DRLGlobalBroker(Broker):
     """Deep-RL job broker (the paper's global tier).
@@ -197,21 +201,19 @@ def offline_pretrain(
     broker: DRLGlobalBroker,
     traces: Sequence[Sequence[Job]],
     policy_factory: Callable[[], Sequence[PowerPolicy] | PowerPolicy],
-    seed_broker_factory: Callable[[], Broker] | None = None,
     power_model: PowerModel | Sequence[PowerModel] | None = None,
-    initially_on: bool = False,
     autoencoder_epochs: int = 10,
     q_epochs: int = 3,
     batches_per_epoch: int = 200,
-    max_pretrain_states: int = 5000,
 ) -> dict[str, list[float]]:
     """Offline DNN construction (Algorithm 1, lines 1–4).
 
-    Runs each trace through the simulator under a seed policy (default:
-    round-robin, i.e. an "arbitrary policy") while the DRL broker records
-    state-transition profiles into its experience memory; then pre-trains
-    the shared autoencoder on observed group states and the Sub-Q network
-    on SMDP targets sampled from the memory.
+    Runs each trace through the simulator under round-robin (the
+    "arbitrary policy"), every server starting asleep, while the DRL
+    broker records state-transition profiles into its experience memory;
+    then pre-trains the shared autoencoder on observed group states (at
+    most :data:`MAX_PRETRAIN_STATES`) and the Sub-Q network on SMDP
+    targets sampled from the memory.
 
     Parameters
     ----------
@@ -223,8 +225,6 @@ def offline_pretrain(
         M-machine clusters.
     policy_factory:
         Builds fresh local-tier policies for each collection run.
-    seed_broker_factory:
-        Behavior policy for experience collection; default round-robin.
 
     Returns
     -------
@@ -235,9 +235,7 @@ def offline_pretrain(
     if not traces:
         raise ValueError("offline_pretrain needs at least one trace")
     num_servers = broker.encoder.num_servers
-    broker.behavior = (
-        seed_broker_factory() if seed_broker_factory is not None else RoundRobinBroker()
-    )
+    broker.behavior = RoundRobinBroker()
     try:
         for trace in traces:
             engine = build_simulation(
@@ -246,7 +244,6 @@ def offline_pretrain(
                 policies=policy_factory(),
                 power_model=power_model,
                 num_resources=broker.encoder.num_resources,
-                initially_on=initially_on,
             )
             engine.run([job.copy() for job in trace])
     finally:
@@ -256,8 +253,8 @@ def offline_pretrain(
         raise ValueError("experience collection produced no transitions")
 
     all_states = np.stack([tr.state for tr in broker.replay])
-    if all_states.shape[0] > max_pretrain_states:
-        idx = broker.rng.choice(all_states.shape[0], max_pretrain_states, replace=False)
+    if all_states.shape[0] > MAX_PRETRAIN_STATES:
+        idx = broker.rng.choice(all_states.shape[0], MAX_PRETRAIN_STATES, replace=False)
         all_states = all_states[idx]
     ae_history = broker.qnet.pretrain_autoencoder(
         all_states, epochs=autoencoder_epochs, rng=broker.rng

@@ -1,19 +1,14 @@
-"""Builders wiring complete systems (the paper's three comparators).
+"""The wired controller stack every named system runs as.
 
-* :func:`build_round_robin` — round-robin dispatch, all servers always on
-  (the paper's baseline; its measured average power matches M idle
-  servers, so no DPM is in effect).
-* :func:`build_drl_only` — the DRL global tier with the ad-hoc local
-  power behaviour of Fig. 4(a): servers sleep the instant they go idle.
-* :func:`build_hierarchical` — the full proposed framework: DRL global
-  tier plus the distributed RL power manager with LSTM workload
-  prediction in the local tier.
-
-Each builder returns a :class:`HierarchicalSystem` bundle.
-:meth:`HierarchicalSystem.site` maps it to one site's arguments for
-:func:`~repro.sim.federation.build_federation`, the one engine builder;
-:meth:`HierarchicalSystem.run` simulates a trace on a fresh one-site
-engine built from them.
+A :class:`HierarchicalSystem` bundles one site's broker, power
+policies and config; :func:`repro.harness.runner.make_system` is the one
+constructor of the named systems (round-robin, DRL-only, the full
+hierarchical framework and the rest).
+:meth:`HierarchicalSystem.site` maps a system to one site's arguments
+for :func:`~repro.sim.federation.build_federation`, the one engine
+builder; :meth:`HierarchicalSystem.run` simulates a trace on a fresh
+one-site engine built from them. The module also pre-trains the local
+tier's LSTM predictor on trace-implied per-server inter-arrivals.
 """
 
 from __future__ import annotations
@@ -22,13 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.baselines import AlwaysOnPolicy, ImmediateSleepPolicy, RoundRobinBroker
 from repro.core.config import ExperimentConfig
 from repro.core.global_tier import DRLGlobalBroker
 from repro.core.local_tier import RLPowerPolicy
 from repro.core.predictor import WorkloadPredictor
-from repro.core.state import StateEncoder
-from repro.rl.smdp import SMDPQLearner
 from repro.sim.churn import CapacityEvent
 from repro.sim.engine import SimulationResult, build_simulation
 from repro.sim.interfaces import Broker, PowerPolicy
@@ -92,104 +84,6 @@ class HierarchicalSystem:
         for policy in policies:
             if isinstance(policy, RLPowerPolicy):
                 policy.freeze()
-
-
-def _make_encoder(config: ExperimentConfig) -> StateEncoder:
-    return StateEncoder(
-        num_servers=config.num_servers,
-        num_resources=config.num_resources,
-        num_groups=config.global_tier.num_groups,
-        include_power_state=config.global_tier.include_power_state,
-        include_queue_state=config.global_tier.include_queue_state,
-    )
-
-
-def build_round_robin(config: ExperimentConfig | None = None) -> HierarchicalSystem:
-    """The paper's baseline: round-robin dispatch, servers always on."""
-    config = config if config is not None else ExperimentConfig()
-    return HierarchicalSystem(
-        name="round-robin",
-        broker=RoundRobinBroker(),
-        policies=AlwaysOnPolicy(),
-        config=config,
-        initially_on=True,
-    )
-
-
-def build_drl_only(
-    config: ExperimentConfig | None = None,
-    broker: DRLGlobalBroker | None = None,
-    seed: int | None = None,
-) -> HierarchicalSystem:
-    """DRL-based resource allocation ONLY: ad-hoc (immediate) sleeping."""
-    config = config if config is not None else ExperimentConfig()
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    if broker is None:
-        broker = DRLGlobalBroker(_make_encoder(config), config.global_tier, rng=rng)
-    return HierarchicalSystem(
-        name="drl-only",
-        broker=broker,
-        policies=ImmediateSleepPolicy(),
-        config=config,
-        initially_on=False,
-    )
-
-
-def build_hierarchical(
-    config: ExperimentConfig | None = None,
-    broker: DRLGlobalBroker | None = None,
-    predictor: WorkloadPredictor | None = None,
-    shared_dpm_learner: bool = False,
-    seed: int | None = None,
-) -> HierarchicalSystem:
-    """The full proposed framework: DRL global tier + RL/LSTM local tier.
-
-    Parameters
-    ----------
-    broker:
-        Optionally a pre-trained global broker (from
-        :func:`~repro.core.global_tier.offline_pretrain`).
-    predictor:
-        Optionally a pre-trained LSTM predictor, shared by every server's
-        power manager (each keeps its own inter-arrival window).
-    shared_dpm_learner:
-        Pool the DPM Q-table across servers instead of the paper's fully
-        distributed per-server learners (an extension; speeds up learning
-        on short traces).
-    """
-    config = config if config is not None else ExperimentConfig()
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    if broker is None:
-        broker = DRLGlobalBroker(_make_encoder(config), config.global_tier, rng=rng)
-    if predictor is None:
-        predictor = WorkloadPredictor(config.local_tier.predictor, rng=rng)
-    shared_learner = None
-    if shared_dpm_learner:
-        shared_learner = SMDPQLearner(
-            beta=config.local_tier.beta,
-            alpha=config.local_tier.alpha,
-            epsilon=config.local_tier.epsilon_start,
-            epsilon_decay=config.local_tier.epsilon_decay,
-            epsilon_floor=config.local_tier.epsilon_floor,
-            rng=rng,
-        )
-    policies: list[PowerPolicy] = [
-        RLPowerPolicy(
-            config.local_tier,
-            predictor=predictor,
-            learner=shared_learner,
-            rng=np.random.default_rng(rng.integers(2**63)),
-        )
-        for _ in range(config.num_servers)
-    ]
-    return HierarchicalSystem(
-        name="hierarchical",
-        broker=broker,
-        policies=policies,
-        config=config,
-        initially_on=False,
-        predictor=predictor,
-    )
 
 
 def per_server_interarrivals(jobs: list[Job], num_servers: int) -> np.ndarray:

@@ -49,6 +49,18 @@ class _Pending:
     queue_integral: float
 
 
+def dpm_learner(config: LocalTierConfig, rng: np.random.Generator) -> SMDPQLearner:
+    """A DPM Q-learner with ``config``'s discount, step size and ε schedule."""
+    return SMDPQLearner(
+        beta=config.beta,
+        alpha=config.alpha,
+        epsilon=config.epsilon_start,
+        epsilon_decay=config.epsilon_decay,
+        epsilon_floor=config.epsilon_floor,
+        rng=rng,
+    )
+
+
 class RLPowerPolicy(PowerPolicy):
     """Adaptive timeout policy learned online with SMDP Q-learning.
 
@@ -81,16 +93,7 @@ class RLPowerPolicy(PowerPolicy):
             else WorkloadPredictor(self.config.predictor, rng=self.rng)
         )
         self.learner = (
-            learner
-            if learner is not None
-            else SMDPQLearner(
-                beta=self.config.beta,
-                alpha=self.config.alpha,
-                epsilon=self.config.epsilon_start,
-                epsilon_decay=self.config.epsilon_decay,
-                epsilon_floor=self.config.epsilon_floor,
-                rng=self.rng,
-            )
+            learner if learner is not None else dpm_learner(self.config, self.rng)
         )
         self.tracker = InterArrivalTracker(self.config.predictor.lookback)
         self._pending: _Pending | None = None

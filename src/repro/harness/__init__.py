@@ -1,13 +1,15 @@
 """Experiment harness: regenerates every table and figure of Sec. VII.
 
-* :mod:`repro.harness.runner` — named-system construction, the paper's
-  offline-then-online training protocol, and single-run execution. Its
-  :class:`SitePolicy` is the one handoff from training to evaluation:
-  every DRL system an experiment compares is built from one.
-* :mod:`repro.harness.table1` — Table I (energy / accumulated latency /
-  average power at a fixed job count, M = 30 and 40).
-* :mod:`repro.harness.figures` — Figs. 8 and 9 (accumulated latency and
-  energy versus the number of jobs).
+* :mod:`repro.harness.runner` — named-system construction
+  (:func:`make_system`, the one constructor of every named system), the
+  paper's offline-then-online training protocol, and single-run
+  execution. Its :class:`SitePolicy` is the one handoff from training
+  to evaluation: every DRL system an experiment compares is built from
+  one.
+* :mod:`repro.harness.table1` — the experiment behind Table I (energy /
+  accumulated latency / average power at a fixed job count, M = 30 and
+  40) and Figs. 8 and 9 (accumulated latency and energy versus the
+  number of jobs), which read their series from Table I's runs.
 * :mod:`repro.harness.tradeoff` — Fig. 10 (average latency vs. average
   energy per job: hierarchical w-sweep against fixed-timeout baselines).
 * :mod:`repro.harness.claims` — the paper's headline percentage claims,
@@ -16,12 +18,6 @@
 """
 
 from repro.harness.claims import ClaimReport, evaluate_claims
-from repro.harness.figures import (
-    FigureSeries,
-    render_series_csv,
-    run_figure8,
-    run_figure9,
-)
 from repro.harness.report import format_table
 from repro.harness.runner import (
     RunResult,
@@ -34,17 +30,20 @@ from repro.harness.runner import (
     SYSTEM_NAMES,
     train_global_prototype,
     train_site_policy,
+    untrained_broker,
 )
-from repro.harness.table1 import Table1Row, render_table1, run_table1
+from repro.harness.table1 import (
+    Table1Row,
+    render_series_csv,
+    render_table1,
+    run_table1,
+    table1_rows,
+)
 from repro.harness.tradeoff import TradeoffPoint, render_tradeoff_csv, run_tradeoff
 
 __all__ = [
     "ClaimReport",
     "evaluate_claims",
-    "FigureSeries",
-    "run_figure8",
-    "run_figure9",
-    "render_series_csv",
     "format_table",
     "RunResult",
     "SitePolicy",
@@ -56,9 +55,12 @@ __all__ = [
     "SYSTEM_NAMES",
     "train_global_prototype",
     "train_site_policy",
+    "untrained_broker",
     "Table1Row",
+    "render_series_csv",
     "render_table1",
     "run_table1",
+    "table1_rows",
     "TradeoffPoint",
     "render_tradeoff_csv",
     "run_tradeoff",

@@ -46,17 +46,14 @@ from repro.core.baselines import (
     LeastLoadedBroker,
     PackingBroker,
     RandomBroker,
+    RoundRobinBroker,
 )
 from repro.core.config import ExperimentConfig
 from repro.core.global_tier import DRLGlobalBroker, offline_pretrain
-from repro.core.hierarchical import (
-    HierarchicalSystem,
-    build_drl_only,
-    build_hierarchical,
-    build_round_robin,
-    pretrain_predictor,
-)
+from repro.core.hierarchical import HierarchicalSystem, pretrain_predictor
+from repro.core.local_tier import RLPowerPolicy, dpm_learner
 from repro.core.predictor import WorkloadPredictor
+from repro.core.state import StateEncoder
 from repro.sim.churn import CapacityEvent
 from repro.sim.job import Job
 from repro.sim.power import TariffModel
@@ -232,6 +229,28 @@ def build_pretrained_predictor(
     return predictor
 
 
+def untrained_broker(
+    config: ExperimentConfig, seed: int | None = None
+) -> DRLGlobalBroker:
+    """A fresh DRL global broker over ``config``'s state encoder.
+
+    Every DRL system :func:`make_system` builds starts from one, trained
+    by :func:`train_global_prototype` or given a policy's weights by
+    :meth:`SitePolicy.broker`. Its generator is seeded with
+    ``config.seed`` unless ``seed`` is given.
+    """
+    tier = config.global_tier
+    encoder = StateEncoder(
+        num_servers=config.num_servers,
+        num_resources=config.num_resources,
+        num_groups=tier.num_groups,
+        include_power_state=tier.include_power_state,
+        include_queue_state=tier.include_queue_state,
+    )
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    return DRLGlobalBroker(encoder, tier, rng=rng)
+
+
 def train_global_prototype(
     config: ExperimentConfig,
     train_traces: list[list[Job]],
@@ -245,19 +264,18 @@ def train_global_prototype(
     autoencoder and the Sub-Q network. Online: ε-greedy deep Q-learning
     passes over the training traces with the ad-hoc local policy.
     """
-    system = build_drl_only(config, seed=seed)
-    broker = system.broker
-    assert isinstance(broker, DRLGlobalBroker)
+    broker = untrained_broker(config, seed)
     if pretrain and train_traces:
         offline_pretrain(
             broker,
             train_traces,
-            policy_factory=lambda: ImmediateSleepPolicy(),
+            policy_factory=ImmediateSleepPolicy,
             power_model=config.fleet_power_models,
             autoencoder_epochs=5,
             q_epochs=2,
             batches_per_epoch=100,
         )
+    system = HierarchicalSystem("drl-only", broker, ImmediateSleepPolicy(), config)
     for _ in range(online_epochs):
         for trace in train_traces:
             system.run([job.copy() for job in trace])
@@ -330,8 +348,7 @@ class SitePolicy:
         The broker owns an independent network, optimizer and replay
         memory, so systems built from one policy stay independent.
         """
-        broker = build_drl_only(config, seed=seed).broker
-        assert isinstance(broker, DRLGlobalBroker)
+        broker = untrained_broker(config, seed)
         self.restore(broker.qnet)
         broker.epsilon = self.epsilon
         return broker
@@ -415,7 +432,9 @@ def make_system(
         Override the local tier's power-vs-latency weight (Fig. 10 knob).
     shared_dpm_learner:
         Pool the DPM Q-table across servers (sample-efficient default;
-        set False for the paper's strictly per-server learners).
+        set False for the paper's strictly per-server learners). Either
+        way every server's power manager shares one LSTM predictor and
+        keeps its own inter-arrival window.
 
     Raises
     ------
@@ -432,7 +451,13 @@ def make_system(
     rng = np.random.default_rng(system_seed)
 
     if name == "round-robin":
-        return build_round_robin(config)
+        return HierarchicalSystem(
+            name="round-robin",
+            broker=RoundRobinBroker(),
+            policies=AlwaysOnPolicy(),
+            config=config,
+            initially_on=True,
+        )
     if name == "random":
         return HierarchicalSystem(
             name="random",
@@ -488,12 +513,26 @@ def make_system(
         predictor = policy.predictor(config, system_seed)
     else:
         predictor = build_pretrained_predictor(config, train_traces, system_seed)
-    system = build_hierarchical(
-        config,
+    # ``rng`` is still undrawn: the broker and the predictor seed
+    # generators of their own.
+    local = config.local_tier
+    shared_learner = dpm_learner(local, rng) if shared_dpm_learner else None
+    policies = [
+        RLPowerPolicy(
+            local,
+            predictor=predictor,
+            learner=shared_learner,
+            rng=np.random.default_rng(rng.integers(2**63)),
+        )
+        for _ in range(config.num_servers)
+    ]
+    system = HierarchicalSystem(
+        name="hierarchical",
         broker=broker,
+        policies=policies,
+        config=config,
+        initially_on=False,
         predictor=predictor,
-        shared_dpm_learner=shared_dpm_learner,
-        seed=seed,
     )
     # Warm up the local tier; the global tier keeps learning through
     # these passes too when it is fresh — both tiers are online learners.
@@ -538,7 +577,6 @@ def standard_protocol(
     eval_jobs: list[Job],
     config: ExperimentConfig | None = None,
     train_traces: list[list[Job]] | None = None,
-    record_every: int = 200,
     **make_kwargs,
 ) -> dict[str, RunResult]:
     """Train each named system, evaluate all on the same trace.
@@ -552,5 +590,5 @@ def standard_protocol(
     results: dict[str, RunResult] = {}
     for name in names:
         system = make_system(name, config, train_traces, **make_kwargs)
-        results[name] = run_system(system, eval_jobs, record_every=record_every)
+        results[name] = run_system(system, eval_jobs)
     return results

@@ -1,11 +1,14 @@
-"""Table I: cluster performance metrics at a fixed job count.
+"""Table I and Figs. 8 and 9: one experiment, three views.
 
 The paper reports, for M = 30 and M = 40 and 95 000 jobs, the accumulated
 energy (kWh), accumulated latency (1e6 s), and average power (W) of the
 round-robin baseline, the DRL-only framework, and the full hierarchical
-framework. :func:`run_table1` regenerates those rows at any job count
+framework (Table I), and plots accumulated latency and energy against
+the number of completed jobs for the same runs (Fig. 8 at M = 30, Fig. 9
+at M = 40). :func:`run_table1` runs that experiment at any job count
 (the defaults are laptop-scaled; pass ``n_jobs=95_000`` for the paper's
-full size).
+full size); :func:`table1_rows` and :func:`render_series_csv` read the
+table and the figures' series from its results.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.config import ExperimentConfig, GlobalTierConfig, groups_for
-from repro.harness.report import format_table
+from repro.harness.report import format_csv, format_table
 from repro.harness.runner import RunResult, standard_protocol
 from repro.workload.synthetic import (
     SyntheticTraceConfig,
@@ -94,8 +97,8 @@ def run_table1(
     seed: int = 0,
     systems: tuple[str, ...] = TABLE1_SYSTEMS,
     **make_kwargs,
-) -> list[Table1Row]:
-    """Regenerate Table I.
+) -> dict[int, dict[str, RunResult]]:
+    """Run Table I's experiment: :func:`standard_protocol` per cluster size.
 
     Parameters
     ----------
@@ -103,17 +106,30 @@ def run_table1(
         Jobs in the evaluation trace (paper: 95 000).
     cluster_sizes:
         M values (paper: 30 and 40).
+
+    Returns
+    -------
+    Each cluster size's results by system. Table I's rows
+    (:func:`table1_rows`) and the Fig. 8 (M = 30) and Fig. 9 (M = 40)
+    series (:func:`render_series_csv`) are read from them.
     """
-    rows: list[Table1Row] = []
+    results: dict[int, dict[str, RunResult]] = {}
     for num_servers in cluster_sizes:
         config = default_config(num_servers, seed=seed)
         eval_jobs, train_traces = make_traces(n_jobs, num_servers, seed)
-        results = standard_protocol(
+        results[num_servers] = standard_protocol(
             systems, eval_jobs, config, train_traces, **make_kwargs
         )
-        for name in systems:
-            rows.append(Table1Row.from_result(results[name]))
-    return rows
+    return results
+
+
+def table1_rows(results: dict[int, dict[str, RunResult]]) -> list[Table1Row]:
+    """Table I's rows from :func:`run_table1`'s results, in run order."""
+    return [
+        Table1Row.from_result(result)
+        for by_system in results.values()
+        for result in by_system.values()
+    ]
 
 
 def render_table1(rows: list[Table1Row]) -> str:
@@ -131,3 +147,22 @@ def render_table1(rows: list[Table1Row]) -> str:
             for row in rows
         ],
     )
+
+
+def render_series_csv(results: dict[str, RunResult], panel: str) -> str:
+    """CSV text of one Fig. 8/9 panel (``"latency"`` or ``"energy"``).
+
+    ``results`` holds one cluster size's runs by system. The columns are
+    ``system,n_jobs,<value>``, where ``<value>`` is ``acc_latency_s``
+    (panel (a)) or ``energy_kwh`` (panel (b)), with one row per sample
+    point of each system's series: systems complete jobs at different
+    times, so their sample points differ.
+    """
+    if panel not in ("latency", "energy"):
+        raise ValueError(f"panel must be 'latency' or 'energy', got {panel!r}")
+    rows = []
+    for name, result in results.items():
+        points = result.latency_series if panel == "latency" else result.energy_series
+        rows += [[name, n, repr(float(value))] for n, value in points]
+    unit = "acc_latency_s" if panel == "latency" else "energy_kwh"
+    return format_csv(["system", "n_jobs", unit], rows)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import ExperimentConfig
 from repro.harness.report import format_csv
 from repro.harness.runner import (
     RunResult,
@@ -61,7 +60,6 @@ def run_tradeoff(
     seed: int = 0,
     w_sweep: tuple[float, ...] = DEFAULT_W_SWEEP,
     timeouts: tuple[float, ...] = DEFAULT_TIMEOUTS,
-    config: ExperimentConfig | None = None,
     **make_kwargs,
 ) -> list[TradeoffPoint]:
     """Regenerate the Fig. 10 curves.
@@ -69,7 +67,7 @@ def run_tradeoff(
     Returns hierarchical points (curve ``"hierarchical"``, one per ``w``)
     and fixed-timeout points (curve ``"fixed-T"``, one per timeout).
     """
-    config = config if config is not None else default_config(num_servers, seed=seed)
+    config = default_config(num_servers, seed=seed)
     eval_jobs, train_traces = make_traces(n_jobs, num_servers, seed)
     runs = [("hierarchical", "hierarchical", w, {"local_w": w}) for w in w_sweep]
     runs += [(f"drl+fixed-{t:g}", f"fixed-{t:g}", t, {}) for t in timeouts]

@@ -193,11 +193,6 @@ class TariffModel:
     # ------------------------------------------------------------------
 
     @classmethod
-    def flat(cls, price: float = 0.10, carbon: float = 400.0) -> "TariffModel":
-        """Constant price and carbon intensity."""
-        return cls(price=price, carbon=carbon)
-
-    @classmethod
     def time_of_use(
         cls,
         peak_start_hour: float,

@@ -150,18 +150,17 @@ class TestOfflinePretrain:
         with pytest.raises(ValueError):
             offline_pretrain(broker, [], policy_factory=ImmediateSleepPolicy)
 
-    def test_custom_seed_broker(self):
+    def test_collects_under_round_robin(self):
         broker = make_broker()
         offline_pretrain(
             broker,
             [jobs_burst(10)],
             policy_factory=lambda: ImmediateSleepPolicy(),
-            seed_broker_factory=RoundRobinBroker,
             autoencoder_epochs=1,
             q_epochs=1,
             batches_per_epoch=2,
         )
-        assert len(broker.replay) == 9
+        assert [tr.action for tr in broker.replay] == [0, 1, 2, 3, 0, 1, 2, 3, 0]
 
 
 class TestConfigValidation:

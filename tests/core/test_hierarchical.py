@@ -1,19 +1,14 @@
-"""Tests for repro.core.hierarchical: system builders."""
+"""Tests for repro.core.hierarchical: the systems make_system wires."""
 
 import numpy as np
 import pytest
 
 from repro.core.baselines import AlwaysOnPolicy, ImmediateSleepPolicy, RoundRobinBroker
 from repro.core.global_tier import DRLGlobalBroker
-from repro.core.hierarchical import (
-    build_drl_only,
-    build_hierarchical,
-    build_round_robin,
-    per_server_interarrivals,
-    pretrain_predictor,
-)
+from repro.core.hierarchical import per_server_interarrivals, pretrain_predictor
 from repro.core.local_tier import RLPowerPolicy
 from repro.core.predictor import WorkloadPredictor
+from repro.harness.runner import make_system
 from repro.sim.job import Job
 
 
@@ -23,46 +18,46 @@ def jobs_burst(n, spacing=30.0):
 
 class TestBuilders:
     def test_round_robin_composition(self, small_config):
-        system = build_round_robin(small_config)
+        system = make_system("round-robin", small_config)
         assert isinstance(system.broker, RoundRobinBroker)
         assert isinstance(system.policies, AlwaysOnPolicy)
         assert system.initially_on
 
     def test_drl_only_composition(self, small_config):
-        system = build_drl_only(small_config)
+        system = make_system("drl-only", small_config)
         assert isinstance(system.broker, DRLGlobalBroker)
         assert isinstance(system.policies, ImmediateSleepPolicy)
         assert not system.initially_on
 
     def test_hierarchical_composition(self, small_config):
-        system = build_hierarchical(small_config)
+        system = make_system("hierarchical", small_config)
         assert isinstance(system.broker, DRLGlobalBroker)
         assert isinstance(system.policies, list)
         assert len(system.policies) == small_config.num_servers
         assert all(isinstance(p, RLPowerPolicy) for p in system.policies)
 
     def test_hierarchical_shares_predictor(self, small_config):
-        system = build_hierarchical(small_config)
+        system = make_system("hierarchical", small_config)
         predictors = {id(p.predictor) for p in system.policies}
         assert len(predictors) == 1
 
-    def test_hierarchical_distributed_learners_by_default(self, small_config):
-        system = build_hierarchical(small_config)
+    def test_hierarchical_per_server_learners_option(self, small_config):
+        system = make_system("hierarchical", small_config, shared_dpm_learner=False)
         learners = {id(p.learner) for p in system.policies}
         assert len(learners) == small_config.num_servers
 
-    def test_hierarchical_shared_learner_option(self, small_config):
-        system = build_hierarchical(small_config, shared_dpm_learner=True)
+    def test_hierarchical_shared_learner_by_default(self, small_config):
+        system = make_system("hierarchical", small_config)
         learners = {id(p.learner) for p in system.policies}
         assert len(learners) == 1
 
     def test_run_executes(self, small_config):
-        system = build_round_robin(small_config)
+        system = make_system("round-robin", small_config)
         result = system.run(jobs_burst(10))
         assert result.metrics.n_completed == 10
 
     def test_freeze_propagates(self, small_config):
-        system = build_hierarchical(small_config)
+        system = make_system("hierarchical", small_config)
         system.freeze()
         assert system.broker.epsilon == 0.0
         assert all(not p.learning_enabled for p in system.policies)
@@ -70,7 +65,7 @@ class TestBuilders:
     def test_reusing_system_across_runs(self, small_config):
         # Learning systems are reused across runs (training protocol);
         # simulated time restarting at 0 must not break anything.
-        system = build_hierarchical(small_config)
+        system = make_system("hierarchical", small_config)
         system.run(jobs_burst(10))
         result = system.run(jobs_burst(10))
         assert result.metrics.n_completed == 10

@@ -15,10 +15,9 @@ import repro.nn.autoencoder as autoencoder_module
 from repro.core.baselines import ImmediateSleepPolicy
 from repro.core.config import ExperimentConfig, GlobalTierConfig
 from repro.core.global_tier import DRLGlobalBroker, offline_pretrain
-from repro.core.hierarchical import build_drl_only
 from repro.core.qnetwork import FlatQNetwork
 from repro.core.state import StateEncoder
-from repro.harness.runner import SitePolicy
+from repro.harness.runner import SitePolicy, untrained_broker
 from repro.nn.optim import Adam
 from repro.rl.replay import Transition
 from repro.sim.job import Job
@@ -128,7 +127,7 @@ class TestSitePolicyBroker:
         # first and loads the weights after, so the load must write into
         # the optimizer's buffer.
         config = ExperimentConfig(num_servers=6, global_tier=tier_config())
-        trained = build_drl_only(config, seed=5).broker
+        trained = untrained_broker(config, seed=5)
         fill_replay(trained)
         for _ in range(10):
             trained.train_minibatch()

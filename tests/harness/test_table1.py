@@ -9,6 +9,7 @@ from repro.harness.table1 import (
     make_traces,
     render_table1,
     run_table1,
+    table1_rows,
 )
 
 
@@ -66,7 +67,7 @@ class TestRows:
 @pytest.mark.slow
 class TestEndToEnd:
     def test_tiny_table1(self):
-        rows = run_table1(
+        results = run_table1(
             n_jobs=250,
             cluster_sizes=(4,),
             seed=0,
@@ -74,6 +75,9 @@ class TestEndToEnd:
             online_epochs=1,
             local_epochs=1,
         )
+        assert list(results) == [4]
+        assert list(results[4]) == ["round-robin", "drl-only", "hierarchical"]
+        rows = table1_rows(results)
         assert len(rows) == 3
         systems = {r.system for r in rows}
         assert systems == {"round-robin", "drl-only", "hierarchical"}

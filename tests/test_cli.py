@@ -225,6 +225,37 @@ class TestExecution:
         assert captured.out == ""
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("command", ["table1", "fig8", "fig9", "fig10", "workload"])
+    @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--seed", "-1")])
+    def test_paper_commands_reject_bad_input_before_running(
+        self, capsys, tmp_path, command, flag, value
+    ):
+        out = tmp_path / "out.txt"
+        rc = main([command, "--jobs", "60", "--out", str(out), flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("servers", ["4,x", "0", "6,0", "", "4,-2", "4.5"])
+    def test_table1_rejects_bad_servers_before_running(
+        self, capsys, tmp_path, monkeypatch, servers
+    ):
+        import repro.harness.table1 as table1_module
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before checking --servers")
+
+        monkeypatch.setattr(table1_module, "run_table1", no_run)
+        out = tmp_path / "out.txt"
+        rc = main(["table1", "--jobs", "60", "--servers", servers, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_sweep_pool_size_counts_trainings(self, capsys, tmp_path):
         # One training plus two warm-started cells: a pool of three, not
         # of the two cells alone.
