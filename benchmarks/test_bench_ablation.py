@@ -25,6 +25,7 @@ from repro.core.baselines import ImmediateSleepPolicy
 from repro.core.qnetwork import FlatQNetwork
 from repro.harness.report import format_table
 from repro.harness.runner import (
+    PAPER_PROTOCOL,
     make_system,
     run_system,
     train_global_prototype,
@@ -54,7 +55,7 @@ def test_bench_ablation_architecture(traces, out_dir, bench_seed):
     rows = []
 
     config = default_config(30, seed=bench_seed)
-    proto = train_global_prototype(config, train_traces)
+    proto = train_global_prototype(config, train_traces, PAPER_PROTOCOL)
     hier_system = HierarchicalSystem(
         "drl-only", proto, ImmediateSleepPolicy(), config, initially_on=False
     )
@@ -75,8 +76,8 @@ def test_bench_ablation_architecture(traces, out_dir, bench_seed):
         "drl-only-flat", flat_broker, ImmediateSleepPolicy(), config, initially_on=False
     )
     for trace in train_traces:  # same online training budget
-        flat_system.run([j.copy() for j in trace])
-        flat_system.run([j.copy() for j in trace])
+        flat_system.run([j.copy() for j in trace], PAPER_PROTOCOL.record_every)
+        flat_system.run([j.copy() for j in trace], PAPER_PROTOCOL.record_every)
     e, lat = _evaluate(flat_system, eval_jobs)
     rows.append(
         ["flat-mlp", flat_broker.qnet.num_parameters(), f"{e:.2f}", f"{lat:.0f}"]

@@ -32,7 +32,7 @@ from repro.workload.synthetic import (
     generate_trace,
     reference_rate,
 )
-from tests.helpers import interleaved, paired_ratio, sampler_oracles
+from tests.helpers import ONE_EPOCH, interleaved, paired_ratio, sampler_oracles
 
 SCENARIO_JOBS = int(os.environ.get("REPRO_BENCH_SCENARIO_JOBS", "200"))
 #: Non-learning systems keep the bench about orchestration, not training.
@@ -138,9 +138,7 @@ def test_bench_warm_start_sweep(out_dir, bench_seed, tmp_path):
         seeds=(bench_seed,),
         n_jobs=WARM_JOBS,
         workers=1,
-        pretrain=False,
-        online_epochs=1,
-        local_epochs=1,
+        protocol=ONE_EPOCH,
     )
     ckpt_store = CheckpointStore(tmp_path / "ckpt")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
+from repro.harness import SWEEP_PROTOCOL
 from repro.scenarios import registry
 from repro.scenarios.orchestrator import run_cell
 from repro.scenarios.specs import TraceReplaySpec
@@ -28,8 +29,12 @@ FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 TRACE = FIXTURE / "google_task_events_small.csv"
 
 
+#: The scenario sweep's protocol, sampling series every 50 completions.
+PROTOCOL = replace(SWEEP_PROTOCOL, record_every=50)
+
+
 def evaluate(spec, system_name: str, n_jobs: int = 80) -> dict:
-    return run_cell(spec, system_name, n_jobs=n_jobs, seed=0, record_every=50)
+    return run_cell(spec, system_name, n_jobs=n_jobs, seed=0, protocol=PROTOCOL)
 
 
 def main() -> None:

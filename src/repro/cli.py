@@ -192,9 +192,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "run":
-        import inspect
         from dataclasses import replace as dc_replace
 
+        from repro.harness.runner import SWEEP_PROTOCOL
         from repro.scenarios.orchestrator import (
             SweepCell,
             check_cells,
@@ -202,9 +202,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             run_cell,
         )
         from repro.scenarios.store import ResultStore
-
-        def _default(fn, param: str):
-            return inspect.signature(fn).parameters[param].default
 
         name = args.name if args.name is not None else args.scenario
         if name is None or (
@@ -290,11 +287,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                 ),
             )
         checkpoint = None
-        # The warm path must train exactly what the cold path would, so
-        # read the protocol off run_cell's defaults (run and sweep cells
-        # share cache slots, so they must share the protocol too).
-        online_epochs = _default(run_cell, "online_epochs")
-        local_epochs = _default(run_cell, "local_epochs")
+        # Run and sweep cells share cache slots, so a run trains, runs
+        # and journals under the sweep's protocol.
+        protocol = SWEEP_PROTOCOL
         if args.warm:
             from repro.scenarios.checkpoints import (
                 CheckpointStore,
@@ -309,12 +304,12 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                 store = CheckpointStore(args.cache_dir / "checkpoints")
                 checkpoint = ensure_checkpoint(
                     store, spec, n_jobs=args.jobs, seed=args.seed,
-                    online_epochs=online_epochs,
+                    protocol=protocol,
                     with_predictor=args.system == "hierarchical",
                 )
         cell = run_cell(
             spec, args.system, n_jobs=args.jobs, seed=args.seed,
-            checkpoint=checkpoint, profile=args.profile,
+            protocol=protocol, checkpoint=checkpoint, profile=args.profile,
         )
         # Journal the cell exactly as a sweep would, so later sweeps (and
         # --resume) reuse it as a cache hit.
@@ -323,8 +318,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             SweepCell(spec, args.system, args.seed),
             cell,
             n_jobs=args.jobs,
-            online_epochs=online_epochs,
-            local_epochs=local_epochs,
+            protocol=protocol,
             warm_start=checkpoint is not None,
             profile=args.profile,
         )

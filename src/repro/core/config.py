@@ -223,7 +223,6 @@ class ExperimentConfig:
     global_tier: GlobalTierConfig = field(default_factory=GlobalTierConfig)
     local_tier: LocalTierConfig = field(default_factory=LocalTierConfig)
     seed: int = 0
-    record_every: int = 100
 
     def __post_init__(self) -> None:
         if self.num_servers < 1:

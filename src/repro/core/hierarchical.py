@@ -61,14 +61,16 @@ class HierarchicalSystem:
     def run(
         self,
         jobs: list[Job],
-        record_every: int | None = None,
+        record_every: int,
         capacity_events: tuple[CapacityEvent, ...] = (),
         tariff: "TariffModel | None" = None,
         faults=None,
     ) -> SimulationResult:
-        """Simulate ``jobs`` on a fresh one-site engine around this system."""
-        if record_every is None:
-            record_every = self.config.record_every
+        """Simulate ``jobs`` on a fresh one-site engine around this system.
+
+        The run samples its series every ``record_every`` completions
+        (a :class:`~repro.harness.runner.Protocol`'s).
+        """
         site = self.site(
             record_every=record_every, capacity_events=capacity_events, tariff=tariff
         )

@@ -3,8 +3,12 @@
 * :mod:`repro.harness.runner` — named-system construction
   (:func:`make_system`, the one constructor of every named system), the
   paper's offline-then-online training protocol, and single-run
-  execution. Its :class:`SitePolicy` is the one handoff from training
-  to evaluation: every DRL system an experiment compares is built from
+  execution. The protocol is one frozen :class:`Protocol`, passed whole
+  to every cell and trainer: :data:`PAPER_PROTOCOL` (two online and two
+  local-tier epochs) serves Table I and Figs. 8-10,
+  :data:`SWEEP_PROTOCOL` (one of each) serves scenario cells and
+  sweeps. Its :class:`SitePolicy` is the one handoff from training to
+  evaluation: every DRL system an experiment compares is built from
   one.
 * :mod:`repro.harness.table1` — the experiment behind Table I (energy /
   accumulated latency / average power at a fixed job count, M = 30 and
@@ -20,8 +24,11 @@
 from repro.harness.claims import ClaimReport, evaluate_claims
 from repro.harness.report import format_table
 from repro.harness.runner import (
+    PAPER_PROTOCOL,
+    Protocol,
     RunResult,
     SitePolicy,
+    SWEEP_PROTOCOL,
     make_system,
     needs_global_tier,
     run_system,
@@ -45,12 +52,15 @@ __all__ = [
     "ClaimReport",
     "evaluate_claims",
     "format_table",
+    "PAPER_PROTOCOL",
+    "Protocol",
     "RunResult",
     "SitePolicy",
     "make_system",
     "needs_global_tier",
     "run_system",
     "standard_protocol",
+    "SWEEP_PROTOCOL",
     "SYSTEM_DESCRIPTIONS",
     "SYSTEM_NAMES",
     "train_global_prototype",

@@ -7,6 +7,10 @@ with online ε-greedy deep Q-learning over training segments, and then —
 because the framework is an *online adaptive* controller — keeps learning
 through the evaluation trace itself.
 
+The protocol is one value, :class:`Protocol`, passed whole from the CLI
+to every cell and trainer: :data:`PAPER_PROTOCOL` for Table I and
+Figs. 8-10, :data:`SWEEP_PROTOCOL` for scenario cells.
+
 To compare local tiers apples-to-apples (Table I and Fig. 10 pair the
 *same* DRL allocation tier with different power managers), the harness
 trains one :class:`SitePolicy` per experiment (:func:`train_site_policy`)
@@ -120,18 +124,68 @@ class RunResult:
         return self.energy_kwh * 1000.0 / self.n_jobs
 
 
+@dataclass(frozen=True)
+class Protocol:
+    """Sec. VII-A's training protocol and the evaluation's sampling, as one value.
+
+    Passed whole to every layer that trains or evaluates. A cell's
+    content key holds every field, a checkpoint's training key only
+    ``pretrain`` and ``online_epochs``.
+
+    ``pretrain`` pre-trains the global tier offline before
+    ``online_epochs`` ε-greedy passes over the training traces, and
+    ``local_epochs`` passes warm up the hierarchical system's local
+    tier. ``record_every`` samples a run's series every this many
+    completions and decides more than their resolution: the power-down
+    tail after the last completion counts toward reported energy and
+    power only when the completed count is not a multiple of it, which
+    is why it stays in a cell's key.
+
+    Raises ValueError unless ``pretrain`` is a bool, the epoch counts
+    are ints >= 0 and ``record_every`` is an int >= 1 (a bool or a
+    float such as ``2.0`` would key apart from the int).
+    """
+
+    pretrain: bool = True
+    online_epochs: int = 2
+    local_epochs: int = 2
+    record_every: int = 200
+
+    def __post_init__(self) -> None:
+        if type(self.pretrain) is not bool:
+            raise ValueError(f"pretrain must be a bool, got {self.pretrain!r}")
+        for name, least in (
+            ("online_epochs", 0),
+            ("local_epochs", 0),
+            ("record_every", 1),
+        ):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
+#: Table I, Figs. 8-10 and the harness's defaults: two online and two
+#: local-tier epochs.
+PAPER_PROTOCOL = Protocol()
+#: Scenario cells, sweeps, checkpoints and ``scenario run``: one epoch
+#: of each, so a cell stays cheap.
+SWEEP_PROTOCOL = Protocol(online_epochs=1, local_epochs=1)
+
+
 def run_system(
     system: HierarchicalSystem,
     jobs: list[Job],
-    record_every: int = 200,
+    protocol: Protocol = PAPER_PROTOCOL,
     capacity_events: tuple[CapacityEvent, ...] = (),
     tariff: "TariffModel | None" = None,
     faults=None,
 ) -> RunResult:
     """Evaluate a (possibly trained) system on a fresh copy of a trace.
 
-    ``capacity_events`` schedules churn (failures / maintenance drains)
-    into the evaluation run; training runs are never churned. ``tariff``
+    The run samples its series every ``protocol.record_every``
+    completions. ``capacity_events`` schedules churn (failures /
+    maintenance drains) into the evaluation run; training runs are
+    never churned. ``tariff``
     attaches a price/carbon signal so the result carries cost and CO₂
     alongside energy (training is always tariff-blind — electricity
     accounting is an evaluation-side lens, not a reward term).
@@ -142,7 +196,7 @@ def run_system(
     """
     result = system.run(
         [job.copy() for job in jobs],
-        record_every=record_every,
+        protocol.record_every,
         capacity_events=capacity_events,
         tariff=tariff,
         faults=faults,
@@ -254,18 +308,18 @@ def untrained_broker(
 def train_global_prototype(
     config: ExperimentConfig,
     train_traces: list[list[Job]],
-    pretrain: bool = True,
-    online_epochs: int = 2,
+    protocol: Protocol,
     seed: int | None = None,
 ) -> DRLGlobalBroker:
     """Train the shared global tier (Algorithm 1 offline + online phases).
 
-    Offline: collect transitions under round-robin, pre-train the
-    autoencoder and the Sub-Q network. Online: ε-greedy deep Q-learning
-    passes over the training traces with the ad-hoc local policy.
+    Offline (``protocol.pretrain``): collect transitions under
+    round-robin, pre-train the autoencoder and the Sub-Q network.
+    Online: ``protocol.online_epochs`` ε-greedy deep Q-learning passes
+    over the training traces with the ad-hoc local policy.
     """
     broker = untrained_broker(config, seed)
-    if pretrain and train_traces:
+    if protocol.pretrain and train_traces:
         offline_pretrain(
             broker,
             train_traces,
@@ -276,9 +330,9 @@ def train_global_prototype(
             batches_per_epoch=100,
         )
     system = HierarchicalSystem("drl-only", broker, ImmediateSleepPolicy(), config)
-    for _ in range(online_epochs):
+    for _ in range(protocol.online_epochs):
         for trace in train_traces:
-            system.run([job.copy() for job in trace])
+            system.run([job.copy() for job in trace], protocol.record_every)
     return broker
 
 
@@ -377,8 +431,7 @@ class SitePolicy:
 def train_site_policy(
     config: ExperimentConfig,
     train_traces: list[list[Job]],
-    pretrain: bool = True,
-    online_epochs: int = 2,
+    protocol: Protocol = PAPER_PROTOCOL,
     seed: int | None = None,
     with_predictor: bool = False,
 ) -> SitePolicy:
@@ -387,9 +440,7 @@ def train_site_policy(
     With ``with_predictor``, the policy also carries the LSTM predictor
     of :func:`build_pretrained_predictor`, seeded like the system.
     """
-    broker = train_global_prototype(
-        config, train_traces, pretrain=pretrain, online_epochs=online_epochs, seed=seed
-    )
+    broker = train_global_prototype(config, train_traces, protocol, seed=seed)
     predictor = None
     if with_predictor:
         predictor = build_pretrained_predictor(
@@ -403,9 +454,7 @@ def make_system(
     config: ExperimentConfig | None = None,
     train_traces: list[list[Job]] | None = None,
     policy: SitePolicy | None = None,
-    pretrain: bool = True,
-    online_epochs: int = 2,
-    local_epochs: int = 2,
+    protocol: Protocol = PAPER_PROTOCOL,
     local_w: float | None = None,
     shared_dpm_learner: bool = True,
     seed: int | None = None,
@@ -424,10 +473,10 @@ def make_system(
         from its weights instead of training their own — isolating
         local-tier differences — and ``hierarchical`` takes its LSTM
         predictor. Ignored by static baselines.
-    online_epochs:
-        Online global-training passes when *no* policy is supplied.
-    local_epochs:
-        Warm-up passes for the hierarchical system's local tier.
+    protocol:
+        How learning systems train: ``pretrain`` and ``online_epochs``
+        shape the global tier when *no* policy is supplied, and
+        ``local_epochs`` warms up the hierarchical system's local tier.
     local_w:
         Override the local tier's power-vs-latency weight (Fig. 10 knob).
     shared_dpm_learner:
@@ -486,10 +535,7 @@ def make_system(
     if policy is not None:
         broker = policy.broker(config, seed=seed)
     else:
-        broker = train_global_prototype(
-            config, train_traces, pretrain=pretrain, online_epochs=online_epochs,
-            seed=seed,
-        )
+        broker = train_global_prototype(config, train_traces, protocol, seed=seed)
 
     if name == "drl-only":
         return HierarchicalSystem(
@@ -536,40 +582,34 @@ def make_system(
     )
     # Warm up the local tier; the global tier keeps learning through
     # these passes too when it is fresh — both tiers are online learners.
-    for _ in range(local_epochs):
+    for _ in range(protocol.local_epochs):
         for trace in train_traces:
-            system.run([job.copy() for job in trace])
+            system.run([job.copy() for job in trace], protocol.record_every)
     return system
 
 
-def with_shared_policy(
+def shared_policy(
     names: tuple[str, ...],
     config: ExperimentConfig,
     train_traces: list[list[Job]],
-    make_kwargs: dict,
-) -> dict:
-    """``make_kwargs`` plus one :class:`SitePolicy` for the DRL systems in ``names``.
+    protocol: Protocol,
+) -> SitePolicy | None:
+    """The one :class:`SitePolicy` the DRL systems in ``names`` share.
 
     The training step shared by :func:`standard_protocol` and
     :func:`~repro.harness.tradeoff.run_tradeoff`: every DRL system a
     protocol compares starts from the same trained global tier, and
     from the same LSTM predictor when ``names`` includes
-    ``hierarchical``. A caller's own ``policy`` is kept. Every name is
+    ``hierarchical``. None when no name is a DRL system. Every name is
     checked (:func:`check_system`) before anything trains.
     """
     for name in names:
         check_system(name)
-    if "policy" in make_kwargs or not any(needs_global_tier(n) for n in names):
-        return make_kwargs
-    train_kwargs = {
-        k: make_kwargs[k]
-        for k in ("pretrain", "online_epochs", "seed")
-        if k in make_kwargs
-    }
-    policy = train_site_policy(
-        config, train_traces, with_predictor="hierarchical" in names, **train_kwargs
+    if not any(needs_global_tier(n) for n in names):
+        return None
+    return train_site_policy(
+        config, train_traces, protocol, with_predictor="hierarchical" in names
     )
-    return {**make_kwargs, "policy": policy}
 
 
 def standard_protocol(
@@ -577,18 +617,18 @@ def standard_protocol(
     eval_jobs: list[Job],
     config: ExperimentConfig | None = None,
     train_traces: list[list[Job]] | None = None,
-    **make_kwargs,
+    protocol: Protocol = PAPER_PROTOCOL,
 ) -> dict[str, RunResult]:
     """Train each named system, evaluate all on the same trace.
 
     One :class:`SitePolicy` is trained and shared by every DRL-based
-    system in ``names`` (:func:`with_shared_policy`).
+    system in ``names`` (:func:`shared_policy`).
     """
     config = config if config is not None else ExperimentConfig()
     train_traces = train_traces or []
-    make_kwargs = with_shared_policy(names, config, train_traces, make_kwargs)
+    policy = shared_policy(names, config, train_traces, protocol)
     results: dict[str, RunResult] = {}
     for name in names:
-        system = make_system(name, config, train_traces, **make_kwargs)
-        results[name] = run_system(system, eval_jobs)
+        system = make_system(name, config, train_traces, policy, protocol)
+        results[name] = run_system(system, eval_jobs, protocol)
     return results

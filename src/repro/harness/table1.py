@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.config import ExperimentConfig, GlobalTierConfig, groups_for
 from repro.harness.report import format_csv, format_table
-from repro.harness.runner import RunResult, standard_protocol
+from repro.harness.runner import PAPER_PROTOCOL, Protocol, RunResult, standard_protocol
 from repro.workload.synthetic import (
     SyntheticTraceConfig,
     generate_trace,
@@ -96,7 +96,7 @@ def run_table1(
     cluster_sizes: tuple[int, ...] = (30, 40),
     seed: int = 0,
     systems: tuple[str, ...] = TABLE1_SYSTEMS,
-    **make_kwargs,
+    protocol: Protocol = PAPER_PROTOCOL,
 ) -> dict[int, dict[str, RunResult]]:
     """Run Table I's experiment: :func:`standard_protocol` per cluster size.
 
@@ -118,7 +118,7 @@ def run_table1(
         config = default_config(num_servers, seed=seed)
         eval_jobs, train_traces = make_traces(n_jobs, num_servers, seed)
         results[num_servers] = standard_protocol(
-            systems, eval_jobs, config, train_traces, **make_kwargs
+            systems, eval_jobs, config, train_traces, protocol
         )
     return results
 

@@ -20,10 +20,12 @@ import numpy as np
 
 from repro.harness.report import format_csv
 from repro.harness.runner import (
+    PAPER_PROTOCOL,
+    Protocol,
     RunResult,
     make_system,
     run_system,
-    with_shared_policy,
+    shared_policy,
 )
 from repro.harness.table1 import default_config, make_traces
 
@@ -60,7 +62,7 @@ def run_tradeoff(
     seed: int = 0,
     w_sweep: tuple[float, ...] = DEFAULT_W_SWEEP,
     timeouts: tuple[float, ...] = DEFAULT_TIMEOUTS,
-    **make_kwargs,
+    protocol: Protocol = PAPER_PROTOCOL,
 ) -> list[TradeoffPoint]:
     """Regenerate the Fig. 10 curves.
 
@@ -69,18 +71,20 @@ def run_tradeoff(
     """
     config = default_config(num_servers, seed=seed)
     eval_jobs, train_traces = make_traces(n_jobs, num_servers, seed)
-    runs = [("hierarchical", "hierarchical", w, {"local_w": w}) for w in w_sweep]
-    runs += [(f"drl+fixed-{t:g}", f"fixed-{t:g}", t, {}) for t in timeouts]
+    runs = [("hierarchical", "hierarchical", w, w) for w in w_sweep]
+    runs += [(f"drl+fixed-{t:g}", f"fixed-{t:g}", t, None) for t in timeouts]
     # One shared DRL allocation tier (and LSTM predictor) for every
     # point — the paper pairs the same global tier with different local
     # tiers.
-    make_kwargs = with_shared_policy(
-        tuple(name for name, *_ in runs), config, train_traces, make_kwargs
+    policy = shared_policy(
+        tuple(name for name, *_ in runs), config, train_traces, protocol
     )
     points: list[TradeoffPoint] = []
-    for name, curve_name, parameter, extra in runs:
-        system = make_system(name, config, train_traces, **extra, **make_kwargs)
-        result = run_system(system, eval_jobs)
+    for name, curve_name, parameter, local_w in runs:
+        system = make_system(
+            name, config, train_traces, policy, protocol, local_w=local_w
+        )
+        result = run_system(system, eval_jobs, protocol)
         points.append(TradeoffPoint.from_result(curve_name, parameter, result))
     return points
 

@@ -5,9 +5,10 @@ cells, yet the orchestrator used to retrain the global prototype (and the
 LSTM predictor) inside every cell. This module factors the training out:
 
 * :func:`training_request` — the *training-relevant* subset of a cell
-  request: scenario content, seed, trace length, and the protocol knobs
-  that shape training (``pretrain``, ``online_epochs``). Evaluation-only
-  parameters (``record_every``, ``local_epochs``, the system name) are
+  request: scenario content, seed, trace length, and the
+  :class:`~repro.harness.runner.Protocol` fields that shape training
+  (``pretrain``, ``online_epochs``). Evaluation-only parameters
+  (``record_every``, ``local_epochs``, the system name) are
   deliberately excluded, so cells that differ only in how they are
   *evaluated* share one training key.
 * :func:`train_policy` — reproduces exactly the training a cell would
@@ -37,6 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.harness.runner import (
+    SWEEP_PROTOCOL,
+    Protocol,
     SitePolicy,
     derive_cell_seeds,
     needs_global_tier,
@@ -59,16 +62,15 @@ DEFAULT_CHECKPOINT_ROOT = Path(".repro-cache") / "checkpoints"
 
 
 def training_request(
-    spec: ScenarioSpec,
-    n_jobs: int,
-    seed: int,
-    pretrain: bool = True,
-    online_epochs: int = 1,
+    spec: ScenarioSpec, n_jobs: int, seed: int, protocol: Protocol
 ) -> dict:
     """The content-keyed payload identifying one policy training.
 
     Contains everything that shapes the trained weights — and nothing
-    else, so evaluation-only knobs never invalidate a checkpoint. Note
+    else, so evaluation-only knobs never invalidate a checkpoint. Of the
+    ``protocol`` that is ``pretrain`` and ``online_epochs``: a cell runs
+    ``local_epochs`` itself, after loading the weights, and
+    ``record_every`` only samples series. Note
     ``n_jobs`` *is* training-relevant: training segments are sized from
     the evaluation trace length. Tariffs are stripped — the scenario's
     and, for federated scenarios, each site's: electricity accounting is
@@ -87,8 +89,8 @@ def training_request(
         "scenario": scenario,
         "seed": seed,
         "n_jobs": n_jobs,
-        "pretrain": pretrain,
-        "online_epochs": online_epochs,
+        "pretrain": protocol.pretrain,
+        "online_epochs": protocol.online_epochs,
     }
 
 
@@ -119,10 +121,9 @@ class PolicyCheckpoint:
 
 def train_policy(
     spec: ScenarioSpec,
-    n_jobs: int = 600,
-    seed: int = 0,
-    pretrain: bool = True,
-    online_epochs: int = 1,
+    n_jobs: int,
+    seed: int,
+    protocol: Protocol,
     with_predictor: bool = True,
 ) -> PolicyCheckpoint:
     """Train the shared controllers for one training key.
@@ -145,25 +146,17 @@ def train_policy(
             train_site_policy(
                 spec.site_experiment_config(i, seed=seed),
                 [segment[i] for segment in train_streams],
-                pretrain=pretrain,
-                online_epochs=online_epochs,
+                protocol,
                 seed=site_seed,
                 with_predictor=with_predictor,
             )
             for i, site_seed in enumerate(site_seeds)
         ),
-        meta={
-            "request": training_request(spec, n_jobs, seed, pretrain, online_epochs)
-        },
+        meta={"request": training_request(spec, n_jobs, seed, protocol)},
     )
     if spec.federation == "drl":
         _, fed_broker, _ = build_cell(
-            "drl-only",
-            spec,
-            n_jobs,
-            seed=seed,
-            online_epochs=online_epochs,
-            checkpoint=checkpoint,
+            "drl-only", spec, n_jobs, protocol, seed=seed, checkpoint=checkpoint
         )
         checkpoint.fed = SitePolicy.capture(fed_broker)
     return checkpoint
@@ -316,25 +309,17 @@ def ensure_checkpoint(
     spec: ScenarioSpec,
     n_jobs: int = 600,
     seed: int = 0,
-    pretrain: bool = True,
-    online_epochs: int = 1,
+    protocol: Protocol = SWEEP_PROTOCOL,
     with_predictor: bool = True,
     force: bool = False,
 ) -> PolicyCheckpoint:
     """Load the checkpoint for a training key, training (and storing) on miss."""
-    key = content_key(training_request(spec, n_jobs, seed, pretrain, online_epochs))
+    key = content_key(training_request(spec, n_jobs, seed, protocol))
     if store is not None and not force:
         cached = load_checkpoint(store, key, spec, need_predictor=with_predictor)
         if cached is not None:
             return cached
-    checkpoint = train_policy(
-        spec,
-        n_jobs=n_jobs,
-        seed=seed,
-        pretrain=pretrain,
-        online_epochs=online_epochs,
-        with_predictor=with_predictor,
-    )
+    checkpoint = train_policy(spec, n_jobs, seed, protocol, with_predictor)
     if store is not None:
         store_checkpoint(store, key, checkpoint)
     return checkpoint

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.federation import DRLFederationBroker, make_federation_broker
 from repro.core.hierarchical import HierarchicalSystem
-from repro.harness.runner import derive_cell_seeds, make_system
+from repro.harness.runner import Protocol, derive_cell_seeds, make_system
 from repro.scenarios.specs import ScenarioSpec
 from repro.sim.churn import CapacityEvent
 from repro.sim.federation import FederationEngine, build_federation
@@ -74,7 +74,7 @@ def build_federation_engine(
     spec: ScenarioSpec,
     systems: Sequence[HierarchicalSystem],
     broker: FederationBroker | None,
-    record_every: int = 200,
+    record_every: int,
     with_tariffs: bool = True,
     faults=None,
     capacity_events: Sequence[CapacityEvent] = (),
@@ -85,10 +85,12 @@ def build_federation_engine(
     the systems' live controllers
     (:meth:`~repro.core.hierarchical.HierarchicalSystem.site`), so
     training passes and the evaluation run reuse the same learned state.
-    ``with_tariffs=False`` builds the tariff-blind engines training
-    uses. ``capacity_events`` is the evaluation's churn schedule; the
-    spec admits churn only on a one-site fleet, so it targets the first
-    site. ``faults`` is an optional per-site plan list
+    Each site samples its series every ``record_every`` completions (a
+    :class:`~repro.harness.runner.Protocol`'s). ``with_tariffs=False``
+    builds the tariff-blind engines training uses. ``capacity_events``
+    is the evaluation's churn schedule; the spec admits churn only on a
+    one-site fleet, so it targets the first site. ``faults`` is an
+    optional per-site plan list
     (:func:`repro.faults.plan.scenario_fault_plans`); training engines
     carry neither.
     """
@@ -109,22 +111,22 @@ def train_federation_broker(
     systems: Sequence[HierarchicalSystem],
     broker: FederationBroker | None,
     train_streams: Sequence[Sequence[list[Job]]],
-    online_epochs: int = 1,
+    protocol: Protocol,
 ) -> None:
     """Online-train a learning federation dispatcher over the fleet.
 
     Runs the whole federation (the given per-site systems, tariff-blind)
-    over every training segment ``online_epochs`` times; the DRL
+    over every training segment ``protocol.online_epochs`` times; the DRL
     dispatcher accumulates fleet-level SMDP transitions and trains its
     Sub-Q network along the way, exactly like the cluster tier's online
     phase. Non-learning dispatchers make this a no-op.
     """
     if not isinstance(broker, DRLFederationBroker):
         return
-    for _ in range(online_epochs):
+    for _ in range(protocol.online_epochs):
         for segment_streams in train_streams:
             engine = build_federation_engine(
-                spec, systems, broker, with_tariffs=False
+                spec, systems, broker, protocol.record_every, with_tariffs=False
             )
             engine.run([[job.copy() for job in s] for s in segment_streams])
 
@@ -133,19 +135,18 @@ def build_cell(
     system: str,
     spec: ScenarioSpec,
     n_jobs: int,
+    protocol: Protocol,
     seed: int = 0,
-    pretrain: bool = True,
-    online_epochs: int = 1,
-    local_epochs: int = 1,
     checkpoint: "PolicyCheckpoint | None" = None,
 ) -> tuple[list[HierarchicalSystem], FederationBroker | None, list[list[Job]]]:
     """Build (and train or warm-start) everything one scenario cell needs.
 
     Returns ``(site_systems, federation_broker, eval_streams)`` ready
-    for :func:`build_federation_engine` + run. With a ``checkpoint``,
-    each site's DRL system and the DRL federation dispatcher start from
-    the stored :class:`~repro.harness.runner.SitePolicy` objects instead
-    of training in-cell.
+    for :func:`build_federation_engine` + run. Cold cells train under
+    ``protocol``. With a ``checkpoint``, each site's DRL system and the
+    DRL federation dispatcher start from the stored
+    :class:`~repro.harness.runner.SitePolicy` objects instead of
+    training in-cell.
 
     Raises
     ------
@@ -172,10 +173,8 @@ def build_cell(
             spec.site_experiment_config(i, seed=seed),
             [segment[i] for segment in train_streams],
             policy=None if checkpoint is None else checkpoint.sites[i],
+            protocol=protocol,
             seed=site_seeds[i],
-            pretrain=pretrain,
-            online_epochs=online_epochs,
-            local_epochs=local_epochs,
         )
         for i in range(n_sites)
     ]
@@ -188,7 +187,5 @@ def build_cell(
             checkpoint.fed.restore(broker.qnet)
             broker.epsilon = checkpoint.fed.epsilon
         else:
-            train_federation_broker(
-                spec, systems, broker, train_streams, online_epochs=online_epochs
-            )
+            train_federation_broker(spec, systems, broker, train_streams, protocol)
     return systems, broker, eval_streams

@@ -12,7 +12,8 @@ independent. That independence buys three things at once:
   :class:`~numpy.random.SeedSequence`, so results are bit-identical at
   any worker count.
 * **Caching** — each cell is content-keyed by its full request (the
-  scenario's parameters, system, seed, protocol knobs) and stored as
+  scenario's parameters, system, seed, trace length and every
+  :class:`~repro.harness.runner.Protocol` field) and stored as
   JSON under ``.repro-cache/``, so re-running a sweep recomputes only
   cells whose parameters actually changed.
 * **Resumability** — results are journaled to the store *as cells
@@ -48,12 +49,12 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.faults.plan import scenario_fault_plans
 from repro.harness.report import format_csv, format_table
-from repro.harness.runner import check_system
+from repro.harness.runner import SWEEP_PROTOCOL, Protocol, check_system
 from repro.obs import render_report, write_snapshot
 from repro.obs import telemetry as obs
 from repro.scenarios import checkpoints as ckpt
@@ -88,42 +89,29 @@ class SweepCell:
     seed: int
 
 
-def _protocol_dict(
+def cell_request(
+    cell: SweepCell,
     n_jobs: int,
-    record_every: int,
-    pretrain: bool,
-    online_epochs: int,
-    local_epochs: int,
+    protocol: Protocol,
+    warm_start: bool = False,
     profile: bool = False,
 ) -> dict:
-    protocol = {
-        "schema": SCHEMA_VERSION,
-        "n_jobs": n_jobs,
-        "record_every": record_every,
-        "pretrain": pretrain,
-        "online_epochs": online_epochs,
-        "local_epochs": local_epochs,
-    }
-    # Present only when profiling (mirrors ``warm_start``): profiled
-    # results carry a telemetry payload, so they get their own cache
-    # slots while every unprofiled key stays exactly as before.
-    if profile:
-        protocol["profile"] = True
-    return protocol
-
-
-def cell_request(cell: SweepCell, protocol: dict, warm_start: bool = False) -> dict:
     """The content-keyed request payload identifying one cell's result.
 
-    Warm-started policy-bearing cells (DRL cluster systems, and any
-    system on a federated scenario with the DRL dispatcher) carry
-    ``"warm_start": True`` in their protocol — they follow the
-    shared-policy training protocol, which is a different experiment
-    than train-per-cell, so the two must never share cache slots.
-    Policy-free cells are unaffected either way and keep identical keys
+    Its ``"protocol"`` part holds the trace length and every
+    :class:`~repro.harness.runner.Protocol` field under the field's
+    name. Two flags join it only when set: ``"profile"`` (profiled
+    results carry a telemetry payload, so they get cache slots of their
+    own), and ``"warm_start"`` on warm-started policy-bearing cells
+    (DRL cluster systems, and any system on a federated scenario with
+    the DRL dispatcher). Those follow the shared-policy training
+    protocol, a different experiment than train-per-cell, so the two
+    must never share cache slots. Policy-free cells keep identical keys
     under both modes.
     """
-    payload = dict(protocol)
+    payload = {"schema": SCHEMA_VERSION, "n_jobs": n_jobs, **asdict(protocol)}
+    if profile:
+        payload["profile"] = True
     if warm_start and ckpt.needs_policy(cell.spec, cell.system):
         payload["warm_start"] = True
     return {
@@ -185,10 +173,7 @@ def run_cell(
     system: str,
     n_jobs: int = 600,
     seed: int = 0,
-    record_every: int = 200,
-    pretrain: bool = True,
-    online_epochs: int = 1,
-    local_epochs: int = 1,
+    protocol: Protocol = SWEEP_PROTOCOL,
     checkpoint: "ckpt.PolicyCheckpoint | None" = None,
     profile: bool = False,
 ) -> dict:
@@ -201,9 +186,9 @@ def run_cell(
 
     Every cell is a federation — a plain scenario is one implicit site —
     built by :func:`repro.scenarios.federation.build_cell` and simulated
-    on one event clock. With a ``checkpoint``, the cell's DRL
-    controllers are warm-started from the stored weights instead of
-    being trained in-cell (train-once / evaluate-many). Federated
+    on one event clock. A cold cell's DRL controllers train under
+    ``protocol``; with a ``checkpoint`` they are warm-started from the
+    stored weights instead (train-once / evaluate-many). Federated
     scenarios (a non-empty ``sites`` tuple) additionally report
     ``"federation"`` (the dispatch policy) and ``"sites"`` (per-site
     totals and series).
@@ -221,31 +206,21 @@ def run_cell(
                 system,
                 n_jobs=n_jobs,
                 seed=seed,
-                record_every=record_every,
-                pretrain=pretrain,
-                online_epochs=online_epochs,
-                local_epochs=local_epochs,
+                protocol=protocol,
                 checkpoint=checkpoint,
             )
         result["telemetry"] = tel.snapshot()
         return result
     spec = registry.get(scenario) if isinstance(scenario, str) else scenario
     systems, broker, eval_streams = build_cell(
-        system,
-        spec,
-        n_jobs,
-        seed=seed,
-        pretrain=pretrain,
-        online_epochs=online_epochs,
-        local_epochs=local_epochs,
-        checkpoint=checkpoint,
+        system, spec, n_jobs, protocol, seed=seed, checkpoint=checkpoint
     )
     events = spec.capacity_events(spec.horizon_for(n_jobs))
     engine = build_federation_engine(
         spec,
         systems,
         broker,
-        record_every=record_every,
+        protocol.record_every,
         faults=scenario_fault_plans(spec, n_jobs, seed),
         capacity_events=events,
     )
@@ -300,26 +275,19 @@ def journal_cell_result(
     cell: SweepCell,
     result: dict,
     n_jobs: int,
-    record_every: int = 200,
-    pretrain: bool = True,
-    online_epochs: int = 1,
-    local_epochs: int = 1,
+    protocol: Protocol,
     warm_start: bool = False,
     profile: bool = False,
 ):
     """Journal one computed cell under the key a sweep would use.
 
     The single entry point for out-of-sweep journaling (``scenario
-    run``): it builds the request from the same :func:`_protocol_dict`
-    and :func:`cell_request` primitives the sweep keys with — protocol
-    defaults mirror :func:`run_cell`'s — so a journaled one-off cell is
-    always a cache hit for the sweep covering the same point. Returns
-    the record's path.
+    run``): it builds the request with the :func:`cell_request` the
+    sweep keys with, so a cell run and journaled under the sweep's
+    ``protocol`` is a cache hit for the sweep covering the same point.
+    Returns the record's path.
     """
-    protocol = _protocol_dict(
-        n_jobs, record_every, pretrain, online_epochs, local_epochs, profile
-    )
-    request = cell_request(cell, protocol, warm_start)
+    request = cell_request(cell, n_jobs, protocol, warm_start, profile)
     return store.put(content_key(request), request, result)
 
 
@@ -343,13 +311,15 @@ def _poisoned(scenario: str, system: str, seed: int) -> bool:
 def _execute_cell(args: tuple) -> dict:
     """Pool entry point for one cell (must be module-level picklable).
 
-    The last element is the cell's wall-clock timeout in seconds (or
-    ``None``), enforced in the worker via ``SIGALRM`` (skipped silently
-    on platforms without it) so a wedged cell fails like any other cell
-    error — retried, then quarantined — instead of hanging the sweep.
+    ``args`` is ``(cell, n_jobs, protocol, profile, checkpoint,
+    timeout)``. The timeout is the cell's wall-clock budget in seconds
+    (or ``None``), enforced in the worker via ``SIGALRM`` (skipped
+    silently on platforms without it) so a wedged cell fails like any
+    other cell error — retried, then quarantined — instead of hanging
+    the sweep.
     """
-    spec, system, seed, protocol, checkpoint, timeout = args
-    name = spec.name if isinstance(spec, ScenarioSpec) else str(spec)
+    cell, n_jobs, protocol, profile, checkpoint, timeout = args
+    name, system, seed = cell.spec.name, cell.system, cell.seed
     if _poisoned(name, system, seed):
         raise RuntimeError(
             f"poison cell {name}:{system}:{seed} ({CHAOS_POISON_ENV})"
@@ -357,16 +327,13 @@ def _execute_cell(args: tuple) -> dict:
 
     def execute() -> dict:
         return run_cell(
-            spec,
+            cell.spec,
             system,
-            n_jobs=protocol["n_jobs"],
+            n_jobs=n_jobs,
             seed=seed,
-            record_every=protocol["record_every"],
-            pretrain=protocol["pretrain"],
-            online_epochs=protocol["online_epochs"],
-            local_epochs=protocol["local_epochs"],
+            protocol=protocol,
             checkpoint=checkpoint,
-            profile=protocol.get("profile", False),
+            profile=profile,
         )
 
     if not timeout or not hasattr(signal, "SIGALRM"):
@@ -387,16 +354,12 @@ def _execute_cell(args: tuple) -> dict:
 
 
 def _train_policy_task(args: tuple):
-    """Pool entry point for one training group's policy."""
-    spec, n_jobs, seed, pretrain, online_epochs, with_predictor = args
-    return ckpt.train_policy(
-        spec,
-        n_jobs=n_jobs,
-        seed=seed,
-        pretrain=pretrain,
-        online_epochs=online_epochs,
-        with_predictor=with_predictor,
-    )
+    """Pool entry point for one training group's policy.
+
+    ``args`` is :func:`~repro.scenarios.checkpoints.train_policy`'s
+    ``(spec, n_jobs, seed, protocol, with_predictor)``.
+    """
+    return ckpt.train_policy(*args)
 
 
 @dataclass
@@ -595,10 +558,7 @@ def sweep(
     store: ResultStore | None = None,
     use_cache: bool = True,
     force: bool = False,
-    record_every: int = 200,
-    pretrain: bool = True,
-    online_epochs: int = 1,
-    local_epochs: int = 1,
+    protocol: Protocol = SWEEP_PROTOCOL,
     warm_start: bool = True,
     checkpoints: "ckpt.CheckpointStore | None" = None,
     progress: ProgressFn | None = None,
@@ -635,6 +595,9 @@ def sweep(
     force:
         Recompute every cell (and retrain every policy), overwriting
         cached records and checkpoint blobs.
+    protocol:
+        How every cell trains and samples its series; every field is
+        part of each cell's content key.
     warm_start:
         Train-once / evaluate-many (the default): group DRL cells by
         training key, train each group's policy once, warm-start every
@@ -702,9 +665,6 @@ def sweep(
     ckpt_store = checkpoints
     if ckpt_store is None and use_cache and warm_start:
         ckpt_store = ckpt.CheckpointStore(store.root / "checkpoints")
-    protocol = _protocol_dict(
-        n_jobs, record_every, pretrain, online_epochs, local_epochs, profile
-    )
 
     def emit(line: str) -> None:
         if progress is not None:
@@ -718,9 +678,10 @@ def sweep(
         for system in systems
         for seed in seeds
     ]
-    keys = [
-        content_key(cell_request(cell, protocol, warm_start)) for cell in cells
+    requests = [
+        cell_request(cell, n_jobs, protocol, warm_start, profile) for cell in cells
     ]
+    keys = [content_key(request) for request in requests]
 
     results: list[dict | None] = [None] * len(cells)
     cached = [False] * len(cells)
@@ -753,11 +714,7 @@ def sweep(
                     continue
                 tkey = content_key(
                     ckpt.training_request(
-                        cells[i].spec,
-                        n_jobs,
-                        cells[i].seed,
-                        pretrain=pretrain,
-                        online_epochs=online_epochs,
+                        cells[i].spec, n_jobs, cells[i].seed, protocol
                     )
                 )
                 group_keys[i] = tkey
@@ -806,12 +763,11 @@ def sweep(
         def task(kind: str, n: int) -> tuple:
             if kind == "train":
                 _, i, with_predictor = to_train[n]
-                spec, seed = cells[i].spec, cells[i].seed
-                args = (spec, n_jobs, seed, pretrain, online_epochs, with_predictor)
+                cell = cells[i]
+                args = (cell.spec, n_jobs, cell.seed, protocol, with_predictor)
                 return _train_policy_task, args
-            cell = cells[n]
             policy = policies.get(group_keys.get(n))
-            args = (cell.spec, cell.system, cell.seed, protocol, policy, cell_timeout)
+            args = (cells[n], n_jobs, protocol, profile, policy, cell_timeout)
             return _execute_cell, args
 
         def deliver(kind: str, n: int, value) -> None:
@@ -830,7 +786,7 @@ def sweep(
                 return
             results[n] = value
             if use_cache:
-                store.put(keys[n], cell_request(cells[n], protocol, warm_start), value)
+                store.put(keys[n], requests[n], value)
             n_done += 1
             emit(
                 f"# [{n_done}/{total}] {cells[n].spec.name} × "

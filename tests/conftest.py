@@ -63,5 +63,4 @@ def small_config() -> ExperimentConfig:
             predictor=PredictorConfig(lookback=5, epochs=2),
             epsilon_decay=0.99,
         ),
-        record_every=50,
     )

@@ -8,7 +8,7 @@ from repro.core.global_tier import DRLGlobalBroker
 from repro.core.hierarchical import per_server_interarrivals, pretrain_predictor
 from repro.core.local_tier import RLPowerPolicy
 from repro.core.predictor import WorkloadPredictor
-from repro.harness.runner import make_system
+from repro.harness.runner import PAPER_PROTOCOL, make_system
 from repro.sim.job import Job
 
 
@@ -53,7 +53,7 @@ class TestBuilders:
 
     def test_run_executes(self, small_config):
         system = make_system("round-robin", small_config)
-        result = system.run(jobs_burst(10))
+        result = system.run(jobs_burst(10), PAPER_PROTOCOL.record_every)
         assert result.metrics.n_completed == 10
 
     def test_freeze_propagates(self, small_config):
@@ -66,8 +66,8 @@ class TestBuilders:
         # Learning systems are reused across runs (training protocol);
         # simulated time restarting at 0 must not break anything.
         system = make_system("hierarchical", small_config)
-        system.run(jobs_burst(10))
-        result = system.run(jobs_burst(10))
+        system.run(jobs_burst(10), PAPER_PROTOCOL.record_every)
+        result = system.run(jobs_burst(10), PAPER_PROTOCOL.record_every)
         assert result.metrics.n_completed == 10
 
 

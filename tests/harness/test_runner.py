@@ -1,5 +1,6 @@
 """Tests for repro.harness.runner."""
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from repro.core.baselines import FixedTimeoutPolicy
 from repro.core.global_tier import DRLGlobalBroker
 from repro.harness.runner import (
+    PAPER_PROTOCOL,
+    SWEEP_PROTOCOL,
     SYSTEM_NAMES,
+    Protocol,
     check_system,
     make_system,
     needs_global_tier,
@@ -17,6 +21,7 @@ from repro.harness.runner import (
     train_site_policy,
 )
 from repro.sim.job import Job
+from tests.helpers import NO_TRAINING, ONE_EPOCH
 
 
 def jobs_burst(n, spacing=30.0):
@@ -26,6 +31,44 @@ def jobs_burst(n, spacing=30.0):
 @pytest.fixture
 def train_traces():
     return [jobs_burst(15), jobs_burst(15)]
+
+
+class TestProtocol:
+    def test_named_values(self):
+        assert PAPER_PROTOCOL == Protocol(True, 2, 2, 200)
+        assert SWEEP_PROTOCOL == Protocol(True, 1, 1, 200)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(pretrain=False),
+            dict(online_epochs=0, local_epochs=0),
+            dict(online_epochs=5, local_epochs=3),
+            dict(record_every=1),
+        ],
+    )
+    def test_accepts_every_valid_value(self, changes):
+        protocol = replace(PAPER_PROTOCOL, **changes)
+        assert pickle.loads(pickle.dumps(protocol)) == protocol
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pretrain", 1),
+            ("pretrain", None),
+            ("online_epochs", -3),
+            ("online_epochs", 2.0),
+            ("online_epochs", True),
+            ("local_epochs", -1),
+            ("local_epochs", np.int64(1)),
+            ("record_every", 0),
+            ("record_every", -200),
+            ("record_every", 200.0),
+        ],
+    )
+    def test_rejects_a_value_that_would_key_apart_or_not_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(PAPER_PROTOCOL, **{field: value})
 
 
 class TestNeedsGlobalTier:
@@ -80,23 +123,24 @@ class TestMakeSystem:
 
     def test_fixed_timeout_parse(self, small_config, train_traces):
         system = make_system(
-            "drl+fixed-45", small_config, train_traces, pretrain=False, online_epochs=0
+            "drl+fixed-45", small_config, train_traces, protocol=NO_TRAINING
         )
         assert isinstance(system.policies, FixedTimeoutPolicy)
         assert system.policies.timeout == 45.0
 
     def test_drl_only_without_prototype_trains_fresh(self, small_config, train_traces):
-        system = make_system(
-            "drl-only", small_config, train_traces, pretrain=False, online_epochs=1
-        )
+        system = make_system("drl-only", small_config, train_traces, protocol=ONE_EPOCH)
         broker = system.broker
         assert isinstance(broker, DRLGlobalBroker)
         assert broker.decision_epochs > 0  # saw the training traces
 
     def test_local_w_override(self, small_config, train_traces):
         system = make_system(
-            "hierarchical", small_config, train_traces,
-            pretrain=False, online_epochs=0, local_epochs=0, local_w=0.77,
+            "hierarchical",
+            small_config,
+            train_traces,
+            protocol=NO_TRAINING,
+            local_w=0.77,
         )
         assert system.config.local_tier.w == 0.77
 
@@ -105,9 +149,7 @@ class TestSitePolicy:
     def test_systems_built_from_one_policy_are_independent(
         self, small_config, train_traces, rng
     ):
-        policy = train_site_policy(
-            small_config, train_traces, pretrain=False, online_epochs=1
-        )
+        policy = train_site_policy(small_config, train_traces, ONE_EPOCH)
         a = make_system("drl-only", small_config, policy=policy)
         b = make_system("drl+fixed-30", small_config, policy=policy)
         assert a.broker is not b.broker
@@ -121,17 +163,13 @@ class TestSitePolicy:
             assert len(system.broker.replay) == 0
 
     def test_geometry_mismatch_raises(self, small_config, train_traces):
-        policy = train_site_policy(
-            small_config, train_traces, pretrain=False, online_epochs=0
-        )
+        policy = train_site_policy(small_config, train_traces, NO_TRAINING)
         bigger = replace(small_config, num_servers=2 * small_config.num_servers)
         with pytest.raises(ValueError, match="geometry"):
             policy.broker(bigger)
 
     def test_predictor_without_weights_raises(self, small_config, train_traces):
-        policy = train_site_policy(
-            small_config, train_traces, pretrain=False, online_epochs=0
-        )
+        policy = train_site_policy(small_config, train_traces, NO_TRAINING)
         assert policy.predictor_state is None
         with pytest.raises(ValueError, match="predictor"):
             policy.predictor(small_config, seed=0)
@@ -161,9 +199,7 @@ class TestRunAndProtocol:
             jobs_burst(20),
             small_config,
             train_traces,
-            pretrain=False,
-            online_epochs=1,
-            local_epochs=1,
+            ONE_EPOCH,
         )
         assert set(results) == {"round-robin", "drl-only", "hierarchical"}
         for result in results.values():
@@ -185,7 +221,7 @@ class TestRunAndProtocol:
 
     def test_series_attached(self, small_config):
         system = make_system("round-robin", small_config)
-        result = run_system(system, jobs_burst(10), record_every=5)
+        result = run_system(system, jobs_burst(10), Protocol(record_every=5))
         assert result.latency_series[-1][0] == 10
         assert result.energy_series[-1][0] == 10
 
@@ -196,7 +232,9 @@ class TestScenarioConstruction:
         from repro.scenarios.federation import build_cell
 
         spec = registry.get("maintenance-churn")
-        (system,), _, (eval_jobs,) = build_cell("packing", spec, 60, seed=1)
+        (system,), _, (eval_jobs,) = build_cell(
+            "packing", spec, 60, SWEEP_PROTOCOL, seed=1
+        )
         events = spec.capacity_events(spec.horizon_for(60))
         assert system.name == "packing"
         assert system.config.num_servers == 30

@@ -11,6 +11,7 @@ from repro.harness.table1 import (
     run_table1,
     table1_rows,
 )
+from tests.helpers import ONE_EPOCH
 
 
 class TestDefaultConfig:
@@ -71,9 +72,7 @@ class TestEndToEnd:
             n_jobs=250,
             cluster_sizes=(4,),
             seed=0,
-            pretrain=False,
-            online_epochs=1,
-            local_epochs=1,
+            protocol=ONE_EPOCH,
         )
         assert list(results) == [4]
         assert list(results[4]) == ["round-robin", "drl-only", "hierarchical"]

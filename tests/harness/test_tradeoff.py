@@ -11,6 +11,7 @@ from repro.harness.tradeoff import (
     render_tradeoff_csv,
     run_tradeoff,
 )
+from tests.helpers import NO_TRAINING
 
 
 def pt(curve_name, param, latency, energy):
@@ -106,9 +107,7 @@ class TestRunTradeoff:
             num_servers=4,
             w_sweep=(0.1, 0.5, 0.9),
             timeouts=(60.0,),
-            pretrain=False,
-            online_epochs=0,
-            local_epochs=0,
+            protocol=NO_TRAINING,
         )
         assert [p.curve for p in points] == ["hierarchical"] * 3 + ["fixed-60"]
         assert len(fits) == 1

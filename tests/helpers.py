@@ -1,8 +1,9 @@
-"""Non-fixture test utilities: a numerical gradient, the loop references
-the fast paths must match bit for bit (the per-group Sub-Q loop, the
-one-call ε-greedy choice, the per-array optimizer, the per-step LSTM,
-the trace samplers' ``uniform()`` coin and per-element jobs, the
-two-walk packing choice), and the one timer behind every bench gate."""
+"""Non-fixture test utilities: two fast protocols, a numerical gradient,
+the loop references the fast paths must match bit for bit (the
+per-group Sub-Q loop, the one-call ε-greedy choice, the per-array
+optimizer, the per-step LSTM, the trace samplers' ``uniform()`` coin
+and per-element jobs, the two-walk packing choice), and the one timer
+behind every bench gate."""
 
 from __future__ import annotations
 
@@ -19,9 +20,15 @@ import repro.workload.mixtures as mixtures
 import repro.workload.synthetic as synthetic
 from perfbench.stats import summarize
 from repro.core.qnetwork import check_batch
+from repro.harness.runner import Protocol
 from repro.sim.job import Job
 from repro.workload.mixtures import _burst_on
 from repro.workload.synthetic import _DAY_SECONDS, SyntheticTraceConfig
+
+#: A protocol that trains nothing: tests that only need a system built.
+NO_TRAINING = Protocol(pretrain=False, online_epochs=0, local_epochs=0)
+#: One online and one local-tier epoch, without offline pre-training.
+ONE_EPOCH = Protocol(pretrain=False, online_epochs=1, local_epochs=1)
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

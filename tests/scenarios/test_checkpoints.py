@@ -1,10 +1,13 @@
 """Policy checkpoint store: round-trips, schema gating, warm systems."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from repro.core.config import PredictorConfig
 from repro.core.predictor import WorkloadPredictor
+from repro.harness.runner import SWEEP_PROTOCOL, Protocol
 from repro.nn.serialize import save_states
 from repro.scenarios.checkpoints import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -17,6 +20,7 @@ from repro.scenarios.checkpoints import (
     training_request,
 )
 from repro.scenarios.federation import build_cell
+from repro.scenarios.orchestrator import SweepCell, cell_request
 from repro.scenarios.specs import (
     FleetSpec,
     ScenarioSpec,
@@ -25,6 +29,7 @@ from repro.scenarios.specs import (
     WorkloadSpec,
 )
 from repro.scenarios.store import content_key
+from tests.helpers import NO_TRAINING
 
 TINY = ScenarioSpec(
     name="tiny-ckpt",
@@ -35,7 +40,17 @@ TINY = ScenarioSpec(
 
 #: Fast training knobs: no offline pretrain, no online epochs — the
 #: checkpoint machinery is identical, only the weights stay at init.
-FAST = dict(n_jobs=60, seed=0, pretrain=False, online_epochs=0)
+FAST = dict(n_jobs=60, seed=0, protocol=NO_TRAINING)
+
+#: Every :class:`Protocol` field, by name.
+PROTOCOL_FIELDS = [f.name for f in fields(Protocol)]
+
+
+def moved(protocol: Protocol, name: str) -> Protocol:
+    """``protocol`` with field ``name`` set to another valid value."""
+    value = getattr(protocol, name)
+    other = not value if isinstance(value, bool) else value + 1
+    return replace(protocol, **{name: other})
 
 
 @pytest.fixture(scope="module")
@@ -45,20 +60,37 @@ def policy() -> PolicyCheckpoint:
 
 class TestTrainingKey:
     def test_evaluation_knobs_do_not_change_the_key(self):
-        base = content_key(training_request(TINY, 60, 0))
-        assert base == content_key(training_request(TINY, 60, 0))
+        base = content_key(training_request(TINY, 60, 0, SWEEP_PROTOCOL))
+        assert base == content_key(training_request(TINY, 60, 0, SWEEP_PROTOCOL))
         # record_every / local_epochs / system are absent by design.
-        request = training_request(TINY, 60, 0)
+        request = training_request(TINY, 60, 0, SWEEP_PROTOCOL)
         assert "record_every" not in request
         assert "local_epochs" not in request
         assert "system" not in request
 
     def test_training_knobs_change_the_key(self):
-        base = content_key(training_request(TINY, 60, 0))
-        assert content_key(training_request(TINY, 70, 0)) != base
-        assert content_key(training_request(TINY, 60, 1)) != base
-        assert content_key(training_request(TINY, 60, 0, pretrain=False)) != base
-        assert content_key(training_request(TINY, 60, 0, online_epochs=2)) != base
+        base = content_key(training_request(TINY, 60, 0, SWEEP_PROTOCOL))
+        assert content_key(training_request(TINY, 70, 0, SWEEP_PROTOCOL)) != base
+        assert content_key(training_request(TINY, 60, 1, SWEEP_PROTOCOL)) != base
+        cold = replace(SWEEP_PROTOCOL, pretrain=False)
+        assert content_key(training_request(TINY, 60, 0, cold)) != base
+        longer = replace(SWEEP_PROTOCOL, online_epochs=2)
+        assert content_key(training_request(TINY, 60, 0, longer)) != base
+
+    @pytest.mark.parametrize("name", PROTOCOL_FIELDS)
+    def test_only_training_fields_change_the_training_key(self, name):
+        base = content_key(training_request(TINY, 60, 0, SWEEP_PROTOCOL))
+        request = training_request(TINY, 60, 0, moved(SWEEP_PROTOCOL, name))
+        changed = content_key(request) != base
+        assert changed == (name in ("pretrain", "online_epochs"))
+
+    @pytest.mark.parametrize("name", PROTOCOL_FIELDS)
+    def test_every_field_changes_the_cell_key(self, name):
+        cell = SweepCell(TINY, "drl-only", 0)
+        base = content_key(cell_request(cell, 60, SWEEP_PROTOCOL))
+        request = cell_request(cell, 60, moved(SWEEP_PROTOCOL, name))
+        assert content_key(request) != base
+        assert request["protocol"][name] == getattr(moved(SWEEP_PROTOCOL, name), name)
 
 
 class TestStoreRoundTrip:
@@ -211,10 +243,10 @@ class TestWarmSystems:
 
     def test_warm_system_is_deterministic(self, policy):
         (a,), _, (jobs_a,) = build_cell(
-            "drl-only", TINY, 60, seed=0, local_epochs=0, checkpoint=policy
+            "drl-only", TINY, 60, NO_TRAINING, seed=0, checkpoint=policy
         )
         (b,), _, (jobs_b,) = build_cell(
-            "drl-only", TINY, 60, seed=0, local_epochs=0, checkpoint=policy
+            "drl-only", TINY, 60, NO_TRAINING, seed=0, checkpoint=policy
         )
         assert [j.arrival_time for j in jobs_a] == [
             j.arrival_time for j in jobs_b
@@ -225,7 +257,9 @@ class TestWarmSystems:
 
     def test_non_drl_system_rejected(self, policy):
         with pytest.raises(ValueError):
-            build_cell("round-robin", TINY, 60, seed=0, checkpoint=policy)
+            build_cell(
+                "round-robin", TINY, 60, SWEEP_PROTOCOL, seed=0, checkpoint=policy
+            )
 
 
 class TestEnsureCheckpoint:
@@ -270,8 +304,8 @@ class TestWorkloadKindKeys:
                 n_train_segments=1,
             ),
         )
-        synth_key = content_key(training_request(TINY, 60, 0))
-        replay_key = content_key(training_request(replay_spec, 60, 0))
+        synth_key = content_key(training_request(TINY, 60, 0, SWEEP_PROTOCOL))
+        replay_key = content_key(training_request(replay_spec, 60, 0, SWEEP_PROTOCOL))
         assert synth_key != replay_key
         # ... and two replays of different files differ too.
         other = ScenarioSpec(
@@ -284,7 +318,7 @@ class TestWorkloadKindKeys:
                 n_train_segments=1,
             ),
         )
-        assert content_key(training_request(other, 60, 0)) != replay_key
+        assert content_key(training_request(other, 60, 0, SWEEP_PROTOCOL)) != replay_key
 
     def test_tariff_never_invalidates_training(self):
         from dataclasses import replace
@@ -292,8 +326,9 @@ class TestWorkloadKindKeys:
         from repro.sim.power import TariffModel
 
         priced = replace(TINY, tariff=TariffModel.time_of_use(16, 21, 0.3, 0.1))
-        assert content_key(training_request(TINY, 60, 0)) == content_key(
-            training_request(priced, 60, 0)
+        plain = training_request(TINY, 60, 0, SWEEP_PROTOCOL)
+        assert content_key(plain) == content_key(
+            training_request(priced, 60, 0, SWEEP_PROTOCOL)
         )
         # ... while the *result* identity does change with the tariff.
         assert TINY.content_key() != priced.content_key()

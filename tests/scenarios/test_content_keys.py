@@ -15,7 +15,8 @@ import pytest
 
 from repro.faults.spec import FaultSpec, SiteOutageSpec
 from repro.scenarios.builtin import FEDERATED_CORRELATED, PAPER_DEFAULT
-from repro.scenarios.orchestrator import SweepCell, _protocol_dict, cell_request
+from repro.harness.runner import SWEEP_PROTOCOL
+from repro.scenarios.orchestrator import SweepCell, cell_request
 from repro.scenarios.specs import ScenarioSpec
 
 
@@ -136,9 +137,7 @@ class TestProtocolKeying:
 
     def _request(self, **kwargs) -> dict:
         cell = SweepCell(spec=PAPER_DEFAULT, system="M/M/k", seed=0)
-        return cell_request(
-            cell, _protocol_dict(600, 200, True, 1, 1, **kwargs)
-        )
+        return cell_request(cell, 600, SWEEP_PROTOCOL, **kwargs)
 
     def test_profile_flag_changes_request(self):
         assert self._request() != self._request(profile=True)

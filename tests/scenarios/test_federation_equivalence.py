@@ -16,7 +16,12 @@ from dataclasses import replace
 import pytest
 
 from repro.faults.plan import scenario_fault_plans
-from repro.harness.runner import derive_cell_seeds, make_system, run_system
+from repro.harness.runner import (
+    SWEEP_PROTOCOL,
+    derive_cell_seeds,
+    make_system,
+    run_system,
+)
 from repro.scenarios import registry
 from repro.scenarios.builtin import BUILTIN_SCENARIOS
 from repro.scenarios.orchestrator import run_cell
@@ -57,6 +62,10 @@ SCENARIOS = ("paper-default", "tou-price-shift", "google-replay", "failure-storm
 #: exercising the seeded RNG path end to end).
 SYSTEMS = ("round-robin", "packing", "drl-only")
 
+#: The sweep protocol without global-tier training: the DRL tier starts
+#: from its initial weights.
+UNTRAINED = replace(SWEEP_PROTOCOL, pretrain=False, online_epochs=0)
+
 
 def federation_of_one(spec):
     """The spec as a single-site federation (same fleet, same tariff)."""
@@ -71,7 +80,7 @@ def federation_of_one(spec):
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_single_site_federation_is_bit_identical(scenario, system):
     spec = registry.get(scenario)
-    kwargs = dict(n_jobs=120, seed=3, pretrain=False, online_epochs=0)
+    kwargs = dict(n_jobs=120, seed=3, protocol=UNTRAINED)
     single = run_cell(spec, system, **kwargs)
     federated = run_cell(federation_of_one(spec), system, **kwargs)
     for key in EXACT_KEYS:
@@ -103,14 +112,12 @@ def test_warm_started_single_site_federation_stays_identical(tmp_path):
 
     spec = registry.get("paper-default")
     fed = federation_of_one(spec)
-    kwargs = dict(n_jobs=100, seed=1, online_epochs=1)
+    kwargs = dict(n_jobs=100, seed=1, protocol=SWEEP_PROTOCOL)
     single_ckpt = ensure_checkpoint(
-        CheckpointStore(tmp_path / "single"), spec, n_jobs=100, seed=1,
-        online_epochs=1, with_predictor=False,
+        CheckpointStore(tmp_path / "single"), spec, **kwargs, with_predictor=False
     )
     fed_ckpt = ensure_checkpoint(
-        CheckpointStore(tmp_path / "fed"), fed, n_jobs=100, seed=1,
-        online_epochs=1, with_predictor=False,
+        CheckpointStore(tmp_path / "fed"), fed, **kwargs, with_predictor=False
     )
     single = run_cell(spec, "drl-only", checkpoint=single_ckpt, **kwargs)
     federated = run_cell(fed, "drl-only", checkpoint=fed_ckpt, **kwargs)
@@ -118,7 +125,7 @@ def test_warm_started_single_site_federation_stays_identical(tmp_path):
         assert single[key] == federated[key], key
 
 
-def single_cluster_reference(spec, system, n_jobs, seed, pretrain, online_epochs):
+def single_cluster_reference(spec, system, n_jobs, seed, protocol):
     """The cell as the single-cluster harness runs it: one engine, no sites."""
     trace_ss, system_seed = derive_cell_seeds(seed)
     eval_jobs, train_traces = spec.build_traces(n_jobs, trace_ss)
@@ -127,14 +134,13 @@ def single_cluster_reference(spec, system, n_jobs, seed, pretrain, online_epochs
         spec.site_experiment_config(0, seed=seed),
         train_traces,
         seed=system_seed,
-        pretrain=pretrain,
-        online_epochs=online_epochs,
-        local_epochs=1,
+        protocol=protocol,
     )
     plans = scenario_fault_plans(spec, n_jobs, seed)
     return run_system(
         built,
         eval_jobs,
+        protocol,
         capacity_events=spec.capacity_events(spec.horizon_for(n_jobs)),
         tariff=spec.tariff,
         faults=plans[0] if plans else None,
@@ -163,7 +169,7 @@ PLAIN_CELLS = [
 
 @pytest.mark.parametrize("spec, system", PLAIN_CELLS)
 def test_plain_cell_matches_the_single_cluster_path(spec, system):
-    kwargs = dict(n_jobs=120, seed=3, pretrain=False, online_epochs=0)
+    kwargs = dict(n_jobs=120, seed=3, protocol=UNTRAINED)
     cell = run_cell(spec, system, **kwargs)
     ref = single_cluster_reference(spec, system, **kwargs)
     assert cell["n_jobs_completed"] == ref.n_jobs

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.harness.runner import SWEEP_PROTOCOL
 from repro.scenarios import registry
 from repro.scenarios.checkpoints import (
     CheckpointStore,
@@ -144,15 +145,17 @@ class TestContentKeys:
             ),
         )
         assert repriced.content_key() != TINY_FED.content_key()
-        assert content_key(training_request(TINY_FED, 50, 0)) == content_key(
-            training_request(repriced, 50, 0)
+        base = training_request(TINY_FED, 50, 0, SWEEP_PROTOCOL)
+        assert content_key(base) == content_key(
+            training_request(repriced, 50, 0, SWEEP_PROTOCOL)
         )
 
     def test_federation_policy_changes_both_keys(self):
         other = replace(TINY_FED, federation="price-greedy")
         assert other.content_key() != TINY_FED.content_key()
-        assert content_key(training_request(TINY_FED, 50, 0)) != content_key(
-            training_request(other, 50, 0)
+        base = training_request(TINY_FED, 50, 0, SWEEP_PROTOCOL)
+        assert content_key(base) != content_key(
+            training_request(other, 50, 0, SWEEP_PROTOCOL)
         )
 
     def test_site_fleet_changes_the_key(self):
@@ -288,7 +291,7 @@ class TestFederationCheckpoints:
         assert isinstance(ck, PolicyCheckpoint)
         assert len(ck.sites) == 2
         assert ck.fed is not None
-        key = content_key(training_request(self.DRL_FED, 40, 0))
+        key = content_key(training_request(self.DRL_FED, 40, 0, SWEEP_PROTOCOL))
         loaded = load_checkpoint(store, key, self.DRL_FED)
         assert loaded is not None
         assert loaded.fed.epsilon == ck.fed.epsilon
@@ -317,7 +320,7 @@ class TestFederationCheckpoints:
         # Train for the least-loaded flavor: site weights only.
         ck = ensure_checkpoint(store, TINY_FED, n_jobs=40, seed=0, with_predictor=False)
         assert ck.fed is None
-        key = content_key(training_request(TINY_FED, 40, 0))
+        key = content_key(training_request(TINY_FED, 40, 0, SWEEP_PROTOCOL))
         assert store.get(key) is not None
         assert store.get(key, need_fed_policy=True) is None
         # And a federated blob never serves a single-cluster lookup.

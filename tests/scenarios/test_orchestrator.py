@@ -1,7 +1,12 @@
 """Orchestrator: determinism, caching, and aggregation."""
 
+from dataclasses import replace
+
 import pytest
 
+import repro.harness.runner as runner
+import repro.scenarios.checkpoints as checkpoints
+from repro.harness.runner import SWEEP_PROTOCOL
 from repro.scenarios.orchestrator import (
     aggregate_rows,
     render_sweep_csv,
@@ -27,6 +32,29 @@ TINY = ScenarioSpec(
 
 FAST_SYSTEMS = ("round-robin", "packing")
 
+#: Protocol fields set to values no cell may run under: no sampling, a
+#: negative epoch count (it would run as 0 under a key of its own), a
+#: float or bool epoch count (keyed apart from the int), a non-bool flag.
+BAD_PROTOCOL_FIELDS = [
+    ("record_every", 0),
+    ("online_epochs", -3),
+    ("local_epochs", -1),
+    ("online_epochs", 2.0),
+    ("local_epochs", True),
+    ("pretrain", 1),
+]
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail any test that reaches a trainer."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before the protocol was refused")
+
+    monkeypatch.setattr(runner, "train_global_prototype", refuse)
+    monkeypatch.setattr(checkpoints, "train_policy", refuse)
+
 
 class TestRunCell:
     def test_deterministic(self):
@@ -43,6 +71,16 @@ class TestRunCell:
         import json
 
         json.dumps(run_cell(TINY, "packing", n_jobs=60, seed=0))
+
+    @pytest.mark.parametrize("field, value", BAD_PROTOCOL_FIELDS)
+    def test_bad_protocol_refused_before_training(self, no_training, field, value):
+        with pytest.raises(ValueError, match=field):
+            run_cell(
+                TINY,
+                "drl-only",
+                n_jobs=60,
+                protocol=replace(SWEEP_PROTOCOL, **{field: value}),
+            )
 
 
 class TestSweep:
@@ -162,6 +200,22 @@ class TestSweep:
             sweep(**kwargs)
         assert not store.root.exists()
 
+    @pytest.mark.parametrize("field, value", BAD_PROTOCOL_FIELDS)
+    def test_bad_protocol_rejected_before_any_work(
+        self, tmp_path, no_training, field, value
+    ):
+        store = ResultStore(tmp_path / "cache")
+        with pytest.raises(ValueError, match=field):
+            sweep(
+                scenarios=[TINY],
+                systems=("packing", "drl-only"),
+                workers=1,
+                store=store,
+                protocol=replace(SWEEP_PROTOCOL, **{field: value}),
+            )
+        # Neither trained nor journaled nor quarantined anything.
+        assert not store.root.exists()
+
 
 class TestAggregation:
     def test_rows_average_over_seeds(self, tmp_path):
@@ -252,17 +306,15 @@ class TestElectricityAndReplayCells:
         assert first.results[0]["cost_usd"] > 0
 
     def test_replay_and_synthetic_cells_never_share_cache_slots(self, tmp_path):
-        from repro.scenarios.orchestrator import _protocol_dict, cell_request
-        from repro.scenarios.orchestrator import SweepCell
+        from repro.scenarios.orchestrator import SweepCell, cell_request
         from repro.scenarios.store import content_key
 
         spec = self._replay_spec(tmp_path)
-        protocol = _protocol_dict(60, 200, True, 1, 1)
         synth_key = content_key(
-            cell_request(SweepCell(TINY, "round-robin", 0), protocol)
+            cell_request(SweepCell(TINY, "round-robin", 0), 60, SWEEP_PROTOCOL)
         )
         replay_key = content_key(
-            cell_request(SweepCell(spec, "round-robin", 0), protocol)
+            cell_request(SweepCell(spec, "round-robin", 0), 60, SWEEP_PROTOCOL)
         )
         assert synth_key != replay_key
 

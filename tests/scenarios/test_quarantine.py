@@ -16,6 +16,7 @@ from repro.scenarios.specs import (
     WorkloadSpec,
 )
 from repro.scenarios.store import QUARANTINE_FILE, ResultStore
+from tests.helpers import NO_TRAINING
 
 TINY = ScenarioSpec(
     name="tiny-quarantine",
@@ -150,9 +151,7 @@ class TestQuarantine:
             store=store,
             cell_retries=0,
             n_jobs=60,
-            pretrain=False,
-            online_epochs=0,
-            local_epochs=0,
+            protocol=NO_TRAINING,
         )
         # The baseline cell computed; the DRL cell fell with its training.
         stages = {q["stage"] for q in report.quarantined}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.runner import run_system, make_system
+from repro.harness.runner import Protocol, run_system, make_system
 from repro.scenarios import registry
 from repro.scenarios.specs import ScenarioSpec
 
@@ -64,8 +64,9 @@ class TestBuiltinRoundTrip:
         assert train
         system = make_system("round-robin", config)
         events = spec.capacity_events(spec.horizon_for(80))
-        result = run_system(system, eval_jobs, record_every=50,
-                            capacity_events=events)
+        result = run_system(
+            system, eval_jobs, Protocol(record_every=50), capacity_events=events
+        )
         assert result.n_jobs == len(eval_jobs)
         assert result.energy_kwh > 0
 
@@ -105,7 +106,7 @@ class TestNewBuiltins:
         assert train and all(train)
         system = make_system("round-robin", spec.site_experiment_config(0, seed=0))
         result = run_system(
-            system, eval_jobs, record_every=50, tariff=spec.tariff
+            system, eval_jobs, Protocol(record_every=50), tariff=spec.tariff
         )
         assert result.n_jobs == 80
         assert result.energy_kwh > 0

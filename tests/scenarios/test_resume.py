@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.scenarios.specs import (
     WorkloadSpec,
 )
 from repro.scenarios.store import ResultStore
+from tests.helpers import NO_TRAINING
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -33,7 +35,7 @@ TINY = ScenarioSpec(
 
 #: DRL-cell knobs that skip the expensive training phases; the
 #: train-once plumbing (grouping, blobs, warm construction) is identical.
-FAST_DRL = dict(n_jobs=60, pretrain=False, online_epochs=0, local_epochs=0)
+FAST_DRL = dict(n_jobs=60, protocol=NO_TRAINING)
 
 
 class TestIncrementalJournal:
@@ -225,7 +227,7 @@ class TestTrainOnce:
         assert len(calls) == 1
         # Same training key, different evaluation knob: result cache
         # misses, checkpoint hits — no second training.
-        sweep(record_every=100, **kwargs)
+        sweep(**kwargs | {"protocol": replace(NO_TRAINING, record_every=100)})
         assert len(calls) == 1
 
     def test_seed_changes_training_group(self, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.runner import SWEEP_PROTOCOL
 from repro.scenarios import registry, specs
 from repro.scenarios.federation import build_cell
 from repro.scenarios.specs import (
@@ -17,6 +18,7 @@ from repro.scenarios.specs import (
 )
 from repro.sim.power import PowerModel
 from repro.workload import mixtures
+from tests.helpers import NO_TRAINING
 
 
 class TestValidation:
@@ -146,12 +148,10 @@ class TestTrainingSegmentsOnDemand:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, generator, spy)
-        *_, rr_streams = build_cell("round-robin", spec, 60, seed=3)
+        *_, rr_streams = build_cell("round-robin", spec, 60, SWEEP_PROTOCOL, seed=3)
         assert len(calls) == 1
         calls.clear()
-        *_, drl_streams = build_cell(
-            "drl-only", spec, 60, seed=3, pretrain=False, online_epochs=0
-        )
+        *_, drl_streams = build_cell("drl-only", spec, 60, NO_TRAINING, seed=3)
         assert len(calls) == 1 + spec.workload.n_train_segments
         assert rr_streams == drl_streams
 

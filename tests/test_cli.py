@@ -152,6 +152,23 @@ class TestExecution:
         assert rc == 0
         assert "1 cached, 0 computed" in capsys.readouterr().out
 
+    def test_warm_drl_run_is_a_sweep_cache_hit_and_checkpoint(self, capsys, tmp_path):
+        # `scenario run --warm` trains, runs and journals under the
+        # sweep's protocol: a later sweep finds the cell journaled and
+        # the policy checkpointed, and trains nothing.
+        rc = main(["scenario", "run", "--name", "paper-default",
+                   "--system", "hierarchical", "--warm", "--jobs", "60",
+                   "--cache-dir", str(tmp_path)])
+        assert rc == 0
+        capsys.readouterr()
+        rc = main(["scenario", "sweep", "--scenarios", "paper-default",
+                   "--systems", "hierarchical,drl-only", "--jobs", "60",
+                   "--workers", "1", "--cache-dir", str(tmp_path)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "1 cached, 1 computed" in captured.out
+        assert "1 checkpointed, 0 to train" in captured.err
+
     def test_scenario_run_google_replay_fixture(self, capsys, tmp_path):
         rc = main(["scenario", "run", "--name", "google-replay",
                    "--trace", "tests/fixtures/google_task_events_small.csv",
