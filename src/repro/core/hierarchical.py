@@ -6,9 +6,9 @@ constructor of the named systems (round-robin, DRL-only, the full
 hierarchical framework and the rest).
 :meth:`HierarchicalSystem.site` maps a system to one site's arguments
 for :func:`~repro.sim.federation.build_federation`, the one engine
-builder; :meth:`HierarchicalSystem.run` simulates a trace on a fresh
-one-site engine built from them. The module also pre-trains the local
-tier's LSTM predictor on trace-implied per-server inter-arrivals.
+builder; :meth:`HierarchicalSystem.run` simulates a training pass on a
+fresh one-site engine built from them. The module also pre-trains the
+local tier's LSTM predictor on trace-implied per-server inter-arrivals.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ from repro.core.config import ExperimentConfig
 from repro.core.global_tier import DRLGlobalBroker
 from repro.core.local_tier import RLPowerPolicy
 from repro.core.predictor import WorkloadPredictor
-from repro.sim.churn import CapacityEvent
 from repro.sim.engine import SimulationResult, build_simulation
 from repro.sim.interfaces import Broker, PowerPolicy
 from repro.sim.job import Job
-from repro.sim.power import TariffModel
 
 
 @dataclass
@@ -58,23 +56,16 @@ class HierarchicalSystem:
             **extra,
         }
 
-    def run(
-        self,
-        jobs: list[Job],
-        record_every: int,
-        capacity_events: tuple[CapacityEvent, ...] = (),
-        tariff: "TariffModel | None" = None,
-        faults=None,
-    ) -> SimulationResult:
+    def run(self, jobs: list[Job], record_every: int) -> SimulationResult:
         """Simulate ``jobs`` on a fresh one-site engine around this system.
 
-        The run samples its series every ``record_every`` completions
-        (a :class:`~repro.harness.runner.Protocol`'s).
+        The runner of training passes: the run samples its series every
+        ``record_every`` completions (a
+        :class:`~repro.harness.runner.Protocol`'s) and carries no churn,
+        tariff or faults, which only evaluation runs
+        (:func:`~repro.harness.runner.run_system`) attach.
         """
-        site = self.site(
-            record_every=record_every, capacity_events=capacity_events, tariff=tariff
-        )
-        return build_simulation(**site, faults=faults).run(jobs)
+        return build_simulation(**self.site(record_every=record_every)).run(jobs)
 
     def freeze(self) -> None:
         """Put every learning component into greedy evaluation mode."""

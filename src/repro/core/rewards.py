@@ -21,11 +21,16 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class GlobalRewardWeights:
-    """Weights (w1, w2, w3) of Eqn. (4)."""
+    """Weights (w1, w2, w3) of Eqn. (4).
 
-    w_power: float = 1e-3
-    w_vms: float = 1e-2
-    w_reliability: float = 1.0
+    No defaults: a broker takes its weights from its
+    :class:`~repro.core.config.GlobalTierConfig`, the one place they
+    are set.
+    """
+
+    w_power: float
+    w_vms: float
+    w_reliability: float
 
     def __post_init__(self) -> None:
         if self.w_power < 0 or self.w_vms < 0 or self.w_reliability < 0:

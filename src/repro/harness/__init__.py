@@ -3,13 +3,15 @@
 * :mod:`repro.harness.runner` — named-system construction
   (:func:`make_system`, the one constructor of every named system), the
   paper's offline-then-online training protocol, and single-run
-  execution. The protocol is one frozen :class:`Protocol`, passed whole
-  to every cell and trainer: :data:`PAPER_PROTOCOL` (two online and two
-  local-tier epochs) serves Table I and Figs. 8-10,
-  :data:`SWEEP_PROTOCOL` (one of each) serves scenario cells and
-  sweeps. Its :class:`SitePolicy` is the one handoff from training to
-  evaluation: every DRL system an experiment compares is built from
-  one.
+  execution (:func:`run_system`). The protocol is one frozen
+  :class:`Protocol`, passed whole to every cell and trainer:
+  :data:`PAPER_PROTOCOL` (two online and two local-tier epochs) serves
+  Table I and Figs. 8-10, :data:`SWEEP_PROTOCOL` (one of each) serves
+  scenario cells and sweeps. Its :class:`SitePolicy` is the one handoff
+  from training to evaluation: every DRL system an experiment compares
+  is built from one. :class:`RunResult` is the one run summary:
+  :meth:`RunResult.from_run` builds it for :func:`run_system` and for a
+  scenario cell's fleet and each of its sites.
 * :mod:`repro.harness.table1` — the experiment behind Table I (energy /
   accumulated latency / average power at a fixed job count, M = 30 and
   40) and Figs. 8 and 9 (accumulated latency and energy versus the

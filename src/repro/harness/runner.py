@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,8 +60,13 @@ from repro.core.local_tier import RLPowerPolicy, dpm_learner
 from repro.core.predictor import WorkloadPredictor
 from repro.core.state import StateEncoder
 from repro.sim.churn import CapacityEvent
+from repro.sim.federation import FederationResult, build_federation
 from repro.sim.job import Job
 from repro.sim.power import TariffModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.inject import FaultRuntime
+    from repro.faults.plan import SiteFaultPlan
 
 SYSTEM_NAMES = (
     "round-robin",
@@ -87,7 +93,12 @@ _FIXED_RE = re.compile(r"drl\+fixed-(\d+(?:\.\d+)?)")
 
 @dataclass(frozen=True)
 class RunResult:
-    """Flattened outcome of one evaluation run."""
+    """One run's reported summary: the whole fleet's, or one site's.
+
+    Every summary in the package is built by :meth:`from_run`, for
+    :func:`run_system` and for a scenario cell's fleet and each of its
+    sites (:func:`repro.scenarios.orchestrator.run_cell`).
+    """
 
     name: str
     num_servers: int
@@ -110,6 +121,61 @@ class RunResult:
     goodput: float = 1.0
     availability: float = 1.0
     broker_fallbacks: int = 0
+
+    @classmethod
+    def from_run(
+        cls,
+        name: str,
+        result: FederationResult,
+        runtime: FaultRuntime | None = None,
+        site: int | None = None,
+    ) -> "RunResult":
+        """Summarize a finished run: the whole fleet, or site ``site``.
+
+        Totals sum the sites' collectors in site order. Average power
+        and the series read one series: the fleet's merged
+        ``fleet_series``, or the site's own. ``runtime`` is the run's
+        fault runtime (``engine.faults``), if any; a site reports its
+        own availability and no broker fallbacks, which the fleet owns.
+        """
+        if site is None:
+            sites, series = result.sites, result.fleet_series
+        else:
+            sites = [result.sites[site]]
+            series = sites[0].metrics.series
+        metrics = [s.metrics for s in sites]
+        n_jobs = sum(m.n_completed for m in metrics)
+        failed = sum(m.n_failed for m in metrics)
+        acc_latency = sum(m.acc_latency for m in metrics)
+        if runtime is None:
+            availability, fallbacks = 1.0, 0
+        elif site is None:
+            availability = runtime.fleet_availability(result.final_time)
+            fallbacks = runtime.broker_fallbacks
+        else:
+            availability = runtime.site_availability(site, result.final_time)
+            fallbacks = 0
+        return cls(
+            name=name,
+            num_servers=sum(s.num_servers for s in sites),
+            n_jobs=n_jobs,
+            energy_kwh=sum(m.total_energy_kwh() for m in metrics),
+            acc_latency=acc_latency,
+            mean_latency=acc_latency / n_jobs if n_jobs else 0.0,
+            average_power=series[-1].average_power_watts if series else 0.0,
+            final_time=result.final_time,
+            latency_series=tuple((p.n_completed, p.acc_latency) for p in series),
+            energy_series=tuple((p.n_completed, p.energy_kwh) for p in series),
+            cost_usd=sum(m.total_cost_usd() for m in metrics),
+            co2_kg=sum(m.total_co2_kg() for m in metrics),
+            cost_series=tuple((p.n_completed, p.cost_usd) for p in series),
+            co2_series=tuple((p.n_completed, p.co2_kg) for p in series),
+            failed_jobs=failed,
+            retries=sum(m.n_retries for m in metrics),
+            goodput=n_jobs / (n_jobs + failed) if n_jobs + failed else 1.0,
+            availability=availability,
+            broker_fallbacks=fallbacks,
+        )
 
     @property
     def acc_latency_1e6(self) -> float:
@@ -178,11 +244,13 @@ def run_system(
     protocol: Protocol = PAPER_PROTOCOL,
     capacity_events: tuple[CapacityEvent, ...] = (),
     tariff: "TariffModel | None" = None,
-    faults=None,
+    faults: SiteFaultPlan | None = None,
 ) -> RunResult:
     """Evaluate a (possibly trained) system on a fresh copy of a trace.
 
-    The run samples its series every ``protocol.record_every``
+    The run is a one-site :func:`~repro.sim.federation.build_federation`
+    engine around ``system`` (site ``cluster``), summarized by
+    :meth:`RunResult.from_run`. It samples its series every ``protocol.record_every``
     completions. ``capacity_events`` schedules churn (failures /
     maintenance drains) into the evaluation run; training runs are
     never churned. ``tariff``
@@ -194,40 +262,15 @@ def run_system(
     applies to evaluation only, and the result then carries the
     failed/retry/goodput/availability tallies.
     """
-    result = system.run(
-        [job.copy() for job in jobs],
-        protocol.record_every,
+    site = system.site(
+        name="cluster",
+        record_every=protocol.record_every,
         capacity_events=capacity_events,
         tariff=tariff,
-        faults=faults,
     )
-    metrics = result.metrics
-    runtime = result.faults
-    return RunResult(
-        name=system.name,
-        num_servers=system.config.num_servers,
-        n_jobs=metrics.n_completed,
-        energy_kwh=result.total_energy_kwh,
-        acc_latency=metrics.acc_latency,
-        mean_latency=metrics.mean_latency,
-        average_power=result.average_power_watts,
-        final_time=result.final_time,
-        latency_series=tuple(metrics.latency_series()),
-        energy_series=tuple(metrics.energy_series()),
-        cost_usd=metrics.total_cost_usd(),
-        co2_kg=metrics.total_co2_kg(),
-        cost_series=tuple(metrics.cost_series()),
-        co2_series=tuple(metrics.co2_series()),
-        failed_jobs=metrics.n_failed,
-        retries=metrics.n_retries,
-        goodput=metrics.goodput,
-        availability=(
-            runtime.fleet_availability(result.final_time)
-            if runtime is not None
-            else 1.0
-        ),
-        broker_fallbacks=(runtime.broker_fallbacks if runtime is not None else 0),
-    )
+    engine = build_federation([site], faults=None if faults is None else [faults])
+    result = engine.run([[job.copy() for job in jobs]])
+    return RunResult.from_run(system.name, result, engine.faults)
 
 
 def needs_global_tier(name: str) -> bool:

@@ -47,7 +47,7 @@ from repro.harness.runner import (
 )
 from repro.nn.serialize import load_states, save_states
 from repro.obs import telemetry as obs
-from repro.scenarios.federation import build_cell, derive_site_seeds
+from repro.scenarios.federation import build_controllers, derive_site_seeds
 from repro.scenarios.specs import ScenarioSpec
 from repro.scenarios.store import ContentAddressedStore, content_key
 
@@ -136,7 +136,9 @@ def train_policy(
     the federation policy is ``"drl"``, the dispatcher is then trained
     over a canonical fleet — per-site ``drl-only`` systems warm-started
     from the just-trained policies (the federated analogue of Algorithm
-    1's seed-policy experience collection) — and captured too.
+    1's seed-policy experience collection) — and captured too. Both
+    steps read the one set of training segments built here
+    (:func:`~repro.scenarios.federation.build_controllers`).
     """
     trace_ss, system_seed = derive_cell_seeds(seed)
     _, train_streams = spec.build_site_traces(n_jobs, trace_ss)
@@ -155,8 +157,8 @@ def train_policy(
         meta={"request": training_request(spec, n_jobs, seed, protocol)},
     )
     if spec.federation == "drl":
-        _, fed_broker, _ = build_cell(
-            "drl-only", spec, n_jobs, protocol, seed=seed, checkpoint=checkpoint
+        _, fed_broker = build_controllers(
+            "drl-only", spec, train_streams, protocol, seed, checkpoint
         )
         checkpoint.fed = SitePolicy.capture(fed_broker)
     return checkpoint

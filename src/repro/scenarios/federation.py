@@ -21,13 +21,17 @@ path builds every cell. :func:`build_cell`
    (training the DRL dispatcher over the training streams when cold,
    else restoring the checkpoint's dispatcher policy).
 
+Steps 3 and 4 are :func:`build_controllers`, which checkpoint training
+shares over the segments it has already built.
+
 :func:`build_federation_engine` then maps each site's system to site
 arguments (:meth:`~repro.core.hierarchical.HierarchicalSystem.site`)
 and hands them, with the scenario's churn and faults, to
 :func:`~repro.sim.federation.build_federation` — the one engine builder,
 which puts every site on one event clock.
 :func:`repro.scenarios.orchestrator.run_cell` runs the engine and
-flattens the result.
+summarizes the fleet and each site with
+:meth:`~repro.harness.runner.RunResult.from_run`.
 """
 
 from __future__ import annotations
@@ -160,10 +164,35 @@ def build_cell(
             f"system {system!r} on scenario {spec.name!r} has no policy "
             "to warm-start"
         )
-    trace_ss, system_seed = derive_cell_seeds(seed)
+    trace_ss, _ = derive_cell_seeds(seed)
     eval_streams, train_streams = spec.build_site_traces(
         n_jobs, trace_ss, with_training=needs_policy(spec, system)
     )
+    systems, broker = build_controllers(
+        system, spec, train_streams, protocol, seed, checkpoint
+    )
+    return systems, broker, eval_streams
+
+
+def build_controllers(
+    system: str,
+    spec: ScenarioSpec,
+    train_streams: Sequence[Sequence[list[Job]]],
+    protocol: Protocol,
+    seed: int,
+    checkpoint: "PolicyCheckpoint | None" = None,
+) -> tuple[list[HierarchicalSystem], FederationBroker | None]:
+    """One cell's per-site systems and federation dispatcher, from built streams.
+
+    The step :func:`build_cell` and
+    :func:`~repro.scenarios.checkpoints.train_policy` share: seeds from
+    the cell ``seed`` (:func:`derive_site_seeds`), one named system per
+    site trained on its slice of ``train_streams`` (or built from the
+    ``checkpoint``'s site policy), then the dispatcher named by
+    ``spec.federation`` — the DRL one restored from ``checkpoint.fed``
+    when the checkpoint carries it, else trained over ``train_streams``.
+    """
+    _, system_seed = derive_cell_seeds(seed)
     n_sites = len(spec.site_specs)
     site_seeds, fed_seed = derive_site_seeds(system_seed, n_sites)
 
@@ -188,4 +217,4 @@ def build_cell(
             broker.epsilon = checkpoint.fed.epsilon
         else:
             train_federation_broker(spec, systems, broker, train_streams, protocol)
-    return systems, broker, eval_streams
+    return systems, broker

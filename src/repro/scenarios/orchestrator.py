@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.faults.plan import scenario_fault_plans
 from repro.harness.report import format_csv, format_table
-from repro.harness.runner import SWEEP_PROTOCOL, Protocol, check_system
+from repro.harness.runner import SWEEP_PROTOCOL, Protocol, RunResult, check_system
 from repro.obs import render_report, write_snapshot
 from repro.obs import telemetry as obs
 from repro.scenarios import checkpoints as ckpt
@@ -67,9 +67,6 @@ from repro.scenarios.store import (
     append_quarantine,
     content_key,
 )
-from repro.sim.federation import FederationResult
-from repro.sim.job import Job
-from repro.sim.metrics import SeriesPoint
 
 logger = logging.getLogger(__name__)
 
@@ -122,50 +119,33 @@ def cell_request(
     }
 
 
-def _series_payload(series: Sequence[SeriesPoint]) -> dict[str, list]:
-    # Fig-8-style panels: accumulated latency / energy / cost / CO₂ vs
-    # completed jobs. Lists (not tuples) so computed and JSON-reloaded
-    # results compare equal.
+def _run_payload(run: RunResult) -> dict:
+    """The keys a cell and each of its site entries store a summary under.
+
+    The one serializer of :class:`~repro.harness.runner.RunResult`;
+    :func:`run_cell` adds the fleet's and each site's own keys around
+    it. The Fig-8-style series (accumulated latency / energy / cost /
+    CO₂ vs completed jobs) are lists, not tuples, so computed and
+    JSON-reloaded results compare equal.
+    """
     return {
-        "latency_series": [[int(p.n_completed), float(p.acc_latency)] for p in series],
-        "energy_series": [[int(p.n_completed), float(p.energy_kwh)] for p in series],
-        "cost_series": [[int(p.n_completed), float(p.cost_usd)] for p in series],
-        "co2_series": [[int(p.n_completed), float(p.co2_kg)] for p in series],
+        "n_jobs_completed": run.n_jobs,
+        "num_servers": run.num_servers,
+        "energy_kwh": run.energy_kwh,
+        "acc_latency_s": run.acc_latency,
+        "mean_latency_s": run.mean_latency,
+        "average_power_w": run.average_power,
+        "cost_usd": run.cost_usd,
+        "co2_kg": run.co2_kg,
+        "failed_jobs": run.failed_jobs,
+        "retries": run.retries,
+        "goodput": run.goodput,
+        "availability": run.availability,
+        **{
+            name: [[int(n), float(v)] for n, v in getattr(run, name)]
+            for name in ("latency_series", "energy_series", "cost_series", "co2_series")
+        },
     }
-
-
-def _site_payload(
-    result: FederationResult,
-    eval_streams: Sequence[list[Job]],
-    runtime=None,
-) -> list[dict]:
-    payload = []
-    for index, (site, stream) in enumerate(zip(result.sites, eval_streams)):
-        metrics = site.metrics
-        payload.append(
-            {
-                "site": site.name,
-                "num_servers": site.num_servers,
-                "n_jobs_home": len(stream),
-                "n_jobs_completed": metrics.n_completed,
-                "energy_kwh": metrics.total_energy_kwh(),
-                "acc_latency_s": metrics.acc_latency,
-                "mean_latency_s": metrics.mean_latency,
-                "average_power_w": metrics.average_power_watts(),
-                "cost_usd": metrics.total_cost_usd(),
-                "co2_kg": metrics.total_co2_kg(),
-                "failed_jobs": metrics.n_failed,
-                "retries": metrics.n_retries,
-                "goodput": metrics.goodput,
-                "availability": (
-                    runtime.site_availability(index, result.final_time)
-                    if runtime is not None
-                    else 1.0
-                ),
-                **_series_payload(metrics.series),
-            }
-        )
-    return payload
 
 
 def run_cell(
@@ -225,48 +205,28 @@ def run_cell(
         capacity_events=events,
     )
     result = engine.run([[job.copy() for job in stream] for stream in eval_streams])
-    runtime = engine.faults
-    n_completed = result.n_completed
-    energy_kwh = result.total_energy_kwh
-    n_failed = sum(site.metrics.n_failed for site in result.sites)
+    fleet = RunResult.from_run(system, result, engine.faults)
     cell = {
         "scenario": spec.name,
-        "system": system,
+        "system": fleet.name,
         "seed": seed,
         "n_jobs_offered": sum(len(stream) for stream in eval_streams),
-        "n_jobs_completed": n_completed,
-        "num_servers": spec.num_servers_total,
-        "energy_kwh": energy_kwh,
-        "acc_latency_s": result.accumulated_latency,
-        "mean_latency_s": result.mean_latency,
-        "average_power_w": result.average_power_watts,
-        "energy_per_job_wh": (
-            energy_kwh * 1000.0 / n_completed if n_completed else 0.0
-        ),
-        "final_time_s": result.final_time,
+        **_run_payload(fleet),
+        "energy_per_job_wh": fleet.energy_per_job_wh,
+        "final_time_s": fleet.final_time,
         "capacity_events": len(events),
-        # Electricity account (zero without a scenario tariff).
-        "cost_usd": result.total_cost_usd,
-        "co2_kg": result.total_co2_kg,
-        # Fault account (defaults without a scenario FaultSpec).
-        "failed_jobs": n_failed,
-        "retries": sum(site.metrics.n_retries for site in result.sites),
-        "goodput": (
-            n_completed / (n_completed + n_failed)
-            if (n_completed + n_failed)
-            else 1.0
-        ),
-        "availability": (
-            runtime.fleet_availability(result.final_time)
-            if runtime is not None
-            else 1.0
-        ),
-        "broker_fallbacks": (runtime.broker_fallbacks if runtime is not None else 0),
-        **_series_payload(result.fleet_series),
+        "broker_fallbacks": fleet.broker_fallbacks,
     }
     if spec.is_federated:
         cell["federation"] = spec.federation
-        cell["sites"] = _site_payload(result, eval_streams, runtime=runtime)
+        cell["sites"] = [
+            {
+                "site": site.name,
+                "n_jobs_home": len(stream),
+                **_run_payload(RunResult.from_run(system, result, engine.faults, i)),
+            }
+            for i, (site, stream) in enumerate(zip(result.sites, eval_streams))
+        ]
     return cell
 
 
@@ -945,9 +905,8 @@ def aggregate_rows(results: Sequence[dict]) -> list[dict]:
             "energy_kwh": sum(r["energy_kwh"] for r in bucket) / n,
             "acc_latency_1e6_s": sum(r["acc_latency_s"] for r in bucket) / n / 1e6,
             "mean_latency_s": sum(r["mean_latency_s"] for r in bucket) / n,
-            # .get(): per-site entries have no fleet average power, and
-            # rows synthesized by tests (or pre-v3 records fed in
-            # directly) may lack the electricity account.
+            # .get(): rows synthesized by tests, or older records fed in
+            # directly, may lack the power and electricity account.
             "average_power_w": sum(r.get("average_power_w", 0.0) for r in bucket) / n,
             "cost_usd": sum(r.get("cost_usd", 0.0) for r in bucket) / n,
             "co2_kg": sum(r.get("co2_kg", 0.0) for r in bucket) / n,

@@ -11,7 +11,13 @@ The single-cluster simulator is a federation of one:
 :func:`build_simulation` builds a one-site engine with
 :func:`~repro.sim.federation.build_federation`, the one engine builder,
 and :class:`ClusterEngine` is a read-only view over it whose
-:meth:`~ClusterEngine.run` returns a :class:`SimulationResult`.
+:meth:`~ClusterEngine.run` returns a :class:`SimulationResult`. That
+view runs training passes
+(:meth:`~repro.core.hierarchical.HierarchicalSystem.run`); an
+evaluation run (:func:`~repro.harness.runner.run_system`) calls
+:func:`~repro.sim.federation.build_federation` itself, with its churn,
+tariff and fault plan, and reports through
+:meth:`~repro.harness.runner.RunResult.from_run` like a scenario cell.
 """
 
 from __future__ import annotations
@@ -36,9 +42,6 @@ class SimulationResult:
     metrics: MetricsCollector
     cluster: Cluster
     final_time: float
-    #: The fault runtime when the run was fault-injected, else ``None``
-    #: (exposes availability / broker-fallback tallies to reporters).
-    faults: object | None = None
 
     @property
     def total_energy_kwh(self) -> float:
@@ -98,12 +101,7 @@ class ClusterEngine:
             If arrival times decrease along the stream.
         """
         result = self.federation.run([jobs])
-        return SimulationResult(
-            self.metrics,
-            self.cluster,
-            result.final_time,
-            faults=self.federation.faults,
-        )
+        return SimulationResult(self.metrics, self.cluster, result.final_time)
 
 
 def build_simulation(
@@ -117,16 +115,12 @@ def build_simulation(
     record_every: int = 100,
     capacity_events: Iterable[CapacityEvent] = (),
     tariff: TariffModel | None = None,
-    faults=None,
 ) -> ClusterEngine:
     """One cluster: a one-site :func:`~repro.sim.federation.build_federation`.
 
     The arguments are that builder's site keys (``power_model`` may be
     a per-server sequence; ``capacity_events`` are pre-scheduled churn
-    events; ``tariff`` makes the metrics also report cost and CO₂), plus
-    ``faults``: an optional :class:`~repro.faults.plan.SiteFaultPlan`
-    installing seeded unplanned-failure injection (crashes, job
-    failures, stragglers).
+    events; ``tariff`` makes the metrics also report cost and CO₂).
     """
     site = dict(
         name="cluster",
@@ -141,6 +135,4 @@ def build_simulation(
         capacity_events=capacity_events,
         tariff=tariff,
     )
-    return ClusterEngine(
-        build_federation([site], faults=None if faults is None else [faults])
-    )
+    return ClusterEngine(build_federation([site]))

@@ -73,50 +73,16 @@ class Site:
 
 @dataclass
 class FederationResult:
-    """Outcome of a federated run: per-site metrics plus fleet totals."""
+    """Outcome of a federated run: the sites, the end time and the fleet series.
+
+    The sites' collectors hold every count and total;
+    :meth:`repro.harness.runner.RunResult.from_run` is the one summary
+    of them, for the whole fleet or one site.
+    """
 
     sites: list[Site]
     final_time: float
     fleet_series: list[SeriesPoint] = field(default_factory=list)
-
-    @property
-    def n_completed(self) -> int:
-        return sum(site.metrics.n_completed for site in self.sites)
-
-    @property
-    def total_energy_kwh(self) -> float:
-        return sum(site.metrics.total_energy_kwh() for site in self.sites)
-
-    @property
-    def accumulated_latency(self) -> float:
-        return sum(site.metrics.acc_latency for site in self.sites)
-
-    @property
-    def mean_latency(self) -> float:
-        n = self.n_completed
-        return self.accumulated_latency / n if n else 0.0
-
-    @property
-    def total_cost_usd(self) -> float:
-        return sum(site.metrics.total_cost_usd() for site in self.sites)
-
-    @property
-    def total_co2_kg(self) -> float:
-        return sum(site.metrics.total_co2_kg() for site in self.sites)
-
-    @property
-    def average_power_watts(self) -> float:
-        """Fleet power averaged to the last sample point.
-
-        Same definition as
-        :meth:`~repro.sim.metrics.MetricsCollector.average_power_watts`
-        — total joules at the last recorded series point over that
-        point's time — evaluated on the merged fleet series, so a
-        federation of one reproduces the single-cluster value exactly.
-        """
-        if not self.fleet_series:
-            return 0.0
-        return self.fleet_series[-1].average_power_watts
 
 
 def merge_site_series(sites: Sequence[Site]) -> list[SeriesPoint]:
@@ -125,7 +91,8 @@ def merge_site_series(sites: Sequence[Site]) -> list[SeriesPoint]:
     Walks every site's sample points in time order (ties resolved by
     site index) carrying each site's latest cumulative values, so each
     output point is the exact fleet total at that sample instant. A
-    federation of one reproduces the site's own series unchanged.
+    federation of one reproduces the site's own series unchanged, so
+    the fleet's average power (its last point's) is the lone site's.
     """
     if len(sites) == 1:
         return list(sites[0].metrics.series)

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import PredictorConfig
+from repro.core.config import GlobalTierConfig, PredictorConfig
 from repro.core.predictor import WorkloadPredictor
 from repro.core.rewards import (
     GlobalRewardWeights,
@@ -76,7 +76,9 @@ def test_target_monotone_in_next_q(rate, tau, beta, q1, q2):
     tau=st.floats(min_value=1e-3, max_value=1e5),
 )
 def test_global_reward_rate_non_positive(energy, vms, overload, tau):
-    rate = global_reward_rate(GlobalRewardWeights(), energy, vms, overload, tau)
+    tier = GlobalTierConfig()
+    weights = GlobalRewardWeights(tier.w_power, tier.w_vms, tier.w_reliability)
+    rate = global_reward_rate(weights, energy, vms, overload, tau)
     assert rate <= 0.0
 
 

@@ -2,11 +2,16 @@
 
 import pytest
 
+from repro.core.config import GlobalTierConfig
 from repro.core.rewards import (
     GlobalRewardWeights,
     global_reward_rate,
     local_reward_rate,
 )
+
+_TIER = GlobalTierConfig()
+#: The weights a DRL broker runs with (GlobalTierConfig's).
+TIER_WEIGHTS = GlobalRewardWeights(_TIER.w_power, _TIER.w_vms, _TIER.w_reliability)
 
 
 class TestGlobalReward:
@@ -17,16 +22,15 @@ class TestGlobalReward:
         assert rate == pytest.approx(-(0.001 * 1300 + 0.01 * 50 + 1.0 * 0.2))
 
     def test_always_non_positive_for_non_negative_inputs(self):
-        w = GlobalRewardWeights()
-        assert global_reward_rate(w, 100.0, 10.0, 0.0, 5.0) <= 0.0
+        assert global_reward_rate(TIER_WEIGHTS, 100.0, 10.0, 0.0, 5.0) <= 0.0
 
     def test_zero_tau_raises(self):
         with pytest.raises(ValueError):
-            global_reward_rate(GlobalRewardWeights(), 1.0, 1.0, 1.0, 0.0)
+            global_reward_rate(TIER_WEIGHTS, 1.0, 1.0, 1.0, 0.0)
 
     def test_negative_weights_raise(self):
         with pytest.raises(ValueError):
-            GlobalRewardWeights(w_power=-1.0)
+            GlobalRewardWeights(w_power=-1.0, w_vms=0.1, w_reliability=1.0)
 
     def test_zero_weights_allowed(self):
         w = GlobalRewardWeights(0.0, 0.0, 0.0)

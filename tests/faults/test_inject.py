@@ -6,6 +6,7 @@ from repro.core.baselines import AlwaysOnPolicy, RoundRobinBroker
 from repro.faults.inject import install_faults
 from repro.faults.plan import CrashEvent, SiteFaultPlan
 from repro.faults.spec import FaultSpec
+from repro.harness.runner import RunResult
 from repro.sim.federation import build_federation
 from repro.sim.interfaces import Broker, FederationBroker
 from repro.sim.job import Job
@@ -129,7 +130,7 @@ def assert_broker_error_rule(engine, streams, runtime, error, match):
         return
     faults = install_faults(engine, [plan(FaultSpec())] * len(engine.sites))
     result = engine.run(streams)
-    assert result.n_completed == 6
+    assert RunResult.from_run("rule", result, faults).n_jobs == 6
     assert faults.broker_fallbacks == 6  # every one of the 6 calls was bad
 
 
@@ -356,7 +357,7 @@ class TestDegradedRouting:
             ],
         )
         result = engine.run([jobs_burst(6, offset=1.0), []])
-        assert result.n_completed == 6
+        assert RunResult.from_run("dark", result, runtime).n_jobs == 6
         assert runtime.rerouted >= 6
         # All the work landed on site b; site a stayed dark.
         assert result.sites[1].metrics.n_completed == 6

@@ -14,9 +14,10 @@ from repro.scenarios.checkpoints import (
     ensure_checkpoint,
     load_checkpoint,
     needs_policy,
+    train_policy,
     training_request,
 )
-from repro.scenarios.federation import derive_site_seeds
+from repro.scenarios.federation import build_cell, derive_site_seeds
 from repro.scenarios.orchestrator import (
     aggregate_rows,
     aggregate_series_rows,
@@ -301,6 +302,37 @@ class TestFederationCheckpoints:
         for mine, theirs in zip(ck.sites, loaded.sites):
             for k, v in mine.qnet_state.items():
                 assert np.array_equal(theirs.qnet_state[k], v)
+
+    def test_drl_dispatcher_trains_on_the_traces_built_once(self, monkeypatch):
+        """One trace build trains the sites and the DRL dispatcher alike.
+
+        The oracle is the cell path: ``build_cell`` warm-started from the
+        same site policies alone trains the dispatcher over traces of its
+        own, and must reach the same weights and ε.
+        """
+        calls = []
+        build = ScenarioSpec.build_site_traces
+
+        def spy(spec, *args, **kwargs):
+            calls.append(spec.name)
+            return build(spec, *args, **kwargs)
+
+        monkeypatch.setattr(ScenarioSpec, "build_site_traces", spy)
+        ck = train_policy(self.DRL_FED, 60, 2, SWEEP_PROTOCOL, with_predictor=False)
+        assert calls == [self.DRL_FED.name]
+        _, oracle, _ = build_cell(
+            "drl-only",
+            self.DRL_FED,
+            60,
+            SWEEP_PROTOCOL,
+            seed=2,
+            checkpoint=PolicyCheckpoint(sites=ck.sites),
+        )
+        assert ck.fed.epsilon == oracle.epsilon
+        state = oracle.qnet.state_dict()
+        assert state.keys() == ck.fed.qnet_state.keys()
+        for k, v in state.items():
+            assert np.array_equal(ck.fed.qnet_state[k], v), k
 
     def test_fed_policy_geometry_mismatch_raises(self):
         from repro.core.federation import make_federation_broker

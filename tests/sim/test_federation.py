@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.baselines import AlwaysOnPolicy, RoundRobinBroker
+from repro.harness.runner import RunResult
 from repro.sim.engine import build_simulation
 from repro.sim.federation import FederationEngine, build_federation, merge_site_series
 from repro.sim.interfaces import FederationBroker
@@ -55,7 +56,7 @@ class TestFederationEngine:
     def test_home_routing_completes_all_streams(self):
         engine = two_sites()
         result = engine.run([jobs_burst(6), jobs_burst(4, offset=1.0, start_id=100)])
-        assert result.n_completed == 10
+        assert RunResult.from_run("round-robin", result).n_jobs == 10
         assert [s.metrics.n_completed for s in result.sites] == [6, 4]
 
     def test_broker_can_move_jobs_across_sites(self):
@@ -138,12 +139,13 @@ class TestFederationEngine:
             [jobs_burst(4), jobs_burst(4, offset=1.0, start_id=40)]
         )
         a, b = result.sites
+        fleet = RunResult.from_run("round-robin", result)
         # Similar energy, wildly different bills.
         assert a.metrics.total_cost_usd() < b.metrics.total_cost_usd() / 10
-        assert result.total_cost_usd == pytest.approx(
+        assert fleet.cost_usd == pytest.approx(
             a.metrics.total_cost_usd() + b.metrics.total_cost_usd()
         )
-        assert result.total_co2_kg == pytest.approx(
+        assert fleet.co2_kg == pytest.approx(
             a.metrics.total_co2_kg() + b.metrics.total_co2_kg()
         )
 
@@ -160,9 +162,10 @@ class TestMergedSeries:
         engine = two_sites()
         result = engine.run([jobs_burst(6), jobs_burst(4, offset=1.0, start_id=60)])
         last = result.fleet_series[-1]
-        assert last.n_completed == result.n_completed
-        assert last.acc_latency == pytest.approx(result.accumulated_latency)
-        assert last.energy_kwh == pytest.approx(result.total_energy_kwh)
+        fleet = RunResult.from_run("round-robin", result)
+        assert last.n_completed == fleet.n_jobs
+        assert last.acc_latency == pytest.approx(fleet.acc_latency)
+        assert last.energy_kwh == pytest.approx(fleet.energy_kwh)
 
     def test_fleet_series_is_monotone(self):
         engine = two_sites()
@@ -214,10 +217,11 @@ class TestClusterEngineDelegation:
             ]
         )
         b = fed.run([[j.copy() for j in jobs]])
-        assert a.metrics.n_completed == b.n_completed
-        assert a.total_energy_kwh == b.total_energy_kwh
-        assert a.accumulated_latency == b.accumulated_latency
-        assert a.metrics.total_cost_usd() == b.total_cost_usd
+        solo = RunResult.from_run("round-robin", b)
+        assert a.metrics.n_completed == solo.n_jobs
+        assert a.total_energy_kwh == solo.energy_kwh
+        assert a.accumulated_latency == solo.acc_latency
+        assert a.metrics.total_cost_usd() == solo.cost_usd
         assert a.metrics.series == b.sites[0].metrics.series
         assert a.final_time == b.final_time
 
