@@ -35,6 +35,7 @@ from repro.core.baselines import AlwaysOnPolicy, RoundRobinBroker
 from repro.faults.inject import install_faults
 from repro.faults.plan import build_site_plan
 from repro.faults.spec import FaultSpec
+from repro.harness.runner import RunResult
 from repro.sim.federation import build_federation
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
 from tests.helpers import interleaved, paired_ratio
@@ -145,7 +146,7 @@ def test_bench_fault_overhead(out_dir, bench_seed):
             "completed": m.n_completed,
             "failed": m.n_failed,
             "retries": m.n_retries,
-            "goodput": round(m.goodput, 4),
+            "goodput": round(RunResult.from_run("storm", storm_result).goodput, 4),
             "crashes": storm_rt.total_crashes,
             "jobs_killed": storm_rt.total_jobs_killed,
             "stragglers": storm_rt.total_stragglers,

@@ -59,14 +59,11 @@ from repro.core.hierarchical import HierarchicalSystem, pretrain_predictor
 from repro.core.local_tier import RLPowerPolicy, dpm_learner
 from repro.core.predictor import WorkloadPredictor
 from repro.core.state import StateEncoder
-from repro.sim.churn import CapacityEvent
 from repro.sim.federation import FederationResult, build_federation
 from repro.sim.job import Job
-from repro.sim.power import TariffModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.inject import FaultRuntime
-    from repro.faults.plan import SiteFaultPlan
 
 SYSTEM_NAMES = (
     "round-robin",
@@ -242,35 +239,21 @@ def run_system(
     system: HierarchicalSystem,
     jobs: list[Job],
     protocol: Protocol = PAPER_PROTOCOL,
-    capacity_events: tuple[CapacityEvent, ...] = (),
-    tariff: "TariffModel | None" = None,
-    faults: SiteFaultPlan | None = None,
 ) -> RunResult:
     """Evaluate a (possibly trained) system on a fresh copy of a trace.
 
     The run is a one-site :func:`~repro.sim.federation.build_federation`
     engine around ``system`` (site ``cluster``), summarized by
-    :meth:`RunResult.from_run`. It samples its series every ``protocol.record_every``
-    completions. ``capacity_events`` schedules churn (failures /
-    maintenance drains) into the evaluation run; training runs are
-    never churned. ``tariff``
-    attaches a price/carbon signal so the result carries cost and CO₂
-    alongside energy (training is always tariff-blind — electricity
-    accounting is an evaluation-side lens, not a reward term).
-    ``faults`` is an optional resolved
-    :class:`~repro.faults.plan.SiteFaultPlan`; like churn and tariffs it
-    applies to evaluation only, and the result then carries the
-    failed/retry/goodput/availability tallies.
+    :meth:`RunResult.from_run`. It samples its series every
+    ``protocol.record_every`` completions. Churn, tariffs and faults
+    reach an evaluation through a scenario cell
+    (:func:`repro.scenarios.federation.build_federation_engine`).
     """
-    site = system.site(
-        name="cluster",
-        record_every=protocol.record_every,
-        capacity_events=capacity_events,
-        tariff=tariff,
+    engine = build_federation(
+        [system.site(name="cluster", record_every=protocol.record_every)]
     )
-    engine = build_federation([site], faults=None if faults is None else [faults])
     result = engine.run([[job.copy() for job in jobs]])
-    return RunResult.from_run(system.name, result, engine.faults)
+    return RunResult.from_run(system.name, result)
 
 
 def needs_global_tier(name: str) -> bool:

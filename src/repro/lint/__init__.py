@@ -5,7 +5,9 @@ references, content-keyed caches, domain-tagged seed streams — is a
 *convention* until something machine-checks it. This package is that
 check: a rule registry plus AST visitors (stdlib :mod:`ast`, no
 dependencies) enforcing the project's determinism invariants, run as
-``repro lint [PATHS]`` and gated in CI.
+``repro lint [PATHS]`` and gated in CI. Content keys are checked by
+computing them instead: ``tests/scenarios/test_content_keys.py``
+perturbs every field of every spec class and asserts which keys move.
 
 Rules
 -----
@@ -16,8 +18,6 @@ Rules
   orchestrator are scoped exemptions).
 * **REP003** frozen-spec mutation — ``object.__setattr__`` only inside
   ``__post_init__``.
-* **REP004** content-key coverage — every spec field reachable from the
-  request/content-key serialization (cross-module).
 * **REP005** schema-literal drift — no hardcoded schema-version
   integers outside the canonical constants.
 * **REP006** unordered-set iteration — no bare set iteration in
@@ -31,7 +31,7 @@ and unjustified, malformed, or stale suppressions are findings
 themselves (REP000).
 """
 
-from repro.lint.config import ContentKeyConfig, LintConfig, Scope
+from repro.lint.config import LintConfig, Scope
 from repro.lint.engine import LintReport, LintUsageError, run_lint
 from repro.lint.model import Finding
 from repro.lint.rules import RULES, iter_rules, rules_by_id
@@ -40,7 +40,6 @@ from repro.lint.suppress import SUPPRESSION_RULE
 __all__ = [
     "RULES",
     "SUPPRESSION_RULE",
-    "ContentKeyConfig",
     "Finding",
     "LintConfig",
     "LintReport",

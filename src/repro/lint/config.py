@@ -43,7 +43,6 @@ DEFAULT_SCOPES: dict[str, Scope] = {
     ),
     "REP002": Scope(exclude=("obs/", "scenarios/orchestrator.py")),
     "REP003": Scope(),
-    "REP004": Scope(),
     "REP005": Scope(
         exclude=(
             "scenarios/store.py",
@@ -56,53 +55,10 @@ DEFAULT_SCOPES: dict[str, Scope] = {
 
 
 @dataclass(frozen=True)
-class ContentKeyConfig:
-    """What REP004 (content-key coverage) audits, and where.
-
-    The rule only runs when every ``spec_modules`` file is part of the
-    linted set (so linting a single unrelated file never half-audits),
-    and checks the ``training_module`` whenever that file is present.
-    """
-
-    #: Modules defining the frozen spec dataclasses that form the
-    #: content-keyed scenario description.
-    spec_modules: tuple[str, ...] = ("scenarios/specs.py", "faults/spec.py")
-    #: The class whose serializer is the content key's single entry point.
-    root_class: str = "ScenarioSpec"
-    #: Its serializer method; must be built on ``asdict(self)`` so new
-    #: fields enter the key by construction.
-    serializer: str = "content_dict"
-    #: Spec classes that must exist, be frozen, and be reachable from
-    #: the root class's field graph.
-    required_classes: tuple[str, ...] = (
-        "ScenarioSpec",
-        "SiteSpec",
-        "WorkloadSpec",
-        "TraceReplaySpec",
-        "FaultSpec",
-        "SiteOutageSpec",
-    )
-    #: The only fields the serializer may drop: labels that cannot
-    #: affect simulated behavior.
-    cosmetic_fields: tuple[str, ...] = ("name", "description")
-    #: Fields a *null* (behaviorally inert) sub-spec may be normalized
-    #: away under — ``content_dict`` may replace a null FaultSpec with
-    #: None, which drops its (then provably inert) fields.
-    nullable_fields: tuple[str, ...] = ("faults",)
-    #: The training-key builder: a reduced view of the content key.
-    training_module: str = "scenarios/checkpoints.py"
-    training_function: str = "training_request"
-    #: Fields the training key may drop on top of the cosmetic ones
-    #: (evaluation-only lenses that never shape trained weights).
-    training_excluded: tuple[str, ...] = ("tariff",)
-
-
-@dataclass(frozen=True)
 class LintConfig:
-    """Full auditor configuration: rule scopes + cross-module targets."""
+    """Full auditor configuration: the rule scopes."""
 
     scopes: dict[str, Scope] = field(default_factory=lambda: dict(DEFAULT_SCOPES))
-    content_key: ContentKeyConfig = field(default_factory=ContentKeyConfig)
 
     def scope_for(self, rule_id: str) -> Scope:
         return self.scopes.get(rule_id, Scope())

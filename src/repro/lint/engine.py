@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.lint.config import LintConfig
 from repro.lint.model import Finding, SourceFile
-from repro.lint.rules import ProjectRule, rules_by_id
+from repro.lint.rules import rules_by_id
 from repro.lint.suppress import (
     SUPPRESSION_RULE,
     Suppression,
@@ -146,7 +146,7 @@ def run_lint(
         Rule ids to run (default: all). REP000 (suppression hygiene) is
         always implied.
     config:
-        Scope/target overrides; defaults to the repository layout.
+        Scope overrides; defaults to the repository layout.
     """
     config = config if config is not None else LintConfig()
     registry = rules_by_id()
@@ -188,17 +188,11 @@ def run_lint(
             SourceFile(path, package_relative(path, root_path), text, tree)
         )
 
-    # File rules, scoped per file.
+    # Rules, scoped per file.
     for source in sources:
         for rule_id, rule in registry.items():
-            if rule_id not in selected or isinstance(rule, ProjectRule):
-                continue
-            if config.scope_for(rule_id).matches(source.rel):
+            if rule_id in selected and config.scope_for(rule_id).matches(source.rel):
                 findings.extend(rule.check(source, config))
-    # Project rules see every scanned file (their targets are rel-paths).
-    for rule_id, rule in registry.items():
-        if rule_id in selected and isinstance(rule, ProjectRule):
-            findings.extend(rule.check_project(sources, config))
 
     # Suppressions: collect, apply, then flag the stale ones.
     by_path: dict[str, dict[int, Suppression]] = {}

@@ -41,8 +41,7 @@ class SourceFile:
         The filesystem path as discovered (display form for findings).
     rel:
         Package-relative POSIX path (``"sim/engine.py"``) used for
-        per-rule scope matching and for locating the well-known modules
-        cross-module rules read.
+        per-rule scope matching.
     text:
         Raw source text.
     tree:

@@ -1,9 +1,7 @@
 """The repo-specific rules: each guards one determinism invariant.
 
-Every rule is a small AST pass registered in :data:`RULES`. File rules
-implement :meth:`Rule.check` over one parsed module; project rules
-(REP004) implement :meth:`ProjectRule.check_project` over the whole
-scanned set, because the invariant they guard spans modules.
+Every rule is a small AST pass registered in :data:`RULES` that
+implements :meth:`Rule.check` over one parsed module.
 
 The rule ids are stable and documented in the README; suppressions name
 them (``# repro: allow[REP002] — reason``).
@@ -12,7 +10,6 @@ them (``# repro: allow[REP002] — reason``).
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterable, Iterator
 
 from repro.lint.config import LintConfig
@@ -52,18 +49,6 @@ class Rule:
             self.id,
             message,
         )
-
-
-class ProjectRule(Rule):
-    """An invariant spanning modules; sees the whole scanned set."""
-
-    def check(self, source: SourceFile, config: LintConfig) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(
-        self, sources: list[SourceFile], config: LintConfig
-    ) -> Iterator[Finding]:
-        raise NotImplementedError
 
 
 # ----------------------------------------------------------------------
@@ -275,267 +260,6 @@ class FrozenSpecMutation(Rule):
 
 
 # ----------------------------------------------------------------------
-# REP004 — content-key coverage (cross-module)
-# ----------------------------------------------------------------------
-
-
-def _decorator_frozen(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        if isinstance(dec, ast.Call):
-            name = _dotted(dec.func)
-            if name in ("dataclass", "dataclasses.dataclass"):
-                for kw in dec.keywords:
-                    if (
-                        kw.arg == "frozen"
-                        and isinstance(kw.value, ast.Constant)
-                        and kw.value.value is True
-                    ):
-                        return True
-    return False
-
-
-class _SpecClass:
-    def __init__(self, node: ast.ClassDef, source: SourceFile) -> None:
-        self.node = node
-        self.source = source
-        self.frozen = _decorator_frozen(node)
-        self.fields: list[tuple[str, str]] = []
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                annotation = ast.unparse(stmt.annotation)
-                if "ClassVar" in annotation:
-                    continue
-                self.fields.append((stmt.target.id, annotation))
-
-
-class ContentKeyCoverage(ProjectRule):
-    """Every spec field must be reachable from the content key.
-
-    The bug class this guards: a new knob lands on a spec dataclass but
-    never reaches the request serialization, so two different
-    experiments share a cache slot and the store silently serves stale
-    results. Three structural checks make that impossible:
-
-    * every spec class is a frozen dataclass *reachable* from the root
-      class's field graph (so ``asdict`` serializes it),
-    * the serializer is built on ``asdict(self)`` and only ever pops
-      the declared cosmetic fields (labels), and
-    * the training-key reduction only drops the declared
-      evaluation-only fields on top of those.
-    """
-
-    id = "REP004"
-    summary = "every spec field reachable from the content-key serialization"
-
-    def check_project(
-        self, sources: list[SourceFile], config: LintConfig
-    ) -> Iterator[Finding]:
-        ck = config.content_key
-        by_rel = {source.rel: source for source in sources}
-        spec_sources = [
-            by_rel[rel] for rel in ck.spec_modules if rel in by_rel
-        ]
-        if len(spec_sources) == len(ck.spec_modules):
-            yield from self._check_specs(spec_sources, config)
-        training = by_rel.get(ck.training_module)
-        if training is not None:
-            yield from self._check_training(training, config)
-
-    # -- spec graph + serializer ---------------------------------------
-
-    def _check_specs(
-        self, spec_sources: list[SourceFile], config: LintConfig
-    ) -> Iterator[Finding]:
-        ck = config.content_key
-        classes: dict[str, _SpecClass] = {}
-        for source in spec_sources:
-            for node in ast.walk(source.tree):
-                if isinstance(node, ast.ClassDef):
-                    classes[node.name] = _SpecClass(node, source)
-
-        root = classes.get(ck.root_class)
-        for name in ck.required_classes:
-            cls = classes.get(name)
-            if cls is None:
-                anchor = spec_sources[0]
-                yield Finding(
-                    str(anchor.path),
-                    1,
-                    0,
-                    self.id,
-                    f"required spec class {name!r} not found in "
-                    f"{', '.join(ck.spec_modules)}",
-                )
-            elif not cls.frozen:
-                yield Finding(
-                    str(cls.source.path),
-                    cls.node.lineno,
-                    cls.node.col_offset,
-                    self.id,
-                    f"spec class {name} must be @dataclass(frozen=True): "
-                    "mutable specs can drift after content-keying",
-                )
-        if root is None:
-            return
-
-        # Reachability over field annotations: an edge A -> B whenever a
-        # field annotation of A names class B.
-        word = {
-            name: re.compile(rf"\b{re.escape(name)}\b") for name in classes
-        }
-        reachable = {ck.root_class}
-        queue = [ck.root_class]
-        while queue:
-            current = classes.get(queue.pop())
-            if current is None:
-                continue
-            for _, annotation in current.fields:
-                for name, pattern in word.items():
-                    if name not in reachable and pattern.search(annotation):
-                        reachable.add(name)
-                        queue.append(name)
-        for name in ck.required_classes:
-            cls = classes.get(name)
-            if cls is not None and name not in reachable:
-                yield Finding(
-                    str(cls.source.path),
-                    cls.node.lineno,
-                    cls.node.col_offset,
-                    self.id,
-                    f"spec class {name} is not reachable from "
-                    f"{ck.root_class}'s field graph: its fields never enter "
-                    "the content key",
-                )
-        # Any *other* frozen dataclass defined beside the specs that the
-        # root cannot reach is the same bug waiting to happen.
-        for name, cls in classes.items():
-            if (
-                cls.frozen
-                and cls.fields
-                and name not in reachable
-                and name not in ck.required_classes
-            ):
-                yield Finding(
-                    str(cls.source.path),
-                    cls.node.lineno,
-                    cls.node.col_offset,
-                    self.id,
-                    f"frozen spec dataclass {name} is not reachable from "
-                    f"{ck.root_class}; wire it into the spec graph or move "
-                    "it out of the spec modules",
-                )
-
-        yield from self._check_serializer(root, config)
-
-    def _check_serializer(
-        self, root: _SpecClass, config: LintConfig
-    ) -> Iterator[Finding]:
-        ck = config.content_key
-        serializer = None
-        for stmt in root.node.body:
-            if (
-                isinstance(stmt, ast.FunctionDef)
-                and stmt.name == ck.serializer
-            ):
-                serializer = stmt
-        if serializer is None:
-            yield Finding(
-                str(root.source.path),
-                root.node.lineno,
-                root.node.col_offset,
-                self.id,
-                f"{ck.root_class} has no {ck.serializer}() serializer; the "
-                "content key has no entry point to audit",
-            )
-            return
-        calls_asdict = any(
-            isinstance(node, ast.Call)
-            and _dotted(node.func) in ("asdict", "dataclasses.asdict")
-            for node in ast.walk(serializer)
-        )
-        if not calls_asdict:
-            yield Finding(
-                str(root.source.path),
-                serializer.lineno,
-                serializer.col_offset,
-                self.id,
-                f"{ck.serializer}() must build its payload with "
-                "dataclasses.asdict(self): hand-rolled payloads silently "
-                "omit new fields from the content key",
-            )
-        allowed = set(ck.cosmetic_fields)
-        yield from self._check_pops(
-            serializer,
-            root.source,
-            allowed,
-            context=f"{ck.root_class}.{ck.serializer}",
-            hint="only cosmetic label fields may leave the content key",
-        )
-
-    def _check_training(
-        self, training: SourceFile, config: LintConfig
-    ) -> Iterator[Finding]:
-        ck = config.content_key
-        function = None
-        for node in training.tree.body:
-            if (
-                isinstance(node, ast.FunctionDef)
-                and node.name == ck.training_function
-            ):
-                function = node
-        if function is None:
-            yield Finding(
-                str(training.path),
-                1,
-                0,
-                self.id,
-                f"{ck.training_function}() not found in "
-                f"{ck.training_module}: the training key has no entry point "
-                "to audit",
-            )
-            return
-        allowed = set(ck.cosmetic_fields) | set(ck.training_excluded)
-        yield from self._check_pops(
-            function,
-            training,
-            allowed,
-            context=ck.training_function,
-            hint="training keys may drop only declared evaluation-only "
-            "fields",
-        )
-
-    def _check_pops(
-        self,
-        function: ast.FunctionDef,
-        source: SourceFile,
-        allowed: set[str],
-        context: str,
-        hint: str,
-    ) -> Iterator[Finding]:
-        for node in ast.walk(function):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "pop"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                name = node.args[0].value
-                if name not in allowed:
-                    yield Finding(
-                        str(source.path),
-                        node.lineno,
-                        node.col_offset,
-                        self.id,
-                        f"{context} pops field {name!r} out of the key; "
-                        f"{hint} ({', '.join(sorted(allowed))})",
-                    )
-
-
-# ----------------------------------------------------------------------
 # REP005 — schema-literal drift
 # ----------------------------------------------------------------------
 
@@ -700,7 +424,6 @@ RULES: tuple[Rule, ...] = (
     SeedHygiene(),
     WallClockBan(),
     FrozenSpecMutation(),
-    ContentKeyCoverage(),
     SchemaLiteralDrift(),
     UnorderedSetIteration(),
 )

@@ -50,6 +50,21 @@ def resolve_level(
     return _VERBOSITY_LEVELS[index]
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler that writes to ``sys.stderr`` as it is at emit time.
+
+    Binding the stream at install time would pin whatever ``sys.stderr``
+    was then, which a test harness may replace and close afterwards.
+    """
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def configure_logging(
     log_level: str | int | None = None,
     verbosity: int = 0,
@@ -57,27 +72,26 @@ def configure_logging(
 ) -> logging.Logger:
     """Install (or retune) the package handler; returns the repro logger.
 
-    Idempotent: repeated calls adjust the level of the existing handler
-    instead of stacking new ones, so tests and long-lived sessions can
-    reconfigure freely.
+    Idempotent: repeated calls adjust the level of the one package
+    handler instead of stacking new ones, so tests and long-lived
+    sessions can reconfigure freely. Without ``stream`` the handler
+    writes to the current ``sys.stderr``. A ``stream`` replaces the
+    handler with one on that stream; the old stream is left alone, so
+    it may already be closed (every record was flushed as it was
+    written).
     """
     level = resolve_level(log_level, verbosity)
     logger = logging.getLogger(ROOT_LOGGER)
-    handler = next(
-        (
-            h
-            for h in logger.handlers
-            if getattr(h, "_repro_handler", False)
-        ),
-        None,
+    old = next(
+        (h for h in logger.handlers if getattr(h, "_repro_handler", False)), None
     )
-    if handler is None:
-        handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    if old is None or stream is not None:
+        handler = _StderrHandler() if stream is None else logging.StreamHandler(stream)
         handler.setFormatter(logging.Formatter(_FORMAT))
         handler._repro_handler = True  # type: ignore[attr-defined]
+        if old is not None:
+            logger.removeHandler(old)
         logger.addHandler(handler)
-    elif stream is not None:
-        handler.setStream(stream)
     logger.setLevel(level)
     logger.propagate = False
     return logger

@@ -13,12 +13,9 @@ ignored.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import tempfile
 from pathlib import Path
-
-logger = logging.getLogger(__name__)
 
 _SPAN_HEADERS = ["Span", "Calls", "Total (s)", "Self (s)", "Self %", "Max (ms)"]
 
@@ -117,44 +114,20 @@ def render_report(snapshot: dict, top: int | None = None) -> str:
     return "\n".join(lines)
 
 
-def load_snapshot(path: str | Path, heal: bool = False) -> dict | None:
+def load_snapshot(path: str | Path) -> dict:
     """Read a telemetry JSON artifact, validating its basic shape.
-
-    With ``heal=True`` (the sweep roll-up path) a truncated or
-    otherwise corrupt snapshot — a worker killed mid-write before
-    snapshots became atomic, manual tampering — is discarded with a
-    warning and ``None`` is returned instead of raising, matching
-    ``ResultStore.get`` self-healing.
 
     Raises
     ------
+    json.JSONDecodeError
+        If the file is not JSON (a torn or tampered write).
     ValueError
-        If the file is not a telemetry snapshot (missing ``spans``)
-        and ``heal`` is False.
+        If the file is not a telemetry snapshot (missing ``spans``).
     """
     path = Path(path)
-    try:
-        with path.open() as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError:
-        if heal:
-            logger.warning("telemetry snapshot %s is corrupt; discarding", path)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        raise
+    with path.open() as fh:
+        payload = json.load(fh)
     if not isinstance(payload, dict) or "spans" not in payload:
-        if heal:
-            logger.warning(
-                "telemetry snapshot %s has no 'spans' key; discarding", path
-            )
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
         raise ValueError(f"{path}: not a telemetry snapshot (no 'spans' key)")
     return payload
 

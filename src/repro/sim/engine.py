@@ -47,18 +47,6 @@ class SimulationResult:
     def total_energy_kwh(self) -> float:
         return self.metrics.total_energy_kwh()
 
-    @property
-    def accumulated_latency(self) -> float:
-        return self.metrics.acc_latency
-
-    @property
-    def mean_latency(self) -> float:
-        return self.metrics.mean_latency
-
-    @property
-    def average_power_watts(self) -> float:
-        return self.metrics.average_power_watts()
-
 
 @dataclass(frozen=True)
 class ClusterEngine:

@@ -172,30 +172,8 @@ class MetricsCollector:
             )
 
     # ------------------------------------------------------------------
-    # Summary statistics (Table I quantities)
+    # Totals and series (a run's summary is RunResult.from_run's)
     # ------------------------------------------------------------------
-
-    @property
-    def goodput(self) -> float:
-        """Completed share of terminally-resolved jobs, in [0, 1]."""
-        resolved = self.n_completed + self.n_failed
-        if resolved == 0:
-            return 1.0
-        return self.n_completed / resolved
-
-    @property
-    def mean_latency(self) -> float:
-        """Average per-job latency in seconds."""
-        if self.n_completed == 0:
-            return 0.0
-        return self.acc_latency / self.n_completed
-
-    @property
-    def mean_wait(self) -> float:
-        """Average per-job queueing (pre-start) delay in seconds."""
-        if self.n_completed == 0:
-            return 0.0
-        return self.acc_wait / self.n_completed
 
     def total_energy_kwh(self) -> float:
         """Cluster energy at the last recorded point, in kWh."""
@@ -211,12 +189,6 @@ class MetricsCollector:
         """Tariff-weighted emissions settled so far, in kg."""
         return self.acc_co2_g / GRAMS_PER_KG
 
-    def average_power_watts(self) -> float:
-        """Run-average cluster power at the last recorded point."""
-        if not self.series:
-            return 0.0
-        return self.series[-1].average_power_watts
-
     def latency_series(self) -> list[tuple[int, float]]:
         """(n_completed, accumulated latency seconds) pairs — Fig. 8a/9a."""
         return [(p.n_completed, p.acc_latency) for p in self.series]
@@ -224,11 +196,3 @@ class MetricsCollector:
     def energy_series(self) -> list[tuple[int, float]]:
         """(n_completed, energy kWh) pairs — Fig. 8b/9b."""
         return [(p.n_completed, p.energy_kwh) for p in self.series]
-
-    def cost_series(self) -> list[tuple[int, float]]:
-        """(n_completed, accumulated cost $) pairs."""
-        return [(p.n_completed, p.cost_usd) for p in self.series]
-
-    def co2_series(self) -> list[tuple[int, float]]:
-        """(n_completed, accumulated CO₂ kg) pairs."""
-        return [(p.n_completed, p.co2_kg) for p in self.series]

@@ -20,6 +20,7 @@ from repro.core.baselines import AlwaysOnPolicy, RoundRobinBroker
 from repro.faults.inject import install_faults
 from repro.faults.plan import build_site_plan
 from repro.faults.spec import FaultSpec
+from repro.harness.runner import RunResult
 from repro.sim.federation import build_federation
 from repro.sim.job import Job
 
@@ -120,7 +121,7 @@ def test_cluster_conserves_jobs_under_chaos(stream, spec, seed):
     m = result.sites[0].metrics
     assert m.n_completed + m.n_failed == len(stream)
     assert m.n_failed <= m.n_retries + len(stream)
-    assert 0.0 <= m.goodput <= 1.0
+    assert 0.0 <= RunResult.from_run("chaos", result, runtime).goodput <= 1.0
     assert 0.0 <= runtime.fleet_availability(result.final_time) <= 1.0
 
 

@@ -262,7 +262,7 @@ class TestRetriesAndFailures:
         assert m.n_completed == 0
         assert m.n_retries == 1
         assert m.n_failed == 1
-        assert m.goodput == 0.0
+        assert RunResult.from_run("round-robin", result).goodput == 0.0
 
     def test_goodput_mixes_completions_and_failures(self):
         engine = one_site(num_servers=2)
@@ -274,7 +274,7 @@ class TestRetriesAndFailures:
         m = result.sites[0].metrics
         assert m.n_completed + m.n_failed == 30
         assert 0 < m.n_failed < 30  # p=0.5, max_retries=0: both happen
-        assert m.goodput == pytest.approx(
+        assert RunResult.from_run("round-robin", result).goodput == pytest.approx(
             m.n_completed / (m.n_completed + m.n_failed)
         )
 

@@ -21,7 +21,7 @@ from repro.harness.runner import (
     train_site_policy,
 )
 from repro.sim.job import Job
-from tests.helpers import NO_TRAINING, ONE_EPOCH
+from tests.helpers import NO_TRAINING, ONE_EPOCH, run_cluster
 
 
 def jobs_burst(n, spacing=30.0):
@@ -240,7 +240,7 @@ class TestScenarioConstruction:
         assert system.config.num_servers == 30
         assert len(eval_jobs) == 60
         assert events  # churn scenario schedules drains
-        result = run_system(system, eval_jobs, capacity_events=events)
+        result = run_cluster(system, eval_jobs, capacity_events=events)
         assert result.n_jobs == 60
 
     def test_descriptions_cover_system_names(self):

@@ -1,5 +1,6 @@
-"""Non-fixture test utilities: two fast protocols, a numerical gradient,
-the loop references the fast paths must match bit for bit (the
+"""Non-fixture test utilities: two fast protocols, a one-site run with
+churn, a tariff or faults attached, a numerical gradient, the loop
+references the fast paths must match bit for bit (the
 per-group Sub-Q loop, the one-call ε-greedy choice, the per-array
 optimizer, the per-step LSTM, the trace samplers' ``uniform()`` coin
 and per-element jobs, the two-walk packing choice), and the one timer
@@ -20,7 +21,8 @@ import repro.workload.mixtures as mixtures
 import repro.workload.synthetic as synthetic
 from perfbench.stats import summarize
 from repro.core.qnetwork import check_batch
-from repro.harness.runner import Protocol
+from repro.harness.runner import PAPER_PROTOCOL, Protocol, RunResult
+from repro.sim.federation import build_federation
 from repro.sim.job import Job
 from repro.workload.mixtures import _burst_on
 from repro.workload.synthetic import _DAY_SECONDS, SyntheticTraceConfig
@@ -29,6 +31,21 @@ from repro.workload.synthetic import _DAY_SECONDS, SyntheticTraceConfig
 NO_TRAINING = Protocol(pretrain=False, online_epochs=0, local_epochs=0)
 #: One online and one local-tier epoch, without offline pre-training.
 ONE_EPOCH = Protocol(pretrain=False, online_epochs=1, local_epochs=1)
+
+
+def run_cluster(system, jobs, protocol=PAPER_PROTOCOL, faults=None, **site):
+    """``run_system``'s one-site run with churn, a tariff or faults attached.
+
+    ``site`` adds site arguments (``capacity_events``, ``tariff``) and
+    ``faults`` is a :class:`~repro.faults.plan.SiteFaultPlan` or None:
+    the single-cluster path a plain cell must match.
+    """
+    engine = build_federation(
+        [system.site(name="cluster", record_every=protocol.record_every, **site)],
+        faults=None if faults is None else [faults],
+    )
+    result = engine.run([[job.copy() for job in jobs]])
+    return RunResult.from_run(system.name, result, engine.faults)
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -267,132 +267,3 @@ class TestUnorderedSetIteration:
             """,
         )
         assert lint(tree, select=["REP006"]).findings == []
-
-
-class TestContentKeyCoverage:
-    def _spec_modules(self, tree, *, pop_tariff=False, orphan=False, asdict=True):
-        tree(
-            "faults/spec.py",
-            """
-            from dataclasses import dataclass
-
-
-            @dataclass(frozen=True)
-            class SiteOutageSpec:
-                site: int = 0
-
-
-            @dataclass(frozen=True)
-            class FaultSpec:
-                rate: float = 0.0
-                site_outages: tuple[SiteOutageSpec, ...] = ()
-            """
-            + (
-                """
-
-            @dataclass(frozen=True)
-            class OrphanSpec:
-                knob: float = 1.0
-            """
-                if orphan
-                else ""
-            ),
-        )
-        body = (
-            "payload = asdict(self)" if asdict else "payload = {'sites': []}"
-        )
-        tree(
-            "scenarios/specs.py",
-            f"""
-            from dataclasses import asdict, dataclass
-
-            from repro.faults.spec import FaultSpec
-
-
-            @dataclass(frozen=True)
-            class TraceReplaySpec:
-                paths: tuple = ()
-
-
-            @dataclass(frozen=True)
-            class WorkloadSpec:
-                replay: "TraceReplaySpec | None" = None
-
-
-            @dataclass(frozen=True)
-            class SiteSpec:
-                name: str = "s"
-                weight: float = 1.0
-
-
-            @dataclass(frozen=True)
-            class ScenarioSpec:
-                name: str = "x"
-                description: str = ""
-                workload: WorkloadSpec = WorkloadSpec()
-                sites: tuple[SiteSpec, ...] = ()
-                faults: "FaultSpec | None" = None
-                tariff: object = None
-
-                def content_dict(self) -> dict:
-                    {body}
-                    payload.pop("name")
-                    payload.pop("description")
-                    {'payload.pop("tariff")' if pop_tariff else "pass"}
-                    return payload
-            """,
-        )
-
-    def test_compliant_spec_modules_are_clean(self, tree):
-        self._spec_modules(tree)
-        assert lint(tree, select=["REP004"]).findings == []
-
-    def test_pop_of_behavioral_field_is_flagged(self, tree):
-        self._spec_modules(tree, pop_tariff=True)
-        report = lint(tree, select=["REP004"])
-        assert rule_ids(report) == ["REP004"]
-        assert "tariff" in report.findings[0].message
-
-    def test_orphan_frozen_spec_is_flagged(self, tree):
-        self._spec_modules(tree, orphan=True)
-        report = lint(tree, select=["REP004"])
-        assert rule_ids(report) == ["REP004"]
-        assert "OrphanSpec" in report.findings[0].message
-
-    def test_hand_rolled_payload_is_flagged(self, tree):
-        self._spec_modules(tree, asdict=False)
-        report = lint(tree, select=["REP004"])
-        assert any("asdict" in f.message for f in report.findings)
-
-    def test_unfrozen_required_class_is_flagged(self, tree):
-        self._spec_modules(tree)
-        path = tree.root / "scenarios" / "specs.py"
-        path.write_text(
-            path.read_text().replace(
-                "@dataclass(frozen=True)\nclass SiteSpec:",
-                "@dataclass\nclass SiteSpec:",
-            )
-        )
-        report = lint(tree, select=["REP004"])
-        assert any("frozen" in f.message for f in report.findings)
-
-    def test_partial_scan_skips_the_audit(self, tree):
-        # Linting one unrelated file must not report the spec modules
-        # missing — the cross-module audit needs the full spec set.
-        tree("harness/report.py", "x = 1\n")
-        assert lint(tree, select=["REP004"]).findings == []
-
-    def test_training_key_may_drop_declared_fields_only(self, tree):
-        tree(
-            "scenarios/checkpoints.py",
-            """
-            def training_request(request):
-                scenario = dict(request["scenario"])
-                scenario.pop("tariff")
-                scenario.pop("record_every")
-                return scenario
-            """,
-        )
-        report = lint(tree, select=["REP004"])
-        assert rule_ids(report) == ["REP004"]
-        assert "record_every" in report.findings[0].message

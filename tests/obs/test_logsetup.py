@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import logging
+import sys
 
 import pytest
 
@@ -78,3 +79,25 @@ class TestConfigureLogging:
         logging.getLogger("repro.obs.test_child").info("retuned")
         assert "retuned" not in first.getvalue()
         assert "retuned" in second.getvalue()
+
+    def test_reconfigure_after_the_stream_was_closed(self, tmp_path):
+        # Regression: retargeting used to flush the old stream first,
+        # which raised ValueError once its owner had closed it.
+        second = io.StringIO()
+        with open(tmp_path / "first.log", "w") as first:
+            configure_logging("INFO", stream=first)
+        configure_logging("INFO", stream=second)
+        logging.getLogger("repro.obs.test_child").info("after close")
+        assert "repro.obs.test_child: after close" in second.getvalue()
+        assert len(self._repro_handlers()) == 1
+
+    def test_default_stream_follows_sys_stderr(self, monkeypatch):
+        logging.getLogger(ROOT_LOGGER).handlers[:] = []
+        first, second = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stderr", first)
+        configure_logging("INFO")
+        first.close()
+        monkeypatch.setattr(sys, "stderr", second)
+        configure_logging("INFO")
+        logging.getLogger("repro.obs.test_child").info("followed")
+        assert "repro.obs.test_child: followed" in second.getvalue()

@@ -137,28 +137,9 @@ class TestArtifactIO:
         with pytest.raises(ValueError, match="not a telemetry snapshot"):
             load_snapshot(bogus)
 
-    def test_heal_discards_truncated_snapshot(self, snapshot, tmp_path):
-        """Regression: a telemetry.json torn by a killed run used to make
-        every later report command crash; heal mode discards it."""
-        path = write_snapshot(snapshot, tmp_path / "telemetry.json")
-        full = path.read_text()
-        path.write_text(full[: len(full) // 2])  # truncate, as SIGKILL would
-        assert load_snapshot(path, heal=True) is None
-        assert not path.exists()
-
-    def test_heal_discards_wrong_shape(self, tmp_path):
-        path = tmp_path / "telemetry.json"
-        path.write_text(json.dumps([1, 2]))
-        assert load_snapshot(path, heal=True) is None
-        assert not path.exists()
-
-    def test_without_heal_truncation_still_raises(self, snapshot, tmp_path):
+    def test_truncated_snapshot_raises(self, snapshot, tmp_path):
         path = write_snapshot(snapshot, tmp_path / "telemetry.json")
         path.write_text(path.read_text()[:10])
         with pytest.raises(json.JSONDecodeError):
             load_snapshot(path)
-        assert path.exists()  # non-heal reads never delete evidence
-
-    def test_heal_passes_valid_snapshots_through(self, snapshot, tmp_path):
-        path = write_snapshot(snapshot, tmp_path / "telemetry.json")
-        assert load_snapshot(path, heal=True) == snapshot
+        assert path.exists()  # reads never delete evidence

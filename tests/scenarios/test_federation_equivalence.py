@@ -7,8 +7,10 @@ faulted workloads) and across systems including the DRL global tier. This is
 what licenses routing everything through the federation engine.
 
 Plain cells run as one-site federations too, so the last test pins them
-to an oracle: the single-cluster path (``make_system`` + ``run_system``
-on ``spec.build_traces``) assembled here, outside the cell pipeline.
+to an oracle: the single-cluster path (``make_system`` on
+``spec.build_traces``, then one site ``cluster`` with the spec's churn,
+tariff and fault plan, summarized by ``RunResult.from_run``) assembled
+here, outside the cell pipeline.
 """
 
 from dataclasses import replace
@@ -16,16 +18,12 @@ from dataclasses import replace
 import pytest
 
 from repro.faults.plan import scenario_fault_plans
-from repro.harness.runner import (
-    SWEEP_PROTOCOL,
-    derive_cell_seeds,
-    make_system,
-    run_system,
-)
+from repro.harness.runner import SWEEP_PROTOCOL, derive_cell_seeds, make_system
 from repro.scenarios import registry
 from repro.scenarios.builtin import BUILTIN_SCENARIOS
 from repro.scenarios.orchestrator import run_cell
 from repro.scenarios.specs import SiteSpec
+from tests.helpers import run_cluster
 
 #: Metrics that must match exactly (totals, intensive stats, and every
 #: sampled series point).
@@ -137,7 +135,7 @@ def single_cluster_reference(spec, system, n_jobs, seed, protocol):
         protocol=protocol,
     )
     plans = scenario_fault_plans(spec, n_jobs, seed)
-    return run_system(
+    return run_cluster(
         built,
         eval_jobs,
         protocol,

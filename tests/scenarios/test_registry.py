@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.harness.runner import Protocol, run_system, make_system
+from repro.harness.runner import Protocol, make_system
 from repro.scenarios import registry
 from repro.scenarios.specs import ScenarioSpec
+from tests.helpers import run_cluster
 
 
 class TestRegistry:
@@ -64,7 +65,7 @@ class TestBuiltinRoundTrip:
         assert train
         system = make_system("round-robin", config)
         events = spec.capacity_events(spec.horizon_for(80))
-        result = run_system(
+        result = run_cluster(
             system, eval_jobs, Protocol(record_every=50), capacity_events=events
         )
         assert result.n_jobs == len(eval_jobs)
@@ -105,7 +106,7 @@ class TestNewBuiltins:
         assert len(eval_jobs) == 80
         assert train and all(train)
         system = make_system("round-robin", spec.site_experiment_config(0, seed=0))
-        result = run_system(
+        result = run_cluster(
             system, eval_jobs, Protocol(record_every=50), tariff=spec.tariff
         )
         assert result.n_jobs == 80

@@ -51,7 +51,7 @@ class TestServerSetCapacity:
         result = engine.run(jobs)
         assert result.metrics.n_completed == 1
         # The job ran start-to-finish across the drain boundary.
-        assert result.metrics.mean_latency == pytest.approx(50.0)
+        assert result.metrics.acc_latency == pytest.approx(50.0)
 
     def test_queued_job_waits_for_restore(self):
         """Work arriving at a fully drained server waits out the drain."""
@@ -61,7 +61,7 @@ class TestServerSetCapacity:
         result = engine.run(jobs)
         assert result.metrics.n_completed == 1
         # Arrived at 20, capacity back at 105, 10 s of service => ~95 s latency.
-        assert result.metrics.mean_latency == pytest.approx(105.0 - 20.0 + 10.0)
+        assert result.metrics.acc_latency == pytest.approx(105.0 - 20.0 + 10.0)
         assert engine.cluster[0].capacity_fraction == 1.0  # restore happened
 
     def test_partial_drain_limits_concurrency(self):

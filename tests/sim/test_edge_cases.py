@@ -23,7 +23,7 @@ class TestZeroTransitionTimes:
         jobs = [job(0, 0.0), job(1, 100.0)]
         result = engine.run(jobs)
         # No boot delay: latency equals duration.
-        assert result.mean_latency == pytest.approx(10.0)
+        assert [j.latency for j in jobs] == pytest.approx([10.0, 10.0])
         # No transition energy either: only the run intervals burn power.
         expected = 2 * 10.0 * pm.active_power(0.5)
         assert result.cluster.total_energy() == pytest.approx(expected)

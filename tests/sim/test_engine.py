@@ -35,8 +35,8 @@ class TestRun:
             4, RoundRobinBroker(), AlwaysOnPolicy(), initially_on=True
         )
         jobs = jobs_burst(4, spacing=100.0, duration=50.0, cpu=0.2)
-        result = engine.run(jobs)
-        assert result.mean_latency == pytest.approx(50.0)
+        engine.run(jobs)
+        assert [j.latency for j in jobs] == pytest.approx([50.0] * 4)
 
     def test_generator_stream_accepted(self):
         engine = build_simulation(
@@ -91,7 +91,7 @@ class TestDeterminism:
 
         a, b = run_once(), run_once()
         assert a.total_energy_kwh == b.total_energy_kwh
-        assert a.accumulated_latency == b.accumulated_latency
+        assert a.metrics.acc_latency == b.metrics.acc_latency
         assert a.final_time == b.final_time
 
 

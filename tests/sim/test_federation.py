@@ -220,7 +220,7 @@ class TestClusterEngineDelegation:
         solo = RunResult.from_run("round-robin", b)
         assert a.metrics.n_completed == solo.n_jobs
         assert a.total_energy_kwh == solo.energy_kwh
-        assert a.accumulated_latency == solo.acc_latency
+        assert a.metrics.acc_latency == solo.acc_latency
         assert a.metrics.total_cost_usd() == solo.cost_usd
         assert a.metrics.series == b.sites[0].metrics.series
         assert a.final_time == b.final_time

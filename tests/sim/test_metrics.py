@@ -33,9 +33,7 @@ class TestCollector:
         m.on_completion(done_job(2, 5.0, 10.0, 30.0), 30.0, 200.0)
         assert m.n_completed == 2
         assert m.acc_latency == pytest.approx(10.0 + 25.0)
-        assert m.mean_latency == pytest.approx(17.5)
         assert m.acc_wait == pytest.approx(0.0 + 5.0)
-        assert m.mean_wait == pytest.approx(2.5)
         assert m.max_latency == pytest.approx(25.0)
 
     def test_series_sampling_interval(self):
@@ -66,19 +64,19 @@ class TestCollector:
         assert last.time == 100.0
         assert last.energy_joules == 5000.0
         # 5000 J over 100 s of wall time, not over the 20 s of completions.
-        assert m.average_power_watts() == pytest.approx(50.0)
+        assert last.average_power_watts == pytest.approx(50.0)
 
     def test_totals_from_last_point(self):
         m = MetricsCollector(record_every=1)
         m.on_completion(done_job(1, 0.0, 0.0, 100.0), 100.0, JOULES_PER_KWH / 2)
         assert m.total_energy_kwh() == pytest.approx(0.5)
-        assert m.average_power_watts() == pytest.approx(JOULES_PER_KWH / 2 / 100.0)
+        last = m.series[-1]
+        assert last.average_power_watts == pytest.approx(JOULES_PER_KWH / 2 / 100.0)
 
     def test_empty_collector_zeros(self):
         m = MetricsCollector()
-        assert m.mean_latency == 0.0
         assert m.total_energy_kwh() == 0.0
-        assert m.average_power_watts() == 0.0
+        assert m.latency_series() == m.energy_series() == []
 
     def test_series_accessors(self):
         m = MetricsCollector(record_every=1)
@@ -154,13 +152,13 @@ class TestTariffIntegration:
         m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, JOULES_PER_KWH)
         m.on_completion(done_job(2, 0.0, 0.0, 20.0), 20.0, 2 * JOULES_PER_KWH)
         m.close(20.0, 2 * JOULES_PER_KWH)
-        assert m.cost_series() == [
-            (1, pytest.approx(0.10)),
-            (2, pytest.approx(0.20)),
+        assert [p.cost_usd for p in m.series] == [
+            pytest.approx(0.10),
+            pytest.approx(0.20),
         ]
-        assert m.co2_series() == [
-            (1, pytest.approx(0.5)),
-            (2, pytest.approx(1.0)),
+        assert [p.co2_kg for p in m.series] == [
+            pytest.approx(0.5),
+            pytest.approx(1.0),
         ]
 
     def test_close_settles_trailing_drain_energy(self):
@@ -178,4 +176,4 @@ class TestTariffIntegration:
         m.close(10.0, JOULES_PER_KWH)
         assert m.total_cost_usd() == 0.0
         assert m.total_co2_kg() == 0.0
-        assert m.cost_series() == [(1, 0.0)]
+        assert [(p.n_completed, p.cost_usd) for p in m.series] == [(1, 0.0)]
