@@ -76,8 +76,8 @@ def test_bench_ablation_architecture(traces, out_dir, bench_seed):
         "drl-only-flat", flat_broker, ImmediateSleepPolicy(), config, initially_on=False
     )
     for trace in train_traces:  # same online training budget
-        flat_system.run([j.copy() for j in trace], PAPER_PROTOCOL.record_every)
-        flat_system.run([j.copy() for j in trace], PAPER_PROTOCOL.record_every)
+        flat_system.run([j.copy() for j in trace])
+        flat_system.run([j.copy() for j in trace])
     e, lat = _evaluate(flat_system, eval_jobs)
     rows.append(
         ["flat-mlp", flat_broker.qnet.num_parameters(), f"{e:.2f}", f"{lat:.0f}"]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from repro.core.config import ExperimentConfig, GlobalTierConfig
 from repro.core.global_tier import DRLGlobalBroker
 from repro.core.qnetwork import HierarchicalQNetwork
 from repro.core.state import StateEncoder
-from repro.rl.replay import ReplayMemory, Transition
+from repro.rl.replay import ReplayMemory
 from repro.sim.engine import build_simulation
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
 from tests.helpers import (
@@ -120,9 +121,19 @@ def legacy_predict(qnet: HierarchicalQNetwork, states: np.ndarray) -> np.ndarray
     return out
 
 
-def legacy_train_minibatch(qnet, memory, rng, beta=0.5):
+class Record(NamedTuple):
+    """One transition as the old deque-backed memory held it."""
+
+    state: np.ndarray
+    action: int
+    reward: float
+    next_state: np.ndarray
+    tau: float
+
+
+def legacy_train_minibatch(qnet, records, rng, beta=0.5):
     """Deque-style re-stacking + loop train step (the old broker path)."""
-    batch = memory.sample(BATCH, rng)
+    batch = [records[i] for i in rng.choice(len(records), BATCH, replace=False)]
     states = np.stack([tr.state for tr in batch])
     actions = np.array([tr.action for tr in batch], dtype=np.int64)
     rewards = np.array([tr.reward for tr in batch])
@@ -181,22 +192,25 @@ def rig(bench_seed):
     engine.run(trace[:250])
     rng = np.random.default_rng(bench_seed)
     memory = ReplayMemory(5000)
-    for _ in range(2000):
-        memory.push(
-            Transition(
-                rng.uniform(0.0, 1.0, enc.state_dim),
-                int(rng.integers(0, M)),
-                float(rng.normal()),
-                rng.uniform(0.0, 1.0, enc.state_dim),
-                float(rng.uniform(0.1, 10.0)),
-            )
+    records = [
+        Record(
+            rng.uniform(0.0, 1.0, enc.state_dim),
+            int(rng.integers(0, M)),
+            float(rng.normal()),
+            rng.uniform(0.0, 1.0, enc.state_dim),
+            float(rng.uniform(0.1, 10.0)),
         )
+        for _ in range(2000)
+    ]
+    for record in records:
+        memory.push(*record)
     return {
         "enc": enc,
         "qnet": qnet,
         "cluster": engine.cluster,
         "probe": trace[250],
         "memory": memory,
+        "records": records,
         "rng": rng,
     }
 
@@ -204,7 +218,7 @@ def rig(bench_seed):
 def test_bench_hotpath(rig, out_dir, bench_seed):
     enc, qnet = rig["enc"], rig["qnet"]
     cluster, probe = rig["cluster"], rig["probe"]
-    memory, rng = rig["memory"], rig["rng"]
+    memory, records, rng = rig["memory"], rig["records"], rig["rng"]
 
     # Sanity: the fast path must be bit-identical before it is "faster".
     state = enc.encode(cluster, probe)
@@ -258,7 +272,7 @@ def test_bench_hotpath(rig, out_dir, bench_seed):
                 lambda: fast_train_minibatch(qnet, memory, rng), train_iters
             ),
             "train_loop": repeat(
-                lambda: legacy_train_minibatch(twin, memory, rng), train_iters
+                lambda: legacy_train_minibatch(twin, records, rng), train_iters
             ),
             "optim_fast": repeat(packed_opt.step, optim_iters),
             "optim_loop": repeat(loop_opt.step, optim_iters),

@@ -18,26 +18,33 @@ replayed minibatches with gradients clipped to norm 10.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.core.baselines import RoundRobinBroker
 from repro.core.config import GlobalTierConfig
 from repro.core.qnetwork import HierarchicalQNetwork
 from repro.core.rewards import GlobalRewardWeights, global_reward_rate
 from repro.core.state import StateEncoder
 from repro.rl.policies import explore_draw, greedy_pick
-from repro.rl.replay import ReplayMemory, Transition
+from repro.rl.replay import ReplayMemory
 from repro.rl.smdp import smdp_discounted_reward
 from repro.sim.cluster import Cluster
-from repro.sim.engine import build_simulation
-from repro.sim.interfaces import Broker, PowerPolicy
+from repro.sim.interfaces import Broker
 from repro.sim.job import Job
-from repro.sim.power import PowerModel
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.core.hierarchical import HierarchicalSystem
 
 #: Most observed states the autoencoder pre-trains on; a larger
 #: experience memory is subsampled to this many.
 MAX_PRETRAIN_STATES = 5000
+#: Offline pre-training budget: autoencoder epochs over the observed
+#: states, then Sub-Q epochs of this many replayed minibatches each.
+AUTOENCODER_PRETRAIN_EPOCHS = 5
+Q_PRETRAIN_EPOCHS = 2
+Q_PRETRAIN_BATCHES = 100
 
 
 class DRLGlobalBroker(Broker):
@@ -126,7 +133,7 @@ class DRLGlobalBroker(Broker):
             reward = self._reward_scale * smdp_discounted_reward(
                 rate, tau, self.config.beta
             )
-            self.replay.push(Transition(prev_state, prev_action, reward, state, tau))
+            self.replay.push(prev_state, prev_action, reward, state, tau)
 
         if self.behavior is not None:
             action = self.behavior.select_server(job, cluster, now)
@@ -198,72 +205,57 @@ class DRLGlobalBroker(Broker):
 
 
 def offline_pretrain(
-    broker: DRLGlobalBroker,
-    traces: Sequence[Sequence[Job]],
-    policy_factory: Callable[[], Sequence[PowerPolicy] | PowerPolicy],
-    power_model: PowerModel | Sequence[PowerModel] | None = None,
-    autoencoder_epochs: int = 10,
-    q_epochs: int = 3,
-    batches_per_epoch: int = 200,
+    system: HierarchicalSystem, traces: Sequence[Sequence[Job]]
 ) -> dict[str, list[float]]:
     """Offline DNN construction (Algorithm 1, lines 1–4).
 
-    Runs each trace through the simulator under round-robin (the
-    "arbitrary policy"), every server starting asleep, while the DRL
-    broker records state-transition profiles into its experience memory;
-    then pre-trains the shared autoencoder on observed group states (at
-    most :data:`MAX_PRETRAIN_STATES`) and the Sub-Q network on SMDP
-    targets sampled from the memory.
+    Runs each trace through ``system`` (:meth:`HierarchicalSystem.run
+    <repro.core.hierarchical.HierarchicalSystem.run>`, so on the site
+    its config describes) with round-robin (the "arbitrary policy")
+    choosing every server, while the system's DRL broker records
+    state-transition profiles into its experience memory; then
+    pre-trains the shared autoencoder on observed group states (at most
+    :data:`MAX_PRETRAIN_STATES`) and the Sub-Q network on SMDP targets
+    sampled from the memory.
 
     Parameters
     ----------
-    broker:
-        The DRL broker to pre-train (its replay memory is filled in
-        place).
+    system:
+        A system whose broker is the :class:`DRLGlobalBroker` to
+        pre-train (its replay memory is filled in place).
     traces:
         Training job traces — the paper uses workloads of five different
         M-machine clusters.
-    policy_factory:
-        Builds fresh local-tier policies for each collection run.
 
     Returns
     -------
     dict with ``"autoencoder"`` and ``"q"`` per-epoch loss histories.
     """
-    from repro.core.baselines import RoundRobinBroker
-
     if not traces:
         raise ValueError("offline_pretrain needs at least one trace")
-    num_servers = broker.encoder.num_servers
+    broker = system.broker
     broker.behavior = RoundRobinBroker()
     try:
         for trace in traces:
-            engine = build_simulation(
-                num_servers=num_servers,
-                broker=broker,
-                policies=policy_factory(),
-                power_model=power_model,
-                num_resources=broker.encoder.num_resources,
-            )
-            engine.run([job.copy() for job in trace])
+            system.run([job.copy() for job in trace])
     finally:
         broker.behavior = None
 
     if len(broker.replay) == 0:
         raise ValueError("experience collection produced no transitions")
 
-    all_states = np.stack([tr.state for tr in broker.replay])
+    all_states = broker.replay.arrays()[0]
     if all_states.shape[0] > MAX_PRETRAIN_STATES:
         idx = broker.rng.choice(all_states.shape[0], MAX_PRETRAIN_STATES, replace=False)
         all_states = all_states[idx]
     ae_history = broker.qnet.pretrain_autoencoder(
-        all_states, epochs=autoencoder_epochs, rng=broker.rng
+        all_states, epochs=AUTOENCODER_PRETRAIN_EPOCHS, rng=broker.rng
     )
 
     q_history: list[float] = []
-    for _ in range(q_epochs):
+    for _ in range(Q_PRETRAIN_EPOCHS):
         epoch_loss = 0.0
-        for _ in range(batches_per_epoch):
+        for _ in range(Q_PRETRAIN_BATCHES):
             epoch_loss += broker.train_minibatch()
-        q_history.append(epoch_loss / batches_per_epoch)
+        q_history.append(epoch_loss / Q_PRETRAIN_BATCHES)
     return {"autoencoder": ae_history, "q": q_history}

@@ -56,16 +56,17 @@ class HierarchicalSystem:
             **extra,
         }
 
-    def run(self, jobs: list[Job], record_every: int) -> SimulationResult:
+    def run(self, jobs: list[Job]) -> SimulationResult:
         """Simulate ``jobs`` on a fresh one-site engine around this system.
 
-        The runner of training passes: the run samples its series every
-        ``record_every`` completions (a
-        :class:`~repro.harness.runner.Protocol`'s) and carries no churn,
-        tariff or faults, which only evaluation runs
+        The runner of training passes: offline experience collection
+        (:func:`~repro.core.global_tier.offline_pretrain`), the online
+        epochs and the local-tier warm-up. Nothing reads a training
+        pass's series, and the run carries no churn, tariff or faults,
+        which only evaluation runs
         (:func:`~repro.harness.runner.run_system`) attach.
         """
-        return build_simulation(**self.site(record_every=record_every)).run(jobs)
+        return build_simulation(**self.site()).run(jobs)
 
     def freeze(self) -> None:
         """Put every learning component into greedy evaluation mode."""

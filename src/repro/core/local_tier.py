@@ -198,6 +198,3 @@ class RLPowerPolicy(PowerPolicy):
     def freeze(self) -> None:
         """Stop exploring and learning (pure exploitation)."""
         self.learning_enabled = False
-
-    def timeout_values(self) -> tuple[float, ...]:
-        return self.config.timeouts

@@ -152,21 +152,3 @@ class StateEncoder:
         jobs = states[:, self.num_groups * self.group_dim :]
         groups = server_part.reshape(-1, self.num_groups, self.group_dim)
         return np.transpose(groups, (1, 0, 2)), jobs
-
-    def group_of_action(self, action: int) -> int:
-        """Which group the server index ``action`` belongs to."""
-        if not 0 <= action < self.num_servers:
-            raise ValueError(f"action {action} outside [0, {self.num_servers})")
-        return action // self.group_size
-
-    def local_action(self, action: int) -> int:
-        """Server index within its group."""
-        return action % self.group_size
-
-    def global_action(self, group: int, local: int) -> int:
-        """Inverse of (:meth:`group_of_action`, :meth:`local_action`)."""
-        if not 0 <= group < self.num_groups:
-            raise ValueError(f"group {group} outside [0, {self.num_groups})")
-        if not 0 <= local < self.group_size:
-            raise ValueError(f"local action {local} outside [0, {self.group_size})")
-        return group * self.group_size + local

@@ -15,8 +15,8 @@
   (:meth:`~repro.sim.federation.FederationEngine.place`), and calls
   the guard to steer around downed servers and dark sites and to
   contain broker errors (an exception, or an out-of-range pick, at
-  either tier or in a finish hook) with a least-loaded fallback instead
-  of aborting the run.
+  either tier) with a least-loaded fallback instead of aborting the
+  run.
 
 Discipline inherited from the telemetry work: when no faults are
 configured the runtime is never installed and the engine never calls a
@@ -109,7 +109,7 @@ class SiteFaultState:
             self.runtime.requeue(job, self.site_index, now)
             return
         self.runtime.attempts.pop(job.job_id, None)
-        server._on_job_finish(job, now)
+        server._finish_job(job, now)
 
     # -- crash / recovery -----------------------------------------------
 

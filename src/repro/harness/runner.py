@@ -198,11 +198,11 @@ class Protocol:
     ``pretrain`` pre-trains the global tier offline before
     ``online_epochs`` ε-greedy passes over the training traces, and
     ``local_epochs`` passes warm up the hierarchical system's local
-    tier. ``record_every`` samples a run's series every this many
-    completions and decides more than their resolution: the power-down
-    tail after the last completion counts toward reported energy and
-    power only when the completed count is not a multiple of it, which
-    is why it stays in a cell's key.
+    tier. ``record_every`` samples an evaluation run's series every
+    this many completions and decides more than their resolution: the
+    power-down tail after the last completion counts toward reported
+    energy and power only when the completed count is not a multiple of
+    it, which is why it stays in a cell's key.
 
     Raises ValueError unless ``pretrain`` is a bool, the epoch counts
     are ints >= 0 and ``record_every`` is an int >= 1 (a bool or a
@@ -339,26 +339,21 @@ def train_global_prototype(
 ) -> DRLGlobalBroker:
     """Train the shared global tier (Algorithm 1 offline + online phases).
 
+    Both phases run one ``drl-only`` system (the ad-hoc local policy),
+    so every training pass simulates the site ``config`` describes.
     Offline (``protocol.pretrain``): collect transitions under
-    round-robin, pre-train the autoencoder and the Sub-Q network.
-    Online: ``protocol.online_epochs`` ε-greedy deep Q-learning passes
-    over the training traces with the ad-hoc local policy.
+    round-robin, pre-train the autoencoder and the Sub-Q network
+    (:func:`~repro.core.global_tier.offline_pretrain`). Online:
+    ``protocol.online_epochs`` ε-greedy deep Q-learning passes over the
+    training traces.
     """
     broker = untrained_broker(config, seed)
-    if protocol.pretrain and train_traces:
-        offline_pretrain(
-            broker,
-            train_traces,
-            policy_factory=ImmediateSleepPolicy,
-            power_model=config.fleet_power_models,
-            autoencoder_epochs=5,
-            q_epochs=2,
-            batches_per_epoch=100,
-        )
     system = HierarchicalSystem("drl-only", broker, ImmediateSleepPolicy(), config)
+    if protocol.pretrain and train_traces:
+        offline_pretrain(system, train_traces)
     for _ in range(protocol.online_epochs):
         for trace in train_traces:
-            system.run([job.copy() for job in trace], protocol.record_every)
+            system.run([job.copy() for job in trace])
     return broker
 
 
@@ -610,7 +605,7 @@ def make_system(
     # these passes too when it is fresh — both tiers are online learners.
     for _ in range(protocol.local_epochs):
         for trace in train_traces:
-            system.run([job.copy() for job in trace], protocol.record_every)
+            system.run([job.copy() for job in trace])
     return system
 
 

@@ -86,15 +86,6 @@ class Autoencoder(Module):
         the raw states is not computed: nothing reads it."""
         self.encoder.backward(dcode, caches, input_grad=False)
 
-    def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        """Encode then decode."""
-        return self.decoder.predict(self.encode(x))
-
-    def reconstruction_loss(self, x: np.ndarray) -> float:
-        """Mean-squared reconstruction error over a batch."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return MSELoss().forward(self.reconstruct(x), x)
-
     def share_with(self, other: "Autoencoder") -> None:
         """Share encoder and decoder parameters with ``other``."""
         self.encoder.share_with(other.encoder)

@@ -7,14 +7,13 @@ memory the global tier's offline/online DRL phases store transitions in.
 """
 
 from repro.rl.policies import explore_draw, greedy_pick
-from repro.rl.replay import ReplayMemory, Transition
+from repro.rl.replay import ReplayMemory
 from repro.rl.smdp import SMDPQLearner, smdp_discounted_reward, smdp_target
 
 __all__ = [
     "explore_draw",
     "greedy_pick",
     "ReplayMemory",
-    "Transition",
     "SMDPQLearner",
     "smdp_discounted_reward",
     "smdp_target",

@@ -3,53 +3,26 @@
 The paper stores state-transition profiles ``(s_k, a_k, r_k, s_{k+1})`` in
 an experience memory ``D`` with capacity ``N_D`` and samples minibatches
 from it to train the DNN, "to smooth out learning and avoid oscillations
-or divergence in the parameters". Transitions here additionally carry the
+or divergence in the parameters". Each transition here also carries the
 sojourn time ``tau`` needed by the continuous-time (SMDP) target.
 
-Storage is a set of preallocated ring-buffer arrays rather than a deque
-of dataclasses: ``push`` writes one row per field, and
-:meth:`ReplayMemory.sample_arrays` gathers a minibatch with a single
-fancy index per field — no per-sample Python objects are touched on the
-training hot path. :class:`Transition` remains the one-record interface
-(``push`` accepts it, ``sample``/iteration return it).
+Storage is a set of preallocated ring-buffer arrays, one per field:
+``push`` writes one row per field, and :meth:`ReplayMemory.sample_arrays`
+gathers a minibatch with a single fancy index per field — no
+per-transition Python objects exist at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One SMDP transition.
-
-    ``reward`` is the *already sojourn-discounted* reward accumulated over
-    ``[t_k, t_{k+1})`` — i.e. the ``(1 - e^{-beta tau}) / beta * r`` term
-    of Eqn. (2) — and ``tau`` the sojourn time used to discount the
-    bootstrapped tail.
-    """
-
-    state: Any
-    action: int
-    reward: float
-    next_state: Any
-    tau: float
-
-    def __post_init__(self) -> None:
-        if self.tau < 0:
-            raise ValueError(f"tau must be non-negative, got {self.tau}")
 
 
 class ReplayMemory:
     """Bounded FIFO transition store with uniform minibatch sampling.
 
     Backed by ring-buffer arrays allocated lazily at the first ``push``
-    (the state width is not known earlier). States of any hashable or
-    array-like kind are accepted; non-numeric states fall back to an
-    object-dtype column so the public behaviour is unchanged.
+    (the state width is not known earlier). States are 1-D numeric
+    vectors, stored as float64.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -67,66 +40,55 @@ class ReplayMemory:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def full(self) -> bool:
-        return self._size == self.capacity
-
-    def _allocate(self, state: Any) -> None:
-        arr = np.asarray(state)
-        if arr.dtype.kind in "fiub" and arr.ndim == 1:
-            self._states = np.empty((self.capacity, arr.shape[0]), dtype=np.float64)
-            self._next_states = np.empty_like(self._states)
-        else:
-            # Arbitrary state payloads (tabular keys in tests, etc.).
-            self._states = np.empty(self.capacity, dtype=object)
-            self._next_states = np.empty(self.capacity, dtype=object)
+    def _allocate(self, width: int) -> None:
+        self._states = np.empty((self.capacity, width), dtype=np.float64)
+        self._next_states = np.empty_like(self._states)
         self._actions = np.empty(self.capacity, dtype=np.int64)
         self._rewards = np.empty(self.capacity, dtype=np.float64)
         self._taus = np.empty(self.capacity, dtype=np.float64)
 
-    def push(self, transition: Transition) -> None:
-        """Append a transition, evicting the oldest when at capacity."""
-        if self._states is None:
-            self._allocate(transition.state)
-        i = self._head
-        self._states[i] = transition.state
-        self._next_states[i] = transition.next_state
-        self._actions[i] = transition.action
-        self._rewards[i] = transition.reward
-        self._taus[i] = transition.tau
-        self._head = (i + 1) % self.capacity
-        if self._size < self.capacity:
-            self._size += 1
+    def push(
+        self,
+        state: np.ndarray,
+        action: int,
+        reward: float,
+        next_state: np.ndarray,
+        tau: float,
+    ) -> None:
+        """Append one SMDP transition, evicting the oldest when at capacity.
 
-    def _physical(self, logical: np.ndarray | int) -> np.ndarray | int:
-        """Map logical index (0 = oldest) to a ring-buffer slot."""
-        start = (self._head - self._size) % self.capacity
-        return (start + logical) % self.capacity
-
-    def _draw(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-        if self._size == 0:
-            raise ValueError("cannot sample from an empty replay memory")
-        replace = batch_size > self._size
-        logical = rng.choice(self._size, size=batch_size, replace=replace)
-        return self._physical(logical)
-
-    def sample_arrays(
-        self, batch_size: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Uniform minibatch as ``(states, actions, rewards, next_states,
-        taus)`` arrays, gathered straight from the ring buffers without
-        constructing per-sample objects.
-
-        Sampling is without replacement when the batch fits (with,
-        otherwise), drawing the same indices as :meth:`sample` would for
-        the same ``rng`` state.
+        ``reward`` is the *already sojourn-discounted* reward accumulated
+        over ``[t_k, t_{k+1})`` — the ``(1 - e^{-beta tau}) / beta * r``
+        term of Eqn. (2) — and ``tau`` the sojourn time that discounts
+        the bootstrapped tail.
 
         Raises
         ------
         ValueError
-            If the memory is empty.
+            If ``tau`` is negative.
         """
-        idx = self._draw(batch_size, rng)
+        if tau < 0:
+            raise ValueError(f"tau must be non-negative, got {tau}")
+        if self._states is None:
+            self._allocate(len(state))
+        i = self._head
+        self._states[i] = state
+        self._next_states[i] = next_state
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._taus[i] = tau
+        self._head = (i + 1) % self.capacity
+        if self._size < self.capacity:
+            self._size += 1
+
+    def _physical(self, logical: np.ndarray) -> np.ndarray:
+        """Map logical indices (0 = oldest) to ring-buffer slots."""
+        start = (self._head - self._size) % self.capacity
+        return (start + logical) % self.capacity
+
+    def _gather(
+        self, idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (
             self._states[idx],
             self._actions[idx],
@@ -135,45 +97,39 @@ class ReplayMemory:
             self._taus[idx],
         )
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        """Uniform sample without replacement (with, if batch > size).
+    def arrays(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored transition as ``(states, actions, rewards,
+        next_states, taus)`` arrays, oldest first.
+
+        The arrays are copies: later pushes do not change them.
 
         Raises
         ------
         ValueError
             If the memory is empty.
         """
-        idx = np.atleast_1d(self._draw(batch_size, rng))
-        return [self._transition_at(i) for i in idx]
+        if self._size == 0:
+            raise ValueError("the replay memory is empty")
+        return self._gather(self._physical(np.arange(self._size)))
 
-    def _transition_at(self, phys: int) -> Transition:
-        # Copy vector states: a returned Transition must stay stable even
-        # after later pushes overwrite this ring slot (the deque storage
-        # this replaced never mutated returned transitions).
-        state = self._states[phys]
-        next_state = self._next_states[phys]
-        if self._states.dtype != object:
-            state = state.copy()
-            next_state = next_state.copy()
-        return Transition(
-            state=state,
-            action=int(self._actions[phys]),
-            reward=float(self._rewards[phys]),
-            next_state=next_state,
-            tau=float(self._taus[phys]),
-        )
+    def sample_arrays(
+        self, batch_size: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Uniform minibatch as ``(states, actions, rewards, next_states,
+        taus)`` arrays, gathered straight from the ring buffers.
 
-    def clear(self) -> None:
-        self._size = 0
-        self._head = 0
-        # Drop the allocation too: a cleared memory accepts states of a
-        # different width/kind, exactly like a fresh one.
-        self._states = None
-        self._next_states = None
-        self._actions = None
-        self._rewards = None
-        self._taus = None
+        Sampling is without replacement when the batch fits (with,
+        otherwise).
 
-    def __iter__(self) -> Iterator[Transition]:
-        for logical in range(self._size):
-            yield self._transition_at(int(self._physical(logical)))
+        Raises
+        ------
+        ValueError
+            If the memory is empty.
+        """
+        if self._size == 0:
+            raise ValueError("cannot sample from an empty replay memory")
+        replace = batch_size > self._size
+        logical = rng.choice(self._size, size=batch_size, replace=replace)
+        return self._gather(self._physical(logical))

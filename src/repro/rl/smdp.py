@@ -164,10 +164,6 @@ class SMDPQLearner:
         self.updates += 1
         return float(q[action])
 
-    @property
-    def n_states(self) -> int:
-        return len(self._q)
-
     def table(self) -> dict[Hashable, np.ndarray]:
         """Copy of the full Q table (for inspection/tests)."""
         return {state: q.copy() for state, q in self._q.items()}

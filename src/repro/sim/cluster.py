@@ -16,7 +16,7 @@ from repro.sim.events import EventQueue
 from repro.sim.interfaces import PowerPolicy
 from repro.sim.ledger import ClusterLedger
 from repro.sim.power import PowerModel
-from repro.sim.server import PowerState, Server
+from repro.sim.server import Server
 
 
 class Cluster:
@@ -113,10 +113,6 @@ class Cluster:
         """Total cluster energy in joules."""
         return float(self.ledger.energy.sum())
 
-    def total_power(self) -> float:
-        """Instantaneous cluster power draw in watts."""
-        return float(self.ledger.power.sum())
-
     def jobs_in_system(self) -> int:
         """Jobs currently waiting or running anywhere in the cluster."""
         return int(self.ledger.in_system.sum())
@@ -129,32 +125,9 @@ class Cluster:
         """Time integral of the cluster hot-spot measure."""
         return float(self.ledger.overload_int.sum())
 
-    def num_active_servers(self) -> int:
-        """Servers currently on (active or idle)."""
-        return int(self.ledger.on.sum())
-
-    def num_sleeping_servers(self) -> int:
-        return sum(1 for s in self.servers if s.state is PowerState.SLEEP)
-
     # ------------------------------------------------------------------
     # State observation for the global tier
     # ------------------------------------------------------------------
-
-    def utilization_matrix(self) -> np.ndarray:
-        """Raw state: an ``(M, D)`` matrix of per-server resource usage.
-
-        This is the ``u_mp`` block of the paper's global state vector.
-        Returns a copy; the encoder hot path uses :meth:`state_views`.
-        """
-        return self.ledger.util.copy()
-
-    def power_state_vector(self) -> np.ndarray:
-        """Per-server on/off indicator (1 = can execute immediately)."""
-        return self.ledger.on.copy()
-
-    def queue_vector(self) -> np.ndarray:
-        """Per-server number of waiting jobs."""
-        return self.ledger.queue.copy()
 
     def state_views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Zero-copy ``(utilization, power_state, queue)`` snapshot views.

@@ -90,13 +90,6 @@ class EventQueue:
             raise ValueError(f"delay must be non-negative, got {delay}")
         return self.schedule(self.now + delay, callback, kind)
 
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or None if the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
     def pop(self) -> ScheduledEvent | None:
         """Pop and return the next live event, advancing ``now``.
 

@@ -181,12 +181,12 @@ class FederationEngine:
         # timing step checks ``self._tel is None`` and is skipped then.
         self._tel = None
         self._route_phase = self._settle_phase = None
-        self._dispatch_phase = self._hooks_phase = None
+        self._dispatch_phase = None
         self._remote_routed = 0
         self._gauge_names = [f"queue.{site.name}" for site in self.sites]
 
     def _broker_error(self, exc: Exception) -> None:
-        """The one broker-error rule, for both tiers and their finish hooks.
+        """The one broker-error rule, for both tiers.
 
         A broker that raises, or picks an index out of range, aborts the
         run — unless a fault runtime is installed, which counts the
@@ -208,18 +208,6 @@ class FederationEngine:
             site.metrics.on_completion(job, now, site.cluster.total_energy())
             if tel is not None:
                 self._settle_phase.end()
-                self._hooks_phase.begin()
-            try:
-                site.broker.on_job_finish(job, site.cluster, now)
-            except Exception as exc:
-                self._broker_error(exc)
-            if self.broker is not None:
-                try:
-                    self.broker.on_job_finish(job, self.sites, index, now)
-                except Exception as exc:
-                    self._broker_error(exc)
-            if tel is not None:
-                self._hooks_phase.end()
 
         return handle
 
@@ -336,9 +324,9 @@ class FederationEngine:
             self._route_phase = obs.Phase(tel, "fed.route")
             self._settle_phase = obs.Phase(tel, "site.settle")
             self._dispatch_phase = obs.Phase(tel, "site.dispatch")
-            self._hooks_phase = obs.Phase(tel, "site.finish_hooks")
             self._remote_routed = 0
             arrived = sum(site.metrics.n_arrived for site in self.sites)
+            completed = sum(site.metrics.n_completed for site in self.sites)
 
         def feed_next() -> None:
             if tel is None:
@@ -371,9 +359,10 @@ class FederationEngine:
             if tel is not None:
                 self._tel = None
                 arrived = sum(s.metrics.n_arrived for s in self.sites) - arrived
+                completed = sum(s.metrics.n_completed for s in self.sites) - completed
                 for name, n in (
                     ("jobs.arrived", arrived),
-                    ("jobs.completed", self._hooks_phase.calls),
+                    ("jobs.completed", completed),
                     ("fed.decisions", self._route_phase.calls),
                     ("fed.remote_routed", self._remote_routed),
                     ("cluster.decisions", self._dispatch_phase.calls),
@@ -385,7 +374,6 @@ class FederationEngine:
                     self._route_phase,
                     self._settle_phase,
                     self._dispatch_phase,
-                    self._hooks_phase,
                 ):
                     phase.fold()
 
@@ -411,7 +399,7 @@ class FederationEngine:
         """Run events in time order until the queue is empty.
 
         With telemetry on, the loop's phases are timed: ``loop.event`` (the
-        callback, parent of the route/settle/dispatch/hook phases),
+        callback, parent of the route/settle/dispatch phases),
         ``loop.gauges`` (queue sampling every :data:`GAUGE_EVERY`
         events), and ``loop.pop`` — the heap pops plus the loop's own
         bookkeeping, taken as the residual of the drain's wall time so it

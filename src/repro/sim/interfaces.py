@@ -25,16 +25,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 class Broker:
     """Decides the target server for each arriving job.
 
-    ``select_server`` is the only required method; the lifecycle hooks are
-    optional and default to no-ops.
+    ``select_server`` is the only required method; the end-of-run hook
+    is optional and defaults to a no-op.
     """
 
     def select_server(self, job: "Job", cluster: "Cluster", now: float) -> int:
         """Return the index of the server that receives ``job``."""
         raise NotImplementedError
-
-    def on_job_finish(self, job: "Job", cluster: "Cluster", now: float) -> None:
-        """Called when any job completes (optional hook)."""
 
     def on_run_end(self, cluster: "Cluster", now: float) -> None:
         """Called once when the simulation finishes (optional hook)."""
@@ -51,8 +48,8 @@ class FederationBroker:
     syncing is exact and idempotent, so observing never perturbs the
     energy/latency accounts.
 
-    ``select_site`` is the only required method; the lifecycle hooks are
-    optional and default to no-ops.
+    ``select_site`` is the only required method; the end-of-run hook is
+    optional and defaults to a no-op.
     """
 
     def select_site(
@@ -64,11 +61,6 @@ class FederationBroker:
         the job (the static-routing baseline returns it unchanged).
         """
         raise NotImplementedError
-
-    def on_job_finish(
-        self, job: "Job", sites: Sequence["Site"], site_index: int, now: float
-    ) -> None:
-        """Called when any job completes anywhere in the fleet (optional)."""
 
     def on_run_end(self, sites: Sequence["Site"], now: float) -> None:
         """Called once when the simulation finishes (optional hook)."""

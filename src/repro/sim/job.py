@@ -88,12 +88,6 @@ class Job:
             raise RuntimeError(f"job {self.job_id} has not started")
         return self.start_time - self.arrival_time
 
-    def reset(self) -> None:
-        """Clear runtime fields so the job can be replayed in a new run."""
-        self.server_id = None
-        self.start_time = None
-        self.finish_time = None
-
     def copy(self) -> "Job":
         """Fresh, un-run copy of this job."""
         return Job(self.job_id, self.arrival_time, self.duration, self.resources)

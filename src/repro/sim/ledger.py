@@ -7,7 +7,7 @@ arrays shared by the cluster and its servers. Servers update their own
 row scalar-wise at their change points (assign / start / finish / sleep /
 wake), while cluster-wide operations become single vector expressions:
 
-* the five integrated rates are the rows of one ``(5, M)`` matrix,
+* the four integrated rates are the rows of one ``(4, M)`` matrix,
   ``rates`` (row order :data:`RATES`), and their time integrals the
   matching rows of ``integrals`` (:data:`INTEGRALS`), so
   :meth:`ClusterLedger.sync` integrates *all* servers to ``now`` with
@@ -32,8 +32,8 @@ _EPS = 1e-9
 
 #: Rows of ``ClusterLedger.rates`` and, in the same order, of the time
 #: integrals ``ClusterLedger.integrals``; each name is a view of its row.
-RATES = ("power", "queue", "in_system", "active_cpu", "overload_excess")
-INTEGRALS = ("energy", "queue_int", "system_int", "util_int", "overload_int")
+RATES = ("power", "queue", "in_system", "overload_excess")
+INTEGRALS = ("energy", "queue_int", "system_int", "overload_int")
 
 
 class ClusterLedger:
@@ -47,15 +47,15 @@ class ClusterLedger:
     - ``on`` — 1.0 where the server can execute (ACTIVE or IDLE);
     - ``queue`` / ``in_system`` — waiting and waiting+running job counts;
     - ``power`` — instantaneous draw in watts;
-    - ``active_cpu`` — CPU utilization while ACTIVE, else 0;
-    - ``overload_excess`` — ``max(0, active_cpu - threshold)``.
+    - ``overload_excess`` — ``max(0, cpu - threshold)``, where ``cpu``
+      is the CPU utilization while ACTIVE and 0 otherwise.
 
     Exact time integrals (advanced by ``account``/:meth:`sync`):
-    ``energy``, ``queue_int``, ``system_int``, ``util_int``,
-    ``overload_int``, with per-server ``last_account`` stamps. The
-    rates are the rows of the ``(5, M)`` matrix ``rates`` and the
-    integrals those of ``integrals`` (orders :data:`RATES` and
-    :data:`INTEGRALS`); each named array above is a view of its row.
+    ``energy``, ``queue_int``, ``system_int``, ``overload_int``, with
+    per-server ``last_account`` stamps. The rates are the rows of the
+    ``(4, M)`` matrix ``rates`` and the integrals those of
+    ``integrals`` (orders :data:`RATES` and :data:`INTEGRALS`); each
+    named array above is a view of its row.
     """
 
     __slots__ = ("util", "on", "last_account", "rates", "integrals", *RATES, *INTEGRALS)

@@ -170,7 +170,6 @@ class Server:
         ledger.queue[i] = len(self.pending)
         ledger.in_system[i] = len(self.pending) + len(self.running)
         cpu = self.cpu_utilization if state is _ACTIVE else 0.0
-        ledger.active_cpu[i] = cpu
         ledger.overload_excess[i] = max(0.0, cpu - self.overload_threshold)
         ledger.power[i] = self.current_power()
 
@@ -192,11 +191,6 @@ class Server:
     def system_integral(self) -> float:
         """(Waiting + running) jobs × seconds."""
         return float(self._ledger.system_int[self._index])
-
-    @property
-    def util_integral(self) -> float:
-        """CPU-utilization × seconds."""
-        return float(self._ledger.util_int[self._index])
 
     @property
     def overload_integral(self) -> float:
@@ -306,7 +300,6 @@ class Server:
         ledger.energy[i] += ledger.power[i] * dt
         ledger.queue_int[i] += ledger.queue[i] * dt
         ledger.system_int[i] += ledger.in_system[i] * dt
-        ledger.util_int[i] += ledger.active_cpu[i] * dt
         ledger.overload_int[i] += ledger.overload_excess[i] * dt
         ledger.last_account[i] = now
 
@@ -352,7 +345,7 @@ class Server:
                 finish_time = now + job.duration
                 self.events.schedule(
                     finish_time,
-                    lambda t, job=job: self._on_job_finish(job, t),
+                    lambda t, job=job: self._finish_job(job, t),
                     kind=f"finish:{job.job_id}",
                 )
             else:
@@ -364,7 +357,7 @@ class Server:
                 self.faults.start_job(self, job, now)
         self._refresh()
 
-    def _on_job_finish(self, job: Job, now: float) -> None:
+    def _finish_job(self, job: Job, now: float) -> None:
         self.account(now)
         del self.running[job.job_id]
         demand = np.asarray(job.resources[: self.num_resources])
@@ -380,7 +373,7 @@ class Server:
     def kill_job(self, job: Job, now: float) -> None:
         """Forcibly evict a running job (crash / failed-at-finish path).
 
-        The mirror of :meth:`_on_job_finish` without the completion:
+        The mirror of :meth:`_finish_job` without the completion:
         resources are released and the queue is re-examined, but the job
         is not counted completed, no finish time is stamped, and the
         engine's ``on_finish`` hook does not fire. The caller decides

@@ -5,7 +5,13 @@ import pytest
 
 from repro.core.baselines import ImmediateSleepPolicy, RoundRobinBroker
 from repro.core.config import ExperimentConfig, GlobalTierConfig
-from repro.core.global_tier import DRLGlobalBroker, offline_pretrain
+from repro.core.global_tier import (
+    AUTOENCODER_PRETRAIN_EPOCHS,
+    Q_PRETRAIN_EPOCHS,
+    DRLGlobalBroker,
+    offline_pretrain,
+)
+from repro.core.hierarchical import HierarchicalSystem
 from repro.core.state import StateEncoder
 from repro.sim.engine import build_simulation
 from repro.sim.job import Job
@@ -44,7 +50,8 @@ class TestOnlineOperation:
         broker = make_broker()
         engine = build_simulation(4, broker, ImmediateSleepPolicy())
         engine.run(jobs_burst(20))
-        assert all(tr.reward <= 0.0 for tr in broker.replay)
+        rewards = broker.replay.arrays()[2]
+        assert (rewards <= 0.0).all()
 
     def test_reward_clipping_bounds_rates(self):
         broker = make_broker(reward_clip=0.001, normalize_values=False)
@@ -52,7 +59,7 @@ class TestOnlineOperation:
         engine.run(jobs_burst(20))
         # |discounted reward| <= clip * (1-e^{-beta tau})/beta <= clip/beta.
         bound = 0.001 / broker.config.beta + 1e-12
-        assert all(abs(tr.reward) <= bound for tr in broker.replay)
+        assert (np.abs(broker.replay.arrays()[2]) <= bound).all()
 
     def test_training_happens_on_schedule(self):
         broker = make_broker()
@@ -111,34 +118,27 @@ class TestTrainMinibatch:
         assert np.isfinite(loss)
 
 
+def make_drl_system(num_servers=4, groups=2):
+    """A ``drl-only`` system around :func:`make_broker`'s broker."""
+    broker = make_broker(num_servers, groups)
+    config = ExperimentConfig(num_servers=num_servers, global_tier=broker.config)
+    return HierarchicalSystem("drl-only", broker, ImmediateSleepPolicy(), config)
+
+
 class TestOfflinePretrain:
     def test_fills_replay_and_trains(self):
-        broker = make_broker()
+        system = make_drl_system()
         traces = [jobs_burst(15), jobs_burst(15)]
-        history = offline_pretrain(
-            broker,
-            traces,
-            policy_factory=lambda: ImmediateSleepPolicy(),
-            autoencoder_epochs=2,
-            q_epochs=1,
-            batches_per_epoch=5,
-        )
-        assert len(broker.replay) == 2 * 14
-        assert len(history["autoencoder"]) == 2
-        assert len(history["q"]) == 1
+        history = offline_pretrain(system, traces)
+        assert len(system.broker.replay) == 2 * 14
+        assert len(history["autoencoder"]) == AUTOENCODER_PRETRAIN_EPOCHS
+        assert len(history["q"]) == Q_PRETRAIN_EPOCHS
         # Behavior override must be cleared afterwards.
-        assert broker.behavior is None
+        assert system.broker.behavior is None
 
     def test_callers_jobs_come_back_untouched(self):
         traces = [jobs_burst(12), jobs_burst(12)]
-        offline_pretrain(
-            make_broker(),
-            traces,
-            policy_factory=lambda: ImmediateSleepPolicy(),
-            autoencoder_epochs=1,
-            q_epochs=1,
-            batches_per_epoch=2,
-        )
+        offline_pretrain(make_drl_system(), traces)
         assert all(
             (job.server_id, job.start_time, job.finish_time) == (None, None, None)
             for trace in traces
@@ -146,21 +146,21 @@ class TestOfflinePretrain:
         )
 
     def test_empty_traces_raise(self):
-        broker = make_broker()
         with pytest.raises(ValueError):
-            offline_pretrain(broker, [], policy_factory=ImmediateSleepPolicy)
+            offline_pretrain(make_drl_system(), [])
+
+    def test_behavior_is_cleared_when_a_pass_fails(self):
+        system = make_drl_system()
+        unsorted = [jobs_burst(2)[1], jobs_burst(2)[0]]
+        with pytest.raises(ValueError, match="sorted"):
+            offline_pretrain(system, [unsorted])
+        assert system.broker.behavior is None
 
     def test_collects_under_round_robin(self):
-        broker = make_broker()
-        offline_pretrain(
-            broker,
-            [jobs_burst(10)],
-            policy_factory=lambda: ImmediateSleepPolicy(),
-            autoencoder_epochs=1,
-            q_epochs=1,
-            batches_per_epoch=2,
-        )
-        assert [tr.action for tr in broker.replay] == [0, 1, 2, 3, 0, 1, 2, 3, 0]
+        system = make_drl_system()
+        offline_pretrain(system, [jobs_burst(10)])
+        actions = system.broker.replay.arrays()[1]
+        assert actions.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0]
 
 
 class TestConfigValidation:

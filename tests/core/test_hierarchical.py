@@ -1,5 +1,7 @@
 """Tests for repro.core.hierarchical: the systems make_system wires."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from repro.core.global_tier import DRLGlobalBroker
 from repro.core.hierarchical import per_server_interarrivals, pretrain_predictor
 from repro.core.local_tier import RLPowerPolicy
 from repro.core.predictor import WorkloadPredictor
-from repro.harness.runner import PAPER_PROTOCOL, make_system
+from repro.harness.runner import make_system
 from repro.sim.job import Job
+from repro.sim.power import PowerModel
 
 
 def jobs_burst(n, spacing=30.0):
@@ -53,8 +56,19 @@ class TestBuilders:
 
     def test_run_executes(self, small_config):
         system = make_system("round-robin", small_config)
-        result = system.run(jobs_burst(10), PAPER_PROTOCOL.record_every)
+        result = system.run(jobs_burst(10))
         assert result.metrics.n_completed == 10
+
+    def test_run_builds_its_site_from_the_config(self, small_config):
+        models = tuple(
+            PowerModel(idle_power=80.0 + i, peak_power=150.0) for i in range(4)
+        )
+        config = replace(small_config, overload_threshold=0.5, power_models=models)
+        result = make_system("packing", config).run(jobs_burst(10))
+        servers = result.cluster.servers
+        assert [s.overload_threshold for s in servers] == [0.5] * 4
+        assert [s.power_model for s in servers] == list(models)
+        assert all(s.num_resources == config.num_resources for s in servers)
 
     def test_freeze_propagates(self, small_config):
         system = make_system("hierarchical", small_config)
@@ -66,8 +80,8 @@ class TestBuilders:
         # Learning systems are reused across runs (training protocol);
         # simulated time restarting at 0 must not break anything.
         system = make_system("hierarchical", small_config)
-        system.run(jobs_burst(10), PAPER_PROTOCOL.record_every)
-        result = system.run(jobs_burst(10), PAPER_PROTOCOL.record_every)
+        system.run(jobs_burst(10))
+        result = system.run(jobs_burst(10))
         assert result.metrics.n_completed == 10
 
 

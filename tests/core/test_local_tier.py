@@ -153,9 +153,9 @@ class TestLearningBehavior:
             s.finalize(1000.0)
         assert shared.updates >= 2
 
-    def test_timeout_values_accessor(self):
+    def test_timeouts_come_from_the_config(self):
         policy = make_policy(timeouts=(0.0, 30.0, 90.0))
-        assert policy.timeout_values() == (0.0, 30.0, 90.0)
+        assert policy.config.timeouts == (0.0, 30.0, 90.0)
 
 
 class TestConfigValidation:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.qnetwork import FlatQNetwork, HierarchicalQNetwork, loss_terms
 from repro.core.state import StateEncoder
+from repro.nn.losses import MSELoss
 from tests.helpers import numerical_gradient
 
 
@@ -133,9 +134,13 @@ class TestTraining:
         states = random_states(encoder, 200, rng)
         groups, _ = encoder.split(states)
         samples = groups.reshape(-1, encoder.group_dim)
-        before = qnet.autoencoder.reconstruction_loss(samples)
+        def reconstruction_loss():
+            ae = qnet.autoencoder
+            return MSELoss().forward(ae.decoder.predict(ae.encode(samples)), samples)
+
+        before = reconstruction_loss()
         qnet.pretrain_autoencoder(states, epochs=30, rng=rng)
-        after = qnet.autoencoder.reconstruction_loss(samples)
+        after = reconstruction_loss()
         assert after < before
 
 

@@ -119,23 +119,9 @@ class TestSplit:
             enc.split(np.zeros((1, 7)))
 
 
-class TestActionMapping:
-    def test_group_of_action(self):
-        enc = StateEncoder(6, num_groups=3)  # group size 2
-        assert [enc.group_of_action(a) for a in range(6)] == [0, 0, 1, 1, 2, 2]
-
-    def test_local_and_global_roundtrip(self):
+class TestActionGroups:
+    def test_consecutive_servers_form_each_group(self):
         enc = StateEncoder(6, num_groups=3)
-        for action in range(6):
-            group = enc.group_of_action(action)
-            local = enc.local_action(action)
-            assert enc.global_action(group, local) == action
-
-    def test_out_of_range_raises(self):
-        enc = StateEncoder(6, num_groups=3)
-        with pytest.raises(ValueError):
-            enc.group_of_action(6)
-        with pytest.raises(ValueError):
-            enc.global_action(3, 0)
-        with pytest.raises(ValueError):
-            enc.global_action(0, 2)
+        assert enc.group_size == 2
+        assert [a // enc.group_size for a in range(6)] == [0, 0, 1, 1, 2, 2]
+        assert [a % enc.group_size for a in range(6)] == [0, 1, 0, 1, 0, 1]

@@ -15,11 +15,11 @@ import repro.nn.autoencoder as autoencoder_module
 from repro.core.baselines import ImmediateSleepPolicy
 from repro.core.config import ExperimentConfig, GlobalTierConfig
 from repro.core.global_tier import DRLGlobalBroker, offline_pretrain
+from repro.core.hierarchical import HierarchicalSystem
 from repro.core.qnetwork import FlatQNetwork
 from repro.core.state import StateEncoder
 from repro.harness.runner import SitePolicy, untrained_broker
 from repro.nn.optim import Adam
-from repro.rl.replay import Transition
 from repro.sim.job import Job
 from tests.helpers import LoopAdam, assert_same_adam, record_optimizers
 
@@ -53,13 +53,11 @@ def fill_replay(broker: DRLGlobalBroker, n: int = 300) -> None:
     dim, servers = broker.encoder.state_dim, broker.encoder.num_servers
     for _ in range(n):
         broker.replay.push(
-            Transition(
-                rng.uniform(size=dim),
-                int(rng.integers(servers)),
-                float(rng.normal(scale=5.0)),
-                rng.uniform(size=dim),
-                float(rng.uniform(0.1, 30.0)),
-            )
+            rng.uniform(size=dim),
+            int(rng.integers(servers)),
+            float(rng.normal(scale=5.0)),
+            rng.uniform(size=dim),
+            float(rng.uniform(0.1, 30.0)),
         )
 
 
@@ -79,22 +77,19 @@ class TestBroker:
         # the autoencoder's run of the Q-network's buffer: a repacked copy
         # would leave the broker's optimizer updating stale memory.
         traces = [
-            [Job(i, i * 15.0, 60.0, (0.3, 0.2, 0.1)) for i in range(60)]
+            [Job(i, i * 15.0, 60.0, (0.3, 0.2, 0.1)) for i in range(120)]
             for _ in range(2)
         ]
+        config = ExperimentConfig(num_servers=6, global_tier=tier_config())
         runs = {}
         for name, cls in (("packed", Adam), ("oracle", LoopAdam)):
             broker = make_broker() if cls is Adam else as_oracle(make_broker())
+            system = HierarchicalSystem(
+                "drl-only", broker, ImmediateSleepPolicy(), config
+            )
             with monkeypatch.context() as mp:
                 made = record_optimizers(mp, autoencoder_module, cls)
-                history = offline_pretrain(
-                    broker,
-                    traces,
-                    policy_factory=ImmediateSleepPolicy,
-                    autoencoder_epochs=9,
-                    q_epochs=1,
-                    batches_per_epoch=STEPS,
-                )
+                history = offline_pretrain(system, traces)
             runs[name] = (broker, made[0], history)
         packed, packed_ae, history = runs["packed"]
         oracle, oracle_ae, oracle_history = runs["oracle"]

@@ -82,23 +82,6 @@ class PickSite(FederationBroker):
         return self.target
 
 
-class FinishRaisesBroker(RoundRobinBroker):
-    """Places jobs fine; its completion hook raises."""
-
-    def on_job_finish(self, job, cluster, now):
-        raise RuntimeError("diverged learner")
-
-
-class FinishRaisesSiteBroker(PickSite):
-    """Routes every job home; its completion hook raises."""
-
-    def __init__(self):
-        super().__init__(0)
-
-    def on_job_finish(self, job, sites, site_index, now):
-        raise RuntimeError("diverged learner")
-
-
 def two_sites(broker):
     return build_federation(
         [
@@ -153,16 +136,6 @@ class TestBrokerErrorRule:
         )
         expected = (RuntimeError, "diverged") if raises else (ValueError, "outside")
         assert_broker_error_rule(engine, streams, runtime, *expected)
-
-    @pytest.mark.parametrize("runtime", ["none", "inert"])
-    @pytest.mark.parametrize("tier", ["site", "server"])
-    def test_finish_hook_raises(self, tier, runtime):
-        engine, streams = tier_engine(
-            tier,
-            server_broker=FinishRaisesBroker(),
-            site_broker=FinishRaisesSiteBroker(),
-        )
-        assert_broker_error_rule(engine, streams, runtime, RuntimeError, "diverged")
 
 
 class TestZeroFaultIdentity:

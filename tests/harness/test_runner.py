@@ -18,9 +18,12 @@ from repro.harness.runner import (
     needs_global_tier,
     run_system,
     standard_protocol,
+    train_global_prototype,
     train_site_policy,
 )
+from repro.sim.cluster import Cluster
 from repro.sim.job import Job
+from repro.sim.power import PowerModel
 from tests.helpers import NO_TRAINING, ONE_EPOCH, run_cluster
 
 
@@ -143,6 +146,51 @@ class TestMakeSystem:
             local_w=0.77,
         )
         assert system.config.local_tier.w == 0.77
+
+
+class TestTrainGlobalPrototype:
+    """Every training pass, offline collection included, runs the site's config."""
+
+    #: Offline collection and pre-training only: every engine built
+    #: while training is a collection run.
+    COLLECTION_ONLY = replace(NO_TRAINING, pretrain=True)
+
+    @staticmethod
+    def _clusters_built(monkeypatch, build) -> list[Cluster]:
+        built = []
+        original_init = Cluster.__init__
+
+        def spy_init(cluster, *args, **kwargs):
+            original_init(cluster, *args, **kwargs)
+            built.append(cluster)
+
+        monkeypatch.setattr(Cluster, "__init__", spy_init)
+        build()
+        return built
+
+    def test_collection_uses_the_configs_overload_threshold(
+        self, monkeypatch, small_config, train_traces
+    ):
+        config = replace(small_config, overload_threshold=0.5)
+        built = self._clusters_built(
+            monkeypatch,
+            lambda: train_global_prototype(config, train_traces, self.COLLECTION_ONLY),
+        )
+        assert len(built) == 2
+        assert {s.overload_threshold for c in built for s in c.servers} == {0.5}
+
+    def test_collection_uses_a_heterogeneous_fleets_power_models(
+        self, monkeypatch, small_config, train_traces
+    ):
+        models = tuple(
+            PowerModel(idle_power=80.0 + i, peak_power=150.0) for i in range(4)
+        )
+        config = replace(small_config, power_models=models)
+        built = self._clusters_built(
+            monkeypatch,
+            lambda: train_global_prototype(config, train_traces, self.COLLECTION_ONLY),
+        )
+        assert [s.power_model for c in built for s in c.servers] == list(models) * 2
 
 
 class TestSitePolicy:

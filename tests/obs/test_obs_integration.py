@@ -26,6 +26,7 @@ from repro.obs import phase_coverage, render_report
 from repro.obs import telemetry as obs
 from repro.scenarios.orchestrator import run_cell
 from repro.sim.federation import build_federation
+from repro.sim.job import Job
 from repro.sim.power import TariffModel
 from repro.workload.mixtures import correlated_traces
 from repro.workload.synthetic import SyntheticTraceConfig
@@ -69,7 +70,7 @@ class TestParity:
         assert plain["retries"] > 0  # the faults really fired
         # A faulted run reports the same per-job phases as a clean one.
         spans, counters = snapshot["spans"], snapshot["counters"]
-        for name in ("site.settle", "site.dispatch", "site.finish_hooks"):
+        for name in ("site.settle", "site.dispatch"):
             assert name in spans, f"missing span {name!r}"
         for name in ("jobs.arrived", "jobs.completed", "cluster.decisions"):
             assert counters.get(name, 0) > 0, f"missing counter {name!r}"
@@ -185,6 +186,35 @@ class TestOverhead:
             f"{MAX_OVERHEAD:.0%}; {self.N_JOBS} jobs over {self.SITES} "
             "sites); rerun on a quiet machine or set REPRO_OBS_MAX_OVERHEAD"
         )
+
+
+class TestJobCounters:
+    def test_jobs_are_counted_from_the_collectors(self):
+        engine = build_federation(
+            [
+                dict(
+                    name=name,
+                    num_servers=2,
+                    broker=LeastLoadedBroker(),
+                    policies=AlwaysOnPolicy(),
+                    initially_on=True,
+                )
+                for name in ("a", "b")
+            ]
+        )
+        streams = [
+            [Job(site * 10 + i, 5.0 * i, 20.0, (0.3, 0.1, 0.1)) for i in range(n)]
+            for site, n in enumerate((6, 4))
+        ]
+        with obs.capture() as tel:
+            result = engine.run(streams)
+        snapshot = tel.snapshot()
+        counters, spans = snapshot["counters"], snapshot["spans"]
+        assert [s.metrics.n_completed for s in result.sites] == [6, 4]
+        assert counters["jobs.arrived"] == counters["jobs.completed"] == 10
+        # One settle per arrival and one per completion, on every site.
+        assert spans["site.settle"]["calls"] == 20
+        assert spans["site.dispatch"]["calls"] == 10
 
 
 class TestFederatedCoverage:

@@ -51,7 +51,7 @@ class TestLearner:
         q = learner.q_values("s", 3)
         assert q.shape == (3,)
         assert np.all(q == 0.5)
-        assert learner.n_states == 1
+        assert list(learner.table()) == ["s"]
 
     def test_action_count_conflict_raises(self, rng):
         learner = SMDPQLearner(rng=rng)

@@ -98,10 +98,10 @@ class TestHeterogeneousFleet:
         dear = PowerModel(idle_power=100.0, peak_power=200.0)
         hetero = _engine(num_servers=2, power_model=[cheap, dear])
         # Both servers idle: cluster draw is the sum of the two idle levels.
-        assert hetero.cluster.total_power() == pytest.approx(110.0)
+        assert hetero.cluster.ledger.power.sum() == pytest.approx(110.0)
 
     def test_single_model_still_homogeneous(self):
         model = PowerModel(idle_power=10.0, peak_power=20.0)
         engine = _engine(num_servers=3, power_model=model)
         assert engine.cluster.power_models == (model, model, model)
-        assert engine.cluster.total_power() == pytest.approx(30.0)
+        assert engine.cluster.ledger.power.sum() == pytest.approx(30.0)

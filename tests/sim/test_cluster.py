@@ -58,11 +58,11 @@ class TestConstruction:
 class TestAggregates:
     def test_total_power_all_idle(self):
         cluster, _ = make_cluster(3)
-        assert cluster.total_power() == pytest.approx(3 * 87.0)
+        assert cluster.ledger.power.sum() == pytest.approx(3 * 87.0)
 
     def test_total_power_all_sleeping(self):
         cluster, _ = make_cluster(3, initially_on=False)
-        assert cluster.total_power() == 0.0
+        assert cluster.ledger.power.sum() == 0.0
 
     def test_total_energy_after_sync(self):
         cluster, _ = make_cluster(2)
@@ -77,18 +77,23 @@ class TestAggregates:
 
     def test_active_and_sleeping_counts(self):
         cluster, _ = make_cluster(3, initially_on=False)
-        assert cluster.num_sleeping_servers() == 3
-        assert cluster.num_active_servers() == 0
+
+        def sleeping():
+            return sum(s.state is PowerState.SLEEP for s in cluster.servers)
+
+        assert sleeping() == 3
+        assert cluster.ledger.on.sum() == 0
         cluster[0].assign(Job(1, 0.0, 50.0, (0.5, 0.1, 0.1)), 0.0)
         assert cluster[0].state is PowerState.BOOTING
-        assert cluster.num_sleeping_servers() == 2
+        assert sleeping() == 2
+        assert cluster.ledger.on.sum() == 0
 
 
 class TestObservation:
     def test_utilization_matrix_shape_and_values(self):
         cluster, _ = make_cluster(3)
         cluster[1].assign(Job(1, 0.0, 50.0, (0.5, 0.2, 0.1)), 0.0)
-        util = cluster.utilization_matrix()
+        util = cluster.ledger.util
         assert util.shape == (3, 3)
         assert np.allclose(util[1], [0.5, 0.2, 0.1])
         assert np.all(util[0] == 0.0)
@@ -96,7 +101,7 @@ class TestObservation:
     def test_power_state_vector(self):
         cluster, _ = make_cluster(2, initially_on=False)
         cluster[0].assign(Job(1, 0.0, 50.0, (0.5, 0.1, 0.1)), 0.0)
-        vec = cluster.power_state_vector()
+        vec = cluster.ledger.on
         # Booting is not "on" (cannot execute yet).
         assert list(vec) == [0.0, 0.0]
 
@@ -104,10 +109,16 @@ class TestObservation:
         cluster, _ = make_cluster(2)
         cluster[0].assign(Job(1, 0.0, 50.0, (0.8, 0.1, 0.1)), 0.0)
         cluster[0].assign(Job(2, 0.0, 50.0, (0.8, 0.1, 0.1)), 0.0)
-        assert list(cluster.queue_vector()) == [1.0, 0.0]
+        assert list(cluster.ledger.queue) == [1.0, 0.0]
 
-    def test_utilization_matrix_is_copy(self):
+    def test_server_rows_are_views_of_the_utilization_matrix(self):
         cluster, _ = make_cluster(2)
-        util = cluster.utilization_matrix()
-        util[0, 0] = 0.77
-        assert cluster[0].used[0] == 0.0
+        cluster[1].assign(Job(1, 0.0, 50.0, (0.5, 0.2, 0.1)), 0.0)
+        assert np.shares_memory(cluster[1].used, cluster.ledger.util)
+        assert np.array_equal(cluster.ledger.util[1], cluster[1].used)
+
+    def test_state_views_are_the_ledger_rows(self):
+        cluster, _ = make_cluster(2)
+        util, on, queue = cluster.state_views()
+        ledger = cluster.ledger
+        assert util is ledger.util and on is ledger.on and queue is ledger.queue

@@ -59,18 +59,17 @@ def recomputed_observables(cluster):
     )
     excess = np.maximum(0.0, cpu - np.array([s.overload_threshold
                                              for s in cluster.servers]))
-    return util, on, queue, in_system, power, cpu, excess
+    return util, on, queue, in_system, power, excess
 
 
 def assert_ledger_consistent(cluster):
     ledger = cluster.ledger
-    util, on, queue, in_system, power, cpu, excess = recomputed_observables(cluster)
+    util, on, queue, in_system, power, excess = recomputed_observables(cluster)
     assert np.array_equal(ledger.util, util)
     assert np.array_equal(ledger.on, on)
     assert np.array_equal(ledger.queue, queue)
     assert np.array_equal(ledger.in_system, in_system)
     assert np.array_equal(ledger.power, power)
-    assert np.array_equal(ledger.active_cpu, cpu)
     assert np.array_equal(ledger.overload_excess, excess)
 
 
@@ -141,8 +140,7 @@ class TestIncrementalObservables:
         assert cluster.overload_integral() == pytest.approx(
             sum(s.overload_integral for s in servers), abs=1e-12)
         assert cluster.jobs_in_system() == sum(s.jobs_in_system for s in servers)
-        assert cluster.num_active_servers() == sum(
-            1 for s in servers if s.state.is_on)
+        assert cluster.ledger.on.sum() == sum(1 for s in servers if s.state.is_on)
 
     def test_energy_conservation_against_average_power(self):
         """Independent cross-check: energy integral equals the power trace
@@ -165,9 +163,9 @@ class TestEncoderUsesViews:
         probe = Job(10_000, 0.0, 600.0, (0.2, 0.1, 0.1))
         state = enc.encode(cluster, probe)
         # Rebuild the state the pre-ledger way and compare exactly.
-        util = cluster.utilization_matrix()[:, :3]
-        on = cluster.power_state_vector()[:, None]
-        queue = np.minimum(cluster.queue_vector() / enc.queue_scale, 1.0)[:, None]
+        util = cluster.ledger.util[:, :3]
+        on = cluster.ledger.on[:, None]
+        queue = np.minimum(cluster.ledger.queue / enc.queue_scale, 1.0)[:, None]
         expected = np.concatenate(
             [np.concatenate([util, on, queue], axis=1).reshape(-1),
              enc.encode_job(probe)]

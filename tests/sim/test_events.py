@@ -90,15 +90,13 @@ class TestCancellation:
         h1.cancel()
         assert len(q) == 1
 
-    def test_peek_time_skips_cancelled(self):
+    def test_pop_skips_cancelled(self):
         q = EventQueue()
         h = q.schedule(1.0, lambda t: None)
         q.schedule(2.0, lambda t: None)
         h.cancel()
-        assert q.peek_time() == 2.0
-
-    def test_peek_empty_returns_none(self):
-        assert EventQueue().peek_time() is None
+        assert q.pop().time == 2.0
+        assert q.now == 2.0
 
     def test_double_cancel_counted_once(self):
         q = EventQueue()
@@ -136,12 +134,13 @@ class TestCounterInvariants:
     def _live_in_heap(q: EventQueue) -> int:
         return sum(1 for _, _, e in q._heap if not e.cancelled)
 
-    def test_cancel_after_peek_prune_is_noop(self):
+    def test_cancel_after_pop_prune_is_noop(self):
         q = EventQueue()
         h = q.schedule(1.0, lambda t: None)
         q.schedule(2.0, lambda t: None)
+        q.schedule(3.0, lambda t: None)
         h.cancel()
-        q.peek_time()  # prunes the cancelled tombstone off the heap
+        q.pop()  # prunes the cancelled tombstone off the heap
         h.cancel()  # stale handle, event no longer in the heap
         assert len(q) == 1 == self._live_in_heap(q)
 

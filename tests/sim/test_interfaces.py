@@ -12,10 +12,8 @@ class TestBroker:
         with pytest.raises(NotImplementedError):
             Broker().select_server(None, None, 0.0)
 
-    def test_optional_hooks_are_noops(self):
-        broker = Broker()
-        assert broker.on_job_finish(None, None, 0.0) is None
-        assert broker.on_run_end(None, 0.0) is None
+    def test_end_of_run_hook_is_a_noop(self):
+        assert Broker().on_run_end(None, 0.0) is None
 
 
 class TestPowerPolicy:

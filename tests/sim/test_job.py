@@ -73,15 +73,6 @@ class TestRuntime:
         job.finish_time = 50.0
         assert job.completed
 
-    def test_reset_clears_runtime_fields(self):
-        job = Job(1, 0.0, 50.0, (0.5,))
-        job.server_id = 3
-        job.start_time = 1.0
-        job.finish_time = 51.0
-        job.reset()
-        assert job.server_id is None and job.start_time is None
-        assert not job.completed
-
     def test_copy_is_fresh(self):
         job = Job(1, 0.0, 50.0, (0.5, 0.2, 0.1))
         job.finish_time = 99.0

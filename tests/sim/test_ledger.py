@@ -1,8 +1,8 @@
 """Exactness pins for the ledger's vectorized integration.
 
-:meth:`~repro.sim.ledger.ClusterLedger.sync` advances all five time
+:meth:`~repro.sim.ledger.ClusterLedger.sync` advances all four time
 integrals of every server with one broadcast multiply-add over the
-``(5, M)`` rate and integral matrices; ``Server.account`` advances one
+``(4, M)`` rate and integral matrices; ``Server.account`` advances one
 row with scalar arithmetic. Both must perform the same IEEE-754
 operations per element, so over any schedule that accounts each row at
 the same instants the integrals are equal bit for bit, not merely close.
@@ -13,11 +13,12 @@ import pytest
 
 from repro.core.baselines import AlwaysOnPolicy
 from repro.sim.events import EventQueue
-from repro.sim.ledger import _EPS, ClusterLedger
+from repro.sim.ledger import _EPS, INTEGRALS, RATES, ClusterLedger
 from repro.sim.power import PowerModel
 from repro.sim.server import Server
 
 M = 6
+R = len(RATES)
 
 
 def ledger_with_servers(m=M):
@@ -30,6 +31,18 @@ def ledger_with_servers(m=M):
     return ledger, servers
 
 
+def test_each_rate_row_integrates_into_its_named_integral():
+    ledger, _ = ledger_with_servers()
+    assert RATES == ("power", "queue", "in_system", "overload_excess")
+    assert INTEGRALS == ("energy", "queue_int", "system_int", "overload_int")
+    ledger.rates[:] = np.arange(1.0, R * M + 1.0).reshape(R, M)
+    ledger.sync(10.0)
+    for rate, integral in zip(RATES, INTEGRALS):
+        assert np.array_equal(getattr(ledger, integral), 10.0 * getattr(ledger, rate))
+        assert np.shares_memory(getattr(ledger, rate), ledger.rates)
+        assert np.shares_memory(getattr(ledger, integral), ledger.integrals)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sync_matches_per_row_account_bit_for_bit(seed):
     # Two ledgers replay one schedule of rate changes and accounting
@@ -40,7 +53,7 @@ def test_sync_matches_per_row_account_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
     ref, ref_servers = ledger_with_servers()
     vec, vec_servers = ledger_with_servers()
-    rates = rng.uniform(0.0, 250.0, size=(5, M))
+    rates = rng.uniform(0.0, 250.0, size=(R, M))
     ref.rates[:] = rates
     vec.rates[:] = rates
     now = 0.0
@@ -62,7 +75,7 @@ def test_sync_matches_per_row_account_bit_for_bit(seed):
                 ref_servers[i].account(t)
                 vec_servers[i].account(t)
             # A change point: the accounted rows get new rates.
-            fresh = rng.uniform(0.0, 250.0, size=(5, size))
+            fresh = rng.uniform(0.0, 250.0, size=(R, size))
             fresh[:, rng.random(size) < 0.2] = 0.0
             ref.rates[:, rows] = fresh
             vec.rates[:, rows] = fresh
@@ -76,7 +89,7 @@ def test_sync_matches_per_row_account_bit_for_bit(seed):
 class TestBackwardClock:
     def test_sync_names_first_offending_server_and_touches_nothing(self):
         ledger, servers = ledger_with_servers()
-        ledger.rates[:] = np.arange(1.0, 5 * M + 1.0).reshape(5, M)
+        ledger.rates[:] = np.arange(1.0, R * M + 1.0).reshape(R, M)
         ledger.sync(100.0)
         servers[4].account(170.0)
         servers[2].account(150.0)

@@ -93,7 +93,6 @@ def test_integrals_non_negative_and_consistent(trace):
     for server in result.cluster.servers:
         assert server.queue_integral >= -1e-9
         assert server.system_integral >= server.queue_integral - 1e-9
-        assert server.util_integral >= -1e-9
         assert server.overload_integral >= -1e-9
 
 

@@ -274,14 +274,6 @@ class TestIntegrals:
         # system integral: j1 in system 100 s + j2 in system 150 s.
         assert server.system_integral == pytest.approx(250.0)
 
-    def test_util_integral(self):
-        server, events = make_server()
-        j1 = job(1, 0.0, 100.0, 0.5)
-        events.schedule(0.0, lambda t: server.assign(j1, t))
-        events.run_until_empty()
-        server.finalize(100.0)
-        assert server.util_integral == pytest.approx(50.0)
-
     def test_overload_integral_above_threshold(self):
         server, events = make_server(overload_threshold=0.9)
         j1 = job(1, 0.0, 100.0, 0.95)

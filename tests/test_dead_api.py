@@ -1,18 +1,25 @@
-"""No top-level API that only tests call.
+"""No API that only tests call.
 
-Every top-level function and class in ``src/repro`` must be named
-somewhere besides its own definition: elsewhere in its own module, or
-in a file under ``src/``, ``examples/``, ``benchmarks/`` or
-``perfbench/``. A name counts where it appears as an identifier, an
-attribute, an imported name, or a word inside a string literal
-(``perfbench/tracing.py`` names its targets as ``"module:Class.attr"``
-strings). Three things do not count: a package ``__init__``'s
-re-exports (its imports), any ``__all__`` list, and docstrings.
-``tests/`` is not searched, so a definition only tests reach fails here.
+Every top-level function and class in ``src/repro``, and every public
+method and property of a class there, must be named somewhere besides
+its own definition: elsewhere in its own module, or in a file under
+``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/``. A name
+counts where it appears as an identifier, an attribute, an imported
+name, or a word inside a string literal (``perfbench/tracing.py`` names
+its targets as ``"module:Class.attr"`` strings). Three things do not
+count: a package ``__init__``'s re-exports (its imports), any
+``__all__`` list, and docstrings. ``tests/`` is not searched, so a
+definition only tests reach fails here.
+
+Methods are matched by name alone, so a method counts as used when any
+attribute of that name is read anywhere. Two kinds are exempt:
+``ast.NodeVisitor``'s ``visit_*`` methods, which the visitor calls by a
+name it builds, and :data:`TEST_ONLY_METHODS`.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +28,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "examples", "benchmarks", "perfbench")
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: Public methods kept for the tests alone: ``EventQueue.run_until_empty``
+#: drives the event queue in the simulator's unit tests.
+TEST_ONLY_METHODS = ("repro.sim.events:EventQueue.run_until_empty",)
 
 
 def _is_export_list(stmt: ast.stmt) -> bool:
@@ -28,67 +39,120 @@ def _is_export_list(stmt: ast.stmt) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _names(stmt: ast.stmt, reexports: bool) -> set[str]:
-    """The names one top-level statement uses."""
-    if _is_export_list(stmt) or (
-        reexports and isinstance(stmt, (ast.Import, ast.ImportFrom))
-    ):
-        return set()
+def _names(node: ast.AST) -> Counter:
+    """How often each name is used inside ``node``, docstrings aside."""
     docstrings = {
-        id(node.value)
-        for node in ast.walk(stmt)
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        id(child.value)
+        for child in ast.walk(node)
+        if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant)
     }
-    names: set[str] = set()
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
+    names: Counter = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            names[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            names[child.name.rpartition(".")[2]] += 1
         elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in docstrings
+            isinstance(child, ast.Constant)
+            and isinstance(child.value, str)
+            and id(child) not in docstrings
         ):
-            names.update(_WORD.findall(node.value))
+            names.update(_WORD.findall(child.value))
     return names
 
 
-def _modules(root: Path) -> dict[Path, ast.Module]:
-    return {
-        path: ast.parse(path.read_text(), filename=str(path))
-        for top in SEARCHED
-        for path in sorted((root / top).rglob("*.py"))
-    }
+class _Index:
+    """Every searched module, and the names each top-level statement uses."""
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self.modules = {
+            path: ast.parse(path.read_text(), filename=str(path))
+            for top in SEARCHED
+            for path in sorted((root / top).rglob("*.py"))
+        }
+        self.uses = {
+            path: [self._uses(stmt, path.name == "__init__.py") for stmt in tree.body]
+            for path, tree in self.modules.items()
+        }
+        self.total: Counter = sum(
+            (c for per in self.uses.values() for c in per), Counter()
+        )
+
+    @staticmethod
+    def _uses(stmt: ast.stmt, reexports: bool) -> Counter:
+        if _is_export_list(stmt) or (
+            reexports and isinstance(stmt, (ast.Import, ast.ImportFrom))
+        ):
+            return Counter()
+        return _names(stmt)
+
+    def sources(self):
+        """``(module name, path, tree)`` for each module of ``src/repro``."""
+        for path, tree in self.modules.items():
+            if path.is_relative_to(self.root / "src" / "repro"):
+                module = path.relative_to(self.root / "src").with_suffix("")
+                yield ".".join(module.parts), path, tree
+
+    def used_outside(self, name: str, own: Counter) -> bool:
+        """Whether ``name`` is used anywhere but in the uses ``own`` counts."""
+        return self.total[name] > own[name]
 
 
 def unused_definitions(root: Path = ROOT) -> list[str]:
     """``module:name`` for each top-level definition nothing else names."""
-    modules = _modules(root)
-    used = {
-        path: [_names(stmt, path.name == "__init__.py") for stmt in tree.body]
-        for path, tree in modules.items()
-    }
-    per_file = {path: set().union(*per) for path, per in used.items()}
+    index = _Index(root)
     found = []
-    for path, tree in modules.items():
-        if not path.is_relative_to(root / "src" / "repro"):
-            continue
-        elsewhere = set().union(*(n for p, n in per_file.items() if p != path))
-        for i, stmt in enumerate(tree.body):
-            if not isinstance(stmt, _DEFINITIONS):
+    for module, path, tree in index.sources():
+        for stmt, own in zip(tree.body, index.uses[path]):
+            if isinstance(stmt, _DEFINITIONS) and not index.used_outside(
+                stmt.name, own
+            ):
+                found.append(f"{module}:{stmt.name}")
+    return found
+
+
+def _is_node_visitor(cls: ast.ClassDef) -> bool:
+    return any(
+        (isinstance(b, ast.Attribute) and b.attr == "NodeVisitor")
+        or (isinstance(b, ast.Name) and b.id == "NodeVisitor")
+        for b in cls.bases
+    )
+
+
+def unused_methods(root: Path = ROOT) -> list[str]:
+    """``module:Class.name`` for each public method nothing else names.
+
+    Properties count as methods; every class of a module is searched,
+    nested ones too.
+    """
+    index = _Index(root)
+    found = []
+    for module, _, tree in index.sources():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
                 continue
-            own = set().union(*(names for j, names in enumerate(used[path]) if j != i))
-            if stmt.name not in own and stmt.name not in elsewhere:
-                module = path.relative_to(root / "src").with_suffix("")
-                found.append(f"{'.'.join(module.parts)}:{stmt.name}")
+            for method in cls.body:
+                if not isinstance(method, _FUNCTIONS) or method.name.startswith("_"):
+                    continue
+                label = f"{module}:{cls.name}.{method.name}"
+                if label in TEST_ONLY_METHODS or (
+                    method.name.startswith("visit_") and _is_node_visitor(cls)
+                ):
+                    continue
+                if not index.used_outside(method.name, _names(method)):
+                    found.append(label)
     return found
 
 
 def test_every_top_level_definition_has_a_caller_outside_tests():
     assert unused_definitions() == []
+
+
+def test_every_public_method_has_a_caller_outside_tests():
+    assert unused_methods() == []
 
 
 def _tree(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -141,3 +205,77 @@ class TestRules:
         targets = 'TARGETS = ["repro.pkg.mod:helper", "repro.pkg.mod:Widget.build"]\n'
         files = {self.MODULE: self.DEFS, "perfbench/tracing.py": targets}
         assert unused_definitions(_tree(tmp_path, files)) == []
+
+
+class TestMethodRules:
+    """The method guard's own rules, on small made-up trees."""
+
+    MODULE = "src/repro/pkg/mod.py"
+    CLASS = (
+        "class Widget:\n"
+        "    def spin(self):\n"
+        "        return self.spin()\n"
+        "\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def _private(self):\n"
+        "        return 2\n"
+        "\n"
+        "\n"
+        "Widget()\n"
+    )
+    BOTH_UNUSED = ["repro.pkg.mod:Widget.spin", "repro.pkg.mod:Widget.size"]
+
+    def test_methods_and_properties_only_tests_name_are_listed(self, tmp_path):
+        test = "from repro.pkg.mod import Widget\nWidget().spin()\nWidget().size\n"
+        files = {self.MODULE: self.CLASS, "tests/test_mod.py": test}
+        assert unused_methods(_tree(tmp_path, files)) == self.BOTH_UNUSED
+
+    def test_a_call_inside_its_own_body_is_not_a_use(self, tmp_path):
+        # ``spin`` calls itself; ``_private`` is never checked.
+        files = {self.MODULE: self.CLASS}
+        assert unused_methods(_tree(tmp_path, files)) == self.BOTH_UNUSED
+
+    @pytest.mark.parametrize("top", SEARCHED)
+    def test_an_attribute_of_that_name_anywhere_counts(self, tmp_path, top):
+        user = "def use(w):\n    return w.spin(), w.size\n\n\nuse(None)\n"
+        files = {self.MODULE: self.CLASS, f"{top}/user.py": user}
+        assert unused_methods(_tree(tmp_path, files)) == []
+
+    def test_a_word_in_a_string_literal_counts(self, tmp_path):
+        targets = 'TARGETS = ["repro.pkg.mod:Widget.spin", "size"]\n'
+        files = {self.MODULE: self.CLASS, "perfbench/tracing.py": targets}
+        assert unused_methods(_tree(tmp_path, files)) == []
+
+    def test_nested_classes_are_searched(self, tmp_path):
+        module = (
+            "def make():\n"
+            "    class Inner:\n"
+            "        def turn(self):\n"
+            "            pass\n"
+            "\n\n"
+            "make()\n"
+        )
+        files = {self.MODULE: module}
+        assert unused_methods(_tree(tmp_path, files)) == ["repro.pkg.mod:Inner.turn"]
+
+    def test_node_visitor_visit_methods_are_exempt(self, tmp_path):
+        module = (
+            "import ast\n\n\n"
+            "class Finder(ast.NodeVisitor):\n"
+            "    def visit_Call(self, node):\n        pass\n\n\n"
+            "class Plain:\n"
+            "    def visit_Call(self, node):\n        pass\n\n\n"
+            "Finder()\nPlain()\n"
+        )
+        files = {self.MODULE: module}
+        assert unused_methods(_tree(tmp_path, files)) == [
+            "repro.pkg.mod:Plain.visit_Call"
+        ]
+
+    def test_the_event_queues_test_loop_is_exempt(self, tmp_path):
+        module = "class EventQueue:\n    def run_until_empty(self):\n        pass\n"
+        files = {"src/repro/sim/events.py": module + "\n\nEventQueue()\n"}
+        assert unused_methods(_tree(tmp_path, files)) == []
