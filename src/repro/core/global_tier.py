@@ -244,12 +244,15 @@ def offline_pretrain(
     if len(broker.replay) == 0:
         raise ValueError("experience collection produced no transitions")
 
-    all_states = broker.replay.arrays()[0]
-    if all_states.shape[0] > MAX_PRETRAIN_STATES:
-        idx = broker.rng.choice(all_states.shape[0], MAX_PRETRAIN_STATES, replace=False)
-        all_states = all_states[idx]
+    # Draw the subsample first and gather only its states: a full
+    # memory holds up to ``replay_capacity`` of them, twice over.
+    n_stored = len(broker.replay)
+    if n_stored > MAX_PRETRAIN_STATES:
+        idx = broker.rng.choice(n_stored, MAX_PRETRAIN_STATES, replace=False)
+    else:
+        idx = np.arange(n_stored)
     ae_history = broker.qnet.pretrain_autoencoder(
-        all_states, epochs=AUTOENCODER_PRETRAIN_EPOCHS, rng=broker.rng
+        broker.replay.states(idx), epochs=AUTOENCODER_PRETRAIN_EPOCHS, rng=broker.rng
     )
 
     q_history: list[float] = []

@@ -63,8 +63,8 @@ class HierarchicalSystem:
         (:func:`~repro.core.global_tier.offline_pretrain`), the online
         epochs and the local-tier warm-up. Nothing reads a training
         pass's series, and the run carries no churn, tariff or faults,
-        which only evaluation runs
-        (:func:`~repro.harness.runner.run_system`) attach.
+        which only a scenario cell's evaluation run attaches
+        (:func:`~repro.scenarios.federation.build_federation_engine`).
         """
         return build_simulation(**self.site()).run(jobs)
 

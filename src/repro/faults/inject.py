@@ -76,7 +76,8 @@ class SiteFaultState:
         self.crashes = 0
         self.jobs_killed = 0
         self.stragglers = 0
-        self.runtime: "FaultRuntime | None" = None  # set by install()
+        #: The runtime, while a run is in flight (:meth:`FaultRuntime.attach`).
+        self.runtime: "FaultRuntime | None" = None
 
     # -- job lifecycle --------------------------------------------------
 
@@ -177,6 +178,13 @@ class FaultRuntime:
     guard (installed onto it by :func:`install_faults`): the engine
     calls :meth:`contain`, :meth:`fallback_site` / :meth:`live_site` and
     :meth:`fallback_server` / :meth:`live_server` while placing a job.
+
+    The links back from the engine's objects — :attr:`engine`, each
+    state's ``runtime`` and every server's ``faults`` — exist only while
+    a run is in flight (:meth:`attach` to :meth:`release`, both called
+    by :meth:`~repro.sim.federation.FederationEngine.run`), so a finished
+    engine is no reference cycle. The tallies and the availability
+    inputs stay for the run's summary.
     """
 
     def __init__(
@@ -188,10 +196,10 @@ class FaultRuntime:
             raise ValueError(
                 f"got {len(plans)} fault plans for {len(engine.sites)} sites"
             )
-        self.engine = engine
+        self.engine: "FederationEngine | None" = engine
         self.states = [SiteFaultState(i, plan) for i, plan in enumerate(plans)]
-        for state in self.states:
-            state.runtime = self
+        #: Servers per site, which availability reads after the run.
+        self.site_sizes = [len(site.cluster) for site in engine.sites]
         #: Retry counts by job id (absent = fresh job).
         self.attempts: dict[int, int] = {}
         self.broker_fallbacks = 0
@@ -200,12 +208,11 @@ class FaultRuntime:
     # -- installation ---------------------------------------------------
 
     def install(self) -> None:
+        """Become the engine's guard and schedule every planned crash."""
         engine = self.engine
         engine.faults = self
         for index, site in enumerate(engine.sites):
             state = self.states[index]
-            for server in site.cluster.servers:
-                server.faults = state
             if state.plan is not None:
                 servers = site.cluster.servers
                 for event in state.plan.crashes:
@@ -217,6 +224,22 @@ class FaultRuntime:
                         ),
                         kind=f"crash:{index}.{event.server_id}",
                     )
+
+    def attach(self, engine: "FederationEngine") -> None:
+        """Wire the links back from ``engine`` for one run."""
+        self.engine = engine
+        for state, site in zip(self.states, engine.sites):
+            state.runtime = self
+            for server in site.cluster.servers:
+                server.faults = state
+
+    def release(self) -> None:
+        """Drop the links :meth:`attach` made, once the run has ended."""
+        for state, site in zip(self.states, self.engine.sites):
+            state.runtime = None
+            for server in site.cluster.servers:
+                server.faults = None
+        self.engine = None
 
     # -- the engine's guard ---------------------------------------------
 
@@ -303,17 +326,16 @@ class FaultRuntime:
     # -- result payload helpers -----------------------------------------
 
     def site_availability(self, index: int, final_time: float) -> float:
-        site = self.engine.sites[index]
-        return self.states[index].availability(final_time, len(site.cluster))
+        return self.states[index].availability(final_time, self.site_sizes[index])
 
     def fleet_availability(self, final_time: float) -> float:
         """Server-time-weighted availability across every site."""
-        total = sum(len(site.cluster) for site in self.engine.sites)
+        total = sum(self.site_sizes)
         if total <= 0:
             return 1.0
         weighted = sum(
-            self.site_availability(i, final_time) * len(site.cluster)
-            for i, site in enumerate(self.engine.sites)
+            self.site_availability(i, final_time) * size
+            for i, size in enumerate(self.site_sizes)
         )
         return weighted / total
 

@@ -386,16 +386,11 @@ class SitePolicy:
     arch: dict | None = None
 
     @classmethod
-    def capture(
-        cls, broker, predictor: WorkloadPredictor | None = None
-    ) -> "SitePolicy":
+    def capture(cls, broker) -> "SitePolicy":
         """Snapshot a trained broker (its ``qnet`` and ``epsilon``)."""
-        state = None if predictor is None else predictor.network.state_dict()
         return cls(
             qnet_state=broker.qnet.state_dict(),
             epsilon=broker.epsilon,
-            predictor_state=state,
-            predictor_fitted=predictor is not None and predictor.fitted,
             arch=broker.qnet.describe(),
         )
 
@@ -459,15 +454,23 @@ def train_site_policy(
     """Train one site's controllers (:func:`train_global_prototype`).
 
     With ``with_predictor``, the policy also carries the LSTM predictor
-    of :func:`build_pretrained_predictor`, seeded like the system.
+    of :func:`build_pretrained_predictor`, seeded like the system. The
+    prototype broker is captured, and so freed with its replay memory,
+    before the predictor trains.
     """
-    broker = train_global_prototype(config, train_traces, protocol, seed=seed)
-    predictor = None
-    if with_predictor:
-        predictor = build_pretrained_predictor(
-            config, train_traces, config.seed if seed is None else seed
-        )
-    return SitePolicy.capture(broker, predictor)
+    policy = SitePolicy.capture(
+        train_global_prototype(config, train_traces, protocol, seed=seed)
+    )
+    if not with_predictor:
+        return policy
+    predictor = build_pretrained_predictor(
+        config, train_traces, config.seed if seed is None else seed
+    )
+    return replace(
+        policy,
+        predictor_state=predictor.network.state_dict(),
+        predictor_fitted=predictor.fitted,
+    )
 
 
 def make_system(
@@ -643,13 +646,17 @@ def standard_protocol(
     """Train each named system, evaluate all on the same trace.
 
     One :class:`SitePolicy` is trained and shared by every DRL-based
-    system in ``names`` (:func:`shared_policy`).
+    system in ``names`` (:func:`shared_policy`). Each system is dropped
+    once evaluated, before the next is built.
     """
     config = config if config is not None else ExperimentConfig()
     train_traces = train_traces or []
     policy = shared_policy(names, config, train_traces, protocol)
-    results: dict[str, RunResult] = {}
-    for name in names:
-        system = make_system(name, config, train_traces, policy, protocol)
-        results[name] = run_system(system, eval_jobs, protocol)
-    return results
+    return {
+        name: run_system(
+            make_system(name, config, train_traces, policy, protocol),
+            eval_jobs,
+            protocol,
+        )
+        for name in names
+    }

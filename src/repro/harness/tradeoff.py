@@ -79,12 +79,14 @@ def run_tradeoff(
     policy = shared_policy(
         tuple(name for name, *_ in runs), config, train_traces, protocol
     )
+    # Each system is dropped once evaluated, before the next is built.
     points: list[TradeoffPoint] = []
     for name, curve_name, parameter, local_w in runs:
-        system = make_system(
-            name, config, train_traces, policy, protocol, local_w=local_w
+        result = run_system(
+            make_system(name, config, train_traces, policy, protocol, local_w=local_w),
+            eval_jobs,
+            protocol,
         )
-        result = run_system(system, eval_jobs, protocol)
         points.append(TradeoffPoint.from_result(curve_name, parameter, result))
     return points
 

@@ -9,7 +9,8 @@ sojourn time ``tau`` needed by the continuous-time (SMDP) target.
 Storage is a set of preallocated ring-buffer arrays, one per field:
 ``push`` writes one row per field, and :meth:`ReplayMemory.sample_arrays`
 gathers a minibatch with a single fancy index per field — no
-per-transition Python objects exist at all.
+per-transition Python objects exist at all. :meth:`ReplayMemory.states`
+gathers chosen states alone, for the autoencoder's pre-training.
 """
 
 from __future__ import annotations
@@ -97,22 +98,26 @@ class ReplayMemory:
             self._taus[idx],
         )
 
-    def arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every stored transition as ``(states, actions, rewards,
-        next_states, taus)`` arrays, oldest first.
+    def states(self, logical: np.ndarray) -> np.ndarray:
+        """The stored states at ``logical`` indices (0 = the oldest).
 
-        The arrays are copies: later pushes do not change them.
+        Gathers the state rows alone (a copy: later pushes do not change
+        it), so a caller that needs a subsample of the states never
+        copies the whole memory.
 
         Raises
         ------
         ValueError
             If the memory is empty.
+        IndexError
+            If an index is outside ``[0, len(self))``.
         """
         if self._size == 0:
             raise ValueError("the replay memory is empty")
-        return self._gather(self._physical(np.arange(self._size)))
+        logical = np.asarray(logical)
+        if logical.size and (logical.min() < 0 or logical.max() >= self._size):
+            raise IndexError(f"logical indices must lie in [0, {self._size})")
+        return self._states[self._physical(logical)]
 
     def sample_arrays(
         self, batch_size: int, rng: np.random.Generator

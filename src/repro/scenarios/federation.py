@@ -79,30 +79,26 @@ def build_federation_engine(
     systems: Sequence[HierarchicalSystem],
     broker: FederationBroker | None,
     record_every: int,
-    with_tariffs: bool = True,
     faults=None,
     capacity_events: Sequence[CapacityEvent] = (),
 ) -> FederationEngine:
-    """One :func:`~repro.sim.federation.build_federation` call over ``systems``.
+    """A cell's evaluation engine over ``systems``.
 
-    Every call builds new clusters (simulations are single-use) around
-    the systems' live controllers
-    (:meth:`~repro.core.hierarchical.HierarchicalSystem.site`), so
-    training passes and the evaluation run reuse the same learned state.
-    Each site samples its series every ``record_every`` completions (a
-    :class:`~repro.harness.runner.Protocol`'s). ``with_tariffs=False``
-    builds the tariff-blind engines training uses. ``capacity_events``
-    is the evaluation's churn schedule; the spec admits churn only on a
+    One :func:`~repro.sim.federation.build_federation` call builds new
+    clusters (simulations are single-use) around the systems' live
+    controllers (:meth:`~repro.core.hierarchical.HierarchicalSystem.site`),
+    so the evaluation run continues the training passes' learned state.
+    Each site carries its tariff and samples its series every
+    ``record_every`` completions (a
+    :class:`~repro.harness.runner.Protocol`'s). ``capacity_events`` is
+    the evaluation's churn schedule; the spec admits churn only on a
     one-site fleet, so it targets the first site. ``faults`` is an
     optional per-site plan list
-    (:func:`repro.faults.plan.scenario_fault_plans`); training engines
-    carry neither.
+    (:func:`repro.faults.plan.scenario_fault_plans`).
     """
     sites = [
         system.site(
-            name=site_spec.name,
-            record_every=record_every,
-            tariff=site_spec.tariff if with_tariffs else None,
+            name=site_spec.name, record_every=record_every, tariff=site_spec.tariff
         )
         for site_spec, system in zip(spec.site_specs, systems)
     ]
@@ -119,18 +115,24 @@ def train_federation_broker(
 ) -> None:
     """Online-train a learning federation dispatcher over the fleet.
 
-    Runs the whole federation (the given per-site systems, tariff-blind)
-    over every training segment ``protocol.online_epochs`` times; the DRL
-    dispatcher accumulates fleet-level SMDP transitions and trains its
-    Sub-Q network along the way, exactly like the cluster tier's online
-    phase. Non-learning dispatchers make this a no-op.
+    Runs the whole federation (the given per-site systems on new
+    clusters, tariff-blind, no churn or faults; nothing reads the
+    training runs' series) over every training segment
+    ``protocol.online_epochs`` times; the DRL dispatcher accumulates
+    fleet-level SMDP transitions and trains its Sub-Q network along the
+    way, exactly like the cluster tier's online phase. Non-learning
+    dispatchers make this a no-op.
     """
     if not isinstance(broker, DRLFederationBroker):
         return
     for _ in range(protocol.online_epochs):
         for segment_streams in train_streams:
-            engine = build_federation_engine(
-                spec, systems, broker, protocol.record_every, with_tariffs=False
+            engine = build_federation(
+                [
+                    system.site(name=site_spec.name)
+                    for site_spec, system in zip(spec.site_specs, systems)
+                ],
+                broker,
             )
             engine.run([[job.copy() for job in s] for s in segment_streams])
 

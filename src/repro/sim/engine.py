@@ -13,11 +13,13 @@ The single-cluster simulator is a federation of one:
 and :class:`ClusterEngine` is a read-only view over it whose
 :meth:`~ClusterEngine.run` returns a :class:`SimulationResult`. That
 view runs training passes
-(:meth:`~repro.core.hierarchical.HierarchicalSystem.run`); an
-evaluation run (:func:`~repro.harness.runner.run_system`) calls
-:func:`~repro.sim.federation.build_federation` itself, with its churn,
-tariff and fault plan, and reports through
-:meth:`~repro.harness.runner.RunResult.from_run` like a scenario cell.
+(:meth:`~repro.core.hierarchical.HierarchicalSystem.run`), which carry
+no churn, tariff or faults. An evaluation run
+(:func:`~repro.harness.runner.run_system`) calls
+:func:`~repro.sim.federation.build_federation` itself and reports
+through :meth:`~repro.harness.runner.RunResult.from_run`; only a
+scenario cell attaches churn, tariffs and a fault plan, through
+:func:`~repro.scenarios.federation.build_federation_engine`.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.sim.churn import CapacityEvent
 from repro.sim.cluster import Cluster
 from repro.sim.events import EventQueue
 from repro.sim.federation import FederationEngine, build_federation
 from repro.sim.interfaces import Broker, PowerPolicy
 from repro.sim.job import Job
 from repro.sim.metrics import MetricsCollector
-from repro.sim.power import PowerModel, TariffModel
+from repro.sim.power import PowerModel
 
 
 @dataclass
@@ -100,15 +101,12 @@ def build_simulation(
     num_resources: int = 3,
     overload_threshold: float = 0.9,
     initially_on: bool = False,
-    record_every: int = 100,
-    capacity_events: Iterable[CapacityEvent] = (),
-    tariff: TariffModel | None = None,
 ) -> ClusterEngine:
     """One cluster: a one-site :func:`~repro.sim.federation.build_federation`.
 
     The arguments are that builder's site keys (``power_model`` may be
-    a per-server sequence; ``capacity_events`` are pre-scheduled churn
-    events; ``tariff`` makes the metrics also report cost and CO₂).
+    a per-server sequence); the site samples its series at the
+    builder's default rate and carries no churn or tariff.
     """
     site = dict(
         name="cluster",
@@ -119,8 +117,5 @@ def build_simulation(
         num_resources=num_resources,
         overload_threshold=overload_threshold,
         initially_on=initially_on,
-        record_every=record_every,
-        capacity_events=capacity_events,
-        tariff=tariff,
     )
     return ClusterEngine(build_federation([site]))

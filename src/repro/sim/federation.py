@@ -170,9 +170,6 @@ class FederationEngine:
                     f"site {site.name!r} was built on a different EventQueue; "
                     "all sites of a federation share one event clock"
                 )
-        for index, site in enumerate(self.sites):
-            for server in site.cluster.servers:
-                server.on_finish = self._finish_handler(index)
         #: Set by :func:`repro.faults.inject.install_faults`: the guard
         #: that contains broker errors and steers around downed capacity.
         #: ``None`` (the default) makes any broker error abort the run.
@@ -180,8 +177,10 @@ class FederationEngine:
         # The profiled run's collector and per-job phase timers; every
         # timing step checks ``self._tel is None`` and is skipped then.
         self._tel = None
-        self._route_phase = self._settle_phase = None
+        self._feed_phase = self._route_phase = self._settle_phase = None
         self._dispatch_phase = None
+        # The running merged home-stream feed; None outside run().
+        self._feed = None
         self._remote_routed = 0
         self._gauge_names = [f"queue.{site.name}" for site in self.sites]
 
@@ -197,8 +196,8 @@ class FederationEngine:
             raise exc
         self.faults.contain()
 
-    def _finish_handler(self, index: int):
-        site = self.sites[index]
+    def _finish_handler(self, site: Site):
+        """Site ``site``'s servers' completion hook, wired for one :meth:`run`."""
 
         def handle(job: Job, now: float) -> None:
             tel = self._tel
@@ -307,6 +306,13 @@ class FederationEngine:
         ``streams`` holds one job iterable per site (``streams[i]`` is
         site ``i``'s home stream); each must be sorted by arrival time.
 
+        The servers' finish hooks, the merged feed and a fault runtime's
+        links back (:meth:`~repro.faults.inject.FaultRuntime.attach`)
+        are wired for this call only and dropped when it returns or
+        raises. So a finished engine holds no reference cycle, and
+        reference counting frees it, with its sites, brokers and replay
+        memories, as soon as its last user drops it.
+
         Raises
         ------
         ValueError
@@ -317,10 +323,16 @@ class FederationEngine:
             raise ValueError(
                 f"got {len(streams)} job streams for {len(self.sites)} sites"
             )
-        feed = self._merged_feed(streams)
+        self._feed = self._merged_feed(streams)
+        for site in self.sites:
+            finish = self._finish_handler(site)
+            for server in site.cluster.servers:
+                server.on_finish = finish
+        if self.faults is not None:
+            self.faults.attach(self)
         tel = self._tel = obs.active()
         if tel is not None:
-            feed_phase = obs.Phase(tel, "run.feed")
+            self._feed_phase = obs.Phase(tel, "run.feed")
             self._route_phase = obs.Phase(tel, "fed.route")
             self._settle_phase = obs.Phase(tel, "site.settle")
             self._dispatch_phase = obs.Phase(tel, "site.dispatch")
@@ -328,34 +340,20 @@ class FederationEngine:
             arrived = sum(site.metrics.n_arrived for site in self.sites)
             completed = sum(site.metrics.n_completed for site in self.sites)
 
-        def feed_next() -> None:
-            if tel is None:
-                item = next(feed, None)
-            else:
-                feed_phase.begin()
-                item = next(feed, None)
-                feed_phase.end()
-            if item is None:
-                return
-            arrival, home, job = item
-            self.events.schedule(
-                arrival,
-                lambda t, job=job, home=home: on_arrival_event(job, home, t),
-                kind=f"arrival:{job.job_id}",
-            )
-
-        def on_arrival_event(job: Job, home: int, now: float) -> None:
-            self.place(job, home, now)
-            feed_next()
-
         span = obs.get().span
         try:
             with span("run"):
-                feed_next()
+                self._feed_next()
                 self._drain()
                 with span("run.finalize"):
                     return self._finalize()
         finally:
+            self._feed = None
+            for site in self.sites:
+                for server in site.cluster.servers:
+                    server.on_finish = None
+            if self.faults is not None:
+                self.faults.release()
             if tel is not None:
                 self._tel = None
                 arrived = sum(s.metrics.n_arrived for s in self.sites) - arrived
@@ -370,12 +368,33 @@ class FederationEngine:
                     if n:
                         tel.counter(name, n)
                 for phase in (
-                    feed_phase,
+                    self._feed_phase,
                     self._route_phase,
                     self._settle_phase,
                     self._dispatch_phase,
                 ):
                     phase.fold()
+
+    def _feed_next(self) -> None:
+        """Schedule the feed's next arrival, if any (one arrival queued at a time)."""
+        if self._tel is None:
+            item = next(self._feed, None)
+        else:
+            self._feed_phase.begin()
+            item = next(self._feed, None)
+            self._feed_phase.end()
+        if item is None:
+            return
+        arrival, home, job = item
+        self.events.schedule(
+            arrival,
+            lambda t, job=job, home=home: self._on_arrival(job, home, t),
+            kind=f"arrival:{job.job_id}",
+        )
+
+    def _on_arrival(self, job: Job, home: int, now: float) -> None:
+        self.place(job, home, now)
+        self._feed_next()
 
     def _finalize(self) -> FederationResult:
         """Close the accounts after the event queue drains."""

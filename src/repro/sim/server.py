@@ -135,11 +135,13 @@ class Server:
 
         self._timeout_event: ScheduledEvent | None = None
         self._transition_event: ScheduledEvent | None = None
-        #: Set by the engine: called as ``on_finish(job, now)`` at completion.
+        #: Set by the engine for the length of a run: called as
+        #: ``on_finish(job, now)`` at completion.
         self.on_finish: Callable[[Job, float], None] | None = None
-        #: Set by the fault runtime: a per-site ``SiteFaultState`` that
-        #: owns job-finish scheduling (stragglers, failures) when faults
-        #: are injected. ``None`` keeps the fault-free fast path.
+        #: Set by the fault runtime for the length of a run: a per-site
+        #: ``SiteFaultState`` that owns job-finish scheduling
+        #: (stragglers, failures) when faults are injected. ``None``
+        #: keeps the fault-free fast path.
         self.faults = None
         self._refresh()
 

@@ -15,6 +15,7 @@ from repro.core.hierarchical import HierarchicalSystem
 from repro.core.state import StateEncoder
 from repro.sim.engine import build_simulation
 from repro.sim.job import Job
+from tests.helpers import stored_transitions
 
 
 def make_broker(num_servers=4, groups=2, **cfg_kwargs):
@@ -50,7 +51,7 @@ class TestOnlineOperation:
         broker = make_broker()
         engine = build_simulation(4, broker, ImmediateSleepPolicy())
         engine.run(jobs_burst(20))
-        rewards = broker.replay.arrays()[2]
+        rewards = stored_transitions(broker.replay)[2]
         assert (rewards <= 0.0).all()
 
     def test_reward_clipping_bounds_rates(self):
@@ -59,7 +60,7 @@ class TestOnlineOperation:
         engine.run(jobs_burst(20))
         # |discounted reward| <= clip * (1-e^{-beta tau})/beta <= clip/beta.
         bound = 0.001 / broker.config.beta + 1e-12
-        assert (np.abs(broker.replay.arrays()[2]) <= bound).all()
+        assert (np.abs(stored_transitions(broker.replay)[2]) <= bound).all()
 
     def test_training_happens_on_schedule(self):
         broker = make_broker()
@@ -159,7 +160,7 @@ class TestOfflinePretrain:
     def test_collects_under_round_robin(self):
         system = make_drl_system()
         offline_pretrain(system, [jobs_burst(10)])
-        actions = system.broker.replay.arrays()[1]
+        actions = stored_transitions(system.broker.replay)[1]
         assert actions.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0]
 
 

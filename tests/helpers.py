@@ -48,6 +48,35 @@ def run_cluster(system, jobs, protocol=PAPER_PROTOCOL, faults=None, **site):
     return RunResult.from_run(system.name, result, engine.faults)
 
 
+class _InOrder:
+    """A stand-in generator whose ``choice`` picks ``0, 1, ..., size - 1``."""
+
+    @staticmethod
+    def choice(n, size, replace):
+        return np.arange(size)
+
+
+def stored_transitions(memory):
+    """Every transition in a replay memory as five arrays, oldest first.
+
+    :meth:`~repro.rl.replay.ReplayMemory.sample_arrays` with a generator
+    that picks the logical indices in order.
+    """
+    return memory.sample_arrays(len(memory), _InOrder())
+
+
+@contextlib.contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; reference counting still frees."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of the scalar function ``f()`` w.r.t. ``x``.
 
@@ -521,9 +550,7 @@ def interleaved(
     names = list(arms)
     seconds: dict[str, list[float]] = {name: [] for name in names}
     results: dict[str, Any] = {}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         for r in range(-1, rounds):  # round -1 is the warm-up
             for name in names[::-1] if r % 2 else names:
                 work = arms[name]()
@@ -533,9 +560,6 @@ def interleaved(
                 if r >= 0:
                     seconds[name].append(elapsed)
                     results[name] = result
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return Rounds(seconds, results)
 
 

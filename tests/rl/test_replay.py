@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.rl.replay import ReplayMemory
+from tests.helpers import stored_transitions
 
 
 def push(mem, i):
@@ -29,7 +30,9 @@ class TestReplayMemory:
         assert len(mem) == 0
 
     def test_arrays_hold_every_field_oldest_first(self):
-        states, actions, rewards, next_states, taus = filled(10, 4).arrays()
+        states, actions, rewards, next_states, taus = stored_transitions(
+            filled(10, 4)
+        )
         assert states.tolist() == [[0.0], [1.0], [2.0], [3.0]]
         assert actions.tolist() == [0, 1, 2, 0]
         assert rewards.tolist() == [0.0, -1.0, -2.0, -3.0]
@@ -40,20 +43,27 @@ class TestReplayMemory:
     def test_capacity_evicts_oldest(self):
         mem = filled(3, 5)
         assert len(mem) == 3
-        assert mem.arrays()[0].ravel().tolist() == [2.0, 3.0, 4.0]
+        assert mem.states(np.arange(3)).ravel().tolist() == [2.0, 3.0, 4.0]
 
-    def test_arrays_survive_later_pushes(self):
-        # Ring-buffer regression guard: the returned arrays must not
-        # alias the live buffers, or later pushes would rewrite them.
+    def test_states_at_logical_indices(self):
+        mem = filled(3, 5)  # wrapped: slots hold 3, 4, 2
+        assert mem.states(np.array([2, 0])).ravel().tolist() == [4.0, 2.0]
+        assert mem.states(np.arange(0)).shape == (0, 1)
+        for bad in ([3], [-1]):
+            with pytest.raises(IndexError):
+                mem.states(np.array(bad))
+
+    def test_states_survive_later_pushes(self):
+        # Ring-buffer regression guard: the returned rows must not alias
+        # the live buffer, or later pushes would rewrite them.
         mem = filled(2, 2)
-        held = mem.arrays()
+        held = mem.states(np.arange(2))
         push(mem, 99)
-        assert held[0].ravel().tolist() == [0.0, 1.0]
-        assert held[3].ravel().tolist() == [1.0, 2.0]
+        assert held.ravel().tolist() == [0.0, 1.0]
 
-    def test_arrays_of_empty_memory_raise(self):
+    def test_states_of_empty_memory_raise(self):
         with pytest.raises(ValueError):
-            ReplayMemory(5).arrays()
+            ReplayMemory(5).states(np.arange(0))
 
     def test_sample_shapes(self, rng):
         mem = filled(10, 10)

@@ -4,13 +4,14 @@ import pytest
 
 from repro.core.baselines import AlwaysOnPolicy, RoundRobinBroker
 from repro.sim.churn import CapacityEvent, schedule_capacity_events
-from repro.sim.engine import build_simulation
+from repro.sim.engine import ClusterEngine
+from repro.sim.federation import build_federation
 from repro.sim.job import Job
 from repro.sim.power import PowerModel
 
 
 def _engine(num_servers=2, power_model=None, capacity_events=(), initially_on=True):
-    return build_simulation(
+    site = dict(
         num_servers=num_servers,
         broker=RoundRobinBroker(),
         policies=AlwaysOnPolicy(),
@@ -18,6 +19,7 @@ def _engine(num_servers=2, power_model=None, capacity_events=(), initially_on=Tr
         initially_on=initially_on,
         capacity_events=capacity_events,
     )
+    return ClusterEngine(build_federation([site]))
 
 
 class TestCapacityEvent:

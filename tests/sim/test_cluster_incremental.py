@@ -18,7 +18,8 @@ from repro.core.baselines import (
     RoundRobinBroker,
 )
 from repro.sim.churn import CapacityEvent
-from repro.sim.engine import build_simulation
+from repro.sim.engine import ClusterEngine
+from repro.sim.federation import build_federation
 from repro.sim.server import PowerState
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
 from tests.helpers import packing_choice_loop
@@ -36,14 +37,14 @@ def churny_engine(n_servers=6, n_jobs=400, seed=5, broker=None, policy=None):
         for frac, sid, cap in [(0.1, 0, 0.0), (0.25, 1, 0.4), (0.5, 2, 0.0),
                                (0.6, 0, 0.5), (0.8, 3, 0.0)]
     )
-    engine = build_simulation(
+    site = dict(
         num_servers=n_servers,
         broker=broker if broker is not None else RoundRobinBroker(),
         policies=policy if policy is not None else FixedTimeoutPolicy(45.0),
         capacity_events=events,
         initially_on=False,
     )
-    return engine, jobs
+    return ClusterEngine(build_federation([site])), jobs
 
 
 def recomputed_observables(cluster):

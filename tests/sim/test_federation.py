@@ -200,8 +200,7 @@ class TestClusterEngineDelegation:
     def test_explicit_single_site_matches_cluster_engine(self):
         jobs = jobs_burst(12, spacing=30.0)
         cluster_engine = build_simulation(
-            3, RoundRobinBroker(), AlwaysOnPolicy(), initially_on=True,
-            tariff=TariffModel(),
+            3, RoundRobinBroker(), AlwaysOnPolicy(), initially_on=True
         )
         a = cluster_engine.run([j.copy() for j in jobs])
         fed = build_federation(
@@ -212,7 +211,6 @@ class TestClusterEngineDelegation:
                     broker=RoundRobinBroker(),
                     policies=AlwaysOnPolicy(),
                     initially_on=True,
-                    tariff=TariffModel(),
                 )
             ]
         )
@@ -221,7 +219,6 @@ class TestClusterEngineDelegation:
         assert a.metrics.n_completed == solo.n_jobs
         assert a.total_energy_kwh == solo.energy_kwh
         assert a.metrics.acc_latency == solo.acc_latency
-        assert a.metrics.total_cost_usd() == solo.cost_usd
         assert a.metrics.series == b.sites[0].metrics.series
         assert a.final_time == b.final_time
 
