@@ -1,6 +1,6 @@
-"""Training-, trace- and system-identity digests: one SHA-256 per
-training, per builtin scenario's job streams, for Table I's traces and
-per named system's run.
+"""Training-, trace-, system- and cell-identity digests: one SHA-256 per
+training, per builtin scenario's job streams, for Table I's traces, per
+named system's run and per builtin scenario's packing cell.
 
 perfbench's output digest hashes the simulated energy and latency series,
 so a change to how a network learns can leave it unchanged (doubling
@@ -29,6 +29,14 @@ seed=0), train_traces, seed=0)`` run by ``run_system`` on
 ``make_traces(300, 6, 0)``. Building hierarchical with per-server DPM
 learners, for one, changes its line.
 
+Last, one ``cell:<scenario>`` line per builtin scenario hashes the
+result of ``run_cell(spec, "packing", n_jobs=120, seed=0)``, all 14 in
+about 0.2 s. A cell assembles what no other line runs: the fault plans
+of :mod:`repro.faults`, capacity events, tariffs and, on a federated
+scenario, the dispatcher and every site's summary. A fault plan that
+hands out its seeds in a hash-dependent order, for one, changes its
+scenario's line under another ``PYTHONHASHSEED``.
+
 The trainings:
 
 * ``drl-online`` — perfbench's drl-online broker shape (M=30, K=3,
@@ -43,6 +51,11 @@ lines. Run it with one BLAS thread, as perfbench runs its children, once
 per ``src/``::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/training_digest.py
+
+One checkout prints the same lines in every process, too: under another
+hash seed, with the global generators seeded otherwise and with the
+clock moved (``benchmarks/perturbed.py``; ``tests/test_determinism.py``
+runs both sides).
 
 The script runs against an older ``src/`` too, so it reads public names
 only. A change that renames one of them keeps this script working on
@@ -73,7 +86,7 @@ from repro.harness.runner import (
 )
 from repro.harness.table1 import default_config, make_traces
 from repro.nn.optim import Adam
-from repro.scenarios import registry
+from repro.scenarios import registry, run_cell
 from repro.sim.engine import build_simulation
 from repro.sim.federation import build_federation
 from repro.workload.synthetic import (
@@ -269,6 +282,14 @@ def system_runs() -> Iterator[tuple[str, str]]:
         yield name, digest.hexdigest()
 
 
+def cell_runs() -> Iterator[tuple[str, str]]:
+    """(scenario, digest) of each builtin scenario's 120-job packing cell."""
+    for spec in registry.all_scenarios():
+        digest = Digest()
+        digest.add(run_cell(spec, "packing", n_jobs=120, seed=0))
+        yield spec.name, digest.hexdigest()
+
+
 def main() -> None:
     for name, training in TRAININGS.items():
         print(f"{name} {training()}", flush=True)
@@ -277,6 +298,8 @@ def main() -> None:
     print(f"trace:table1 {table1_traces()}", flush=True)
     for name, digest in system_runs():
         print(f"system:{name} {digest}", flush=True)
+    for name, digest in cell_runs():
+        print(f"cell:{name} {digest}", flush=True)
 
 
 if __name__ == "__main__":

@@ -19,8 +19,6 @@ Usage::
                                    [--cell-retries N] [--cell-timeout S]
                                    [--strict]
     python -m repro obs report FILE [--top N]
-    python -m repro lint [PATHS...] [--json] [--select RULE,...]
-                         [--list-rules]
 
 Global flags (before the subcommand): ``--log-level LEVEL`` or ``-v`` /
 ``-vv`` route the package's stdlib logging to stderr at the chosen
@@ -48,9 +46,7 @@ sizes that are not positive integers and out-of-range execution knobs
 exit 2 before any work starts. ``--profile``
 captures run telemetry (per-phase self-time breakdown, counters, gauges),
 writes it as ``telemetry.json`` under the cache dir, and ``obs report``
-renders any such artifact. ``lint`` runs the AST-based determinism &
-invariant auditor (:mod:`repro.lint`) over the given paths (default
-``src/``): exit 0 clean, 1 on findings, 2 on usage errors.
+renders any such artifact.
 """
 
 from __future__ import annotations
@@ -454,28 +450,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import LintUsageError, iter_rules, run_lint
-    from repro.lint.suppress import SUPPRESSION_RULE, SYNTAX
-
-    if args.list_rules:
-        from repro.harness.report import format_table
-
-        rows = [[SUPPRESSION_RULE, f"suppression hygiene ({SYNTAX})"]]
-        rows += [[rule.id, rule.summary] for rule in iter_rules()]
-        _emit(format_table(["Rule", "Invariant"], rows), args.out)
-        return 0
-    paths = args.paths if args.paths else [Path("src")]
-    select = _split_csv(args.select) if args.select else None
-    try:
-        report = run_lint(paths, select=select)
-    except LintUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(report.render_json() if args.json else report.render_text(), args.out)
-    return report.exit_code
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import load_snapshot, render_report
 
@@ -624,21 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report.add_argument("--top", type=int, default=None, metavar="N",
                             help="show only the top N spans by self time")
     obs_report.add_argument("--out", type=Path, default=None)
-
-    p_lint = sub.add_parser(
-        "lint", help="AST-based determinism & invariant auditor"
-    )
-    p_lint.add_argument("paths", nargs="*", type=Path, metavar="PATH",
-                        help="files or directories to audit (default: src/)")
-    p_lint.add_argument("--json", action="store_true",
-                        help="emit the machine-readable JSON report")
-    p_lint.add_argument("--select", default=None, metavar="RULE,...",
-                        help="comma-separated rule ids to run "
-                             "(default: all; REP000 is always implied)")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="list the rule ids and the invariant each guards")
-    p_lint.add_argument("--out", type=Path, default=None,
-                        help="write the report to this file instead of stdout")
     return parser
 
 
@@ -671,8 +630,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_scenario(args)
     if args.command == "obs":
         return _cmd_obs(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -423,53 +423,3 @@ class TestObsCli:
         rc = main(["--log-level", "LOUD", "systems"])
         assert rc == 2
         assert "unknown log level" in capsys.readouterr().err
-
-
-class TestLintCommand:
-    def test_lint_parses_defaults(self):
-        args = build_parser().parse_args(["lint"])
-        assert args.command == "lint"
-        assert args.paths == []
-        assert not args.json
-        assert args.select is None
-
-    def test_lint_list_rules(self, capsys):
-        rc = main(["lint", "--list-rules"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        for rule in ["REP000", "REP001", "REP002", "REP003", "REP005", "REP006"]:
-            assert rule in out
-        assert "REP004" not in out
-
-    def test_lint_src_is_clean(self, capsys):
-        rc = main(["lint", "src"])
-        assert rc == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_lint_json_report(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "lint.json"
-        rc = main(["lint", "src", "--json", "--out", str(out)])
-        assert rc == 0
-        payload = json.loads(out.read_text())
-        assert payload["version"] == 1
-        assert payload["findings"] == []
-
-    def test_lint_finds_violations(self, capsys, tmp_path):
-        bad = tmp_path / "repro" / "sim" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import random\n")
-        rc = main(["lint", str(tmp_path)])
-        assert rc == 1
-        assert "REP001" in capsys.readouterr().out
-
-    def test_lint_unknown_rule_is_usage_error(self, capsys):
-        rc = main(["lint", "src", "--select", "REP999"])
-        assert rc == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-    def test_lint_missing_path_is_usage_error(self, capsys):
-        rc = main(["lint", "definitely/not/here"])
-        assert rc == 2
-        assert "does not exist" in capsys.readouterr().err

@@ -12,9 +12,8 @@ count: a package ``__init__``'s re-exports (its imports), any
 definition only tests reach fails here.
 
 Methods are matched by name alone, so a method counts as used when any
-attribute of that name is read anywhere. Two kinds are exempt:
-``ast.NodeVisitor``'s ``visit_*`` methods, which the visitor calls by a
-name it builds, and :data:`TEST_ONLY_METHODS`.
+attribute of that name is read anywhere. Only :data:`TEST_ONLY_METHODS`
+is exempt.
 """
 
 import ast
@@ -114,14 +113,6 @@ def unused_definitions(root: Path = ROOT) -> list[str]:
     return found
 
 
-def _is_node_visitor(cls: ast.ClassDef) -> bool:
-    return any(
-        (isinstance(b, ast.Attribute) and b.attr == "NodeVisitor")
-        or (isinstance(b, ast.Name) and b.id == "NodeVisitor")
-        for b in cls.bases
-    )
-
-
 def unused_methods(root: Path = ROOT) -> list[str]:
     """``module:Class.name`` for each public method nothing else names.
 
@@ -138,9 +129,7 @@ def unused_methods(root: Path = ROOT) -> list[str]:
                 if not isinstance(method, _FUNCTIONS) or method.name.startswith("_"):
                     continue
                 label = f"{module}:{cls.name}.{method.name}"
-                if label in TEST_ONLY_METHODS or (
-                    method.name.startswith("visit_") and _is_node_visitor(cls)
-                ):
+                if label in TEST_ONLY_METHODS:
                     continue
                 if not index.used_outside(method.name, _names(method)):
                     found.append(label)
@@ -260,20 +249,6 @@ class TestMethodRules:
         )
         files = {self.MODULE: module}
         assert unused_methods(_tree(tmp_path, files)) == ["repro.pkg.mod:Inner.turn"]
-
-    def test_node_visitor_visit_methods_are_exempt(self, tmp_path):
-        module = (
-            "import ast\n\n\n"
-            "class Finder(ast.NodeVisitor):\n"
-            "    def visit_Call(self, node):\n        pass\n\n\n"
-            "class Plain:\n"
-            "    def visit_Call(self, node):\n        pass\n\n\n"
-            "Finder()\nPlain()\n"
-        )
-        files = {self.MODULE: module}
-        assert unused_methods(_tree(tmp_path, files)) == [
-            "repro.pkg.mod:Plain.visit_Call"
-        ]
 
     def test_the_event_queues_test_loop_is_exempt(self, tmp_path):
         module = "class EventQueue:\n    def run_until_empty(self):\n        pass\n"
