@@ -245,7 +245,7 @@ def offline_pretrain(
         raise ValueError("experience collection produced no transitions")
 
     # Draw the subsample first and gather only its states: a full
-    # memory holds up to ``replay_capacity`` of them, twice over.
+    # memory holds up to ``replay_capacity`` of them.
     n_stored = len(broker.replay)
     if n_stored > MAX_PRETRAIN_STATES:
         idx = broker.rng.choice(n_stored, MAX_PRETRAIN_STATES, replace=False)

@@ -196,7 +196,7 @@ class FaultRuntime:
             raise ValueError(
                 f"got {len(plans)} fault plans for {len(engine.sites)} sites"
             )
-        self.engine: "FederationEngine | None" = engine
+        self.engine: "FederationEngine | None" = None
         self.states = [SiteFaultState(i, plan) for i, plan in enumerate(plans)]
         #: Servers per site, which availability reads after the run.
         self.site_sizes = [len(site.cluster) for site in engine.sites]
@@ -207,9 +207,8 @@ class FaultRuntime:
 
     # -- installation ---------------------------------------------------
 
-    def install(self) -> None:
-        """Become the engine's guard and schedule every planned crash."""
-        engine = self.engine
+    def install(self, engine: "FederationEngine") -> None:
+        """Become ``engine``'s guard and schedule every planned crash."""
         engine.faults = self
         for index, site in enumerate(engine.sites):
             state = self.states[index]
@@ -357,5 +356,5 @@ def install_faults(
 ) -> FaultRuntime:
     """Attach a fault runtime to ``engine`` (one plan per site, None ok)."""
     runtime = FaultRuntime(engine, plans)
-    runtime.install()
+    runtime.install(engine)
     return runtime

@@ -6,11 +6,22 @@ from it to train the DNN, "to smooth out learning and avoid oscillations
 or divergence in the parameters". Each transition here also carries the
 sojourn time ``tau`` needed by the continuous-time (SMDP) target.
 
-Storage is a set of preallocated ring-buffer arrays, one per field:
-``push`` writes one row per field, and :meth:`ReplayMemory.sample_arrays`
-gathers a minibatch with a single fancy index per field — no
-per-transition Python objects exist at all. :meth:`ReplayMemory.states`
-gathers chosen states alone, for the autoencoder's pre-training.
+Storage is preallocated ring-buffer arrays, one row per transition, with
+every state stored once. Within one run the broker pushes transition
+``k + 1`` with transition ``k``'s next state as its state, so a
+transition's successor is, as a rule, the state in the ring's next slot.
+The exceptions are *chain ends*, whose next state lives in a small side
+store: the newest transition (its successor is not pushed yet) and each
+run's last one (the broker's ``on_run_end`` drops the open sojourn, so
+the next run's first state does not follow it). :meth:`ReplayMemory.push`
+links a transition to the state pushed after it only when the two are
+the same bytes, so a ``-0.0`` never stands in for a ``0.0`` and a NaN
+row still links. :meth:`ReplayMemory.sample_arrays` gathers a minibatch
+with one gather per field, plus one for the successors, and patches
+only the chain-end rows from the side store: the same five arrays, bit
+for bit, as a store that kept every next state, with half the state
+memory. :meth:`ReplayMemory.states` gathers chosen states alone, for the
+autoencoder's pre-training.
 """
 
 from __future__ import annotations
@@ -22,8 +33,17 @@ class ReplayMemory:
     """Bounded FIFO transition store with uniform minibatch sampling.
 
     Backed by ring-buffer arrays allocated lazily at the first ``push``
-    (the state width is not known earlier). States are 1-D numeric
-    vectors, stored as float64.
+    (the state width is not known earlier); states are 1-D numeric
+    vectors, stored as float64 in one ``(capacity, width)`` ring. The
+    transition in slot ``i`` takes its next state from slot ``i + 1``
+    (mod ``capacity``) unless ``_ends[i]`` marks it a chain end, whose
+    next state is ``_side[i]``. The newest transition is always a chain
+    end; when the state pushed after it is byte for byte its next state,
+    its side entry is dropped. At the ring's wrap a push overwrites the
+    oldest transition's slot, and the new transition's side entry
+    replaces the evicted one's; the overwritten state row was nobody's
+    successor, since the slot before it holds the newest transition, a
+    chain end.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -33,7 +53,8 @@ class ReplayMemory:
         self._size = 0
         self._head = 0  # next physical write slot
         self._states: np.ndarray | None = None
-        self._next_states: np.ndarray | None = None
+        self._ends: np.ndarray | None = None
+        self._side: dict[int, np.ndarray] = {}
         self._actions: np.ndarray | None = None
         self._rewards: np.ndarray | None = None
         self._taus: np.ndarray | None = None
@@ -43,7 +64,7 @@ class ReplayMemory:
 
     def _allocate(self, width: int) -> None:
         self._states = np.empty((self.capacity, width), dtype=np.float64)
-        self._next_states = np.empty_like(self._states)
+        self._ends = np.zeros(self.capacity, dtype=bool)
         self._actions = np.empty(self.capacity, dtype=np.int64)
         self._rewards = np.empty(self.capacity, dtype=np.float64)
         self._taus = np.empty(self.capacity, dtype=np.float64)
@@ -66,15 +87,36 @@ class ReplayMemory:
         Raises
         ------
         ValueError
-            If ``tau`` is negative.
+            If ``tau`` is not ``>= 0`` (NaN included), or ``state`` or
+            ``next_state`` has a size other than the memory's width (the
+            first push's state size).
         """
-        if tau < 0:
+        if not tau >= 0:
             raise ValueError(f"tau must be non-negative, got {tau}")
+        state, next_state = np.asarray(state), np.asarray(next_state)
         if self._states is None:
-            self._allocate(len(state))
+            self._allocate(state.size)
+        width = self._states.shape[1]
+        if state.size != width or next_state.size != width:
+            raise ValueError(
+                f"states must have {width} entries, got {state.size} "
+                f"and {next_state.size}"
+            )
         i = self._head
-        self._states[i] = state
-        self._next_states[i] = next_state
+        row = self._states[i]
+        row[...] = state
+        if self._size:
+            # The newest transition is a chain end until this state
+            # proves to be its successor.
+            prev = (i - 1) % self.capacity
+            if self._side[prev].tobytes() == row.tobytes():
+                self._ends[prev] = False
+                del self._side[prev]
+        successor = np.empty(width)
+        successor[...] = next_state
+        # At the wrap this replaces the evicted transition's side entry.
+        self._side[i] = successor
+        self._ends[i] = True
         self._actions[i] = action
         self._rewards[i] = reward
         self._taus[i] = tau
@@ -86,17 +128,6 @@ class ReplayMemory:
         """Map logical indices (0 = oldest) to ring-buffer slots."""
         start = (self._head - self._size) % self.capacity
         return (start + logical) % self.capacity
-
-    def _gather(
-        self, idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            self._states[idx],
-            self._actions[idx],
-            self._rewards[idx],
-            self._next_states[idx],
-            self._taus[idx],
-        )
 
     def states(self, logical: np.ndarray) -> np.ndarray:
         """The stored states at ``logical`` indices (0 = the oldest).
@@ -137,4 +168,15 @@ class ReplayMemory:
             raise ValueError("cannot sample from an empty replay memory")
         replace = batch_size > self._size
         logical = rng.choice(self._size, size=batch_size, replace=replace)
-        return self._gather(self._physical(logical))
+        idx = self._physical(logical)
+        states = self._states.take(idx, axis=0)
+        next_states = self._states.take(idx + 1, axis=0, mode="wrap")
+        for row in self._ends[idx].nonzero()[0].tolist():
+            next_states[row] = self._side[int(idx[row])]
+        return (
+            states,
+            self._actions[idx],
+            self._rewards[idx],
+            next_states,
+            self._taus[idx],
+        )

@@ -117,6 +117,21 @@ class EventQueue:
             return event
         return None
 
+    def clear(self) -> None:
+        """Drop every queued event and each one's callback.
+
+        For a run that stopped before the queue drained, or an engine
+        dropped unrun: a callback holds a server, which holds this queue
+        and, mid-run, the handle of its pending timeout or power
+        transition, so dropping the callbacks leaves no reference cycle.
+        A late ``cancel()`` on a dropped handle is a no-op.
+        """
+        for _, _, event in self._heap:
+            event.callback = None
+            event._queue = None
+        self._heap.clear()
+        self._live = 0
+
     def run_until_empty(self, max_events: int | None = None) -> int:
         """Drain the queue, invoking callbacks in time order.
 

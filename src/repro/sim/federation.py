@@ -21,6 +21,7 @@ simulator, not a twin of it.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -170,6 +171,10 @@ class FederationEngine:
                     f"site {site.name!r} was built on a different EventQueue; "
                     "all sites of a federation share one event clock"
                 )
+        # Dropped unrun, an engine still holds the events scheduled at
+        # build time (capacity events, crashes), whose callbacks hold
+        # servers, which hold the queue: they go with the engine.
+        weakref.finalize(self, self.events.clear)
         #: Set by :func:`repro.faults.inject.install_faults`: the guard
         #: that contains broker errors and steers around downed capacity.
         #: ``None`` (the default) makes any broker error abort the run.
@@ -183,18 +188,6 @@ class FederationEngine:
         self._feed = None
         self._remote_routed = 0
         self._gauge_names = [f"queue.{site.name}" for site in self.sites]
-
-    def _broker_error(self, exc: Exception) -> None:
-        """The one broker-error rule, for both tiers.
-
-        A broker that raises, or picks an index out of range, aborts the
-        run — unless a fault runtime is installed, which counts the
-        error in ``broker_fallbacks`` and lets the caller fall back to
-        the least-loaded live site or server.
-        """
-        if self.faults is None:
-            raise exc
-        self.faults.contain()
 
     def _finish_handler(self, site: Site):
         """Site ``site``'s servers' completion hook, wired for one :meth:`run`."""
@@ -221,6 +214,14 @@ class FederationEngine:
         assignment. Fresh arrivals and the fault runtime's retries share
         this path; a retry (``fresh=False``) is not counted as a new
         arrival.
+
+        One broker-error rule holds at both tiers: a broker that raises,
+        or picks an index out of range, aborts the run, unless a fault
+        runtime is installed, which counts the error in
+        ``broker_fallbacks`` and falls back to the least-loaded live site
+        or server. The error is re-raised unbound (a bare ``raise``): a
+        frame that held it would be a reference cycle through its
+        traceback, keeping the engine alive.
         """
         tel = self._tel
         guard = self.faults
@@ -237,8 +238,10 @@ class FederationEngine:
                         f"federation broker chose site {target} outside "
                         f"[0, {len(sites)})"
                     )
-            except Exception as exc:
-                self._broker_error(exc)
+            except Exception:
+                if guard is None:
+                    raise
+                guard.contain()
                 target = guard.fallback_site(home)
             if tel is not None:
                 self._route_phase.end()
@@ -262,8 +265,10 @@ class FederationEngine:
                 raise ValueError(
                     f"broker chose server {index} outside [0, {len(cluster)})"
                 )
-        except Exception as exc:
-            self._broker_error(exc)
+        except Exception:
+            if guard is None:
+                raise
+            guard.contain()
             index = guard.fallback_server(target)
         else:
             if guard is not None:
@@ -309,9 +314,10 @@ class FederationEngine:
         The servers' finish hooks, the merged feed and a fault runtime's
         links back (:meth:`~repro.faults.inject.FaultRuntime.attach`)
         are wired for this call only and dropped when it returns or
-        raises. So a finished engine holds no reference cycle, and
-        reference counting frees it, with its sites, brokers and replay
-        memories, as soon as its last user drops it.
+        raises, and so are the events a raising run left queued (with
+        their callbacks). So a finished engine holds no reference cycle,
+        and reference counting frees it, with its sites, brokers and
+        replay memories, as soon as its last user drops it.
 
         Raises
         ------
@@ -348,6 +354,7 @@ class FederationEngine:
                 with span("run.finalize"):
                     return self._finalize()
         finally:
+            self.events.clear()  # a no-op unless the drain was cut short
             self._feed = None
             for site in self.sites:
                 for server in site.cluster.servers:

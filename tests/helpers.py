@@ -3,8 +3,8 @@ churn, a tariff or faults attached, a numerical gradient, the loop
 references the fast paths must match bit for bit (the
 per-group Sub-Q loop, the one-call ε-greedy choice, the per-array
 optimizer, the per-step LSTM, the trace samplers' ``uniform()`` coin
-and per-element jobs, the two-walk packing choice), and the one timer
-behind every bench gate."""
+and per-element jobs, the two-walk packing choice, the two-array replay
+memory), and the one timer behind every bench gate."""
 
 from __future__ import annotations
 
@@ -54,6 +54,59 @@ class _InOrder:
     @staticmethod
     def choice(n, size, replace):
         return np.arange(size)
+
+
+class TwoArrayReplay:
+    """The replay memory with one ring per field, next states included.
+
+    Every transition keeps its own copy of its next state, so within a
+    run each state is stored twice; :class:`repro.rl.replay.ReplayMemory`
+    must sample the same five arrays from the same pushes, bit for bit.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._size = 0
+        self._head = 0
+        self._states: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def push(self, state, action, reward, next_state, tau) -> None:
+        if self._states is None:
+            width = len(state)
+            self._states = np.empty((self.capacity, width), dtype=np.float64)
+            self._next_states = np.empty_like(self._states)
+            self._actions = np.empty(self.capacity, dtype=np.int64)
+            self._rewards = np.empty(self.capacity, dtype=np.float64)
+            self._taus = np.empty(self.capacity, dtype=np.float64)
+        i = self._head
+        self._states[i] = state
+        self._next_states[i] = next_state
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._taus[i] = tau
+        self._head = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
+
+    def _physical(self, logical: np.ndarray) -> np.ndarray:
+        start = (self._head - self._size) % self.capacity
+        return (start + logical) % self.capacity
+
+    def states(self, logical: np.ndarray) -> np.ndarray:
+        return self._states[self._physical(np.asarray(logical))]
+
+    def sample_arrays(self, batch_size: int, rng) -> tuple:
+        replace = batch_size > self._size
+        idx = self._physical(rng.choice(self._size, size=batch_size, replace=replace))
+        return (
+            self._states[idx],
+            self._actions[idx],
+            self._rewards[idx],
+            self._next_states[idx],
+            self._taus[idx],
+        )
 
 
 def stored_transitions(memory):

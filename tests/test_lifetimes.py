@@ -1,16 +1,19 @@
 """Lifetimes: what a finished stage dropped is freed at once.
 
 A finished engine holds no reference cycle, so reference counting frees
-it, its clusters and its brokers (with their replay memories) as soon as
-the caller drops it, and the training and evaluation steps drop each
-broker and system once their stage ends. Every test runs with the
-cyclic garbage collector paused (:func:`tests.helpers.gc_paused`), so an
-object that only the collector could free shows up as alive.
+it, its event queue, clusters, servers and brokers (with their replay
+memories) as soon as the caller drops it, whether its run returned,
+raised or never started, and the training and evaluation steps drop
+each broker and system once their stage ends. Every test runs with the cyclic garbage
+collector paused (:func:`tests.helpers.gc_paused`), so an object that
+only the collector could free shows up as alive.
 """
 
+import signal
 import weakref
 
 import numpy as np
+import pytest
 
 from repro.core.baselines import ImmediateSleepPolicy, RoundRobinBroker
 from repro.core.federation import DRLFederationBroker
@@ -27,19 +30,25 @@ from repro.harness.runner import (
 )
 from repro.harness.table1 import TABLE1_SYSTEMS, default_config, make_traces
 from repro.obs import telemetry as obs
-from repro.scenarios import registry
+from repro.scenarios import orchestrator, registry
 from repro.scenarios.federation import build_cell, build_federation_engine
+from repro.sim.churn import CapacityEvent
 from repro.sim.engine import build_simulation
-from repro.sim.federation import build_federation
+from repro.sim.events import EventQueue
+from repro.sim.federation import FederationEngine, build_federation
 from repro.sim.job import Job
+from repro.sim.server import Server
 from tests.helpers import NO_TRAINING, ONE_EPOCH, gc_paused
 
 
 def engine_refs(engine) -> dict[str, weakref.ref]:
-    """Weak references to a federation engine, its clusters and its brokers."""
-    objects = {"engine": engine}
+    """Weak references to a federation engine, its event queue, clusters,
+    servers and brokers."""
+    objects = {"engine": engine, "events": engine.events}
     for i, site in enumerate(engine.sites):
         objects[f"sites[{i}].cluster"] = site.cluster
+        for j, server in enumerate(site.cluster.servers):
+            objects[f"sites[{i}].servers[{j}]"] = server
         objects[f"sites[{i}].broker"] = site.broker
         if isinstance(site.broker, DRLGlobalBroker):
             objects[f"sites[{i}].broker.replay"] = site.broker.replay
@@ -137,6 +146,118 @@ class TestEngines:
             del engine
             assert alive(refs) == []
             assert tel.snapshot()["counters"]["jobs.completed"] == 60
+
+
+class TestUnrunEngines:
+    """Events queued at build time go with an engine dropped unrun."""
+
+    def test_capacity_event(self):
+        with gc_paused():
+            engine = build_federation(
+                [
+                    dict(
+                        num_servers=2,
+                        broker=RoundRobinBroker(),
+                        policies=ImmediateSleepPolicy(),
+                        capacity_events=[CapacityEvent(10.0, 0, 50.0)],
+                    )
+                ]
+            )
+            assert len(engine.events) == 2
+            refs = engine_refs(engine)
+            del engine
+            assert alive(refs) == []
+
+    def test_faulted_cell_engine(self):
+        spec = registry.get("degraded-federation")
+        with gc_paused():
+            systems, broker, _ = build_cell(
+                "round-robin", spec, 120, SWEEP_PROTOCOL, seed=0
+            )
+            engine = build_federation_engine(
+                spec,
+                systems,
+                broker,
+                SWEEP_PROTOCOL.record_every,
+                faults=scenario_fault_plans(spec, 120, 0),
+            )
+            del systems, broker
+            assert len(engine.events) > 0
+            refs = engine_refs(engine)
+            refs["faults"] = weakref.ref(engine.faults)
+            del engine
+            assert alive(refs) == []
+
+
+class FailingBroker(RoundRobinBroker):
+    """Round-robin until job ``fail_at`` arrives, which it cannot place."""
+
+    def __init__(self, fail_at: int) -> None:
+        super().__init__()
+        self.fail_at = fail_at
+
+    def select_server(self, job, cluster, now):
+        if job.job_id == self.fail_at:
+            raise RuntimeError(f"cannot place job {job.job_id}")
+        return super().select_server(job, cluster, now)
+
+
+class TestRaisingRuns:
+    """A run that raises leaves events queued; none keeps a server alive."""
+
+    def jobs(self, times) -> list[Job]:
+        return [Job(i, t, 500.0, (0.3, 0.1, 0.1)) for i, t in enumerate(times)]
+
+    def test_unsorted_stream(self):
+        with gc_paused():
+            engine = build_simulation(4, RoundRobinBroker(), ImmediateSleepPolicy())
+            refs = engine_refs(engine.federation)
+            with pytest.raises(ValueError, match="sorted by arrival time"):
+                engine.run(self.jobs([0.0, 10.0, 20.0, 300.0, 5.0]))
+            del engine
+            assert alive(refs) == []
+
+    def test_broker_error_without_a_fault_runtime(self):
+        with gc_paused():
+            engine = build_federation(
+                [
+                    dict(
+                        num_servers=3,
+                        broker=FailingBroker(fail_at=40),
+                        policies=ImmediateSleepPolicy(),
+                    )
+                    for _ in range(2)
+                ]
+            )
+            refs = engine_refs(engine)
+            with pytest.raises(RuntimeError, match="cannot place job 40"):
+                engine.run(two_streams())
+            del engine
+            assert alive(refs) == []
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_cell_timeout(self, monkeypatch):
+        # The cell's budget runs out while its engine drains: the first
+        # dispatch shortens the alarm to one millisecond.
+        engines = record(monkeypatch, FederationEngine)
+        queues = record(monkeypatch, EventQueue)
+        servers = record(monkeypatch, Server)
+        select_server = RoundRobinBroker.select_server
+
+        def select_then_alarm(self, job, cluster, now):
+            if job.job_id == 0:
+                signal.setitimer(signal.ITIMER_REAL, 0.001)
+            return select_server(self, job, cluster, now)
+
+        monkeypatch.setattr(RoundRobinBroker, "select_server", select_then_alarm)
+        cell = orchestrator.SweepCell(registry.get("paper-default"), "round-robin", 0)
+        with gc_paused():
+            with pytest.raises(orchestrator.CellTimeout):
+                orchestrator._execute_cell(
+                    (cell, 400, SWEEP_PROTOCOL, False, None, 60.0)
+                )
+            assert len(engines) == len(queues) == 1 and len(servers) > 0
+            assert [ref for ref in engines + queues + servers if ref()] == []
 
 
 def record(monkeypatch, cls) -> list[weakref.ref]:
