@@ -192,18 +192,24 @@ def rig(bench_seed):
     engine.run(trace[:250])
     rng = np.random.default_rng(bench_seed)
     memory = ReplayMemory(5000)
+    # Chained, as a broker pushes them within a run: each transition's
+    # next state is the next one's state, so the memory samples
+    # successors from its state ring, not from its side store of chain
+    # ends (unrelated transitions would make every one a chain end).
+    states = rng.uniform(0.0, 1.0, (2001, enc.state_dim))
     records = [
         Record(
-            rng.uniform(0.0, 1.0, enc.state_dim),
+            states[k],
             int(rng.integers(0, M)),
             float(rng.normal()),
-            rng.uniform(0.0, 1.0, enc.state_dim),
+            states[k + 1],
             float(rng.uniform(0.1, 10.0)),
         )
-        for _ in range(2000)
+        for k in range(2000)
     ]
     for record in records:
         memory.push(*record)
+    assert memory._ends.sum() == 1  # only the newest transition
     return {
         "enc": enc,
         "qnet": qnet,

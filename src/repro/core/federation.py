@@ -166,11 +166,14 @@ class FederationStateView:
             return self._compute_views()
 
     def _compute_views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # ``np.add.reduce`` and a division by the count are the
+        # reduction and the division ``ndarray.sum``/``.mean`` make.
         for i, site in enumerate(self.sites):
             ledger = site.cluster.ledger
-            self._util[i] = ledger.util[:, : self.num_resources].mean(axis=0)
-            self._on[i] = ledger.on.mean()
-            self._queue[i] = ledger.queue.sum()
+            n = len(ledger.on)
+            self._util[i] = np.add.reduce(ledger.util[:, : self.num_resources]) / n
+            self._on[i] = np.add.reduce(ledger.on) / n
+            self._queue[i] = np.add.reduce(ledger.queue)
         return self._util, self._on, self._queue
 
     # Fleet-wide reward integrals (sums over the member ledgers).

@@ -21,7 +21,7 @@
 Discipline inherited from the telemetry work: when no faults are
 configured the runtime is never installed and the engine never calls a
 guard; when installed with *null* specs it schedules the identical
-finish events (same times, same kinds, same event order) and draws
+finish events (same times, same effects, same event order) and draws
 nothing from any random stream, so inert injection stays bit-identical
 — asserted by the zero-fault identity tests.
 """
@@ -95,7 +95,6 @@ class SiteFaultState:
         self.finish_events[job.job_id] = server.events.schedule(
             now + duration,
             lambda t, server=server, job=job: self._finish(server, job, t),
-            kind=f"finish:{job.job_id}",
         )
 
     def _finish(self, server: Server, job: "Job", now: float) -> None:
@@ -150,7 +149,6 @@ class SiteFaultState:
         server.events.schedule(
             now + recovery,
             lambda t, server=server: self.recover(server, t),
-            kind=f"recover:{self.site_index}.{sid}",
         )
 
     def recover(self, server: Server, now: float) -> None:
@@ -221,7 +219,6 @@ class FaultRuntime:
                         lambda t, state=state, server=server, rec=event.recovery: (
                             state.crash(server, t, rec)
                         ),
-                        kind=f"crash:{index}.{event.server_id}",
                     )
 
     def attach(self, engine: "FederationEngine") -> None:
@@ -319,7 +316,6 @@ class FaultRuntime:
             lambda t, job=job, home=site_index: self.engine.place(
                 job, home, t, fresh=False
             ),
-            kind=f"retry:{job.job_id}",
         )
 
     # -- result payload helpers -----------------------------------------

@@ -38,6 +38,10 @@ class Optimizer:
         for p in parameters:
             seen.setdefault(id(p), p)
         self.parameters = list(seen.values())
+        self._pack()
+
+    def _pack(self) -> None:
+        """Make the parameters views of ``values``/``grads``, and the scratch."""
         self.values, self.grads = pack(self.parameters)
         self._work = np.empty_like(self.values)
         # The squared gradient of each parameter, in its shape, so that
@@ -47,6 +51,17 @@ class Optimizer:
         for p in self.parameters:
             self._squares.append(self._work[offset : offset + p.size].reshape(p.shape))
             offset += p.size
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a copy (``copy.deepcopy``, ``pickle``), then re-pack it.
+
+        A copy copies every array on its own: the parameters stop being
+        views of ``values`` and ``grads``, and ``_squares`` stop being
+        views of ``_work``. Packing the copied parameters again makes the
+        copy's steps reach its network, as the original's reach its own.
+        """
+        self.__dict__.update(state)
+        self._pack()
 
     def step(self) -> None:
         raise NotImplementedError

@@ -86,6 +86,9 @@ def pack(parameters: list[Parameter]) -> tuple[np.ndarray, np.ndarray]:
     gradients are copied into fresh buffers and every parameter's
     ``value`` and ``grad`` are rebound, once, to views of its slice.
 
+    Only an ndarray ``base`` makes an array a view: an unpickled array's
+    ``base`` is the ``bytes`` it was read from, which nobody updates.
+
     Raises
     ------
     ValueError
@@ -97,7 +100,7 @@ def pack(parameters: list[Parameter]) -> tuple[np.ndarray, np.ndarray]:
     if run is not None:
         return run
     for p in parameters:
-        if p.value.base is not None or p.grad.base is not None:
+        if _is_view(p.value) or _is_view(p.grad):
             raise ValueError(
                 f"parameter {p.name or '<unnamed>'} is a view into another "
                 "array and the list is not one consecutive run of it"
@@ -118,10 +121,13 @@ def pack(parameters: list[Parameter]) -> tuple[np.ndarray, np.ndarray]:
 
 def _packed_run(parameters: list[Parameter]) -> tuple[np.ndarray, np.ndarray] | None:
     """Views of the buffers ``parameters`` already fill in order, or None."""
-    values, grads = parameters[0].value.base, parameters[0].grad.base
-    if values is None or grads is None or values.ndim != 1 or grads.ndim != 1:
+    first = parameters[0]
+    if not (_is_view(first.value) and _is_view(first.grad)):
         return None
-    start = stop = _offset(parameters[0].value, values)
+    values, grads = first.value.base, first.grad.base
+    if values.ndim != 1 or grads.ndim != 1:
+        return None
+    start = stop = _offset(first.value, values)
     for p in parameters:
         if (
             p.value.base is not values
@@ -133,6 +139,11 @@ def _packed_run(parameters: list[Parameter]) -> tuple[np.ndarray, np.ndarray] | 
             return None
         stop += p.size
     return values[start:stop], grads[start:stop]
+
+
+def _is_view(array: np.ndarray) -> bool:
+    """Whether ``array`` shares the memory of another ndarray."""
+    return isinstance(array.base, np.ndarray)
 
 
 def _offset(view: np.ndarray, base: np.ndarray) -> int:

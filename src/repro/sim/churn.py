@@ -75,12 +75,10 @@ def schedule_capacity_events(
         cluster.events.schedule(
             event.time,
             lambda t, s=server, f=event.fraction: s.set_capacity(t, f),
-            kind=f"drain:{event.server_id}",
         )
         cluster.events.schedule(
             event.time + event.duration,
             lambda t, s=server: s.set_capacity(t, 1.0),
-            kind=f"restore:{event.server_id}",
         )
         count += 2
     return count

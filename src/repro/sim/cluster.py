@@ -106,24 +106,26 @@ class Cluster:
         self.ledger.sync(now)
 
     # ------------------------------------------------------------------
-    # Aggregates (callers should sync() first for exact mid-run values)
+    # Aggregates (callers should sync() first for exact mid-run values).
+    # ``np.add.reduce`` is the reduction ``ndarray.sum`` makes, without
+    # its Python wrapper frames.
     # ------------------------------------------------------------------
 
     def total_energy(self) -> float:
         """Total cluster energy in joules."""
-        return float(self.ledger.energy.sum())
+        return float(np.add.reduce(self.ledger.energy))
 
     def jobs_in_system(self) -> int:
         """Jobs currently waiting or running anywhere in the cluster."""
-        return int(self.ledger.in_system.sum())
+        return int(np.add.reduce(self.ledger.in_system))
 
     def system_integral(self) -> float:
         """Time integral of the number of jobs in the system (VM-seconds)."""
-        return float(self.ledger.system_int.sum())
+        return float(np.add.reduce(self.ledger.system_int))
 
     def overload_integral(self) -> float:
         """Time integral of the cluster hot-spot measure."""
-        return float(self.ledger.overload_int.sum())
+        return float(np.add.reduce(self.ledger.overload_int))
 
     # ------------------------------------------------------------------
     # State observation for the global tier

@@ -18,19 +18,17 @@ from typing import Callable
 class ScheduledEvent:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("time", "callback", "cancelled", "kind", "_queue")
+    __slots__ = ("time", "callback", "cancelled", "_queue")
 
     def __init__(
         self,
         time: float,
         callback: Callable[[float], None],
-        kind: str = "",
         queue: "EventQueue | None" = None,
     ) -> None:
         self.time = time
         self.callback = callback
         self.cancelled = False
-        self.kind = kind
         self._queue = queue
 
     def cancel(self) -> None:
@@ -42,7 +40,8 @@ class ScheduledEvent:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
-        return f"ScheduledEvent(t={self.time:.3f}, kind={self.kind!r}{state})"
+        name = getattr(self.callback, "__qualname__", repr(self.callback))
+        return f"ScheduledEvent(t={self.time:.3f}, callback={name}{state})"
 
 
 class EventQueue:
@@ -58,10 +57,7 @@ class EventQueue:
         return self._live
 
     def schedule(
-        self,
-        time: float,
-        callback: Callable[[float], None],
-        kind: str = "",
+        self, time: float, callback: Callable[[float], None]
     ) -> ScheduledEvent:
         """Schedule ``callback(time)`` at absolute simulated ``time``.
 
@@ -73,22 +69,19 @@ class EventQueue:
         """
         if not time >= self.now:
             raise ValueError(f"cannot schedule at {time} before now ({self.now})")
-        event = ScheduledEvent(time, callback, kind, queue=self)
+        event = ScheduledEvent(time, callback, queue=self)
         heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
         self._live += 1
         return event
 
     def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[[float], None],
-        kind: str = "",
+        self, delay: float, callback: Callable[[float], None]
     ) -> ScheduledEvent:
         """Schedule ``callback`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule(self.now + delay, callback, kind)
+        return self.schedule(self.now + delay, callback)
 
     def pop(self) -> ScheduledEvent | None:
         """Pop and return the next live event, advancing ``now``.

@@ -190,14 +190,20 @@ class FederationEngine:
         self._gauge_names = [f"queue.{site.name}" for site in self.sites]
 
     def _finish_handler(self, site: Site):
-        """Site ``site``'s servers' completion hook, wired for one :meth:`run`."""
+        """Site ``site``'s servers' completion hook, wired for one :meth:`run`.
+
+        The collector reads the site's energy total only when it records
+        it (a series point, a tariff interval), not at every completion.
+        """
+        cluster, metrics = site.cluster, site.metrics
+        read_energy = cluster.total_energy
 
         def handle(job: Job, now: float) -> None:
             tel = self._tel
             if tel is not None:
                 self._settle_phase.begin()
-            site.cluster.sync(now)
-            site.metrics.on_completion(job, now, site.cluster.total_energy())
+            cluster.sync(now)
+            metrics.on_completion(job, now, read_energy)
             if tel is not None:
                 self._settle_phase.end()
 
@@ -396,7 +402,6 @@ class FederationEngine:
         self.events.schedule(
             arrival,
             lambda t, job=job, home=home: self._on_arrival(job, home, t),
-            kind=f"arrival:{job.job_id}",
         )
 
     def _on_arrival(self, job: Job, home: int, now: float) -> None:

@@ -12,9 +12,10 @@ wake), while cluster-wide operations become single vector expressions:
   matching rows of ``integrals`` (:data:`INTEGRALS`), so
   :meth:`ClusterLedger.sync` integrates *all* servers to ``now`` with
   one broadcast multiply-add, ``integrals += rates * dt``, instead of an
-  O(M) Python loop of per-server ``account`` calls;
-* aggregate reads (total energy, VM-seconds, overload) are ``ndarray.sum``
-  reductions;
+  O(M) Python loop of per-server ``account`` calls, written through two
+  preallocated scratch arrays so a sync allocates nothing;
+* aggregate reads (total energy, VM-seconds, overload) are
+  ``np.add.reduce`` reductions, the ones ``ndarray.sum`` makes;
 * the DRL state encoder consumes the utilization / power-state / queue
   arrays by slicing, with no per-server object traversal.
 
@@ -58,7 +59,17 @@ class ClusterLedger:
     named array above is a view of its row.
     """
 
-    __slots__ = ("util", "on", "last_account", "rates", "integrals", *RATES, *INTEGRALS)
+    __slots__ = (
+        "util",
+        "on",
+        "last_account",
+        "rates",
+        "integrals",
+        "_dt",
+        "_step",
+        *RATES,
+        *INTEGRALS,
+    )
 
     def __init__(self, num_servers: int, num_resources: int) -> None:
         m = int(num_servers)
@@ -67,6 +78,10 @@ class ClusterLedger:
         self.last_account = np.zeros(m)
         self.rates = np.zeros((len(RATES), m))
         self.integrals = np.zeros((len(INTEGRALS), m))
+        # Scratch for sync: each server's elapsed time, and the integrals'
+        # increments over it.
+        self._dt = np.empty(m)
+        self._step = np.empty_like(self.rates)
         for name, row in zip(RATES + INTEGRALS, (*self.rates, *self.integrals)):
             setattr(self, name, row)
 
@@ -79,13 +94,13 @@ class ClusterLedger:
             If any server's accounting clock is ahead of ``now``; no
             integral is touched then.
         """
-        dt = now - self.last_account
-        if (dt < -_EPS).any():
+        dt = np.subtract(now, self.last_account, out=self._dt)
+        if np.minimum.reduce(dt) < -_EPS:
             bad = int(np.flatnonzero(dt < -_EPS)[0])
             raise RuntimeError(
                 f"server {bad}: accounting time went backwards "
                 f"({now} < {self.last_account[bad]})"
             )
         np.maximum(dt, 0.0, out=dt)
-        self.integrals += self.rates * dt
-        self.last_account[:] = now
+        self.integrals += np.multiply(self.rates, dt, out=self._step)
+        self.last_account.fill(now)

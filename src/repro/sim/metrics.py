@@ -20,6 +20,7 @@ sampled into the series).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.sim.job import Job
 from repro.sim.power import TariffModel
@@ -128,16 +129,30 @@ class MetricsCollector:
         """
         self.n_failed += 1
 
-    def on_completion(self, job: Job, now: float, cluster_energy: float) -> None:
-        """Record a completed job; ``cluster_energy`` is synced total joules."""
+    def on_completion(
+        self, job: Job, now: float, read_energy: Callable[[], float]
+    ) -> None:
+        """Record a completed job.
+
+        ``read_energy()`` returns the site's total joules, synced to
+        ``now`` (the engine passes ``cluster.total_energy``). It is
+        called only when the total is used, to settle a tariff or to
+        append a series point, and at most once: most completions of a
+        run without a tariff read no energy at all.
+        """
         self.n_completed += 1
         latency = job.latency
         self.acc_latency += latency
         self.acc_wait += job.wait_time
         self.max_latency = max(self.max_latency, latency)
         self.final_time = now
-        self._settle_tariff(now, cluster_energy)
+        cluster_energy = None
+        if self.tariff is not None:
+            cluster_energy = read_energy()
+            self._settle_tariff(now, cluster_energy)
         if self.n_completed % self.record_every == 0 or self.n_completed == 1:
+            if cluster_energy is None:
+                cluster_energy = read_energy()
             self.series.append(
                 SeriesPoint(
                     self.n_completed,

@@ -168,12 +168,28 @@ class Server:
         i = self._index
         ledger = self._ledger
         state = self._state
-        ledger.on[i] = 1.0 if state.is_on else 0.0
-        ledger.queue[i] = len(self.pending)
-        ledger.in_system[i] = len(self.pending) + len(self.running)
-        cpu = self.cpu_utilization if state is _ACTIVE else 0.0
-        ledger.overload_excess[i] = max(0.0, cpu - self.overload_threshold)
-        ledger.power[i] = self.current_power()
+        queued = len(self.pending)
+        ledger.queue[i] = queued
+        ledger.in_system[i] = queued + len(self.running)
+        # One read of the state and the CPU: the rows current_power()
+        # and a hot-spot check would give, branch by branch.
+        if state is _ACTIVE:
+            cpu = self.cpu_utilization
+            ledger.on[i] = 1.0
+            ledger.overload_excess[i] = max(0.0, cpu - self.overload_threshold)
+            ledger.power[i] = self.power_model.active_power(cpu)
+            return
+        # Off the ACTIVE state the CPU counts as 0, below any threshold.
+        ledger.overload_excess[i] = 0.0
+        if state is _IDLE:
+            ledger.on[i] = 1.0
+            ledger.power[i] = self.power_model.active_power(0.0)
+        elif state is _SLEEP:
+            ledger.on[i] = 0.0
+            ledger.power[i] = self.power_model.sleep_power
+        else:
+            ledger.on[i] = 0.0
+            ledger.power[i] = float(self.power_model.transition_power)
 
     # ------------------------------------------------------------------
     # Observables
@@ -346,16 +362,14 @@ class Server:
             if self.faults is None:
                 finish_time = now + job.duration
                 self.events.schedule(
-                    finish_time,
-                    lambda t, job=job: self._finish_job(job, t),
-                    kind=f"finish:{job.job_id}",
+                    finish_time, lambda t, job=job: self._finish_job(job, t)
                 )
             else:
                 # The fault runtime owns the finish event: it may
                 # stretch the duration (straggler) or turn the finish
                 # into a failure, and it keeps a handle so a crash can
                 # cancel it. With a null spec it schedules the identical
-                # event (same time, same kind, same effects).
+                # event (same time, same effects).
                 self.faults.start_job(self, job, now)
         self._refresh()
 
@@ -415,11 +429,7 @@ class Server:
         if timeout == 0.0:
             self._begin_shutdown(now)
         elif not math.isinf(timeout):
-            self._timeout_event = self.events.schedule_in(
-                timeout,
-                self._on_timeout,
-                kind=f"timeout:{self.server_id}",
-            )
+            self._timeout_event = self.events.schedule_in(timeout, self._on_timeout)
         # timeout == inf: stay idle until the next arrival (always-on).
 
     def _on_timeout(self, now: float) -> None:
@@ -432,9 +442,7 @@ class Server:
     def _begin_shutdown(self, now: float) -> None:
         self.state = _SHUTTING_DOWN
         self._transition_event = self.events.schedule_in(
-            self.power_model.t_off,
-            self._on_shutdown_complete,
-            kind=f"sleep:{self.server_id}",
+            self.power_model.t_off, self._on_shutdown_complete
         )
 
     def _on_shutdown_complete(self, now: float) -> None:
@@ -449,9 +457,7 @@ class Server:
         self.state = _BOOTING
         self.wakeups += 1
         self._transition_event = self.events.schedule_in(
-            self.power_model.t_on,
-            self._on_boot_complete,
-            kind=f"boot:{self.server_id}",
+            self.power_model.t_on, self._on_boot_complete
         )
 
     def _on_boot_complete(self, now: float) -> None:

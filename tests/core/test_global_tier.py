@@ -1,5 +1,9 @@
 """Tests for repro.core.global_tier: the DRL broker and offline phase."""
 
+import copy
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,6 +128,52 @@ def make_drl_system(num_servers=4, groups=2):
     broker = make_broker(num_servers, groups)
     config = ExperimentConfig(num_servers=num_servers, global_tier=broker.config)
     return HierarchicalSystem("drl-only", broker, ImmediateSleepPolicy(), config)
+
+
+def trained_broker():
+    broker = make_broker()
+    build_simulation(4, broker, ImmediateSleepPolicy()).run(jobs_burst(60))
+    assert broker.optimizer._t > 0
+    return broker
+
+
+ROUND_TRIPS = {
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+class TestCopies:
+    """A copied or unpickled learner trains its own network, as its
+    untouched twin trains its."""
+
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+    def test_a_copied_broker_trains_as_its_untouched_twin(self, round_trip):
+        trained, twin = trained_broker(), trained_broker()
+        copied = round_trip(trained)
+        with warnings.catch_warnings():
+            # Stale clip scratch once made the norm NaN ("invalid value
+            # encountered in sqrt").
+            warnings.simplefilter("error")
+            for _ in range(20):
+                assert copied.train_minibatch() == twin.train_minibatch()
+        mine, theirs = copied.optimizer, twin.optimizer
+        assert mine._t == theirs._t
+        for name in ("values", "_m", "_v"):
+            assert np.array_equal(getattr(mine, name), getattr(theirs, name))
+        for p, q in zip(copied.qnet.parameters(), twin.qnet.parameters()):
+            assert np.shares_memory(p.value, mine.values)
+            assert np.array_equal(p.value, q.value)
+        # The original stayed where the copy started.
+        assert not np.array_equal(trained.optimizer.values, mine.values)
+
+    def test_an_unpickled_q_network_makes_an_optimizer(self):
+        qnet = trained_broker().qnet
+        copied = pickle.loads(pickle.dumps(qnet))
+        optimizer = copied.make_optimizer()
+        for p, q in zip(copied.parameters(), qnet.parameters()):
+            assert np.shares_memory(p.value, optimizer.values)
+            assert np.array_equal(p.value, q.value)
 
 
 class TestOfflinePretrain:

@@ -47,27 +47,37 @@ def as_oracle(broker: DRLGlobalBroker) -> DRLGlobalBroker:
     return broker
 
 
-def fill_replay(broker: DRLGlobalBroker, n: int = 300) -> None:
-    """The same ``n`` random transitions for every broker."""
+def fill_replay(broker: DRLGlobalBroker, n: int = 300, chained: bool = True) -> None:
+    """The same ``n`` random transitions for every broker.
+
+    Chained, each transition's next state is the next one's state, as a
+    broker pushes them within a run; unchained, every state is drawn
+    anew, so every stored transition is a chain end and samples its
+    next state from the memory's side store.
+    """
     rng = np.random.default_rng(1)
     dim, servers = broker.encoder.state_dim, broker.encoder.num_servers
+    state = None
     for _ in range(n):
+        if state is None or not chained:
+            state = rng.uniform(size=dim)
+        action = int(rng.integers(servers))
+        reward = float(rng.normal(scale=5.0))
+        next_state = rng.uniform(size=dim)
         broker.replay.push(
-            rng.uniform(size=dim),
-            int(rng.integers(servers)),
-            float(rng.normal(scale=5.0)),
-            rng.uniform(size=dim),
-            float(rng.uniform(0.1, 30.0)),
+            state, action, reward, next_state, float(rng.uniform(0.1, 30.0))
         )
+        state = next_state
 
 
 class TestBroker:
+    @pytest.mark.parametrize("chained", [True, False], ids=["chained", "unchained"])
     @pytest.mark.parametrize("max_grad_norm", [10.0, 0.05])
-    def test_train_minibatch(self, max_grad_norm):
+    def test_train_minibatch(self, max_grad_norm, chained):
         packed = make_broker(max_grad_norm=max_grad_norm)
         oracle = as_oracle(make_broker(max_grad_norm=max_grad_norm))
         for broker in (packed, oracle):
-            fill_replay(broker)
+            fill_replay(broker, chained=chained)
         for _ in range(STEPS):
             assert packed.train_minibatch() == oracle.train_minibatch()
         assert_same_adam(packed.optimizer, oracle.optimizer)

@@ -84,8 +84,8 @@ def run_faulted(streams, spec, seed, num_servers=2):
     scheduled = []
     original = engine.events.schedule
 
-    def tracking_schedule(time, callback, kind="event"):
-        event = original(time, callback, kind=kind)
+    def tracking_schedule(time, callback):
+        event = original(time, callback)
         scheduled.append(event)
         return event
 

@@ -4,7 +4,8 @@ references the fast paths must match bit for bit (the
 per-group Sub-Q loop, the one-call ε-greedy choice, the per-array
 optimizer, the per-step LSTM, the trace samplers' ``uniform()`` coin
 and per-element jobs, the two-walk packing choice, the two-array replay
-memory), and the one timer behind every bench gate."""
+memory, the settle step with temporaries and an eager energy read),
+and the one timer behind every bench gate."""
 
 from __future__ import annotations
 
@@ -22,8 +23,12 @@ import repro.workload.synthetic as synthetic
 from perfbench.stats import summarize
 from repro.core.qnetwork import check_batch
 from repro.harness.runner import PAPER_PROTOCOL, Protocol, RunResult
-from repro.sim.federation import build_federation
+from repro.sim.cluster import Cluster
+from repro.sim.federation import FederationEngine, build_federation
 from repro.sim.job import Job
+from repro.sim.ledger import _EPS, ClusterLedger
+from repro.sim.metrics import MetricsCollector, SeriesPoint
+from repro.sim.server import _ACTIVE, Server
 from repro.workload.mixtures import _burst_on
 from repro.workload.synthetic import _DAY_SECONDS, SyntheticTraceConfig
 
@@ -574,6 +579,95 @@ def packing_choice_loop(job: Job, cluster) -> int:
     if awake:
         return min(awake, key=lambda s: (s.jobs_in_system, s.server_id)).server_id
     return 0
+
+
+def ledger_sync_temporaries(ledger: ClusterLedger, now: float) -> None:
+    """``ClusterLedger.sync`` building a fresh array for each step: the
+    elapsed times, the backwards check, and the products ``rates * dt``."""
+    dt = now - ledger.last_account
+    if (dt < -_EPS).any():
+        bad = int(np.flatnonzero(dt < -_EPS)[0])
+        raise RuntimeError(
+            f"server {bad}: accounting time went backwards "
+            f"({now} < {ledger.last_account[bad]})"
+        )
+    np.maximum(dt, 0.0, out=dt)
+    ledger.integrals += ledger.rates * dt
+    ledger.last_account[:] = now
+
+
+def on_completion_eager(
+    metrics: MetricsCollector, job: Job, now: float, cluster_energy: float
+) -> None:
+    """``MetricsCollector.on_completion`` handed the site's synced energy
+    total, which its caller summed at every completion."""
+    metrics.n_completed += 1
+    latency = job.latency
+    metrics.acc_latency += latency
+    metrics.acc_wait += job.wait_time
+    metrics.max_latency = max(metrics.max_latency, latency)
+    metrics.final_time = now
+    metrics._settle_tariff(now, cluster_energy)
+    if metrics.n_completed % metrics.record_every == 0 or metrics.n_completed == 1:
+        metrics.series.append(
+            SeriesPoint(
+                metrics.n_completed,
+                now,
+                metrics.acc_latency,
+                cluster_energy,
+                metrics.acc_cost_usd,
+                metrics.acc_co2_g,
+            )
+        )
+
+
+def finish_handler_eager(engine: FederationEngine, site):
+    """``FederationEngine._finish_handler`` summing the site's energy at
+    every completion, whether or not anything records it."""
+
+    def handle(job: Job, now: float) -> None:
+        site.cluster.sync(now)
+        on_completion_eager(site.metrics, job, now, site.cluster.total_energy())
+
+    return handle
+
+
+def refresh_via_current_power(server: Server) -> None:
+    """``Server._refresh`` reading the state and the CPU again through
+    ``state.is_on``, ``cpu_utilization`` and ``current_power()``."""
+    i = server._index
+    ledger = server._ledger
+    state = server._state
+    ledger.on[i] = 1.0 if state.is_on else 0.0
+    ledger.queue[i] = len(server.pending)
+    ledger.in_system[i] = len(server.pending) + len(server.running)
+    cpu = server.cpu_utilization if state is _ACTIVE else 0.0
+    ledger.overload_excess[i] = max(0.0, cpu - server.overload_threshold)
+    ledger.power[i] = server.current_power()
+
+
+def total_energy_sum(cluster: Cluster) -> float:
+    """``Cluster.total_energy`` through ``ndarray.sum``."""
+    return float(cluster.ledger.energy.sum())
+
+
+@contextlib.contextmanager
+def settle_oracles() -> Iterator[None]:
+    """Patch in the settle step as it was before it was made
+    allocation-free: the sync with temporaries, the finish handler's
+    eager energy read, the state re-read through ``current_power()``,
+    and ``ndarray.sum`` for the site's energy total. (Phase timing is
+    left out of the handler: telemetry reads no simulated value.)"""
+    patches = (
+        mock.patch.object(ClusterLedger, "sync", ledger_sync_temporaries),
+        mock.patch.object(FederationEngine, "_finish_handler", finish_handler_eager),
+        mock.patch.object(Server, "_refresh", refresh_via_current_power),
+        mock.patch.object(Cluster, "total_energy", total_energy_sum),
+    )
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        yield
 
 
 class Rounds(NamedTuple):

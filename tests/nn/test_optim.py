@@ -1,5 +1,8 @@
 """Tests for repro.nn.optim: SGD, Adam, gradient clipping."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -239,3 +242,28 @@ class TestPacked:
         Adam(params)
         with pytest.raises(ValueError, match="consecutive run"):
             Adam([params[2], params[0]])
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [copy.deepcopy, lambda opt: pickle.loads(pickle.dumps(opt))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_a_copy_is_packed_again(self, rng, copy_of):
+        # A copy copies every array on its own; the copy's optimizer
+        # must step the copy's parameters, and clip with fresh scratch.
+        params = random_parameters(rng)
+        opt = Adam(params)
+        opt.step()
+        twin = copy_of(opt)
+        for p in twin.parameters:
+            assert np.shares_memory(p.value, twin.values)
+            assert np.shares_memory(p.grad, twin.grads)
+        for squares, p in zip(twin._squares, twin.parameters):
+            assert np.shares_memory(squares, twin._work) and squares.shape == p.shape
+        assert not np.shares_memory(twin.values, opt.values)
+        for o in (opt, twin):
+            o.clip_grad_norm(0.5)
+            o.step()
+        for mine, theirs in zip(opt.parameters, twin.parameters):
+            assert np.array_equal(mine.value, theirs.value)
+        assert np.array_equal(opt._m, twin._m) and np.array_equal(opt._v, twin._v)

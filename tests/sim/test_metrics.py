@@ -13,6 +13,11 @@ def done_job(jid, arrival, start, finish):
     return job
 
 
+def reads(joules):
+    """An energy reader, as the engine passes ``cluster.total_energy``."""
+    return lambda: joules
+
+
 class TestSeriesPoint:
     def test_energy_kwh(self):
         p = SeriesPoint(1, 3600.0, 0.0, JOULES_PER_KWH)
@@ -29,8 +34,8 @@ class TestSeriesPoint:
 class TestCollector:
     def test_latency_accumulation(self):
         m = MetricsCollector(record_every=1)
-        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, 100.0)
-        m.on_completion(done_job(2, 5.0, 10.0, 30.0), 30.0, 200.0)
+        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, reads(100.0))
+        m.on_completion(done_job(2, 5.0, 10.0, 30.0), 30.0, reads(200.0))
         assert m.n_completed == 2
         assert m.acc_latency == pytest.approx(10.0 + 25.0)
         assert m.acc_wait == pytest.approx(0.0 + 5.0)
@@ -39,15 +44,34 @@ class TestCollector:
     def test_series_sampling_interval(self):
         m = MetricsCollector(record_every=3)
         for i in range(7):
-            m.on_completion(done_job(i, 0.0, 0.0, 1.0), float(i + 1), float(i))
+            m.on_completion(done_job(i, 0.0, 0.0, 1.0), float(i + 1), reads(float(i)))
         # first completion always recorded, then every 3rd.
         assert [p.n_completed for p in m.series] == [1, 3, 6]
         m.close(8.0, 99.0)
         assert m.series[-1].n_completed == 7
 
+    @pytest.mark.parametrize("tariff", [False, True])
+    def test_energy_is_read_only_when_recorded(self, tariff):
+        from repro.sim.power import TariffModel
+
+        m = MetricsCollector(
+            record_every=3, tariff=TariffModel(price=0.1) if tariff else None
+        )
+        calls = []
+
+        def read():
+            calls.append(m.n_completed)
+            return float(len(calls))
+
+        for i in range(7):
+            m.on_completion(done_job(i, 0.0, 0.0, 1.0), float(i + 1), read)
+        # At most one read per completion: every one settles a tariff;
+        # without one, only the sampled completions read.
+        assert calls == ([1, 2, 3, 4, 5, 6, 7] if tariff else [1, 3, 6])
+
     def test_close_idempotent_when_sampled(self):
         m = MetricsCollector(record_every=1)
-        m.on_completion(done_job(1, 0.0, 0.0, 1.0), 1.0, 10.0)
+        m.on_completion(done_job(1, 0.0, 0.0, 1.0), 1.0, reads(10.0))
         m.close(1.0, 10.0)
         assert [p.n_completed for p in m.series] == [1]
 
@@ -57,8 +81,8 @@ class TestCollector:
         # time, so average power overstated whenever the run drained
         # idle tail time past the last completion.
         m = MetricsCollector(record_every=3)
-        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, 400.0)
-        m.on_completion(done_job(2, 0.0, 10.0, 20.0), 20.0, 900.0)
+        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, reads(400.0))
+        m.on_completion(done_job(2, 0.0, 10.0, 20.0), 20.0, reads(900.0))
         m.close(100.0, 5000.0)
         last = m.series[-1]
         assert last.time == 100.0
@@ -68,7 +92,7 @@ class TestCollector:
 
     def test_totals_from_last_point(self):
         m = MetricsCollector(record_every=1)
-        m.on_completion(done_job(1, 0.0, 0.0, 100.0), 100.0, JOULES_PER_KWH / 2)
+        m.on_completion(done_job(1, 0.0, 0.0, 100.0), 100.0, reads(JOULES_PER_KWH / 2))
         assert m.total_energy_kwh() == pytest.approx(0.5)
         last = m.series[-1]
         assert last.average_power_watts == pytest.approx(JOULES_PER_KWH / 2 / 100.0)
@@ -80,7 +104,7 @@ class TestCollector:
 
     def test_series_accessors(self):
         m = MetricsCollector(record_every=1)
-        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, JOULES_PER_KWH)
+        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, reads(JOULES_PER_KWH))
         assert m.latency_series() == [(1, 10.0)]
         assert m.energy_series() == [(1, 1.0)]
 
@@ -99,8 +123,8 @@ class TestCollector:
         totals = {}
         for every in (1, 3):
             m = MetricsCollector(record_every=every)
-            m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, 100.0)
-            m.on_completion(done_job(2, 5.0, 10.0, 30.0), 30.0, 200.0)
+            m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, reads(100.0))
+            m.on_completion(done_job(2, 5.0, 10.0, 30.0), 30.0, reads(200.0))
             m.close(50.0, 500.0)
             totals[every] = m.total_energy_kwh() * JOULES_PER_KWH
         assert totals[1] == pytest.approx(totals[3])
@@ -123,8 +147,8 @@ class TestTariffIntegration:
         m = MetricsCollector(
             record_every=1, tariff=TariffModel(price=0.20, carbon=100.0)
         )
-        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, JOULES_PER_KWH)
-        m.on_completion(done_job(2, 0.0, 0.0, 20.0), 20.0, 3 * JOULES_PER_KWH)
+        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, reads(JOULES_PER_KWH))
+        m.on_completion(done_job(2, 0.0, 0.0, 20.0), 20.0, reads(3 * JOULES_PER_KWH))
         m.close(20.0, 3 * JOULES_PER_KWH)
         assert m.total_cost_usd() == pytest.approx(3 * 0.20)
         assert m.total_co2_kg() == pytest.approx(3 * 100.0 / 1e3)
@@ -139,8 +163,8 @@ class TestTariffIntegration:
         )
         # One kWh drawn uniformly over [50, 150]: half at 0.10, half at 0.20.
         m = MetricsCollector(record_every=1, tariff=tariff)
-        m.on_completion(done_job(1, 0.0, 0.0, 50.0), 50.0, 0.0)
-        m.on_completion(done_job(2, 0.0, 0.0, 150.0), 150.0, JOULES_PER_KWH)
+        m.on_completion(done_job(1, 0.0, 0.0, 50.0), 50.0, reads(0.0))
+        m.on_completion(done_job(2, 0.0, 0.0, 150.0), 150.0, reads(JOULES_PER_KWH))
         assert m.acc_cost_usd == pytest.approx(0.15)
 
     def test_series_carries_cost_and_co2(self):
@@ -149,8 +173,8 @@ class TestTariffIntegration:
         m = MetricsCollector(
             record_every=1, tariff=TariffModel(price=0.10, carbon=500.0)
         )
-        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, JOULES_PER_KWH)
-        m.on_completion(done_job(2, 0.0, 0.0, 20.0), 20.0, 2 * JOULES_PER_KWH)
+        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, reads(JOULES_PER_KWH))
+        m.on_completion(done_job(2, 0.0, 0.0, 20.0), 20.0, reads(2 * JOULES_PER_KWH))
         m.close(20.0, 2 * JOULES_PER_KWH)
         assert [p.cost_usd for p in m.series] == [
             pytest.approx(0.10),
@@ -165,14 +189,14 @@ class TestTariffIntegration:
         from repro.sim.power import TariffModel
 
         m = MetricsCollector(record_every=1, tariff=TariffModel(price=0.10))
-        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, JOULES_PER_KWH)
+        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, reads(JOULES_PER_KWH))
         # Idle burn after the last completion still costs money.
         m.close(100.0, 2 * JOULES_PER_KWH)
         assert m.total_cost_usd() == pytest.approx(0.20)
 
     def test_without_tariff_series_is_zero(self):
         m = MetricsCollector(record_every=1)
-        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, JOULES_PER_KWH)
+        m.on_completion(done_job(1, 0.0, 0.0, 10.0), 10.0, reads(JOULES_PER_KWH))
         m.close(10.0, JOULES_PER_KWH)
         assert m.total_cost_usd() == 0.0
         assert m.total_co2_kg() == 0.0
