@@ -14,7 +14,8 @@ ring-buffer replay), and records:
 * train-step latency (replay sample + target build + SGD step);
 * optimizer-step latency: the packed Adam (one in-place pass over the
   Q-network's whole parameter vector) against Adam one array at a time;
-* end-to-end DRL simulation throughput in jobs/sec.
+* end-to-end DRL simulation throughput in jobs/sec;
+* the BLAS kernel the products ran on (``repro.obs.kernel.blas_kernel``).
 
 The Sub-Q loop and the per-array Adam are references in
 ``tests/helpers.py``. Results merge into ``BENCH_hotpath.json`` (the
@@ -43,6 +44,7 @@ from repro.core.config import ExperimentConfig, GlobalTierConfig
 from repro.core.global_tier import DRLGlobalBroker
 from repro.core.qnetwork import HierarchicalQNetwork
 from repro.core.state import StateEncoder
+from repro.obs.kernel import blas_kernel
 from repro.rl.replay import ReplayMemory
 from repro.sim.engine import build_simulation
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
@@ -319,6 +321,9 @@ def test_bench_hotpath(rig, out_dir, bench_seed):
         "optim_step_us": compare(rounds, "optim", optim_iters),
         "drl_sim_jobs_per_sec": round(jobs_per_sec, 1),
         "e2e_jobs": E2E_JOBS,
+        # Every product above ran on this kernel (None: not numpy's
+        # bundled OpenBLAS, so the kernel is unknown).
+        "blas_kernel": blas_kernel(),
     }
     # Merge over the existing trajectory file: other benches (e.g. the
     # federation-dispatch bench) contribute their own top-level keys.

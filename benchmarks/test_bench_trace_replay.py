@@ -24,18 +24,13 @@ from pathlib import Path
 
 from benchmarks.conftest import save_artifact
 from repro.scenarios import registry
+from repro.scenarios.builtin import FIXTURE_TRACE
 from repro.scenarios.orchestrator import run_cell
 from repro.sim.power import TariffModel
 from repro.workload.trace import read_google_task_events
 
-FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
-TRACE_PATHS = [
-    Path(p)
-    for p in os.environ.get(
-        "REPRO_BENCH_REPLAY_TRACE",
-        str(FIXTURE / "google_task_events_small.csv"),
-    ).split(os.pathsep)
-]
+REPLAY_TRACE = os.environ.get("REPRO_BENCH_REPLAY_TRACE", FIXTURE_TRACE)
+TRACE_PATHS = [Path(p) for p in REPLAY_TRACE.split(os.pathsep)]
 REPLAY_JOBS = int(os.environ.get("REPRO_BENCH_REPLAY_JOBS", "80"))
 
 

@@ -21,12 +21,10 @@ from pathlib import Path
 
 from repro.harness import SWEEP_PROTOCOL
 from repro.scenarios import registry
+from repro.scenarios.builtin import FIXTURE_TRACE
 from repro.scenarios.orchestrator import run_cell
 from repro.scenarios.specs import TraceReplaySpec
 from repro.sim.power import TariffModel
-
-FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
-TRACE = FIXTURE / "google_task_events_small.csv"
 
 
 #: The scenario sweep's protocol, sampling series every 50 completions.
@@ -38,19 +36,13 @@ def evaluate(spec, system_name: str, n_jobs: int = 80) -> dict:
 
 
 def main() -> None:
-    # 1. The builtin replay scenario, re-pointed at the fixture by
-    #    absolute path (the registered spec uses the repo-relative one)
-    #    and billed under a 4x evening-peak tariff.
-    spec = registry.get("google-replay")
+    # 1. The builtin replay scenario, on its bundled fixture, billed
+    #    under a 4x evening-peak tariff.
     spec = replace(
-        spec,
-        workload=replace(
-            spec.workload,
-            replay=replace(spec.workload.replay, paths=(str(TRACE),)),
-        ),
+        registry.get("google-replay"),
         tariff=TariffModel.time_of_use(16, 21, 0.32, 0.08),
     )
-    print(f"replaying {TRACE.name}: "
+    print(f"replaying {Path(FIXTURE_TRACE).name}: "
           f"{len(spec.workload.replay.load_jobs())} usable jobs")
     for name in ("round-robin", "packing"):
         result = evaluate(spec, name)
@@ -61,7 +53,7 @@ def main() -> None:
 
     # 2. Same jobs, same joules — a grid carbon curve only re-weights
     #    *when* they were drawn. Write a curve, load it, re-bill.
-    curve = FIXTURE.parent.parent / ".repro-cache"
+    curve = Path(__file__).resolve().parents[1] / ".repro-cache"
     curve.mkdir(exist_ok=True)
     curve_csv = curve / "example_carbon_curve.csv"
     curve_csv.write_text(

@@ -22,7 +22,9 @@ Usage::
 
 Global flags (before the subcommand): ``--log-level LEVEL`` or ``-v`` /
 ``-vv`` route the package's stdlib logging to stderr at the chosen
-level (WARNING by default).
+level (WARNING by default). ``--version`` prints the package version
+and the BLAS kernel numpy's products run on
+(:func:`repro.obs.kernel.blas_kernel`).
 
 ``table1`` prints the paper-style summary table plus the recomputed
 headline claims; ``fig8`` and ``fig9`` print (or write) the CSV series
@@ -464,16 +466,40 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled obs action {args.action!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from repro import __version__
+class _VersionAction(argparse.Action):
+    """``--version``: the package version, then numpy's version, BLAS
+    library and kernel, looked up only when asked for."""
 
+    def __init__(self, option_strings: list[str], dest: str) -> None:
+        super().__init__(
+            option_strings,
+            argparse.SUPPRESS,
+            default=argparse.SUPPRESS,
+            nargs=0,
+            help="show the version and the BLAS kernel, then exit",
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        import numpy as np
+
+        from repro import __version__
+        from repro.obs.kernel import blas_kernel
+
+        kernel = blas_kernel()
+        if kernel is None:
+            blas = f"numpy {np.__version__}, BLAS kernel unknown"
+        else:
+            blas = "numpy {numpy}, BLAS {blas}, core {core}".format(**kernel)
+        print(f"repro {__version__}\n{blas}")
+        parser.exit()
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate experiments from Liu et al., ICDCS 2017.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"repro {__version__}"
-    )
+    parser.add_argument("--version", action=_VersionAction)
     parser.add_argument(
         "--log-level", default=None, metavar="LEVEL",
         help="stdlib logging level for the repro package "

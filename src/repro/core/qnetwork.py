@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.state import StateEncoder
 from repro.nn.autoencoder import Autoencoder
-from repro.nn.layers import Module
+from repro.nn.layers import Module, as_batch
 from repro.nn.mlp import MLP
 from repro.nn.optim import Adam
 from repro.obs import telemetry as obs
@@ -37,7 +37,7 @@ def check_batch(
     """A minibatch as float states, int actions and float targets; raises
     ``ValueError`` unless the batch is not empty, there is one action and
     one target per state, and every action lies in ``[0, num_actions)``."""
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    states = as_batch(states)
     actions = np.asarray(actions, dtype=np.int64).reshape(-1)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     n = states.shape[0]
@@ -66,7 +66,10 @@ def loss_terms(
     abs_err = np.abs(err)
     quad = np.minimum(abs_err, huber_delta)
     terms = 0.5 * quad**2 + huber_delta * (abs_err - quad)
-    return terms, np.clip(err, -huber_delta, huber_delta)
+    # np.clip(err, -delta, delta) without its wrapper: the same max, then min.
+    derr = np.maximum(err, -huber_delta)
+    np.minimum(derr, huber_delta, out=derr)
+    return terms, derr
 
 
 class FlatQNetwork(Module):
@@ -249,6 +252,30 @@ class HierarchicalQNetwork(Module):
         out[:, :, self.subq_in - self.job_dim :] = jobs
         return out
 
+    def _assemble_rows(
+        self,
+        groups: np.ndarray,
+        codes: np.ndarray,
+        jobs: np.ndarray,
+        owner: np.ndarray,
+        order: np.ndarray,
+        others: np.ndarray,
+    ) -> np.ndarray:
+        """The Sub-Q input of each sample for its own group only: row
+        ``r`` is row ``(owner[r], order[r])`` of :meth:`_assemble_all`,
+        and ``others`` is ``_other_index[owner]``."""
+        out = np.empty((order.shape[0], self.subq_in))
+        out[:, : self.group_dim] = groups[owner, order]
+        if self.num_groups > 1:
+            # (rows, K-1, code_dim): block j of row r is the code of group
+            # others[r, j] for sample order[r].
+            block = codes[others, order[:, None]]
+            out[:, self.group_dim : self.subq_in - self.job_dim] = block.reshape(
+                order.shape[0], -1
+            )
+        out[:, self.subq_in - self.job_dim :] = jobs[order]
+        return out
+
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
@@ -303,10 +330,10 @@ class HierarchicalQNetwork(Module):
 
         This is the batched fast path: the shared encoder runs one
         stacked ``(K, batch, group_dim)`` forward and one stacked
-        backward (instead of K of each), and the Sub-Q inputs for every
-        group come from a single vectorized assembly. The minibatch is
-        sorted once by action group, stably, so each group's samples
-        form one row span in their original order, and the shared Sub-Q
+        backward (instead of K of each). The minibatch is sorted once by
+        action group, stably, so each group's samples form one row span
+        in their original order; one vectorized assembly builds each
+        sample's Sub-Q input for its own group only, and the shared Sub-Q
         runs once over the sorted batch with one product per span and
         layer: the products keep the shapes of the per-group loop
         reference in ``tests/helpers.py``, which makes the two paths bit
@@ -327,13 +354,13 @@ class HierarchicalQNetwork(Module):
             # the caches is exactly the cache a per-group forward would
             # produce.
             codes, enc_caches = self.autoencoder.encode_with_cache(groups)
-            x_all = self._assemble_all(groups, codes, jobs)
 
             # Sorted row r is sample order[r], whose action lies in group
             # owner[r]; group k's samples are the rows of its span.
             group_ids = actions // self.group_size
             order = np.argsort(group_ids, kind="stable")
             owner = group_ids[order]
+            others = self._other_index[owner]
             spans, start = [], 0
             for count in np.bincount(group_ids, minlength=self.num_groups).tolist():
                 if count:
@@ -341,7 +368,8 @@ class HierarchicalQNetwork(Module):
                     start += count
 
             optimizer.zero_grad()
-            q, caches = self.subq.forward(x_all[owner, order], spans)
+            x = self._assemble_rows(groups, codes, jobs, owner, order, others)
+            q, caches = self.subq.forward(x, spans)
             rows = np.arange(n)
             local = actions[order] - owner * self.group_size
             terms, derr = loss_terms(q[rows, local] - targets[order], huber_delta)
@@ -360,7 +388,6 @@ class HierarchicalQNetwork(Module):
                 # block j of a group-k row is the code of group
                 # _other_index[k, j] for the same sample.
                 dcodes = np.zeros(codes.shape)
-                others = self._other_index[owner]
                 offset = self.group_dim
                 for j in range(self.num_groups - 1):
                     block = dx[:, offset : offset + self.code_dim]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.layers import as_batch
 from repro.sim.cluster import Cluster
 from repro.sim.job import Job
 
@@ -143,7 +144,7 @@ class StateEncoder:
         Returns ``(groups, jobs)`` with shapes
         ``(K, batch, group_dim)`` and ``(batch, job_dim)``.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        states = as_batch(states)
         if states.shape[1] != self.state_dim:
             raise ValueError(
                 f"state width {states.shape[1]} != encoder state_dim {self.state_dim}"

@@ -6,7 +6,11 @@ sigmoid gates and tanh candidates. Each activation exposes
 * ``forward(z) -> y``
 * ``derivative(z, y) -> dy/dz`` (given both the pre-activation ``z`` and the
   already-computed output ``y``, so implementations can use whichever is
-  cheaper).
+  cheaper). It returns a fresh array, which the caller may overwrite:
+  ``Dense.backward`` scales it in place by the incoming gradient.
+
+No activation picks between its branches with ``np.where``: each choice
+is folded into a ``minimum`` or ``maximum`` call that gives the same bits.
 """
 
 from __future__ import annotations
@@ -44,31 +48,27 @@ class Identity(Activation):
 class ELU(Activation):
     """Exponential linear unit, the activation the paper's Q-network uses.
 
-    ``y = z`` for ``z > 0`` and ``alpha * (exp(z) - 1)`` otherwise.
+    ``y = z`` for ``z > 0`` and ``exp(z) - 1`` otherwise.
     """
 
     name = "elu"
 
-    def __init__(self, alpha: float = 1.0) -> None:
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        self.alpha = float(alpha)
-
     def forward(self, z: np.ndarray) -> np.ndarray:
         # Branch-free split: expm1(min(z,0)) is exactly 0 for z >= 0 and
-        # max(z,0) exactly 0 for z <= 0, so the sum equals the classic
-        # where() formulation bit for bit (modulo the sign of zero) with
-        # one fewer ufunc pass on the alpha == 1 hot path.
+        # max(z,0) exactly 0 for z <= 0, so the sum equals the two-branch
+        # formulation bit for bit (modulo the sign of zero).
         neg = np.minimum(z, 0.0)
         np.expm1(neg, out=neg)
-        if self.alpha != 1.0:
-            neg *= self.alpha
         neg += np.maximum(z, 0.0)
         return neg
 
     def derivative(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # For z <= 0, dy/dz = alpha * exp(z) = y + alpha.
-        return np.where(z > 0.0, 1.0, y + self.alpha)
+        # 1 for z > 0 and exp(z) = y + 1 elsewhere, in one min: y = z > 0
+        # makes y + 1 >= 1 in the first branch, y = expm1(z) <= 0 makes
+        # it <= 1 in the second, and a NaN passes through as y + 1.
+        d = y + 1.0
+        np.minimum(d, 1.0, out=d)
+        return d
 
 
 class Sigmoid(Activation):
@@ -81,10 +81,12 @@ class Sigmoid(Activation):
         # where z >= 0 and e / (1 + e) elsewhere, so exp never overflows and
         # each element sees the operations it saw under boolean masks, bit
         # for bit. min(z, -z) is -|z| but keeps a NaN's sign, as exp(z) does.
+        # The numerator is max(e, z >= 0): e <= 1 where z >= 0, and the
+        # mask's 0 never exceeds e (nor replaces a NaN) elsewhere.
         e = np.negative(z)
         np.minimum(z, e, out=e)
         np.exp(e, out=e)
-        out = np.where(z >= 0, 1.0, e)
+        out = np.maximum(e, z >= 0)
         e += 1.0
         out /= e
         return out

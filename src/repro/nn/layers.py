@@ -17,6 +17,17 @@ from repro.nn.activations import Activation, Identity, get_activation
 from repro.nn.initializers import xavier_uniform, zeros
 from repro.nn.parameter import Parameter
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def as_batch(x: Any) -> np.ndarray:
+    """``np.atleast_2d(np.asarray(x, dtype=np.float64))``, skipped for an
+    input that already is a float64 ndarray of two or more dimensions
+    (which that call would return as it is)."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim >= 2:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
 
 class Module:
     """Base class: anything that owns (possibly shared) parameters."""
@@ -151,7 +162,7 @@ class Dense(Module):
         would shape it, so its rows come out bit for bit that forward's;
         the bias and the activation then run once over the whole batch.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = as_batch(x)
         if x.shape[-1] != self.in_features:
             raise ValueError(
                 f"input width {x.shape[-1]} != layer in_features {self.in_features}"
@@ -180,19 +191,22 @@ class Dense(Module):
         ``input_grad=False`` the product for ``dL/dx`` is skipped and
         ``None`` returned, for a layer whose input gradient nobody reads.
         """
-        dy = np.atleast_2d(np.asarray(dy, dtype=np.float64))
+        dy = as_batch(dy)
         if isinstance(self.activation, Identity):
             dz = dy  # dy * 1 is dy, bit for bit
         else:
-            dz = dy * self.activation.derivative(cache["z"], cache["y"])
+            # dy * derivative, written over the (fresh) derivative.
+            dz = self.activation.derivative(cache["z"], cache["y"])
+            np.multiply(dy, dz, out=dz)
         x = cache["x"]
+        # np.add.reduce is the reduction ndarray.sum calls.
         if dz.ndim == 2:
             for rows in spans or (slice(None),):
                 self.weight.accumulate(x[rows].T @ dz[rows])
-                self.bias.accumulate(dz[rows].sum(axis=0))
+                self.bias.accumulate(np.add.reduce(dz[rows], axis=0))
         else:
             dw = np.matmul(np.swapaxes(x, -1, -2), dz)
-            db = dz.sum(axis=-2)
+            db = np.add.reduce(dz, axis=-2)
             for k in range(dz.shape[0]):
                 self.weight.accumulate(dw[k])
                 self.bias.accumulate(db[k])

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.nn.activations import Sigmoid, Tanh
 from repro.nn.initializers import constant, normal, xavier_uniform, zeros
-from repro.nn.layers import Dense, Module
+from repro.nn.layers import Dense, Module, as_batch
 from repro.nn.losses import MSELoss
 from repro.nn.optim import Adam
 from repro.nn.parameter import Parameter
@@ -71,7 +71,7 @@ class LSTMCell(Module):
         c_prev: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
         """One time step; returns ``(h, c, cache)``."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = as_batch(x)
         if x.shape[1] != self.input_dim:
             raise ValueError(
                 f"input width {x.shape[1]} != cell input_dim {self.input_dim}"
@@ -121,7 +121,7 @@ class LSTMCell(Module):
         )
         self.w_x.accumulate(cache["x"].T @ dz)
         self.w_h.accumulate(cache["h_prev"].T @ dz)
-        self.bias.accumulate(dz.sum(axis=0))
+        self.bias.accumulate(np.add.reduce(dz, axis=0))
         dx = dz @ self.w_x.value.T
         dh_prev = dz @ self.w_h.value.T
         dc_prev = dc_total * f
@@ -230,11 +230,10 @@ class LSTMNetwork(Module):
         # The input layer after the recurrence: its gradients are added in
         # the recurrence's step order (last step first), and nothing needs
         # the gradient with respect to the input sequence.
-        dz = d_inputs * self.input_layer.activation.derivative(
-            in_cache["z"], in_cache["y"]
-        )
+        dz = self.input_layer.activation.derivative(in_cache["z"], in_cache["y"])
+        np.multiply(d_inputs, dz, out=dz)
         dw = np.matmul(np.swapaxes(in_cache["x"], 1, 2), dz)
-        db = dz.sum(axis=1)
+        db = np.add.reduce(dz, axis=1)
         weight, bias = self.input_layer.weight, self.input_layer.bias
         for t in range(caches["steps"] - 1, -1, -1):
             weight.grad += dw[t]

@@ -12,7 +12,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.nn.activations import Activation
-from repro.nn.layers import Dense, Module
+from repro.nn.layers import Dense, Module, as_batch
 
 
 class MLP(Module):
@@ -70,7 +70,7 @@ class MLP(Module):
         come out bit for bit a separate forward of those rows.
         """
         caches: list[dict[str, Any]] = []
-        out = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        out = as_batch(x)
         for layer in self.layers:
             out, cache = layer.forward(out, spans)
             caches.append(cache)
@@ -88,7 +88,7 @@ class MLP(Module):
         Pass the ``spans`` the forward ran with. ``input_grad=False``
         skips the first layer's input gradient and returns ``None``.
         """
-        grad = np.atleast_2d(np.asarray(dy, dtype=np.float64))
+        grad = as_batch(dy)
         for i in range(len(self.layers) - 1, -1, -1):
             layer_input_grad = input_grad or i > 0
             grad = self.layers[i].backward(grad, caches[i], spans, layer_input_grad)
@@ -102,7 +102,7 @@ class MLP(Module):
         re-validation — the decision-epoch hot path calls this at batch
         sizes where that Python overhead, not the GEMMs, dominates.
         """
-        out = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        out = as_batch(x)
         if out.shape[-1] != self.in_features:
             raise ValueError(
                 f"input width {out.shape[-1]} != layer in_features {self.in_features}"

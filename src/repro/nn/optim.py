@@ -79,7 +79,9 @@ class Optimizer:
         if max_norm <= 0:
             raise ValueError(f"max_norm must be positive, got {max_norm}")
         np.square(self.grads, out=self._work)
-        total = float(np.sqrt(sum(float(sq.sum()) for sq in self._squares)))
+        # np.add.reduce over every axis is the reduction ndarray.sum calls.
+        squares = (float(np.add.reduce(sq, axis=None)) for sq in self._squares)
+        total = float(np.sqrt(sum(squares)))
         if total > max_norm and total > 0.0:
             self.grads *= max_norm / total
         return total

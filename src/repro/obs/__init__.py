@@ -13,6 +13,8 @@ The observability layer the scaling work measures itself with:
   ``telemetry.json`` (de)serialization.
 * :mod:`repro.obs.logsetup` — the package's stdlib-logging handler and
   the ``--log-level`` / ``-v`` resolution the CLI uses.
+* :mod:`repro.obs.kernel` — the BLAS kernel numpy's products run on,
+  which ``--version`` prints.
 
 Profiling a run end to end::
 

@@ -170,18 +170,13 @@ TENANT_MIX = register(
     )
 )
 
-#: Bundled Google-format fixture. Anchored to the repository this module
-#: lives in (not the cwd) so the default ``google-replay`` scenario — and
-#: therefore a default ``scenario sweep`` over every registered scenario —
-#: works from any working directory; the cwd-relative spelling is kept as
-#: a fallback for installed copies run from a source checkout.
+#: Bundled Google-format fixture, package data beside this module, so
+#: the default ``google-replay`` scenario — and therefore a default
+#: ``scenario sweep`` over every registered scenario — works from any
+#: working directory and from a copy that holds only ``src/``.
 #: ``scenario run --trace`` points the same scenario at real
 #: cluster-usage part files.
-_FIXTURE_RELATIVE = "tests/fixtures/google_task_events_small.csv"
-_FIXTURE_IN_REPO = Path(__file__).resolve().parents[3] / _FIXTURE_RELATIVE
-FIXTURE_TRACE = (
-    str(_FIXTURE_IN_REPO) if _FIXTURE_IN_REPO.exists() else _FIXTURE_RELATIVE
-)
+FIXTURE_TRACE = str(Path(__file__).resolve().with_name("google_task_events_small.csv"))
 
 GOOGLE_REPLAY = register(
     ScenarioSpec(

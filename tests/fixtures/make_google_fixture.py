@@ -1,4 +1,5 @@
-"""Regenerate ``google_task_events_small.csv`` (committed fixture).
+"""Regenerate ``src/repro/scenarios/google_task_events_small.csv``, the
+fixture the ``google-replay`` builtin replays (package data).
 
 A synthetic stand-in for one Google cluster-usage *task events* part
 file (Reiss, Wilkes & Hellerstein, 2011): headerless rows whose relevant
@@ -21,7 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-OUT = Path(__file__).parent / "google_task_events_small.csv"
+OUT = (
+    Path(__file__).resolve().parents[2]
+    / "src"
+    / "repro"
+    / "scenarios"
+    / "google_task_events_small.csv"
+)
 
 #: Jobs the reader should extract (keep in sync with tests).
 N_EXPECTED = 120

@@ -2,7 +2,8 @@
 churn, a tariff or faults attached, a numerical gradient, the loop
 references the fast paths must match bit for bit (the
 per-group Sub-Q loop, the one-call ε-greedy choice, the per-array
-optimizer, the per-step LSTM, the trace samplers' ``uniform()`` coin
+optimizer, the masked ELU derivative, sigmoid and Huber clip and the
+backward they fed, the per-step LSTM, the trace samplers' ``uniform()`` coin
 and per-element jobs, the two-walk packing choice, the two-array replay
 memory, the settle step with temporaries and an eager energy read),
 and the one timer behind every bench gate."""
@@ -23,6 +24,8 @@ import repro.workload.synthetic as synthetic
 from perfbench.stats import summarize
 from repro.core.qnetwork import check_batch
 from repro.harness.runner import PAPER_PROTOCOL, Protocol, RunResult
+from repro.nn.activations import ELU, Identity
+from repro.nn.layers import Dense
 from repro.sim.cluster import Cluster
 from repro.sim.federation import FederationEngine, build_federation
 from repro.sim.job import Job
@@ -182,16 +185,26 @@ def predict_loop(net, states: np.ndarray) -> np.ndarray:
     return out
 
 
+def loss_terms_clip(
+    err: np.ndarray, huber_delta: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample chosen-action loss (MSE, or Huber) and its derivative,
+    the Huber one through ``np.clip``: the oracle of
+    ``repro.core.qnetwork.loss_terms``."""
+    if huber_delta is None:
+        return err**2, 2.0 * err
+    abs_err = np.abs(err)
+    quad = np.minimum(abs_err, huber_delta)
+    terms = 0.5 * quad**2 + huber_delta * (abs_err - quad)
+    return terms, np.clip(err, -huber_delta, huber_delta)
+
+
 def loss_and_derr(
     err: np.ndarray, huber_delta: float | None
 ) -> tuple[float, np.ndarray]:
     """Summed chosen-action loss (MSE, or Huber) and its derivative."""
-    if huber_delta is None:
-        return float(np.sum(err**2)), 2.0 * err
-    abs_err = np.abs(err)
-    quad = np.minimum(abs_err, huber_delta)
-    loss = float(np.sum(0.5 * quad**2 + huber_delta * (abs_err - quad)))
-    return loss, np.clip(err, -huber_delta, huber_delta)
+    terms, derr = loss_terms_clip(err, huber_delta)
+    return float(np.sum(terms)), derr
 
 
 def train_step_loop(
@@ -367,9 +380,23 @@ def record_optimizers(monkeypatch, module, cls) -> list:
 
 
 # ----------------------------------------------------------------------
-# Per-step LSTM: the oracle of repro.nn.lstm's one-pass gates and
-# hoisted input layer
+# Masked activations and the backward they fed: the oracles of
+# repro.nn's min/max forms
 # ----------------------------------------------------------------------
+
+
+def elu_split(z: np.ndarray) -> np.ndarray:
+    """ELU as ``expm1(min(z, 0)) + max(z, 0)``, with ``alpha`` 1."""
+    neg = np.minimum(z, 0.0)
+    np.expm1(neg, out=neg)
+    neg += np.maximum(z, 0.0)
+    return neg
+
+
+def elu_derivative_where(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ELU derivative as a select: 1 where ``z > 0``, ``y + 1``
+    elsewhere."""
+    return np.where(z > 0.0, 1.0, y + 1.0)
 
 
 def sigmoid_masked(z: np.ndarray) -> np.ndarray:
@@ -381,6 +408,37 @@ def sigmoid_masked(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def dense_backward_masked(
+    layer: Dense, dy: np.ndarray, cache: dict, spans=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Dense.backward`` of a 2-D batch as ``dy * derivative`` and
+    ``.sum(axis=0)``; returns the weight and bias gradients it adds to
+    zeroed ones, and ``dL/dx``. The layer is left as it was."""
+    dy = np.atleast_2d(np.asarray(dy, dtype=np.float64))
+    if isinstance(layer.activation, Identity):
+        dz = dy
+    elif isinstance(layer.activation, ELU):
+        dz = dy * elu_derivative_where(cache["z"], cache["y"])
+    else:
+        dz = dy * layer.activation.derivative(cache["z"], cache["y"])
+    x = cache["x"]
+    grad_w = np.zeros(layer.weight.shape)
+    grad_b = np.zeros(layer.bias.shape)
+    for rows in spans or (slice(None),):
+        grad_w += x[rows].T @ dz[rows]
+        grad_b += dz[rows].sum(axis=0)
+    dx = np.empty(x.shape)
+    for rows in spans or (slice(None),):
+        np.matmul(dz[rows], layer.weight.value.T, out=dx[rows])
+    return grad_w, grad_b, dx
+
+
+# ----------------------------------------------------------------------
+# Per-step LSTM: the oracle of repro.nn.lstm's one-pass gates and
+# hoisted input layer
+# ----------------------------------------------------------------------
 
 
 def lstm_step_loop(cell, x, h_prev, c_prev):

@@ -9,7 +9,6 @@ from tests.helpers import sigmoid_masked
 ALL_ACTIVATIONS = [
     Identity(),
     ELU(),
-    ELU(alpha=0.5),
     Sigmoid(),
     Tanh(),
 ]
@@ -42,17 +41,17 @@ class TestELU:
         z = np.array([0.5, 1.0, 10.0])
         assert np.allclose(ELU().forward(z), z)
 
-    def test_negative_saturates_at_minus_alpha(self):
-        assert ELU(alpha=2.0).forward(np.array([-50.0]))[0] == pytest.approx(-2.0)
+    def test_negative_saturates_at_minus_one(self):
+        assert ELU().forward(np.array([-50.0]))[0] == pytest.approx(-1.0)
 
     def test_continuous_at_zero(self):
         elu = ELU()
         assert elu.forward(np.array([-1e-12]))[0] == pytest.approx(0.0, abs=1e-10)
         assert elu.forward(np.array([0.0]))[0] == 0.0
 
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            ELU(alpha=0.0)
+    def test_takes_no_alpha(self):
+        with pytest.raises(TypeError):
+            ELU(alpha=0.5)
 
 
 class TestSigmoid:
@@ -95,7 +94,7 @@ class TestRegistry:
         assert isinstance(get_activation("ELU"), ELU)
 
     def test_instance_passthrough(self):
-        inst = ELU(alpha=0.3)
+        inst = ELU()
         assert get_activation(inst) is inst
 
     def test_unknown_raises(self):

@@ -31,7 +31,7 @@ import repro.faults.spec as fault_spec_module
 import repro.scenarios.specs as spec_module
 from repro.faults.spec import FaultSpec, SiteOutageSpec
 from repro.harness.runner import SWEEP_PROTOCOL
-from repro.scenarios.builtin import FEDERATED_CORRELATED, PAPER_DEFAULT
+from repro.scenarios.builtin import FEDERATED_CORRELATED, FIXTURE_TRACE, PAPER_DEFAULT
 from repro.scenarios.checkpoints import training_request
 from repro.scenarios.orchestrator import SweepCell, cell_request
 from repro.scenarios.specs import (
@@ -50,7 +50,6 @@ from repro.sim.power import PowerModel, TariffModel
 from repro.workload.synthetic import SyntheticTraceConfig
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
-TASK_EVENTS = str(FIXTURES / "google_task_events_small.csv")
 MACHINE_EVENTS = str(FIXTURES / "google_machine_events_small.csv")
 
 #: One valid alternative value per field, by class. A field that holds
@@ -204,7 +203,7 @@ ANCHORS = {
     "replay": ScenarioSpec(
         name="replay",
         description="the trace-replay anchor",
-        workload=WorkloadSpec(replay=TraceReplaySpec(paths=(TASK_EVENTS,))),
+        workload=WorkloadSpec(replay=TraceReplaySpec(paths=(FIXTURE_TRACE,))),
     ),
 }
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.harness.runner import SWEEP_PROTOCOL
 from repro.scenarios import registry
+from repro.scenarios.builtin import FIXTURE_TRACE
 from repro.scenarios.checkpoints import (
     CheckpointStore,
     PolicyCheckpoint,
@@ -95,9 +96,7 @@ class TestScenarioValidation:
             replace(
                 TINY_FED,
                 workload=WorkloadSpec(
-                    replay=TraceReplaySpec(
-                        paths=("tests/fixtures/google_task_events_small.csv",)
-                    ),
+                    replay=TraceReplaySpec(paths=(FIXTURE_TRACE,)),
                 ),
             )
 

@@ -1,9 +1,18 @@
 """Registry behavior and builtin-suite round trips."""
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.harness.runner import Protocol, make_system
 from repro.scenarios import registry
+from repro.scenarios.orchestrator import run_cell
 from repro.scenarios.specs import ScenarioSpec
 from tests.helpers import run_cluster
 
@@ -86,22 +95,7 @@ class TestNewBuiltins:
 
     def test_google_replay_round_trip(self, tmp_path):
         """The replay builtin runs end-to-end against the bundled fixture."""
-        from dataclasses import replace
-        from pathlib import Path
-
-        fixture = (
-            Path(__file__).resolve().parents[1]
-            / "fixtures"
-            / "google_task_events_small.csv"
-        )
         spec = registry.get("google-replay")
-        spec = replace(
-            spec,
-            workload=replace(
-                spec.workload,
-                replay=replace(spec.workload.replay, paths=(str(fixture),)),
-            ),
-        )
         eval_jobs, train = spec.build_traces(80, seed=0)
         assert len(eval_jobs) == 80
         assert train and all(train)
@@ -114,6 +108,39 @@ class TestNewBuiltins:
         assert result.cost_usd > 0
         assert result.co2_kg > 0
         assert len(result.cost_series) == len(result.energy_series)
+
+    def test_google_replay_runs_from_a_copy_of_src_alone(self, tmp_path):
+        """The fixture is package data: a copy of ``src/`` and nothing
+        else, run from an unrelated directory, replays it and gets this
+        tree's numbers."""
+        src = Path(repro.__file__).resolve().parents[1]
+        shutil.copytree(
+            src, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        cwd = tmp_path / "elsewhere"
+        cwd.mkdir()
+        code = (
+            "import json, repro\n"
+            "from repro.scenarios.builtin import FIXTURE_TRACE\n"
+            "from repro.scenarios.orchestrator import run_cell\n"
+            "cell = run_cell('google-replay', 'round-robin', n_jobs=40, seed=0)\n"
+            "print(json.dumps([repro.__file__, FIXTURE_TRACE, cell]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        module, fixture, cell = json.loads(done.stdout)
+        assert Path(module).is_relative_to(tmp_path / "src")
+        assert Path(fixture).is_relative_to(tmp_path / "src")
+        assert cell["n_jobs_completed"] == 40
+        assert cell == run_cell("google-replay", "round-robin", n_jobs=40, seed=0)
 
     def test_electricity_scenarios_carry_tariffs(self):
         assert registry.get("carbon-aware-diurnal").tariff is not None

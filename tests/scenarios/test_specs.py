@@ -4,6 +4,7 @@ import pytest
 
 from repro.harness.runner import SWEEP_PROTOCOL
 from repro.scenarios import registry, specs
+from repro.scenarios.builtin import FIXTURE_TRACE
 from repro.scenarios.federation import build_cell
 from repro.scenarios.specs import (
     CapacityWindowSpec,
@@ -208,10 +209,6 @@ class TestContentKey:
         json.dumps(spec.content_dict())  # must not raise
 
 
-FIXTURE = __import__("pathlib").Path(__file__).resolve().parents[1] / "fixtures"
-GOOGLE_FIXTURE = str(FIXTURE / "google_task_events_small.csv")
-
-
 def canonical_trace(tmp_path, n=40, spacing=10.0):
     from repro.sim.job import Job
     from repro.workload.trace import write_trace_csv
@@ -248,7 +245,7 @@ class TestTraceReplaySpec:
     def test_load_google_fixture(self):
         from repro.scenarios.specs import TraceReplaySpec
 
-        jobs = TraceReplaySpec(paths=(GOOGLE_FIXTURE,)).load_jobs()
+        jobs = TraceReplaySpec(paths=(FIXTURE_TRACE,)).load_jobs()
         assert len(jobs) == 120  # see tests/fixtures/make_google_fixture.py
         assert jobs[0].arrival_time == 0.0
         assert all(60.0 <= j.duration <= 7200.0 for j in jobs)

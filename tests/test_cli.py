@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.scenarios.builtin import FIXTURE_TRACE
 
 
 class TestParser:
@@ -32,8 +33,13 @@ class TestParser:
             build_parser().parse_args(["--version"])
         assert excinfo.value.code == 0
         from repro import __version__
+        from repro.obs.kernel import blas_kernel
 
-        assert __version__ in capsys.readouterr().out
+        version, blas = capsys.readouterr().out.splitlines()
+        assert version == f"repro {__version__}"
+        kernel = blas_kernel()
+        if kernel is not None:
+            assert blas.endswith(f", core {kernel['core']}")
 
     def test_scenario_subcommands_parse(self):
         args = build_parser().parse_args(["scenario", "list"])
@@ -171,7 +177,7 @@ class TestExecution:
 
     def test_scenario_run_google_replay_fixture(self, capsys, tmp_path):
         rc = main(["scenario", "run", "--name", "google-replay",
-                   "--trace", "tests/fixtures/google_task_events_small.csv",
+                   "--trace", FIXTURE_TRACE,
                    "--jobs", "80", "--cache-dir", str(tmp_path)])
         assert rc == 0
         captured = capsys.readouterr().out
@@ -182,7 +188,7 @@ class TestExecution:
     def test_scenario_run_trace_reroutes_any_scenario(self, capsys, tmp_path):
         # --trace turns a synthetic scenario into a replay of the files.
         rc = main(["scenario", "run", "--name", "tou-price-shift",
-                   "--trace", "tests/fixtures/google_task_events_small.csv",
+                   "--trace", FIXTURE_TRACE,
                    "--jobs", "40", "--cache-dir", str(tmp_path)])
         assert rc == 0
         captured = capsys.readouterr().out
@@ -344,7 +350,7 @@ class TestExecution:
 class TestScenarioRunPositional:
     def test_positional_name_accepted(self, capsys, tmp_path):
         rc = main(["scenario", "run", "google-replay",
-                   "--trace", "tests/fixtures/google_task_events_small.csv",
+                   "--trace", FIXTURE_TRACE,
                    "--jobs", "40", "--cache-dir", str(tmp_path)])
         assert rc == 0
         assert "google-replay" in capsys.readouterr().out

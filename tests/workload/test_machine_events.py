@@ -4,11 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.scenarios.builtin import FIXTURE_TRACE
 from repro.scenarios.specs import ScenarioSpec, TraceReplaySpec, WorkloadSpec
 from repro.workload.trace import read_google_machine_events
 
 FIXTURE = Path("tests/fixtures/google_machine_events_small.csv")
-TASK_FIXTURE = Path("tests/fixtures/google_task_events_small.csv")
 
 # Keep in sync with tests/fixtures/make_machine_fixture.py.
 N_MACHINES = 12
@@ -112,7 +112,7 @@ def replay_scenario(machine_events=(str(FIXTURE),), compression=1.0):
         description="replay with recorded churn",
         workload=WorkloadSpec(
             replay=TraceReplaySpec(
-                paths=(str(TASK_FIXTURE),),
+                paths=(FIXTURE_TRACE,),
                 machine_events=machine_events,
                 time_compression=compression,
             ),

@@ -1,7 +1,10 @@
 """Tests for repro.workload.trace."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.scenarios.builtin import FIXTURE_TRACE
 from repro.sim.job import Job
 from repro.workload.trace import (
     read_google_task_events,
@@ -306,9 +309,7 @@ class TestStreamingMerge:
         assert _task_file_is_sorted(sorted_path)
         # The committed fixture deliberately carries an out-of-order
         # region, so it exercises the buffered fallback.
-        assert not _task_file_is_sorted(
-            __import__("pathlib").Path("tests/fixtures/google_task_events_small.csv")
-        )
+        assert not _task_file_is_sorted(Path(FIXTURE_TRACE))
 
     def test_mixed_sorted_and_unsorted_files_merge_in_time_order(self, tmp_path):
         import numpy as np
